@@ -131,14 +131,17 @@ class ByteReader
     }
 
     /**
-     * Read a length prefix, failing when it exceeds @p cap (protects
-     * against hostile lengths before any allocation).
+     * Read a length prefix counting items of at least @p elem_size
+     * encoded bytes each, failing when it exceeds @p cap or when that
+     * many items cannot fit in the bytes left. A hostile length is
+     * rejected before any allocation, so decoders allocate in
+     * proportion to their input.
      */
     size_t
-    length(size_t cap)
+    length(size_t cap, size_t elem_size)
     {
         uint32_t v = u32();
-        if (v > cap)
+        if (v > cap || size_t{v} * elem_size > remaining())
             ok_ = false;
         return ok_ ? v : 0;
     }

@@ -231,7 +231,7 @@ DurableProofService::verifyAll() const
             continue;
         // Completion records predate protocol kinds; the proof's own
         // leading tag byte says which verifier replays it.
-        if (completion.proof[0] == detail::kHighDegreeProofTag) {
+        if (completion.proof[0] == Pow4Gate::kProofTag) {
             auto proof =
                 deserializeHighDegreeProof<Fr>(completion.proof);
             if (!proof)

@@ -12,7 +12,8 @@
  *   1. commit the private half of z (the wire values) -> root;
  *   2. tau <- transcript; phase-1 cubic sum-check over rows:
  *        sum_x eq(tau,x) * (Az~(x) Bz~(x) - Cz~(x)) = 0
- *      ending at rx with claims vA, vB, vC;
+ *      ending at rx with claims vA, vB, vC — the gate sum-check of the
+ *      multiplicative gate (MulGate), under its own round labels;
  *   3. alpha <- transcript; phase-2 quadratic sum-check over columns:
  *        vA + a vB + a^2 vC = sum_y M(y) z~(y),
  *        M(y) = A~(rx,y) + a B~(rx,y) + a^2 C~(rx,y)
@@ -32,6 +33,7 @@
 
 #include "circuit/Circuit.h"
 #include "circuit/R1cs.h"
+#include "core/Snark.h"
 #include "core/TensorPcs.h"
 #include "hash/Transcript.h"
 #include "sumcheck/Sumcheck.h"
@@ -110,13 +112,17 @@ class FullSnark
         for (auto &t : tau)
             t = transcript.template challengeField<F>("tau");
 
-        // Phase 1 over the rows.
+        // Phase 1 over the rows: the folded tables end up as the claims
+        // at rx.
         std::vector<F> az = r1cs_.apply(r1cs_.a, z);
         std::vector<F> bz = r1cs_.apply(r1cs_.b, z);
         std::vector<F> cz = r1cs_.apply(r1cs_.c, z);
         std::vector<F> rx;
-        proof.phase1 =
-            provePhase1(az, bz, cz, tau, transcript, rx);
+        {
+            std::vector<F> eq = eqTable(tau);
+            proof.phase1 = proveGateSumcheck<MulGate>(
+                eq, az, bz, cz, kPhase1Labels, transcript, &rx);
+        }
         proof.va = az[0];
         proof.vb = bz[0];
         proof.vc = cz[0];
@@ -169,25 +175,14 @@ class FullSnark
         // Phase 1 checks.
         if (proof.phase1.rounds.size() != r1cs_.row_vars)
             return false;
-        F claim = F::zero();
-        std::vector<F> rx;
-        for (const auto &g : proof.phase1.rounds) {
-            if (g.size() != 4 || g[0] + g[1] != claim)
-                return false;
-            for (const F &gi : g)
-                transcript.absorbField("p1.g", gi);
-            F r = transcript.template challengeField<F>("p1.r");
-            std::vector<F> xs{F::fromUint(0), F::fromUint(1),
-                              F::fromUint(2), F::fromUint(3)};
-            claim = lagrangeEval(xs, g, r);
-            rx.push_back(r);
-        }
-        F eq_at_rx = F::one();
-        for (unsigned i = 0; i < r1cs_.row_vars; ++i) {
-            eq_at_rx *= (F::one() - tau[i]) * (F::one() - rx[i]) +
-                        tau[i] * rx[i];
-        }
-        if (eq_at_rx * (proof.va * proof.vb - proof.vc) != claim)
+        auto p1 = verifyGateSumcheck<MulGate>(F::zero(), proof.phase1,
+                                              kPhase1Labels, transcript);
+        if (!p1.ok)
+            return false;
+        const std::vector<F> &rx = p1.point;
+        F gate{};
+        MulGate::eval(&proof.va, &proof.vb, &proof.vc, &gate, 1);
+        if (eqEval(tau, rx) * gate != p1.final_claim)
             return false;
         transcript.absorbField("p1.va", proof.va);
         transcript.absorbField("p1.vb", proof.vb);
@@ -220,6 +215,9 @@ class FullSnark
     }
 
   private:
+    /** Phase 1 is the multiplicative gate's sum-check, own labels. */
+    static constexpr RoundLabels kPhase1Labels{"p1.g", "p1.r"};
+
     void
     absorbStatement(Transcript &transcript,
                     std::span<const F> inputs) const
@@ -229,58 +227,6 @@ class FullSnark
         transcript.absorb("r1cs.dims", dims);
         for (const F &x : inputs)
             transcript.absorbField("public", x);
-    }
-
-    /**
-     * Phase-1 prover: cubic sum-check over
-     * eq(tau,x) (az(x) bz(x) - cz(x)); folds the dense tables in place
-     * so az[0] etc. end up as the claims at rx.
-     */
-    ProductSumcheckProof<F>
-    provePhase1(std::vector<F> &az, std::vector<F> &bz,
-                std::vector<F> &cz, const std::vector<F> &tau,
-                Transcript &transcript, std::vector<F> &rx) const
-    {
-        std::vector<F> eq = eqTable(tau);
-        ProductSumcheckProof<F> proof;
-        const F two = F::fromUint(2);
-        const F three = F::fromUint(3);
-        for (unsigned round = 0; round < r1cs_.row_vars; ++round) {
-            size_t half = az.size() / 2;
-            std::vector<F> g(4, F::zero());
-            for (size_t x = 0; x < half; ++x) {
-                F d_eq = eq[x + half] - eq[x];
-                F d_a = az[x + half] - az[x];
-                F d_b = bz[x + half] - bz[x];
-                F d_c = cz[x + half] - cz[x];
-                auto term = [&](const F &t) {
-                    return (eq[x] + t * d_eq) *
-                           ((az[x] + t * d_a) * (bz[x] + t * d_b) -
-                            (cz[x] + t * d_c));
-                };
-                g[0] += eq[x] * (az[x] * bz[x] - cz[x]);
-                g[1] += eq[x + half] *
-                        (az[x + half] * bz[x + half] - cz[x + half]);
-                g[2] += term(two);
-                g[3] += term(three);
-            }
-            for (const F &gi : g)
-                transcript.absorbField("p1.g", gi);
-            F r = transcript.template challengeField<F>("p1.r");
-            for (size_t x = 0; x < half; ++x) {
-                eq[x] = eq[x] + r * (eq[x + half] - eq[x]);
-                az[x] = az[x] + r * (az[x + half] - az[x]);
-                bz[x] = bz[x] + r * (bz[x + half] - bz[x]);
-                cz[x] = cz[x] + r * (cz[x + half] - cz[x]);
-            }
-            eq.resize(half);
-            az.resize(half);
-            bz.resize(half);
-            cz.resize(half);
-            rx.push_back(r);
-            proof.rounds.push_back(std::move(g));
-        }
-        return proof;
     }
 
     R1cs<F> r1cs_;

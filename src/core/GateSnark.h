@@ -1,0 +1,279 @@
+#ifndef BZK_CORE_GATESNARK_H_
+#define BZK_CORE_GATESNARK_H_
+
+/**
+ * @file
+ * The BatchZK proof system over one custom gate: an Orion/Brakedown-
+ * shaped SNARK for circuit satisfiability, composed exactly from the
+ * paper's three modules (Figure 7 data flow):
+ *
+ *   1. commit the constraint tables a, b, c with the tensor PCS
+ *      (linear-time encoder -> column Merkle trees -> roots);
+ *   2. derive the gate challenge tau from the roots (Fiat-Shamir);
+ *   3. run the gate sum-check  sum_x eq(tau,x) * G(a(x), b(x), c(x)) = 0;
+ *   4. open a, b, c at the sum-check's final point through the PCS;
+ *   5. the verifier replays the transcript, checks the sum-check,
+ *      checks the three openings, and checks
+ *      eq(tau,r) * G(va, vb, vc) == final sum-check claim.
+ *
+ * The gate G is a type parameter. A gate definition supplies:
+ *
+ *   - kEvals: evaluations per round polynomial, deg(eq * G) + 1;
+ *   - eval(a, b, c, out, n): out[i] = G(a[i], b[i], c[i]) on the ff
+ *     lane kernels (the prover runs it over sum-check chunks, the
+ *     verifier's final check with n = 1);
+ *   - kDomain and kLabels: its transcript domain and round labels, so
+ *     a proof under one gate never replays as another;
+ *   - kProofTag: the leading byte of its wire encoding.
+ *
+ * core/Snark.h defines MulGate (a*b - c, the table-commitment
+ * protocol) and core/HighDegreeSnark.h defines Pow4Gate (a^4*b - c, the
+ * HyperPlonk-style high-degree protocol).
+ *
+ * Simplifications relative to a production system are documented in
+ * DESIGN.md Sec. 6 (notably: wiring consistency between gates is not
+ * proven — the committed tables are only shown to be gate-consistent —
+ * and soundness parameters are test-sized by default).
+ */
+
+#include <functional>
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "circuit/Circuit.h"
+#include "core/TensorPcs.h"
+#include "hash/Transcript.h"
+#include "sumcheck/Sumcheck.h"
+
+namespace bzk {
+
+/**
+ * Stage boundaries the interruptible prover reports, matching the
+ * pipeline's module groups. The encoder and Merkle modules are fused
+ * inside TensorPcs::commit, so their boundary is observed at commit
+ * granularity: Encode fires once the first table is committed, Merkle
+ * once all three are.
+ */
+enum class ProveStage : uint8_t {
+    /** First table committed (encoder module has run). */
+    Encode,
+    /** All tables committed (Merkle module has run). */
+    Merkle,
+    /** Gate challenge derived from the transcript. */
+    FiatShamir,
+    /** Gate sum-check finished (openings still outstanding). */
+    Sumcheck,
+};
+
+/**
+ * Called at each ProveStage boundary of an interruptible prove. Return
+ * false to abandon the proof there — the crash/recovery harness uses
+ * this to model a process dying between pipeline stages.
+ */
+using ProveStageHook = std::function<bool(ProveStage)>;
+
+/** A complete proof under gate @p Gate. */
+template <typename F, typename Gate>
+struct GateProof
+{
+    PcsCommitment commit_a;
+    PcsCommitment commit_b;
+    PcsCommitment commit_c;
+    /** Gate sum-check: Gate::kEvals evaluations per round. */
+    ProductSumcheckProof<F> gate_sc;
+    /** Claimed openings of the three tables at the sum-check point. */
+    F va{};
+    F vb{};
+    F vc{};
+    PcsEvalProof<F> open_a;
+    PcsEvalProof<F> open_b;
+    PcsEvalProof<F> open_c;
+
+    /** Rough wire size of the proof in bytes (paper: "several MB"). */
+    size_t
+    sizeBytes() const
+    {
+        size_t bytes = 3 * 32; // roots
+        for (const auto &round : gate_sc.rounds)
+            bytes += round.size() * F::kNumBytes;
+        bytes += 3 * F::kNumBytes;
+        for (const PcsEvalProof<F> *open : {&open_a, &open_b, &open_c}) {
+            bytes += (open->eval_row.size() + open->proximity_row.size()) *
+                     F::kNumBytes;
+            for (const auto &column : open->columns)
+                bytes += column.size() * F::kNumBytes;
+            for (const auto &path : open->paths)
+                bytes += path.siblings.size() * 32 + 8;
+        }
+        return bytes;
+    }
+};
+
+/** Prover + verifier for gate @p Gate and a fixed circuit-size class. */
+template <typename F, typename Gate>
+class GateSnark
+{
+  public:
+    /**
+     * @param n_vars constraint tables have 2^n_vars rows.
+     * @param seed   shared encoder seed (part of the public parameters).
+     * @param column_openings PCS spot-check count.
+     */
+    GateSnark(unsigned n_vars, uint64_t seed, size_t column_openings = 8)
+        : n_vars_(n_vars), pcs_(n_vars, seed, column_openings)
+    {
+    }
+
+    /** The PCS instance (exposed for cost accounting). */
+    const TensorPcs<F> &pcs() const { return pcs_; }
+
+    /**
+     * Attach a host execution context: commits, sum-check rounds, and
+     * openings run across its thread pool. The context must outlive the
+     * prover calls; proofs are bit-identical for any thread count.
+     */
+    void setExec(const exec::ExecContext *exec) { exec_ = exec; }
+
+    /** Prove that the tables satisfy G(a, b, c) = 0 row-wise. */
+    GateProof<F, Gate>
+    prove(const ConstraintTables<F> &tables,
+          std::span<const F> public_inputs) const
+    {
+        return *proveInterruptible(tables, public_inputs, {});
+    }
+
+    /**
+     * prove() with a stage-boundary hook: @p keep_going is called at
+     * each ProveStage boundary and may return false to abandon the
+     * proof there (nullopt). With an empty hook this IS prove() — the
+     * same statements in the same order — so completed proofs are
+     * bit-identical either way.
+     */
+    std::optional<GateProof<F, Gate>>
+    proveInterruptible(const ConstraintTables<F> &tables,
+                       std::span<const F> public_inputs,
+                       const ProveStageHook &keep_going) const
+    {
+        if (tables.n_vars != n_vars_)
+            panic("GateSnark::prove: tables have %u vars, system built "
+                  "for %u",
+                  tables.n_vars, n_vars_);
+
+        Transcript transcript(Gate::kDomain);
+        absorbStatement(transcript, public_inputs);
+
+        // 1. Commit (encoder + Merkle modules).
+        GateProof<F, Gate> proof;
+        auto st_a = pcs_.commit(tables.a, exec_);
+        if (keep_going && !keep_going(ProveStage::Encode))
+            return std::nullopt;
+        auto st_b = pcs_.commit(tables.b, exec_);
+        auto st_c = pcs_.commit(tables.c, exec_);
+        if (keep_going && !keep_going(ProveStage::Merkle))
+            return std::nullopt;
+        proof.commit_a = st_a.commitment;
+        proof.commit_b = st_b.commitment;
+        proof.commit_c = st_c.commitment;
+
+        // 2. Gate challenge.
+        std::vector<F> tau = challengeTau(transcript, proof);
+        if (keep_going && !keep_going(ProveStage::FiatShamir))
+            return std::nullopt;
+
+        // 3. Gate sum-check over eq * G(a, b, c), folding copies.
+        std::vector<F> point;
+        {
+            std::vector<F> eq = eqTable(tau);
+            std::vector<F> a = tables.a;
+            std::vector<F> b = tables.b;
+            std::vector<F> c = tables.c;
+            proof.gate_sc = proveGateSumcheck<Gate>(
+                eq, a, b, c, Gate::kLabels, transcript, &point, exec_);
+        }
+        if (keep_going && !keep_going(ProveStage::Sumcheck))
+            return std::nullopt;
+
+        // 4. Open the tables at the final point.
+        proof.va = pcs_.evaluate(st_a, point);
+        proof.vb = pcs_.evaluate(st_b, point);
+        proof.vc = pcs_.evaluate(st_c, point);
+        absorbOpenings(transcript, proof);
+        proof.open_a = pcs_.open(st_a, point, transcript, exec_);
+        proof.open_b = pcs_.open(st_b, point, transcript, exec_);
+        proof.open_c = pcs_.open(st_c, point, transcript, exec_);
+        return proof;
+    }
+
+    /** Verify a proof against the public inputs. */
+    bool
+    verify(const GateProof<F, Gate> &proof,
+           std::span<const F> public_inputs) const
+    {
+        Transcript transcript(Gate::kDomain);
+        absorbStatement(transcript, public_inputs);
+        std::vector<F> tau = challengeTau(transcript, proof);
+
+        // Sum-check verification: the claimed total is zero.
+        auto verdict = verifyGateSumcheck<Gate>(F::zero(), proof.gate_sc,
+                                                Gate::kLabels, transcript);
+        if (!verdict.ok || verdict.point.size() != n_vars_)
+            return false;
+        const std::vector<F> &point = verdict.point;
+
+        // Final algebraic check against the claimed openings.
+        F gate{};
+        Gate::eval(&proof.va, &proof.vb, &proof.vc, &gate, 1);
+        if (eqEval(tau, point) * gate != verdict.final_claim)
+            return false;
+
+        absorbOpenings(transcript, proof);
+        return pcs_.verify(proof.commit_a, point, proof.va, proof.open_a,
+                           transcript) &&
+               pcs_.verify(proof.commit_b, point, proof.vb, proof.open_b,
+                           transcript) &&
+               pcs_.verify(proof.commit_c, point, proof.vc, proof.open_c,
+                           transcript);
+    }
+
+  private:
+    void
+    absorbStatement(Transcript &transcript,
+                    std::span<const F> public_inputs) const
+    {
+        uint8_t n = static_cast<uint8_t>(n_vars_);
+        transcript.absorb("n_vars", std::span<const uint8_t>(&n, 1));
+        for (const F &x : public_inputs)
+            transcript.absorbField("public", x);
+    }
+
+    /** Absorb the three roots, then draw tau (one entry per variable). */
+    std::vector<F>
+    challengeTau(Transcript &transcript,
+                 const GateProof<F, Gate> &proof) const
+    {
+        transcript.absorbDigest("com.a", proof.commit_a.root);
+        transcript.absorbDigest("com.b", proof.commit_b.root);
+        transcript.absorbDigest("com.c", proof.commit_c.root);
+        std::vector<F> tau(n_vars_);
+        for (auto &t : tau)
+            t = transcript.template challengeField<F>("tau");
+        return tau;
+    }
+
+    static void
+    absorbOpenings(Transcript &transcript, const GateProof<F, Gate> &proof)
+    {
+        transcript.absorbField("open.va", proof.va);
+        transcript.absorbField("open.vb", proof.vb);
+        transcript.absorbField("open.vc", proof.vc);
+    }
+
+    unsigned n_vars_;
+    TensorPcs<F> pcs_;
+    const exec::ExecContext *exec_ = nullptr;
+};
+
+} // namespace bzk
+
+#endif // BZK_CORE_GATESNARK_H_

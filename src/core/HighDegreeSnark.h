@@ -3,57 +3,64 @@
 
 /**
  * @file
- * The HighDegreeGate proof system: the pipeline's second protocol
- * kind (sched::ProtocolKind::HighDegreeGate).
+ * The high-degree gate protocol (sched::ProtocolKind::HighDegreeGate):
+ * the gate SNARK of core/GateSnark.h over a HyperPlonk-style custom
+ * gate, proving
  *
- * Structurally it is the BatchZK SNARK with the constraint sum-check
- * swapped for a HyperPlonk-style high-degree custom gate:
+ *   sum_x eq(tau,x) * (a(x)^4 * b(x) - c(x)) = 0
  *
- *   1. commit the gate tables a, b, c with the same tensor PCS;
- *   2. derive the gate challenge tau from the roots (Fiat-Shamir);
- *   3. run the degree-6 sum-check
- *        sum_x eq(tau,x) * (a(x)^4 * b(x) - c(x)) = 0;
- *   4. open a, b, c at the sum-check's final point through the PCS;
- *   5. the verifier replays the transcript and checks
- *        eq(tau,r) * (va^4 * vb - vc) == final sum-check claim.
- *
- * The stage boundaries (ProveStage hooks) are identical to Snark's, so
- * the durable service's crash matrix kills both protocols at the same
- * pipeline seams. The transcript domain label differs ("batchzk.hdg.v1"
- * vs "batchzk.snark.v1"): a proof of one protocol can never replay as
- * the other.
+ * with degree-6 round polynomials. Each evaluation point costs three
+ * more multiplications than the multiplicative gate, which shifts the
+ * module cost mix toward the sum-check stage: the workload shape
+ * zkSpeed/zkPHIRE report for HyperPlonk, and the stress case for the
+ * scheduler's measured-cost lane policy.
  */
 
-#include <optional>
-#include <span>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
 #include "circuit/Circuit.h"
-#include "core/Snark.h"
-#include "core/TensorPcs.h"
-#include "hash/Transcript.h"
-#include "sumcheck/HighDegreeGate.h"
+#include "core/GateSnark.h"
+#include "ff/FieldBackend.h"
 #include "util/Rng.h"
 
 namespace bzk {
 
-/** A complete HighDegreeGate proof (same wire shape as SnarkProof). */
+/** x^4 via two squarings. */
 template <typename F>
-struct HighDegreeProof
+inline F
+pow4(const F &x)
 {
-    PcsCommitment commit_a;
-    PcsCommitment commit_b;
-    PcsCommitment commit_c;
-    /** Degree-6 gate sum-check: 7 evaluations per round. */
-    ProductSumcheckProof<F> gate_sc;
-    /** Claimed openings of the three tables at the sum-check point. */
-    F va{};
-    F vb{};
-    F vc{};
-    PcsEvalProof<F> open_a;
-    PcsEvalProof<F> open_b;
-    PcsEvalProof<F> open_c;
+    F sq = x * x;
+    return sq * sq;
+}
+
+/** The degree-5 custom gate a^4 * b - c. */
+struct Pow4Gate
+{
+    /** eq * (a^4 b - c) has degree 6 in each variable. */
+    static constexpr size_t kEvals = 7;
+    static constexpr const char *kDomain = "batchzk.hdg.v1";
+    static constexpr RoundLabels kLabels{"hdg.g", "hdg.r"};
+    static constexpr uint8_t kProofTag = 0x04;
+
+    /** out[i] = a[i]^4 * b[i] - c[i], a^4 via two squarings. */
+    template <typename F>
+    static void
+    eval(const F *a, const F *b, const F *c, F *out, size_t n)
+    {
+        ff::mulLanes(a, a, out, n);
+        ff::mulLanes(out, out, out, n);
+        ff::mulLanes(out, b, out, n);
+        ff::subLanes(out, c, out, n);
+    }
 };
+
+template <typename F>
+using HighDegreeSnark = GateSnark<F, Pow4Gate>;
+
+template <typename F>
+using HighDegreeProof = GateProof<F, Pow4Gate>;
 
 /**
  * Build a satisfiable high-degree gate instance: a and b are random,
@@ -78,164 +85,6 @@ highDegreeInstance(unsigned n_vars, Rng &rng)
     }
     return tables;
 }
-
-/** Prover + verifier for the high-degree gate protocol. */
-template <typename F>
-class HighDegreeSnark
-{
-  public:
-    HighDegreeSnark(unsigned n_vars, uint64_t seed,
-                    size_t column_openings = 8)
-        : n_vars_(n_vars), pcs_(n_vars, seed, column_openings)
-    {
-    }
-
-    /** The PCS instance (exposed for cost accounting). */
-    const TensorPcs<F> &pcs() const { return pcs_; }
-
-    /** Attach a host execution context (see Snark::setExec). */
-    void setExec(const exec::ExecContext *exec) { exec_ = exec; }
-
-    /** Prove that the tables satisfy a^4 * b = c row-wise. */
-    HighDegreeProof<F>
-    prove(const ConstraintTables<F> &tables,
-          std::span<const F> public_inputs) const
-    {
-        return *proveInterruptible(tables, public_inputs, {});
-    }
-
-    /**
-     * prove() with the same stage-boundary hook contract as
-     * Snark::proveInterruptible: completed proofs are bit-identical
-     * with or without a hook.
-     */
-    std::optional<HighDegreeProof<F>>
-    proveInterruptible(const ConstraintTables<F> &tables,
-                       std::span<const F> public_inputs,
-                       const ProveStageHook &keep_going) const
-    {
-        if (tables.n_vars != n_vars_)
-            panic("HighDegreeSnark::prove: tables have %u vars, system "
-                  "built for %u",
-                  tables.n_vars, n_vars_);
-
-        Transcript transcript("batchzk.hdg.v1");
-        absorbStatement(transcript, public_inputs);
-
-        // 1. Commit (encoder + Merkle modules).
-        auto st_a = pcs_.commit(tables.a, exec_);
-        if (keep_going && !keep_going(ProveStage::Encode))
-            return std::nullopt;
-        auto st_b = pcs_.commit(tables.b, exec_);
-        auto st_c = pcs_.commit(tables.c, exec_);
-        if (keep_going && !keep_going(ProveStage::Merkle))
-            return std::nullopt;
-        transcript.absorbDigest("com.a", st_a.commitment.root);
-        transcript.absorbDigest("com.b", st_b.commitment.root);
-        transcript.absorbDigest("com.c", st_c.commitment.root);
-
-        // 2. Gate challenge.
-        std::vector<F> tau(n_vars_);
-        for (auto &t : tau)
-            t = transcript.template challengeField<F>("tau");
-        if (keep_going && !keep_going(ProveStage::FiatShamir))
-            return std::nullopt;
-
-        // 3. Degree-6 sum-check over eq * (a^4 b - c).
-        HighDegreeProof<F> proof;
-        std::vector<F> point;
-        {
-            std::vector<F> eq = eqTable(tau);
-            std::vector<F> a = tables.a;
-            std::vector<F> b = tables.b;
-            std::vector<F> c = tables.c;
-            proof.gate_sc = proveHighDegreeGateFs(
-                eq, a, b, c, transcript, &point, exec_);
-        }
-        if (keep_going && !keep_going(ProveStage::Sumcheck))
-            return std::nullopt;
-
-        // 4. Open the tables at the final point.
-        proof.va = pcs_.evaluate(st_a, point);
-        proof.vb = pcs_.evaluate(st_b, point);
-        proof.vc = pcs_.evaluate(st_c, point);
-        transcript.absorbField("open.va", proof.va);
-        transcript.absorbField("open.vb", proof.vb);
-        transcript.absorbField("open.vc", proof.vc);
-
-        proof.open_a = pcs_.open(st_a, point, transcript, exec_);
-        proof.open_b = pcs_.open(st_b, point, transcript, exec_);
-        proof.open_c = pcs_.open(st_c, point, transcript, exec_);
-
-        proof.commit_a = st_a.commitment;
-        proof.commit_b = st_b.commitment;
-        proof.commit_c = st_c.commitment;
-        return proof;
-    }
-
-    /** Verify a proof against the public inputs. */
-    bool
-    verify(const HighDegreeProof<F> &proof,
-           std::span<const F> public_inputs) const
-    {
-        Transcript transcript("batchzk.hdg.v1");
-        absorbStatement(transcript, public_inputs);
-        transcript.absorbDigest("com.a", proof.commit_a.root);
-        transcript.absorbDigest("com.b", proof.commit_b.root);
-        transcript.absorbDigest("com.c", proof.commit_c.root);
-
-        std::vector<F> tau(n_vars_);
-        for (auto &t : tau)
-            t = transcript.template challengeField<F>("tau");
-
-        auto verdict =
-            verifyHighDegreeGateFs(F::zero(), proof.gate_sc, transcript);
-        if (!verdict.ok || verdict.point.size() != n_vars_)
-            return false;
-        const std::vector<F> &point = verdict.point;
-
-        // Final algebraic check against the claimed openings:
-        // eq(tau, point) = prod_i ((1-tau_i)(1-r_i) + tau_i r_i).
-        F eq_at_point = F::one();
-        for (unsigned i = 0; i < n_vars_; ++i) {
-            eq_at_point *= (F::one() - tau[i]) * (F::one() - point[i]) +
-                           tau[i] * point[i];
-        }
-        if (eq_at_point * (pow4(proof.va) * proof.vb - proof.vc) !=
-            verdict.final_claim)
-            return false;
-
-        transcript.absorbField("open.va", proof.va);
-        transcript.absorbField("open.vb", proof.vb);
-        transcript.absorbField("open.vc", proof.vc);
-
-        if (!pcs_.verify(proof.commit_a, point, proof.va, proof.open_a,
-                         transcript))
-            return false;
-        if (!pcs_.verify(proof.commit_b, point, proof.vb, proof.open_b,
-                         transcript))
-            return false;
-        if (!pcs_.verify(proof.commit_c, point, proof.vc, proof.open_c,
-                         transcript))
-            return false;
-        return true;
-    }
-
-  private:
-    void
-    absorbStatement(Transcript &transcript,
-                    std::span<const F> public_inputs) const
-    {
-        uint8_t n = static_cast<uint8_t>(n_vars_);
-        transcript.absorb("n_vars", std::span<const uint8_t>(&n, 1));
-        for (const F &x : public_inputs)
-            transcript.absorbField("public", x);
-    }
-
-    unsigned n_vars_;
-    TensorPcs<F> pcs_;
-    const exec::ExecContext *exec_ = nullptr;
-};
 
 } // namespace bzk
 

@@ -7,9 +7,11 @@
  *
  * The paper's deployment scenarios (MLaaS, zkBridge) ship proofs over
  * the network, so the library provides a deterministic, bounds-checked
- * byte encoding for both proof types. Layout is little-endian with
- * u32 length prefixes; a version byte leads each proof so the format
- * can evolve.
+ * byte encoding for every proof type. Layout is little-endian with
+ * u32 length prefixes; a tag byte leads each proof so the format can
+ * evolve and codecs never cross. Every length prefix is checked against
+ * both a hard cap and the bytes left, so decoding allocates in
+ * proportion to its input.
  */
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 
 #include "core/Bytes.h"
 #include "core/FullSnark.h"
+#include "core/GateSnark.h"
 #include "core/HighDegreeSnark.h"
 #include "core/Snark.h"
 #include "gkr/Gkr.h"
@@ -28,15 +31,18 @@ namespace bzk {
 
 namespace detail {
 
-constexpr uint8_t kSnarkProofTag = 0x01;
 constexpr uint8_t kFullSnarkProofTag = 0x02;
 constexpr uint8_t kGkrProofTag = 0x03;
-constexpr uint8_t kHighDegreeProofTag = 0x04;
 /** Caps for hostile length prefixes. */
 constexpr size_t kMaxRounds = 64;
 constexpr size_t kMaxRowLen = size_t{1} << 24;
 constexpr size_t kMaxColumns = 4096;
 constexpr size_t kMaxPathLen = 64;
+/** The fewest bytes a length-prefixed item can encode to. */
+constexpr size_t kLengthBytes = 4;
+constexpr size_t kDigestBytes = 32;
+/** A column's own length prefix plus its path's leaf index and depth. */
+constexpr size_t kMinColumnBytes = kLengthBytes + 8 + kLengthBytes;
 
 template <typename F>
 void
@@ -67,18 +73,18 @@ PcsEvalProof<F>
 readEvalProof(ByteReader &r)
 {
     PcsEvalProof<F> open;
-    size_t n = r.length(kMaxRowLen);
+    size_t n = r.length(kMaxRowLen, F::kNumBytes);
     open.eval_row.resize(n);
     for (auto &v : open.eval_row)
         v = r.template field<F>();
-    n = r.length(kMaxRowLen);
+    n = r.length(kMaxRowLen, F::kNumBytes);
     open.proximity_row.resize(n);
     for (auto &v : open.proximity_row)
         v = r.template field<F>();
-    size_t cols = r.length(kMaxColumns);
+    size_t cols = r.length(kMaxColumns, kMinColumnBytes);
     open.columns.resize(cols);
     for (auto &column : open.columns) {
-        size_t k = r.length(kMaxRowLen);
+        size_t k = r.length(kMaxRowLen, F::kNumBytes);
         column.resize(k);
         for (auto &v : column)
             v = r.template field<F>();
@@ -86,7 +92,7 @@ readEvalProof(ByteReader &r)
     open.paths.resize(cols);
     for (auto &path : open.paths) {
         path.leaf_index = r.u64();
-        size_t depth = r.length(kMaxPathLen);
+        size_t depth = r.length(kMaxPathLen, kDigestBytes);
         path.siblings.resize(depth);
         for (auto &d : path.siblings)
             d = r.digest();
@@ -96,10 +102,10 @@ readEvalProof(ByteReader &r)
 
 template <typename F>
 void
-writeRounds(ByteWriter &w, const ProductSumcheckProof<F> &sc)
+writeRounds(ByteWriter &w, const std::vector<std::vector<F>> &rounds)
 {
-    w.u32(static_cast<uint32_t>(sc.rounds.size()));
-    for (const auto &g : sc.rounds) {
+    w.u32(static_cast<uint32_t>(rounds.size()));
+    for (const auto &g : rounds) {
         w.u32(static_cast<uint32_t>(g.size()));
         for (const F &v : g)
             w.field(v);
@@ -107,37 +113,37 @@ writeRounds(ByteWriter &w, const ProductSumcheckProof<F> &sc)
 }
 
 template <typename F>
-ProductSumcheckProof<F>
-readRounds(ByteReader &r)
+std::vector<std::vector<F>>
+readRounds(ByteReader &r, size_t max_rounds = kMaxRounds)
 {
-    ProductSumcheckProof<F> sc;
-    size_t rounds = r.length(kMaxRounds);
-    sc.rounds.resize(rounds);
-    for (auto &g : sc.rounds) {
-        size_t evals = r.length(8);
-        g.resize(evals);
+    std::vector<std::vector<F>> rounds(r.length(max_rounds, kLengthBytes));
+    for (auto &g : rounds) {
+        g.resize(r.length(8, F::kNumBytes));
         for (auto &v : g)
             v = r.template field<F>();
     }
-    return sc;
+    return rounds;
 }
 
 } // namespace detail
 
-/** Encode a table-commitment proof. */
-template <typename F>
+/**
+ * Encode a gate proof (core/GateSnark.h). The gate's tag leads the
+ * blob, so every byte sink (journal completions, wire Results, .bzkp
+ * files) dispatches on the blob itself.
+ */
+template <typename F, typename Gate>
 std::vector<uint8_t>
-serializeProof(const SnarkProof<F> &proof)
+serializeProof(const GateProof<F, Gate> &proof)
 {
     ByteWriter w;
-    w.u8(detail::kSnarkProofTag);
-    w.digest(proof.commit_a.root);
-    w.u8(static_cast<uint8_t>(proof.commit_a.n_vars));
-    w.digest(proof.commit_b.root);
-    w.u8(static_cast<uint8_t>(proof.commit_b.n_vars));
-    w.digest(proof.commit_c.root);
-    w.u8(static_cast<uint8_t>(proof.commit_c.n_vars));
-    detail::writeRounds(w, proof.constraint_sc);
+    w.u8(Gate::kProofTag);
+    for (const PcsCommitment *commit :
+         {&proof.commit_a, &proof.commit_b, &proof.commit_c}) {
+        w.digest(commit->root);
+        w.u8(static_cast<uint8_t>(commit->n_vars));
+    }
+    detail::writeRounds(w, proof.gate_sc.rounds);
     w.field(proof.va);
     w.field(proof.vb);
     w.field(proof.vc);
@@ -147,22 +153,24 @@ serializeProof(const SnarkProof<F> &proof)
     return w.take();
 }
 
-/** Decode a table-commitment proof; nullopt when malformed. */
-template <typename F>
-std::optional<SnarkProof<F>>
+/**
+ * Decode a gate proof, by default a table-commitment (MulGate) one;
+ * nullopt when malformed or tagged for another gate.
+ */
+template <typename F, typename Gate = MulGate>
+std::optional<GateProof<F, Gate>>
 deserializeProof(std::span<const uint8_t> bytes)
 {
     ByteReader r(bytes);
-    if (r.u8() != detail::kSnarkProofTag)
+    if (r.u8() != Gate::kProofTag)
         return std::nullopt;
-    SnarkProof<F> proof;
-    proof.commit_a.root = r.digest();
-    proof.commit_a.n_vars = r.u8();
-    proof.commit_b.root = r.digest();
-    proof.commit_b.n_vars = r.u8();
-    proof.commit_c.root = r.digest();
-    proof.commit_c.n_vars = r.u8();
-    proof.constraint_sc = detail::readRounds<F>(r);
+    GateProof<F, Gate> proof;
+    for (PcsCommitment *commit :
+         {&proof.commit_a, &proof.commit_b, &proof.commit_c}) {
+        commit->root = r.digest();
+        commit->n_vars = r.u8();
+    }
+    proof.gate_sc.rounds = detail::readRounds<F>(r);
     proof.va = r.field<F>();
     proof.vb = r.field<F>();
     proof.vc = r.field<F>();
@@ -174,54 +182,20 @@ deserializeProof(std::span<const uint8_t> bytes)
     return proof;
 }
 
-/** Encode a high-degree gate proof (SnarkProof layout, own tag). */
+/** serializeProof, named for the high-degree gate. */
 template <typename F>
 std::vector<uint8_t>
 serializeHighDegreeProof(const HighDegreeProof<F> &proof)
 {
-    ByteWriter w;
-    w.u8(detail::kHighDegreeProofTag);
-    w.digest(proof.commit_a.root);
-    w.u8(static_cast<uint8_t>(proof.commit_a.n_vars));
-    w.digest(proof.commit_b.root);
-    w.u8(static_cast<uint8_t>(proof.commit_b.n_vars));
-    w.digest(proof.commit_c.root);
-    w.u8(static_cast<uint8_t>(proof.commit_c.n_vars));
-    detail::writeRounds(w, proof.gate_sc);
-    w.field(proof.va);
-    w.field(proof.vb);
-    w.field(proof.vc);
-    detail::writeEvalProof(w, proof.open_a);
-    detail::writeEvalProof(w, proof.open_b);
-    detail::writeEvalProof(w, proof.open_c);
-    return w.take();
+    return serializeProof(proof);
 }
 
-/** Decode a high-degree gate proof; nullopt when malformed. */
+/** deserializeProof for the high-degree gate. */
 template <typename F>
 std::optional<HighDegreeProof<F>>
 deserializeHighDegreeProof(std::span<const uint8_t> bytes)
 {
-    ByteReader r(bytes);
-    if (r.u8() != detail::kHighDegreeProofTag)
-        return std::nullopt;
-    HighDegreeProof<F> proof;
-    proof.commit_a.root = r.digest();
-    proof.commit_a.n_vars = r.u8();
-    proof.commit_b.root = r.digest();
-    proof.commit_b.n_vars = r.u8();
-    proof.commit_c.root = r.digest();
-    proof.commit_c.n_vars = r.u8();
-    proof.gate_sc = detail::readRounds<F>(r);
-    proof.va = r.field<F>();
-    proof.vb = r.field<F>();
-    proof.vc = r.field<F>();
-    proof.open_a = detail::readEvalProof<F>(r);
-    proof.open_b = detail::readEvalProof<F>(r);
-    proof.open_c = detail::readEvalProof<F>(r);
-    if (!r.ok() || r.remaining() != 0)
-        return std::nullopt;
-    return proof;
+    return deserializeProof<F, Pow4Gate>(bytes);
 }
 
 /** Encode a wiring-sound proof. */
@@ -233,11 +207,11 @@ serializeFullProof(const FullSnarkProof<F> &proof)
     w.u8(detail::kFullSnarkProofTag);
     w.digest(proof.commit_w.root);
     w.u8(static_cast<uint8_t>(proof.commit_w.n_vars));
-    detail::writeRounds(w, proof.phase1);
+    detail::writeRounds(w, proof.phase1.rounds);
     w.field(proof.va);
     w.field(proof.vb);
     w.field(proof.vc);
-    detail::writeRounds(w, proof.phase2);
+    detail::writeRounds(w, proof.phase2.rounds);
     w.field(proof.vw);
     detail::writeEvalProof(w, proof.open_w);
     return w.take();
@@ -254,11 +228,11 @@ deserializeFullProof(std::span<const uint8_t> bytes)
     FullSnarkProof<F> proof;
     proof.commit_w.root = r.digest();
     proof.commit_w.n_vars = r.u8();
-    proof.phase1 = detail::readRounds<F>(r);
+    proof.phase1.rounds = detail::readRounds<F>(r);
     proof.va = r.field<F>();
     proof.vb = r.field<F>();
     proof.vc = r.field<F>();
-    proof.phase2 = detail::readRounds<F>(r);
+    proof.phase2.rounds = detail::readRounds<F>(r);
     proof.vw = r.field<F>();
     proof.open_w = detail::readEvalProof<F>(r);
     if (!r.ok() || r.remaining() != 0)
@@ -278,12 +252,7 @@ serializeGkrProof(const GkrProof<F> &proof)
         w.field(o);
     w.u32(static_cast<uint32_t>(proof.layers.size()));
     for (const auto &layer : proof.layers) {
-        w.u32(static_cast<uint32_t>(layer.rounds.size()));
-        for (const auto &g : layer.rounds) {
-            w.u32(static_cast<uint32_t>(g.size()));
-            for (const F &v : g)
-                w.field(v);
-        }
+        detail::writeRounds(w, layer.rounds);
         w.field(layer.vx);
         w.field(layer.vy);
     }
@@ -299,21 +268,14 @@ deserializeGkrProof(std::span<const uint8_t> bytes)
     if (r.u8() != detail::kGkrProofTag)
         return std::nullopt;
     GkrProof<F> proof;
-    size_t outs = r.length(detail::kMaxRowLen);
-    proof.outputs.resize(outs);
+    proof.outputs.resize(r.length(detail::kMaxRowLen, F::kNumBytes));
     for (auto &o : proof.outputs)
         o = r.field<F>();
-    size_t layers = r.length(256);
-    proof.layers.resize(layers);
+    // A layer is at least its round count plus vx and vy.
+    proof.layers.resize(
+        r.length(256, detail::kLengthBytes + 2 * F::kNumBytes));
     for (auto &layer : proof.layers) {
-        size_t rounds = r.length(2 * detail::kMaxRounds);
-        layer.rounds.resize(rounds);
-        for (auto &g : layer.rounds) {
-            size_t evals = r.length(8);
-            g.resize(evals);
-            for (auto &v : g)
-                v = r.field<F>();
-        }
+        layer.rounds = detail::readRounds<F>(r, 2 * detail::kMaxRounds);
         layer.vx = r.field<F>();
         layer.vy = r.field<F>();
     }

@@ -3,358 +3,46 @@
 
 /**
  * @file
- * The BatchZK proof system: an Orion/Brakedown-shaped SNARK for circuit
- * satisfiability, composed exactly from the paper's three modules
- * (Figure 7 data flow):
+ * The table-commitment protocol (sched::ProtocolKind::TableCommit): the
+ * gate SNARK of core/GateSnark.h over the multiplicative gate, proving
  *
- *   1. commit the constraint tables a, b, c with the tensor PCS
- *      (linear-time encoder -> column Merkle trees -> roots);
- *   2. derive the constraint challenge tau from the roots (Fiat-Shamir);
- *   3. run the cubic sum-check  sum_x eq(tau,x) * (a(x)b(x) - c(x)) = 0;
- *   4. open a, b, c at the sum-check's final point through the PCS;
- *   5. the verifier replays the transcript, checks the sum-check,
- *      checks the three openings, and checks
- *      eq(tau,r) * (va*vb - vc) == final sum-check claim.
+ *   sum_x eq(tau,x) * (a(x) b(x) - c(x)) = 0
  *
- * Simplifications relative to a production system are documented in
- * DESIGN.md Sec. 6 (notably: wiring consistency between gates is not
- * proven — the committed tables are only shown to be gate-consistent —
- * and soundness parameters are test-sized by default).
+ * with cubic round polynomials.
  */
 
-#include <array>
-#include <functional>
-#include <optional>
-#include <span>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
-#include "circuit/Circuit.h"
-#include "core/TensorPcs.h"
-#include "hash/Transcript.h"
-#include "sumcheck/Sumcheck.h"
+#include "core/GateSnark.h"
+#include "ff/FieldBackend.h"
 
 namespace bzk {
 
-/**
- * Stage boundaries the interruptible prover reports, matching the
- * pipeline's module groups. The encoder and Merkle modules are fused
- * inside TensorPcs::commit, so their boundary is observed at commit
- * granularity: Encode fires once the first table is committed, Merkle
- * once all three are.
- */
-enum class ProveStage : uint8_t {
-    /** First table committed (encoder module has run). */
-    Encode,
-    /** All tables committed (Merkle module has run). */
-    Merkle,
-    /** Constraint challenge derived from the transcript. */
-    FiatShamir,
-    /** Constraint sum-check finished (openings still outstanding). */
-    Sumcheck,
-};
-
-/**
- * Called at each ProveStage boundary of an interruptible prove. Return
- * false to abandon the proof there — the crash/recovery harness uses
- * this to model a process dying between pipeline stages.
- */
-using ProveStageHook = std::function<bool(ProveStage)>;
-
-/** A complete BatchZK proof. */
-template <typename F>
-struct SnarkProof
+/** The multiplicative gate a*b - c. */
+struct MulGate
 {
-    PcsCommitment commit_a;
-    PcsCommitment commit_b;
-    PcsCommitment commit_c;
-    /** Cubic constraint sum-check: 4 evaluations per round. */
-    ProductSumcheckProof<F> constraint_sc;
-    /** Claimed openings of the three tables at the sum-check point. */
-    F va{};
-    F vb{};
-    F vc{};
-    PcsEvalProof<F> open_a;
-    PcsEvalProof<F> open_b;
-    PcsEvalProof<F> open_c;
+    /** eq * (a*b - c) is cubic in each variable. */
+    static constexpr size_t kEvals = 4;
+    static constexpr const char *kDomain = "batchzk.snark.v1";
+    static constexpr RoundLabels kLabels{"csc.g", "csc.r"};
+    static constexpr uint8_t kProofTag = 0x01;
 
-    /** Rough wire size of the proof in bytes (paper: "several MB"). */
-    size_t
-    sizeBytes() const
+    /** out[i] = a[i] * b[i] - c[i]. */
+    template <typename F>
+    static void
+    eval(const F *a, const F *b, const F *c, F *out, size_t n)
     {
-        size_t bytes = 3 * 32; // roots
-        for (const auto &round : constraint_sc.rounds)
-            bytes += round.size() * F::kNumBytes;
-        bytes += 3 * F::kNumBytes;
-        for (const PcsEvalProof<F> *open : {&open_a, &open_b, &open_c}) {
-            bytes += (open->eval_row.size() + open->proximity_row.size()) *
-                     F::kNumBytes;
-            for (const auto &column : open->columns)
-                bytes += column.size() * F::kNumBytes;
-            for (const auto &path : open->paths)
-                bytes += path.siblings.size() * 32 + 8;
-        }
-        return bytes;
+        ff::mulLanes(a, b, out, n);
+        ff::subLanes(out, c, out, n);
     }
 };
 
-/** Prover + verifier for a fixed circuit-size class. */
 template <typename F>
-class Snark
-{
-  public:
-    /**
-     * @param n_vars constraint tables have 2^n_vars rows.
-     * @param seed   shared encoder seed (part of the public parameters).
-     * @param column_openings PCS spot-check count.
-     */
-    Snark(unsigned n_vars, uint64_t seed, size_t column_openings = 8)
-        : n_vars_(n_vars), pcs_(n_vars, seed, column_openings)
-    {
-    }
+using Snark = GateSnark<F, MulGate>;
 
-    /** The PCS instance (exposed for cost accounting). */
-    const TensorPcs<F> &pcs() const { return pcs_; }
-
-    /**
-     * Attach a host execution context: commits, sum-check rounds, and
-     * openings run across its thread pool. The context must outlive the
-     * prover calls; proofs are bit-identical for any thread count.
-     */
-    void setExec(const exec::ExecContext *exec) { exec_ = exec; }
-
-    /** Prove that the tables satisfy a*b = c row-wise. */
-    SnarkProof<F>
-    prove(const ConstraintTables<F> &tables,
-          std::span<const F> public_inputs) const
-    {
-        return *proveInterruptible(tables, public_inputs, {});
-    }
-
-    /**
-     * prove() with a stage-boundary hook: @p keep_going is called at
-     * each ProveStage boundary and may return false to abandon the
-     * proof there (nullopt). With an empty hook this IS prove() — the
-     * same statements in the same order — so completed proofs are
-     * bit-identical either way.
-     */
-    std::optional<SnarkProof<F>>
-    proveInterruptible(const ConstraintTables<F> &tables,
-                       std::span<const F> public_inputs,
-                       const ProveStageHook &keep_going) const
-    {
-        if (tables.n_vars != n_vars_)
-            panic("Snark::prove: tables have %u vars, system built for %u",
-                  tables.n_vars, n_vars_);
-
-        Transcript transcript("batchzk.snark.v1");
-        absorbStatement(transcript, public_inputs);
-
-        // 1. Commit (encoder + Merkle modules).
-        auto st_a = pcs_.commit(tables.a, exec_);
-        if (keep_going && !keep_going(ProveStage::Encode))
-            return std::nullopt;
-        auto st_b = pcs_.commit(tables.b, exec_);
-        auto st_c = pcs_.commit(tables.c, exec_);
-        if (keep_going && !keep_going(ProveStage::Merkle))
-            return std::nullopt;
-        transcript.absorbDigest("com.a", st_a.commitment.root);
-        transcript.absorbDigest("com.b", st_b.commitment.root);
-        transcript.absorbDigest("com.c", st_c.commitment.root);
-
-        // 2. Constraint challenge.
-        std::vector<F> tau(n_vars_);
-        for (auto &t : tau)
-            t = transcript.template challengeField<F>("tau");
-        if (keep_going && !keep_going(ProveStage::FiatShamir))
-            return std::nullopt;
-
-        // 3. Cubic sum-check over eq*(a*b - c).
-        SnarkProof<F> proof;
-        std::vector<F> point;
-        proof.constraint_sc = proveConstraintSumcheck(
-            tables, tau, transcript, point);
-        if (keep_going && !keep_going(ProveStage::Sumcheck))
-            return std::nullopt;
-
-        // 4. Open the tables at the final point.
-        proof.va = pcs_.evaluate(st_a, point);
-        proof.vb = pcs_.evaluate(st_b, point);
-        proof.vc = pcs_.evaluate(st_c, point);
-        transcript.absorbField("open.va", proof.va);
-        transcript.absorbField("open.vb", proof.vb);
-        transcript.absorbField("open.vc", proof.vc);
-
-        proof.open_a = pcs_.open(st_a, point, transcript, exec_);
-        proof.open_b = pcs_.open(st_b, point, transcript, exec_);
-        proof.open_c = pcs_.open(st_c, point, transcript, exec_);
-
-        proof.commit_a = st_a.commitment;
-        proof.commit_b = st_b.commitment;
-        proof.commit_c = st_c.commitment;
-        return proof;
-    }
-
-    /** Verify a proof against the public inputs. */
-    bool
-    verify(const SnarkProof<F> &proof,
-           std::span<const F> public_inputs) const
-    {
-        Transcript transcript("batchzk.snark.v1");
-        absorbStatement(transcript, public_inputs);
-        transcript.absorbDigest("com.a", proof.commit_a.root);
-        transcript.absorbDigest("com.b", proof.commit_b.root);
-        transcript.absorbDigest("com.c", proof.commit_c.root);
-
-        std::vector<F> tau(n_vars_);
-        for (auto &t : tau)
-            t = transcript.template challengeField<F>("tau");
-
-        // Sum-check verification: the claimed total is zero.
-        F claim = F::zero();
-        std::vector<F> point;
-        for (const auto &g : proof.constraint_sc.rounds) {
-            if (g.size() != 4)
-                return false;
-            if (g[0] + g[1] != claim)
-                return false;
-            for (const F &gi : g)
-                transcript.absorbField("csc.g", gi);
-            F r = transcript.template challengeField<F>("csc.r");
-            std::vector<F> xs{F::fromUint(0), F::fromUint(1),
-                              F::fromUint(2), F::fromUint(3)};
-            claim = lagrangeEval(xs, g, r);
-            point.push_back(r);
-        }
-        if (point.size() != n_vars_)
-            return false;
-
-        // Final algebraic check against the claimed openings.
-        auto eq = eqTable(tau);
-        // eq(tau, point) without materializing the table at the point:
-        // prod_i ((1-tau_i)(1-r_i) + tau_i r_i).
-        F eq_at_point = F::one();
-        for (unsigned i = 0; i < n_vars_; ++i) {
-            eq_at_point *= (F::one() - tau[i]) * (F::one() - point[i]) +
-                           tau[i] * point[i];
-        }
-        (void)eq;
-        if (eq_at_point * (proof.va * proof.vb - proof.vc) != claim)
-            return false;
-
-        transcript.absorbField("open.va", proof.va);
-        transcript.absorbField("open.vb", proof.vb);
-        transcript.absorbField("open.vc", proof.vc);
-
-        if (!pcs_.verify(proof.commit_a, point, proof.va, proof.open_a,
-                         transcript))
-            return false;
-        if (!pcs_.verify(proof.commit_b, point, proof.vb, proof.open_b,
-                         transcript))
-            return false;
-        if (!pcs_.verify(proof.commit_c, point, proof.vc, proof.open_c,
-                         transcript))
-            return false;
-        return true;
-    }
-
-  private:
-    void
-    absorbStatement(Transcript &transcript,
-                    std::span<const F> public_inputs) const
-    {
-        uint8_t n = static_cast<uint8_t>(n_vars_);
-        transcript.absorb("n_vars", std::span<const uint8_t>(&n, 1));
-        for (const F &x : public_inputs)
-            transcript.absorbField("public", x);
-    }
-
-    /**
-     * Prover for sum_x eq(tau,x)(a(x)b(x) - c(x)) = 0; round polynomials
-     * are cubic, transmitted as evaluations at 0..3. Round sums use the
-     * fixed-shape chunked reduction, so the transcript (and hence the
-     * whole proof) is bit-identical for any thread count.
-     */
-    ProductSumcheckProof<F>
-    proveConstraintSumcheck(const ConstraintTables<F> &tables,
-                            const std::vector<F> &tau,
-                            Transcript &transcript,
-                            std::vector<F> &point) const
-    {
-        std::vector<F> eq = eqTable(tau);
-        std::vector<F> a = tables.a;
-        std::vector<F> b = tables.b;
-        std::vector<F> c = tables.c;
-        if (exec_)
-            exec_->setRegion("sumcheck");
-
-        ProductSumcheckProof<F> proof;
-        proof.rounds.reserve(n_vars_);
-        const F two = F::fromUint(2);
-        const F three = F::fromUint(3);
-        using Sums = std::array<F, 4>;
-        for (unsigned round = 0; round < n_vars_; ++round) {
-            size_t half = a.size() / 2;
-            auto chunk_sums = [&](size_t begin, size_t end) {
-                Sums s{F::zero(), F::zero(), F::zero(), F::zero()};
-                for (size_t x = begin; x < end; ++x) {
-                    // Evaluate each factor's restriction at t = 0,1,2,3
-                    // via the affine form lo + t*(hi - lo).
-                    F d_eq = eq[x + half] - eq[x];
-                    F d_a = a[x + half] - a[x];
-                    F d_b = b[x + half] - b[x];
-                    F d_c = c[x + half] - c[x];
-                    auto term = [&](const F &t) {
-                        F eq_t = eq[x] + t * d_eq;
-                        F a_t = a[x] + t * d_a;
-                        F b_t = b[x] + t * d_b;
-                        F c_t = c[x] + t * d_c;
-                        return eq_t * (a_t * b_t - c_t);
-                    };
-                    s[0] += eq[x] * (a[x] * b[x] - c[x]);
-                    s[1] += eq[x + half] *
-                            (a[x + half] * b[x + half] - c[x + half]);
-                    s[2] += term(two);
-                    s[3] += term(three);
-                }
-                return s;
-            };
-            Sums sums = exec::reduceChunked<Sums>(
-                exec_, half,
-                Sums{F::zero(), F::zero(), F::zero(), F::zero()},
-                chunk_sums, [](const Sums &l, const Sums &r) {
-                    return Sums{l[0] + r[0], l[1] + r[1], l[2] + r[2],
-                                l[3] + r[3]};
-                });
-            std::vector<F> g(sums.begin(), sums.end());
-            for (const F &gi : g)
-                transcript.absorbField("csc.g", gi);
-            F r = transcript.template challengeField<F>("csc.r");
-            auto fold = [&](size_t begin, size_t end) {
-                for (size_t x = begin; x < end; ++x) {
-                    eq[x] = eq[x] + r * (eq[x + half] - eq[x]);
-                    a[x] = a[x] + r * (a[x + half] - a[x]);
-                    b[x] = b[x] + r * (b[x + half] - b[x]);
-                    c[x] = c[x] + r * (c[x + half] - c[x]);
-                }
-            };
-            if (exec_)
-                exec_->parallelFor(half, fold);
-            else
-                fold(0, half);
-            eq.resize(half);
-            a.resize(half);
-            b.resize(half);
-            c.resize(half);
-            point.push_back(r);
-            proof.rounds.push_back(std::move(g));
-        }
-        return proof;
-    }
-
-    unsigned n_vars_;
-    TensorPcs<F> pcs_;
-    const exec::ExecContext *exec_ = nullptr;
-};
+template <typename F>
+using SnarkProof = GateProof<F, MulGate>;
 
 } // namespace bzk
 

@@ -162,7 +162,7 @@ decodeCompletionRecord(std::span<const uint8_t> body)
     record.task_id = r.u64();
     record.n_vars = r.u32();
     record.seed = r.u64();
-    size_t len = r.length(kMaxRecordBytes);
+    size_t len = r.length(kMaxRecordBytes, 1);
     if (!r.ok() || r.remaining() != len)
         return std::nullopt;
     record.proof.resize(len);

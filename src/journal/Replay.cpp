@@ -118,8 +118,8 @@ replayJournal(const std::string &dir, obs::MetricsRegistry *metrics)
                 markTorn(result, index, pos, "torn frame");
                 break;
             }
-            ByteReader frame(data.subspan(pos, kRecordFrameBytes));
-            size_t body_len = frame.length(kMaxRecordBytes);
+            ByteReader frame(data.subspan(pos));
+            size_t body_len = frame.length(kMaxRecordBytes, 1);
             uint32_t stored_crc = frame.u32();
             if (!frame.ok() ||
                 body_len > data.size() - pos - kRecordFrameBytes) {

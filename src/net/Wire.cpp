@@ -130,7 +130,7 @@ readResult(ByteReader &r)
         return WireError::Malformed;
     m.status = static_cast<Status>(status);
     m.retry_after_ms = r.u32();
-    size_t n = r.length(kMaxFrameBytes);
+    size_t n = r.length(kMaxFrameBytes, 1);
     if (!r.ok() || n != r.remaining())
         return WireError::Malformed;
     m.proof.resize(n);
@@ -150,7 +150,7 @@ readProtoError(ByteReader &r)
         code > static_cast<uint8_t>(ErrorCode::UnexpectedMessage))
         return WireError::Malformed;
     m.code = static_cast<ErrorCode>(code);
-    size_t n = r.length(kMaxErrorDetail);
+    size_t n = r.length(kMaxErrorDetail, 1);
     if (!r.ok() || n != r.remaining())
         return WireError::Malformed;
     m.detail.resize(n);

@@ -142,6 +142,22 @@ eqTable(const std::vector<F> &r)
 }
 
 /**
+ * eq(r, x) at one point, without the table:
+ * prod_i ((1 - r_i)(1 - x_i) + r_i x_i).
+ */
+template <typename F>
+F
+eqEval(const std::vector<F> &r, const std::vector<F> &x)
+{
+    if (r.size() != x.size())
+        panic("eqEval: %zu vs %zu variables", r.size(), x.size());
+    F acc = F::one();
+    for (size_t i = 0; i < r.size(); ++i)
+        acc *= (F::one() - r[i]) * (F::one() - x[i]) + r[i] * x[i];
+    return acc;
+}
+
+/**
  * Lagrange interpolation of the unique degree-(k-1) univariate polynomial
  * through points (xs[i], ys[i]), evaluated at @p x. Used by the system to
  * encode host-side intermediate results into polynomials (Sec. 4).

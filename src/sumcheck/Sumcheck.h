@@ -10,8 +10,9 @@
  * (pi_i1, pi_i2) and folds the table with the round challenge.
  *
  * ProductSumcheck generalizes to sums of products of up to a few
- * multilinear factors (degree-d round polynomials), which the SNARK core
- * needs for its constraint check (eq * Az * Bz style terms).
+ * multilinear factors (degree-d round polynomials). The gate sum-check
+ * is the SNARK core's constraint check: eq times a custom gate
+ * G(a, b, c), the one round loop every gate protocol runs.
  *
  * Fiat-Shamir wrappers derive challenges from a Transcript so prover and
  * verifier stay non-interactive and in sync.
@@ -312,6 +313,136 @@ verifyProductSumcheckFs(const F &claimed_sum,
         std::vector<F> xs(g.size());
         for (size_t t = 0; t < g.size(); ++t)
             xs[t] = F::fromUint(t);
+        claim = lagrangeEval(xs, g, r);
+        verdict.point.push_back(r);
+    }
+    verdict.ok = true;
+    verdict.final_claim = claim;
+    return verdict;
+}
+
+/** Transcript labels of a gate sum-check's round messages. */
+struct RoundLabels
+{
+    /** Label of each round-polynomial evaluation. */
+    const char *g;
+    /** Label of each round challenge. */
+    const char *r;
+};
+
+/**
+ * Prove sum_x eq(x) * G(a(x), b(x), c(x)) == 0 for a custom gate G
+ * (see core/GateSnark.h): round i sends eq * G restricted to variable i
+ * as its values at t = 0 .. Gate::kEvals - 1. All four tables must
+ * have the same power-of-two size; they are folded in place, so on
+ * return a[0], b[0], c[0] are the tables' values at the sum-check
+ * point. Challenges come from @p transcript under @p labels; @p
+ * point_out accumulates them.
+ *
+ * Each factor restricted to the round variable is affine, so its value
+ * at t is the fold lo + t * (hi - lo), and t = 0, 1 are the table
+ * halves themselves. Per chunk the factors at t live in chunk-sized
+ * scratch, so the whole round runs on the lane kernels: foldLanes for
+ * the factors, Gate::eval, then dotLanes against eq. The fixed-shape
+ * chunk reduction keeps the sums, and so the proof bytes, identical
+ * for any thread count and kernel backend.
+ */
+template <typename Gate, typename F>
+ProductSumcheckProof<F>
+proveGateSumcheck(std::vector<F> &eq, std::vector<F> &a, std::vector<F> &b,
+                  std::vector<F> &c, RoundLabels labels,
+                  Transcript &transcript, std::vector<F> *point_out = nullptr,
+                  const exec::ExecContext *exec = nullptr)
+{
+    size_t size = eq.size();
+    if (size == 0 || (size & (size - 1)) != 0)
+        panic("proveGateSumcheck: table size %zu not a power of two", size);
+    if (a.size() != size || b.size() != size || c.size() != size)
+        panic("proveGateSumcheck: mismatched table sizes");
+
+    const std::array<std::vector<F> *, 4> tables{&eq, &a, &b, &c};
+    using Evals = std::array<F, Gate::kEvals>;
+    if (exec)
+        exec->setRegion("sumcheck");
+    ProductSumcheckProof<F> proof;
+    for (size_t half = size / 2; half > 0; half /= 2) {
+        auto chunk_evals = [&tables, half](size_t begin, size_t end) {
+            size_t m = end - begin;
+            // Scratch: eq, a, b, c at t, then the gate values.
+            std::vector<F> scratch(5 * m);
+            F *gate = scratch.data() + 4 * m;
+            Evals g{};
+            for (size_t t = 0; t < Gate::kEvals; ++t) {
+                const F t_f = F::fromUint(t);
+                std::array<const F *, 4> at{};
+                for (size_t j = 0; j < tables.size(); ++j) {
+                    const F *lo = tables[j]->data() + begin;
+                    if (t < 2) {
+                        at[j] = lo + t * half;
+                        continue;
+                    }
+                    F *f = scratch.data() + j * m;
+                    std::copy(lo, lo + m, f);
+                    ff::foldLanes(f, lo + half, t_f, m);
+                    at[j] = f;
+                }
+                Gate::eval(at[1], at[2], at[3], gate, m);
+                g[t] = ff::dotLanes(at[0], gate, m);
+            }
+            return g;
+        };
+        Evals g = exec::reduceChunked<Evals>(
+            exec, half, Evals{}, chunk_evals,
+            [](const Evals &x, const Evals &y) {
+                Evals sum{};
+                for (size_t t = 0; t < Gate::kEvals; ++t)
+                    sum[t] = x[t] + y[t];
+                return sum;
+            });
+        for (const F &gt : g)
+            transcript.absorbField(labels.g, gt);
+        F r = transcript.template challengeField<F>(labels.r);
+        auto fold = [&tables, half, &r](size_t begin, size_t end) {
+            for (std::vector<F> *table : tables)
+                ff::foldLanes(table->data() + begin,
+                              table->data() + half + begin, r,
+                              end - begin);
+        };
+        if (exec)
+            exec->parallelFor(half, fold);
+        else
+            fold(0, half);
+        for (std::vector<F> *table : tables)
+            table->resize(half);
+        if (point_out)
+            point_out->push_back(r);
+        proof.rounds.emplace_back(g.begin(), g.end());
+    }
+    return proof;
+}
+
+/**
+ * Verifier side of proveGateSumcheck. Every round must carry exactly
+ * Gate::kEvals evaluations; the returned verdict's final_claim must
+ * equal eq(tau, point) * G(va, vb, vc), which the caller checks against
+ * its table oracles.
+ */
+template <typename Gate, typename F>
+SumcheckVerdict<F>
+verifyGateSumcheck(const F &claimed_sum, const ProductSumcheckProof<F> &proof,
+                   RoundLabels labels, Transcript &transcript)
+{
+    SumcheckVerdict<F> verdict;
+    std::vector<F> xs(Gate::kEvals);
+    for (size_t t = 0; t < Gate::kEvals; ++t)
+        xs[t] = F::fromUint(t);
+    F claim = claimed_sum;
+    for (const auto &g : proof.rounds) {
+        if (g.size() != Gate::kEvals || g[0] + g[1] != claim)
+            return verdict;
+        for (const F &gt : g)
+            transcript.absorbField(labels.g, gt);
+        F r = transcript.template challengeField<F>(labels.r);
         claim = lagrangeEval(xs, g, r);
         verdict.point.push_back(r);
     }

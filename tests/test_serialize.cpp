@@ -1,19 +1,26 @@
 /**
  * @file
- * Wire-format tests: byte round trips for both proof types, and
- * parameterized corruption/truncation sweeps — a corrupted proof must
- * never deserialize-and-verify.
+ * Wire-format tests: byte round trips for every proof type, golden
+ * proof bytes, parameterized corruption/truncation sweeps (a corrupted
+ * proof must never deserialize-and-verify), and decode allocation that
+ * stays in proportion to the input.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
+
+#include <cstdlib>
 
 #include "circuit/Circuit.h"
 #include "core/FullSnark.h"
 #include "core/HighDegreeSnark.h"
 #include "core/Serialize.h"
 #include "core/Snark.h"
+#include "exec/ExecContext.h"
 #include "ff/Fields.h"
 #include "gkr/LayeredCircuit.h"
+#include "hash/Sha256.h"
 #include "journal/Record.h"
 
 namespace bzk {
@@ -26,6 +33,8 @@ struct Fixture
     FullSnark<Fr> *full = nullptr;
     FullSnarkProof<Fr> full_proof;
     std::vector<Fr> inputs;
+    HighDegreeSnark<Fr> hdg{8, 99};
+    HighDegreeProof<Fr> hdg_proof;
 
     Fixture()
     {
@@ -55,6 +64,10 @@ struct Fixture
         auto fasg = fc.evaluate(inputs, fw);
         full = new FullSnark<Fr>(buildR1cs(fc), 77);
         full_proof = full->prove(inputs, fasg);
+
+        // High-degree gate proof.
+        Rng hdg_rng(2);
+        hdg_proof = hdg.prove(highDegreeInstance<Fr>(8, hdg_rng), {});
     }
 
     ~Fixture() { delete full; }
@@ -65,6 +78,31 @@ fixture()
 {
     static Fixture f;
     return f;
+}
+
+// Proof-byte goldens: the SHA-256 of one fixed-seed proof's encoding
+// per proof system. A prover refactor must leave them unchanged under
+// every field backend, with IFMA on or off, and for any thread count.
+
+TEST(ProofGolden, HighDegreeSnarkN8)
+{
+    Rng rng(2024);
+    auto tables = highDegreeInstance<Fr>(8, rng);
+    HighDegreeSnark<Fr> snark(8, 2024);
+    exec::ExecContext exec;
+    snark.setExec(&exec);
+    auto bytes = serializeHighDegreeProof(snark.prove(tables, {}));
+    EXPECT_EQ(Sha256::digest(bytes).toHex(),
+              "10f26525e14450e07f91b9e37b800e108483d49d305aa47001b9f2edb8e2"
+              "d609");
+}
+
+TEST(ProofGolden, FullSnark)
+{
+    auto bytes = serializeFullProof(fixture().full_proof);
+    EXPECT_EQ(Sha256::digest(bytes).toHex(),
+              "4218721e12cf9f9c1958719f8a4aeca19db60ab53e4f118132adb7fffb6c"
+              "6505");
 }
 
 TEST(Serialize, SnarkProofRoundTrip)
@@ -136,6 +174,45 @@ TEST(Serialize, EmptyInputRejected)
         deserializeProof<Fr>(std::span<const uint8_t>{}).has_value());
     EXPECT_FALSE(
         deserializeFullProof<Fr>(std::span<const uint8_t>{}).has_value());
+}
+
+/** Peak resident set of this process, KiB (Linux ru_maxrss). */
+long
+peakRssKiB()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(SerializeDeathTest, HostileLengthAllocatesInProportionToInput)
+{
+    // 204 bytes: a table-commit proof header, no sum-check rounds, the
+    // three claimed openings, then an eval row claiming 2^24 entries
+    // (512 MiB of Fr) that the blob cannot hold.
+    ByteWriter w;
+    w.u8(MulGate::kProofTag);
+    for (int i = 0; i < 3; ++i) {
+        w.digest(Digest{});
+        w.u8(8);
+    }
+    w.u32(0);
+    for (int i = 0; i < 3; ++i)
+        w.field(Fr::zero());
+    w.u32(uint32_t{1} << 24);
+    auto blob = w.take();
+    ASSERT_EQ(blob.size(), 204u);
+
+    // A fresh child process, so the peak it reads is the decode's own.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            long before = peakRssKiB();
+            bool decoded = deserializeProof<Fr>(blob).has_value();
+            long growth_mib = (peakRssKiB() - before) / 1024;
+            std::exit(!decoded && growth_mib < 64 ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Serialize, HostileLengthPrefixRejected)
@@ -215,6 +292,20 @@ TEST_P(CorruptionSweep, CorruptedSnarkProofNeverAccepted)
     }
 }
 
+TEST_P(CorruptionSweep, CorruptedHighDegreeProofNeverAccepted)
+{
+    auto &f = fixture();
+    auto bytes = serializeHighDegreeProof(f.hdg_proof);
+    size_t pos = static_cast<size_t>(GetParam()) * (bytes.size() - 1) / 15;
+    if (pos == 0)
+        pos = 1;
+    bytes[pos] ^= 0x55;
+    auto back = deserializeHighDegreeProof<Fr>(bytes);
+    if (back.has_value()) {
+        EXPECT_FALSE(f.hdg.verify(*back, {})) << "pos " << pos;
+    }
+}
+
 TEST_P(CorruptionSweep, CorruptedFullProofNeverAccepted)
 {
     auto &f = fixture();
@@ -244,6 +335,16 @@ TEST_P(TruncationSweep, TruncatedProofRejected)
     size_t keep = static_cast<size_t>(GetParam()) * bytes.size() / 8;
     bytes.resize(keep);
     EXPECT_FALSE(deserializeProof<Fr>(bytes).has_value())
+        << "kept " << keep;
+}
+
+TEST_P(TruncationSweep, TruncatedHighDegreeProofRejected)
+{
+    auto &f = fixture();
+    auto bytes = serializeHighDegreeProof(f.hdg_proof);
+    size_t keep = static_cast<size_t>(GetParam()) * bytes.size() / 8;
+    bytes.resize(keep);
+    EXPECT_FALSE(deserializeHighDegreeProof<Fr>(bytes).has_value())
         << "kept " << keep;
 }
 
@@ -307,6 +408,15 @@ TEST_P(DenseFlipSweep, FlippedByteNeverAccepted)
         EXPECT_FALSE(f.full->verify(*fback, f.inputs))
             << "pos " << fpos << " mask " << unsigned(mask);
     }
+
+    auto hdg_bytes = serializeHighDegreeProof(f.hdg_proof);
+    size_t hpos = 1 + rng.nextBounded(hdg_bytes.size() - 1);
+    hdg_bytes[hpos] ^= mask;
+    auto hback = deserializeHighDegreeProof<Fr>(hdg_bytes);
+    if (hback.has_value()) {
+        EXPECT_FALSE(f.hdg.verify(*hback, {}))
+            << "pos " << hpos << " mask " << unsigned(mask);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DenseFlipSweep,
@@ -324,9 +434,11 @@ TEST_P(RandomBlobFuzz, NeverAccepted)
     std::vector<uint8_t> blob(len);
     for (auto &b : blob)
         b = static_cast<uint8_t>(rng.next());
-    // Force a plausible tag half the time so parsing goes deeper.
+    // Force a real proof tag half the time so parsing goes deeper.
+    const uint8_t tags[] = {MulGate::kProofTag, detail::kFullSnarkProofTag,
+                            detail::kGkrProofTag, Pow4Gate::kProofTag};
     if (rng.next() & 1)
-        blob[0] = static_cast<uint8_t>(1 + rng.nextBounded(2));
+        blob[0] = tags[rng.nextBounded(4)];
     auto &f = fixture();
     auto p1 = deserializeProof<Fr>(blob);
     if (p1.has_value()) {
@@ -336,6 +448,11 @@ TEST_P(RandomBlobFuzz, NeverAccepted)
     if (p2.has_value()) {
         EXPECT_FALSE(f.full->verify(*p2, f.inputs));
     }
+    auto p3 = deserializeHighDegreeProof<Fr>(blob);
+    if (p3.has_value()) {
+        EXPECT_FALSE(f.hdg.verify(*p3, {}));
+    }
+    (void)deserializeGkrProof<Fr>(blob);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomBlobFuzz,

@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests for the host batch prover (parallel real proofs) and the
- * streaming-service queueing model.
+ * Tests for the streaming-service queueing model and the multi-GPU
+ * fleet dispatcher.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/BatchProver.h"
 #include "core/MultiGpu.h"
 #include "core/PipelinedSystem.h"
 #include "core/StreamingService.h"
@@ -14,47 +13,6 @@
 
 namespace bzk {
 namespace {
-
-TEST(BatchProver, AllProofsVerify)
-{
-    Rng rng(1);
-    std::vector<ConstraintTables<Fr>> instances;
-    for (int i = 0; i < 6; ++i)
-        instances.push_back(randomInstance(8, rng));
-    BatchProver<Fr> prover(8, 99, /*threads=*/2);
-    auto batch = prover.proveAll(instances);
-    ASSERT_EQ(batch.proofs.size(), 6u);
-    EXPECT_TRUE(batch.all_verified);
-    for (const auto &proof : batch.proofs)
-        EXPECT_TRUE(prover.snark().verify(proof, {}));
-}
-
-TEST(BatchProver, ProofsAreIndependent)
-{
-    // Different instances yield different commitments.
-    Rng rng(2);
-    std::vector<ConstraintTables<Fr>> instances;
-    for (int i = 0; i < 3; ++i)
-        instances.push_back(randomInstance(8, rng));
-    BatchProver<Fr> prover(8, 99, 2);
-    auto batch = prover.proveAll(instances, /*self_verify=*/false);
-    EXPECT_NE(batch.proofs[0].commit_a.root,
-              batch.proofs[1].commit_a.root);
-    EXPECT_NE(batch.proofs[1].commit_a.root,
-              batch.proofs[2].commit_a.root);
-}
-
-TEST(BatchProver, DetectsUnsatisfiableInstance)
-{
-    Rng rng(3);
-    std::vector<ConstraintTables<Fr>> instances;
-    instances.push_back(randomInstance(8, rng));
-    instances.push_back(randomInstance(8, rng));
-    instances[1].c[4] += Fr::one(); // break one constraint
-    BatchProver<Fr> prover(8, 99, 2);
-    auto batch = prover.proveAll(instances);
-    EXPECT_FALSE(batch.all_verified);
-}
 
 class StreamingTest : public ::testing::Test
 {

@@ -1,12 +1,17 @@
 /**
  * @file
- * End-to-end tests of the BatchZK SNARK: prove/verify round trips on
- * real circuits, rejection of tampered proofs and unsatisfied tables.
+ * End-to-end tests of the gate SNARK under both gates (the table-commit
+ * MulGate and the high-degree Pow4Gate) over both fields: prove/verify
+ * round trips, rejection of tampered proofs and unsatisfied tables.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "circuit/Circuit.h"
+#include "core/HighDegreeSnark.h"
 #include "core/Snark.h"
 #include "ff/Fields.h"
 
@@ -14,16 +19,8 @@ namespace bzk {
 namespace {
 
 template <typename F>
-class SnarkT : public ::testing::Test
-{
-};
-
-using Fields = ::testing::Types<Fr, Gl64>;
-TYPED_TEST_SUITE(SnarkT, Fields);
-
-template <typename F>
 ConstraintTables<F>
-satisfiedTables(unsigned n_vars, Rng &rng, Circuit<F> *circuit_out = nullptr)
+satisfiedTables(unsigned n_vars, Rng &rng)
 {
     // A random circuit sized to fill 2^n_vars rows.
     size_t target = (size_t{1} << n_vars) - (size_t{1} << (n_vars - 2));
@@ -34,19 +31,64 @@ satisfiedTables(unsigned n_vars, Rng &rng, Circuit<F> *circuit_out = nullptr)
     auto asg = c.evaluate({}, witness);
     auto t = c.buildTables(asg);
     EXPECT_EQ(t.n_vars, n_vars);
-    if (circuit_out)
-        *circuit_out = c;
     return t;
 }
 
+template <typename FieldT, typename GateT>
+struct Case
+{
+    using F = FieldT;
+    using Gate = GateT;
+};
+
+using Cases = ::testing::Types<Case<Fr, MulGate>, Case<Gl64, MulGate>,
+                               Case<Fr, Pow4Gate>, Case<Gl64, Pow4Gate>>;
+
+struct CaseNames
+{
+    template <typename C>
+    static std::string
+    GetName(int)
+    {
+        std::string field = std::is_same_v<typename C::F, Fr> ? "Fr" : "Gl64";
+        return field +
+               (std::is_same_v<typename C::Gate, MulGate> ? "Mul" : "Pow4");
+    }
+};
+
+template <typename C>
+class SnarkT : public ::testing::Test
+{
+  protected:
+    using F = typename C::F;
+    using Prover = GateSnark<F, typename C::Gate>;
+    /** The same field's SNARK under the other gate. */
+    using OtherGate = std::conditional_t<
+        std::is_same_v<typename C::Gate, MulGate>, Pow4Gate, MulGate>;
+
+    /** A satisfied instance for this case's gate. */
+    static ConstraintTables<F>
+    satisfied(unsigned n_vars, Rng &rng)
+    {
+        if constexpr (std::is_same_v<typename C::Gate, Pow4Gate>)
+            return highDegreeInstance<F>(n_vars, rng);
+        else
+            return satisfiedTables<F>(n_vars, rng);
+    }
+};
+
+TYPED_TEST_SUITE(SnarkT, Cases, CaseNames);
+
 TYPED_TEST(SnarkT, ProveVerifyRoundTrip)
 {
-    using F = TypeParam;
     Rng rng(1);
     for (unsigned n : {6u, 8u, 10u}) {
-        auto tables = satisfiedTables<F>(n, rng);
-        Snark<F> snark(n, /*seed=*/99);
+        auto tables = TestFixture::satisfied(n, rng);
+        typename TestFixture::Prover snark(n, /*seed=*/99);
         auto proof = snark.prove(tables, {});
+        EXPECT_EQ(proof.gate_sc.rounds.size(), n);
+        for (const auto &g : proof.gate_sc.rounds)
+            EXPECT_EQ(g.size(), TypeParam::Gate::kEvals);
         EXPECT_TRUE(snark.verify(proof, {})) << "n=" << n;
     }
 }
@@ -55,11 +97,10 @@ TYPED_TEST(SnarkT, ProofSizeIsNontrivial)
 {
     // The paper notes proofs of this protocol family reach MBs; at toy
     // sizes we just check the accounting is sane and grows.
-    using F = TypeParam;
     Rng rng(2);
-    auto t8 = satisfiedTables<F>(8, rng);
-    auto t10 = satisfiedTables<F>(10, rng);
-    Snark<F> s8(8, 99), s10(10, 99);
+    auto t8 = TestFixture::satisfied(8, rng);
+    auto t10 = TestFixture::satisfied(10, rng);
+    typename TestFixture::Prover s8(8, 99), s10(10, 99);
     auto p8 = s8.prove(t8, {});
     auto p10 = s10.prove(t10, {});
     EXPECT_GT(p8.sizeBytes(), 1000u);
@@ -68,21 +109,21 @@ TYPED_TEST(SnarkT, ProofSizeIsNontrivial)
 
 TYPED_TEST(SnarkT, RejectsUnsatisfiedTables)
 {
-    using F = TypeParam;
+    using F = typename TestFixture::F;
     Rng rng(3);
-    auto tables = satisfiedTables<F>(8, rng);
+    auto tables = TestFixture::satisfied(8, rng);
     tables.c[5] += F::one(); // break one constraint
-    Snark<F> snark(8, 99);
+    typename TestFixture::Prover snark(8, 99);
     auto proof = snark.prove(tables, {});
     EXPECT_FALSE(snark.verify(proof, {}));
 }
 
 TYPED_TEST(SnarkT, RejectsTamperedOpeningValue)
 {
-    using F = TypeParam;
+    using F = typename TestFixture::F;
     Rng rng(4);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> snark(8, 99);
+    auto tables = TestFixture::satisfied(8, rng);
+    typename TestFixture::Prover snark(8, 99);
     auto proof = snark.prove(tables, {});
     proof.va += F::one();
     EXPECT_FALSE(snark.verify(proof, {}));
@@ -90,21 +131,34 @@ TYPED_TEST(SnarkT, RejectsTamperedOpeningValue)
 
 TYPED_TEST(SnarkT, RejectsTamperedSumcheckRound)
 {
-    using F = TypeParam;
+    using F = typename TestFixture::F;
     Rng rng(5);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> snark(8, 99);
+    auto tables = TestFixture::satisfied(8, rng);
+    typename TestFixture::Prover snark(8, 99);
     auto proof = snark.prove(tables, {});
-    proof.constraint_sc.rounds[2][1] += F::one();
+    proof.gate_sc.rounds[2][1] += F::one();
     EXPECT_FALSE(snark.verify(proof, {}));
+}
+
+TYPED_TEST(SnarkT, RejectsWrongRoundShape)
+{
+    Rng rng(5);
+    auto tables = TestFixture::satisfied(6, rng);
+    typename TestFixture::Prover snark(6, 99);
+    auto proof = snark.prove(tables, {});
+    auto short_round = proof;
+    short_round.gate_sc.rounds[1].pop_back();
+    EXPECT_FALSE(snark.verify(short_round, {}));
+    auto missing_round = proof;
+    missing_round.gate_sc.rounds.pop_back();
+    EXPECT_FALSE(snark.verify(missing_round, {}));
 }
 
 TYPED_TEST(SnarkT, RejectsTamperedCommitment)
 {
-    using F = TypeParam;
     Rng rng(6);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> snark(8, 99);
+    auto tables = TestFixture::satisfied(8, rng);
+    typename TestFixture::Prover snark(8, 99);
     auto proof = snark.prove(tables, {});
     proof.commit_b.root.bytes[7] ^= 0x80;
     EXPECT_FALSE(snark.verify(proof, {}));
@@ -112,10 +166,9 @@ TYPED_TEST(SnarkT, RejectsTamperedCommitment)
 
 TYPED_TEST(SnarkT, RejectsSwappedOpenings)
 {
-    using F = TypeParam;
     Rng rng(7);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> snark(8, 99);
+    auto tables = TestFixture::satisfied(8, rng);
+    typename TestFixture::Prover snark(8, 99);
     auto proof = snark.prove(tables, {});
     std::swap(proof.open_a, proof.open_b);
     std::swap(proof.va, proof.vb);
@@ -124,10 +177,10 @@ TYPED_TEST(SnarkT, RejectsSwappedOpenings)
 
 TYPED_TEST(SnarkT, PublicInputsBindProof)
 {
-    using F = TypeParam;
+    using F = typename TestFixture::F;
     Rng rng(8);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> snark(8, 99);
+    auto tables = TestFixture::satisfied(8, rng);
+    typename TestFixture::Prover snark(8, 99);
     std::vector<F> pub{F::fromUint(123)};
     auto proof = snark.prove(tables, pub);
     EXPECT_TRUE(snark.verify(proof, pub));
@@ -139,25 +192,54 @@ TYPED_TEST(SnarkT, DifferentSeedsIncompatible)
 {
     // The encoder seed is a public parameter; a proof under one seed
     // must not verify under another (different code, different columns).
-    using F = TypeParam;
     Rng rng(9);
-    auto tables = satisfiedTables<F>(8, rng);
-    Snark<F> prover_side(8, 99);
-    Snark<F> verifier_side(8, 100);
+    auto tables = TestFixture::satisfied(8, rng);
+    typename TestFixture::Prover prover_side(8, 99);
+    typename TestFixture::Prover verifier_side(8, 100);
     auto proof = prover_side.prove(tables, {});
     EXPECT_FALSE(verifier_side.verify(proof, {}));
 }
 
-TYPED_TEST(SnarkT, AllZeroTablesProveAndVerify)
+TYPED_TEST(SnarkT, ProofDoesNotVerifyUnderTheOtherGate)
 {
-    // Padding-only tables (0 * 0 = 0 everywhere) are valid.
-    using F = TypeParam;
+    // Transcript domains, labels and round shapes differ per gate, so
+    // a proof never replays as the other protocol's, even on tables
+    // that satisfy both gates.
+    using F = typename TestFixture::F;
+    using Other = typename TestFixture::OtherGate;
     ConstraintTables<F> tables;
     tables.n_vars = 6;
     tables.a.assign(64, F::zero());
     tables.b.assign(64, F::zero());
     tables.c.assign(64, F::zero());
-    Snark<F> snark(6, 99);
+    typename TestFixture::Prover snark(6, 99);
+    auto proof = snark.prove(tables, {});
+    ASSERT_TRUE(snark.verify(proof, {}));
+
+    GateProof<F, Other> crossed;
+    crossed.commit_a = proof.commit_a;
+    crossed.commit_b = proof.commit_b;
+    crossed.commit_c = proof.commit_c;
+    crossed.gate_sc = proof.gate_sc;
+    crossed.va = proof.va;
+    crossed.vb = proof.vb;
+    crossed.vc = proof.vc;
+    crossed.open_a = proof.open_a;
+    crossed.open_b = proof.open_b;
+    crossed.open_c = proof.open_c;
+    EXPECT_FALSE((GateSnark<F, Other>(6, 99).verify(crossed, {})));
+}
+
+TYPED_TEST(SnarkT, AllZeroTablesProveAndVerify)
+{
+    // Padding-only tables (0 * 0 = 0 everywhere) are valid.
+    using F = typename TestFixture::F;
+    ConstraintTables<F> tables;
+    tables.n_vars = 6;
+    tables.a.assign(64, F::zero());
+    tables.b.assign(64, F::zero());
+    tables.c.assign(64, F::zero());
+    typename TestFixture::Prover snark(6, 99);
     auto proof = snark.prove(tables, {});
     EXPECT_TRUE(snark.verify(proof, {}));
 }

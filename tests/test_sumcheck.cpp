@@ -1,18 +1,22 @@
 /**
  * @file
  * Tests for the sum-check module: Algorithm 1 completeness/soundness,
- * product sum-checks, Fiat-Shamir consistency, and the GPU drivers.
+ * product and gate sum-checks, Fiat-Shamir consistency, and the GPU
+ * drivers.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <type_traits>
 
+#include "core/HighDegreeSnark.h"
+#include "core/Snark.h"
 #include "exec/ExecContext.h"
 #include "ff/Fields.h"
 #include "gpusim/Device.h"
 #include "sumcheck/GpuSumcheck.h"
-#include "sumcheck/HighDegreeGate.h"
 #include "sumcheck/Sumcheck.h"
 
 namespace bzk {
@@ -275,20 +279,67 @@ TYPED_TEST(SumcheckT, ProductSumcheckRejectsWrongSum)
     EXPECT_FALSE(verifyProductSumcheckFs(sum + F::one(), proof, vt).ok);
 }
 
-/** Satisfied high-degree gate tables: c = a^4 * b pointwise. */
+template <typename FieldT, typename GateT>
+struct GateCase
+{
+    using F = FieldT;
+    using Gate = GateT;
+};
+
+using GateCases =
+    ::testing::Types<GateCase<Fr, MulGate>, GateCase<Gl64, MulGate>,
+                     GateCase<Fr, Pow4Gate>, GateCase<Gl64, Pow4Gate>>;
+
+struct GateCaseNames
+{
+    template <typename C>
+    static std::string
+    GetName(int)
+    {
+        std::string field = std::is_same_v<typename C::F, Fr> ? "Fr" : "Gl64";
+        return field +
+               (std::is_same_v<typename C::Gate, MulGate> ? "Mul" : "Pow4");
+    }
+};
+
+template <typename C>
+class GateSumcheckT : public ::testing::Test
+{
+};
+
+TYPED_TEST_SUITE(GateSumcheckT, GateCases, GateCaseNames);
+
+constexpr RoundLabels kTestLabels{"gate-test.g", "gate-test.r"};
+
+/** eq(tau, .) plus tables satisfying the gate row-wise. */
 template <typename F>
-struct HdgInstance
+struct GateInstance
 {
     std::vector<F> tau;
     std::vector<F> eq;
     std::vector<F> a, b, c;
 };
 
-template <typename F>
-HdgInstance<F>
-randomHdgInstance(unsigned n, Rng &rng)
+/** G at one row in plain scalar arithmetic, apart from the lane kernels. */
+template <typename Gate, typename F>
+F
+scalarGate(const F &a, const F &b, const F &c)
 {
-    HdgInstance<F> inst;
+    if constexpr (std::is_same_v<Gate, Pow4Gate>)
+        return pow4(a) * b - c;
+    else
+        return a * b - c;
+}
+
+/**
+ * Both gates have the form P(a, b) - c, so c = G(a, b, 0) satisfies
+ * them at every row.
+ */
+template <typename Gate, typename F>
+GateInstance<F>
+randomGateInstance(unsigned n, Rng &rng)
+{
+    GateInstance<F> inst;
     inst.tau.resize(n);
     for (auto &t : inst.tau)
         t = F::random(rng);
@@ -300,36 +351,48 @@ randomHdgInstance(unsigned n, Rng &rng)
     for (size_t i = 0; i < size; ++i) {
         inst.a[i] = F::random(rng);
         inst.b[i] = F::random(rng);
-        inst.c[i] = pow4(inst.a[i]) * inst.b[i];
+        inst.c[i] = scalarGate<Gate>(inst.a[i], inst.b[i], F::zero());
     }
     return inst;
 }
 
-TYPED_TEST(SumcheckT, HighDegreeGateCompleteness)
+template <typename Gate, typename F>
+ProductSumcheckProof<F>
+proveGate(GateInstance<F> &inst, Transcript &transcript,
+          std::vector<F> *point = nullptr,
+          const exec::ExecContext *exec = nullptr)
 {
-    using F = TypeParam;
+    return proveGateSumcheck<Gate>(inst.eq, inst.a, inst.b, inst.c,
+                                   kTestLabels, transcript, point, exec);
+}
+
+TYPED_TEST(GateSumcheckT, Completeness)
+{
+    using F = typename TypeParam::F;
+    using Gate = typename TypeParam::Gate;
     Rng rng(71);
     for (unsigned n : {1u, 3u, 5u}) {
-        auto inst = randomHdgInstance<F>(n, rng);
+        auto inst = randomGateInstance<Gate, F>(n, rng);
         auto fold = inst; // prover folds in place
-        Transcript pt("hdg-test");
+        Transcript pt("gate-test");
         std::vector<F> point;
-        auto proof = proveHighDegreeGateFs(fold.eq, fold.a, fold.b,
-                                           fold.c, pt, &point);
+        auto proof = proveGate<Gate>(fold, pt, &point);
         ASSERT_EQ(proof.rounds.size(), n);
         for (const auto &g : proof.rounds)
-            EXPECT_EQ(g.size(), kHighDegreeGateEvals);
+            EXPECT_EQ(g.size(), Gate::kEvals);
 
-        Transcript vt("hdg-test");
-        auto verdict = verifyHighDegreeGateFs(F::zero(), proof, vt);
+        Transcript vt("gate-test");
+        auto verdict =
+            verifyGateSumcheck<Gate>(F::zero(), proof, kTestLabels, vt);
         ASSERT_TRUE(verdict.ok) << "n=" << n;
         EXPECT_EQ(verdict.point, point);
 
         // The final claim reduces to the gate polynomial at the
         // sum-check point, evaluated through the folded tables.
-        F expected = fold.eq[0] *
-                     (pow4(fold.a[0]) * fold.b[0] - fold.c[0]);
+        F expected =
+            fold.eq[0] * scalarGate<Gate>(fold.a[0], fold.b[0], fold.c[0]);
         EXPECT_EQ(verdict.final_claim, expected);
+        EXPECT_EQ(fold.eq[0], eqEval(inst.tau, verdict.point));
 
         // The folded tables agree with the multilinear extensions.
         EXPECT_EQ(fold.a[0],
@@ -339,91 +402,122 @@ TYPED_TEST(SumcheckT, HighDegreeGateCompleteness)
     }
 }
 
-TYPED_TEST(SumcheckT, HighDegreeGateRejectsUnsatisfiedRow)
+TYPED_TEST(GateSumcheckT, FirstRoundMatchesScalarReference)
 {
-    using F = TypeParam;
+    // g(t) = sum_x eq_t(x) * G(a_t(x), b_t(x), c_t(x)) with every
+    // factor interpolated as lo + t * (hi - lo), one row at a time.
+    using F = typename TypeParam::F;
+    using Gate = typename TypeParam::Gate;
+    Rng rng(76);
+    auto inst = randomGateInstance<Gate, F>(5, rng);
+    inst.c[3] += F::one(); // a nonzero sum exercises every term
+    auto fold = inst;
+    Transcript pt("gate-test");
+    auto proof = proveGate<Gate>(fold, pt);
+
+    size_t half = inst.a.size() / 2;
+    for (size_t t = 0; t < Gate::kEvals; ++t) {
+        F t_f = F::fromUint(t);
+        auto at = [&](const std::vector<F> &v, size_t x) {
+            return v[x] + t_f * (v[x + half] - v[x]);
+        };
+        F expected = F::zero();
+        for (size_t x = 0; x < half; ++x) {
+            F g =
+                scalarGate<Gate>(at(inst.a, x), at(inst.b, x), at(inst.c, x));
+            expected += at(inst.eq, x) * g;
+        }
+        EXPECT_EQ(proof.rounds[0][t], expected) << "t=" << t;
+    }
+}
+
+TYPED_TEST(GateSumcheckT, RejectsUnsatisfiedRow)
+{
+    using F = typename TypeParam::F;
+    using Gate = typename TypeParam::Gate;
     Rng rng(72);
-    auto inst = randomHdgInstance<F>(4, rng);
+    auto inst = randomGateInstance<Gate, F>(4, rng);
     inst.c[5] += F::one(); // break the gate identity at one row
-    Transcript pt("hdg-test");
-    auto proof =
-        proveHighDegreeGateFs(inst.eq, inst.a, inst.b, inst.c, pt);
-    Transcript vt("hdg-test");
-    auto verdict = verifyHighDegreeGateFs(F::zero(), proof, vt);
+    Transcript pt("gate-test");
+    auto proof = proveGate<Gate>(inst, pt);
+    Transcript vt("gate-test");
+    auto verdict =
+        verifyGateSumcheck<Gate>(F::zero(), proof, kTestLabels, vt);
     // With overwhelming probability eq(tau, 5) != 0, so the sum is
     // nonzero and the first-round check g[0] + g[1] == 0 fails.
     EXPECT_FALSE(verdict.ok);
 }
 
-TYPED_TEST(SumcheckT, HighDegreeGateRejectsTamperedRound)
+TYPED_TEST(GateSumcheckT, RejectsTamperedRound)
 {
-    using F = TypeParam;
+    using F = typename TypeParam::F;
+    using Gate = typename TypeParam::Gate;
     Rng rng(73);
-    auto inst = randomHdgInstance<F>(4, rng);
+    auto inst = randomGateInstance<Gate, F>(4, rng);
     auto fold = inst;
-    Transcript pt("hdg-test");
-    auto proof = proveHighDegreeGateFs(fold.eq, fold.a, fold.b,
-                                       fold.c, pt);
+    Transcript pt("gate-test");
+    std::vector<F> honest_point;
+    auto proof = proveGate<Gate>(fold, pt, &honest_point);
     for (size_t round = 0; round < 4; ++round) {
-        for (size_t t : {size_t{0}, size_t{3}, size_t{6}}) {
+        for (size_t t : {size_t{0}, size_t{3}, Gate::kEvals - 1}) {
             auto bad = proof;
             bad.rounds[round][t] += F::one();
-            Transcript vt("hdg-test");
+            Transcript vt("gate-test");
             auto verdict =
-                verifyHighDegreeGateFs(F::zero(), bad, vt);
+                verifyGateSumcheck<Gate>(F::zero(), bad, kTestLabels, vt);
             // A tampered evaluation either breaks a round-sum check
             // directly or (via Fiat-Shamir) derails every later
             // challenge; the final claim then cannot match the gate.
-            auto check = inst;
-            Transcript ct("hdg-test");
-            std::vector<F> pt2;
-            bool caught = !verdict.ok;
-            if (!caught) {
-                auto honest = proveHighDegreeGateFs(
-                    check.eq, check.a, check.b, check.c, ct, &pt2);
-                caught = verdict.point != pt2;
-            }
-            EXPECT_TRUE(caught)
+            EXPECT_TRUE(!verdict.ok || verdict.point != honest_point)
                 << "round " << round << " eval " << t;
         }
     }
 }
 
-TYPED_TEST(SumcheckT, HighDegreeGateWrongEvalCountIsRejected)
+TYPED_TEST(GateSumcheckT, WrongEvalCountIsRejected)
 {
-    using F = TypeParam;
+    using F = typename TypeParam::F;
+    using Gate = typename TypeParam::Gate;
     Rng rng(74);
-    auto inst = randomHdgInstance<F>(3, rng);
-    Transcript pt("hdg-test");
-    auto proof =
-        proveHighDegreeGateFs(inst.eq, inst.a, inst.b, inst.c, pt);
-    auto bad = proof;
-    bad.rounds[1].pop_back(); // 6 evals cannot pin a degree-6 poly
-    Transcript vt("hdg-test");
-    EXPECT_FALSE(verifyHighDegreeGateFs(F::zero(), bad, vt).ok);
+    auto inst = randomGateInstance<Gate, F>(3, rng);
+    Transcript pt("gate-test");
+    auto proof = proveGate<Gate>(inst, pt);
+    auto short_round = proof;
+    short_round.rounds[1].pop_back(); // too few to pin the round poly
+    Transcript vt("gate-test");
+    EXPECT_FALSE(
+        verifyGateSumcheck<Gate>(F::zero(), short_round, kTestLabels, vt)
+            .ok);
+    auto long_round = proof;
+    long_round.rounds[1].push_back(F::zero());
+    Transcript vt2("gate-test");
+    EXPECT_FALSE(
+        verifyGateSumcheck<Gate>(F::zero(), long_round, kTestLabels, vt2)
+            .ok);
 }
 
-TYPED_TEST(SumcheckT, HighDegreeGateProofBitIdenticalAcrossThreadCounts)
+TYPED_TEST(GateSumcheckT, ProofBitIdenticalAcrossThreadCounts)
 {
-    using F = TypeParam;
+    // 2^13 rows: several reduction chunks and a pooled fold in the
+    // first rounds.
+    using F = typename TypeParam::F;
+    using Gate = typename TypeParam::Gate;
     Rng rng(75);
-    auto inst = randomHdgInstance<F>(8, rng);
+    auto inst = randomGateInstance<Gate, F>(13, rng);
 
     auto serial = inst;
-    Transcript st("hdg-threads");
+    Transcript st("gate-threads");
     std::vector<F> serial_point;
-    auto serial_proof = proveHighDegreeGateFs(
-        serial.eq, serial.a, serial.b, serial.c, st, &serial_point);
+    auto serial_proof = proveGate<Gate>(serial, st, &serial_point);
 
     for (size_t threads : {size_t{2}, size_t{5}}) {
         exec::ExecConfig cfg;
         cfg.threads = threads;
         exec::ExecContext exec(cfg);
         auto par = inst;
-        Transcript ptt("hdg-threads");
+        Transcript ptt("gate-threads");
         std::vector<F> point;
-        auto proof = proveHighDegreeGateFs(par.eq, par.a, par.b,
-                                           par.c, ptt, &point, &exec);
+        auto proof = proveGate<Gate>(par, ptt, &point, &exec);
         ASSERT_EQ(proof.rounds, serial_proof.rounds)
             << "threads=" << threads;
         EXPECT_EQ(point, serial_point);

@@ -435,7 +435,7 @@ cmdInfo(const Args &args)
         if (proof)
             std::printf("sum-check   : %zu rounds; %zu opened columns "
                         "per table\n",
-                        proof->constraint_sc.rounds.size(),
+                        proof->gate_sc.rounds.size(),
                         proof->open_a.columns.size());
     }
     return 0;
