@@ -2,32 +2,12 @@
 
 #include <algorithm>
 
-#include "core/Serialize.h"
 #include "exec/ExecContext.h"
 #include "obs/Metrics.h"
 #include "util/Log.h"
 #include "util/Timer.h"
 
 namespace bzk {
-
-Rng
-taskInstanceRng(uint64_t task_id, uint64_t seed, uint32_t n_vars)
-{
-    uint64_t mix = seed ^ (task_id * 0x9e3779b97f4a7c15ULL);
-    return Rng(mix ^ (uint64_t{n_vars} << 56));
-}
-
-namespace {
-
-/** Instance derivation: the idempotency key and the public seed pin
- *  the witness stream, so a re-proved task is bit-identical. */
-Rng
-taskRng(const journal::TaskRecord &task)
-{
-    return taskInstanceRng(task.task_id, task.seed, task.n_vars);
-}
-
-} // namespace
 
 DurableProofService::DurableProofService(
     gpusim::Device &dev, journal::JournalOptions journal_opt,
@@ -99,51 +79,6 @@ DurableProofService::submit(const DurableTaskSpec &spec)
     return true;
 }
 
-std::vector<uint8_t>
-DurableProofService::proveTask(const journal::TaskRecord &task,
-                               const CrashHook &crash, bool &crashed)
-{
-    Rng rng = taskRng(task);
-    exec::ExecContext exec(
-        exec::ExecConfig{.threads = opt_.threads});
-    ProveStageHook hook;
-    if (crash)
-        hook = [&](ProveStage stage) {
-            return crash(task.task_id, stage);
-        };
-    crashed = false;
-    if (task.kind == sched::ProtocolKind::HighDegreeGate) {
-        auto tables = highDegreeInstance<Fr>(task.n_vars, rng);
-        HighDegreeSnark<Fr> snark(task.n_vars, task.seed,
-                                  opt_.column_openings);
-        snark.setExec(&exec);
-        auto proof = snark.proveInterruptible(tables, {}, hook);
-        crashed = !proof.has_value();
-        if (crashed)
-            return {};
-        HighDegreeSnark<Fr> verifier(task.n_vars, task.seed,
-                                     opt_.column_openings);
-        if (!verifier.verify(*proof, {}))
-            panic("DurableProofService: task %llu produced an invalid "
-                  "high-degree proof",
-                  static_cast<unsigned long long>(task.task_id));
-        return serializeHighDegreeProof(*proof);
-    }
-    auto tables = randomInstance(task.n_vars, rng);
-    Snark<Fr> snark(task.n_vars, task.seed, opt_.column_openings);
-    snark.setExec(&exec);
-    auto proof = snark.proveInterruptible(tables, {}, hook);
-    crashed = !proof.has_value();
-    if (crashed)
-        return {};
-    Snark<Fr> verifier(task.n_vars, task.seed, opt_.column_openings);
-    if (!verifier.verify(*proof, {}))
-        panic("DurableProofService: task %llu produced an invalid "
-              "proof",
-              static_cast<unsigned long long>(task.task_id));
-    return serializeProof(*proof);
-}
-
 size_t
 DurableProofService::processAll(const CrashHook &crash)
 {
@@ -157,18 +92,27 @@ DurableProofService::processAll(const CrashHook &crash)
 
     size_t completed = 0;
     std::vector<uint64_t> done;
+    exec::ExecContext exec(exec::ExecConfig{.threads = opt_.threads});
     for (const auto &task : pending_) {
-        bool crashed = false;
-        std::vector<uint8_t> proof_bytes =
-            proveTask(task, crash, crashed);
-        if (crashed)
+        auto hook = [&](ProveStage stage) {
+            return !crash || crash(task.task_id, stage);
+        };
+        std::optional<std::vector<uint8_t>> proof_bytes = proveTask(
+            task.kind, task.task_id, task.seed, task.n_vars, exec, hook);
+        if (!proof_bytes)
             break; // power cut: nothing below is journaled
+        // An invalid proof must never become a durable completion.
+        if (!verifyProof(task.kind, *proof_bytes, task.n_vars, task.seed))
+            panic("DurableProofService: task %llu produced an invalid "
+                  "%s proof",
+                  static_cast<unsigned long long>(task.task_id),
+                  sched::protocolKindName(task.kind));
 
         journal::CompletionRecord completion;
         completion.task_id = task.task_id;
         completion.n_vars = task.n_vars;
         completion.seed = task.seed;
-        completion.proof = std::move(proof_bytes);
+        completion.proof = std::move(*proof_bytes);
         // Completion is durable before the proof counts as done.
         journal_->append(completion);
         proofs_[task.task_id] = std::move(completion);
@@ -225,30 +169,15 @@ DurableProofService::verifyAll() const
 {
     for (const auto &[id, completion] : proofs_) {
         // Ack-only completions (empty proof) record that the task
-        // finished but store the artifact elsewhere — the streaming
-        // service and the CLI journal this way. Nothing to re-check.
+        // finished but store the artifact elsewhere, as `batchzk prove`
+        // does. Nothing to re-check.
         if (completion.proof.empty())
             continue;
         // Completion records predate protocol kinds; the proof's own
         // leading tag byte says which verifier replays it.
-        if (completion.proof[0] == Pow4Gate::kProofTag) {
-            auto proof =
-                deserializeHighDegreeProof<Fr>(completion.proof);
-            if (!proof)
-                return false;
-            HighDegreeSnark<Fr> verifier(completion.n_vars,
-                                         completion.seed,
-                                         opt_.column_openings);
-            if (!verifier.verify(*proof, {}))
-                return false;
-            continue;
-        }
-        auto proof = deserializeProof<Fr>(completion.proof);
-        if (!proof)
-            return false;
-        Snark<Fr> verifier(completion.n_vars, completion.seed,
-                           opt_.column_openings);
-        if (!verifier.verify(*proof, {}))
+        auto kind = proofKind(completion.proof);
+        if (!kind || !verifyProof(*kind, completion.proof,
+                                  completion.n_vars, completion.seed))
             return false;
     }
     return true;

@@ -15,12 +15,14 @@
  * double replay are absorbed (bzk_journal_duplicates_total), so
  * at-least-once replay still yields exactly-one proof per task.
  *
- * Because instances are derived deterministically from (task_id, seed,
- * n_vars) and the prover is transcript-deterministic, a proof produced
- * after a crash and replay is bit-identical to the proof an
- * uninterrupted run would have produced. The crash-matrix test harness
- * (tests/test_crash_matrix.cpp) kills processing at every ProveStage
- * boundary via the CrashHook and asserts exactly that.
+ * Tasks of every protocol kind are proved through proveTask()
+ * (core/Protocol.h), the call the network executor serves from: the
+ * instance is derived from (task_id, seed, n_vars) and the prover is
+ * transcript-deterministic, so a proof produced after a crash and
+ * replay is bit-identical to the proof an uninterrupted run, or the
+ * network server, produces for the same task and kind. The crash-matrix
+ * test harness (tests/test_crash_matrix.cpp) kills processing at every
+ * ProveStage boundary via the CrashHook and asserts exactly that.
  */
 
 #include <cstdint>
@@ -30,18 +32,11 @@
 #include <vector>
 
 #include "core/PipelinedSystem.h"
+#include "core/Protocol.h"
 #include "journal/Journal.h"
 #include "journal/Replay.h"
 
 namespace bzk {
-
-/**
- * Instance derivation shared by every service front end: the
- * idempotency key, the public seed, and the table log-size pin the
- * witness stream, so the same task re-proved anywhere (durable
- * replay, the network server) is bit-identical.
- */
-Rng taskInstanceRng(uint64_t task_id, uint64_t seed, uint32_t n_vars);
 
 /** One durable proof request (the caller assigns the idempotent id). */
 struct DurableTaskSpec
@@ -114,14 +109,9 @@ class DurableProofService
     /** Tasks admitted (journaled) but not yet completed. */
     size_t pendingCount() const { return pending_.size(); }
 
-    /** Pending tasks in admission order (priority-first at process). */
-    const std::vector<journal::TaskRecord> &pending() const
-    {
-        return pending_;
-    }
-
     /**
-     * Prove every pending task, journaling each completion. Tasks run
+     * Prove every pending task, check that its proof verifies (a
+     * failure panics), and journal its completion. Tasks run
      * priority-first, ties in admission order — the scheduler's
      * admission policy. Returns the number of proofs completed this
      * call; with a @p crash hook returning false the count stops short
@@ -145,19 +135,7 @@ class DurableProofService
     /** Deserialize and verify every completed proof. */
     bool verifyAll() const;
 
-    /** The underlying journal (for stats and explicit sync). */
-    journal::Journal &journal() { return *journal_; }
-
   private:
-    /**
-     * Prove one journaled task with its protocol's prover and return
-     * the serialized proof bytes (empty with @p crashed set when the
-     * crash hook cut processing short). Dispatch is on the record's
-     * kind; both provers share the ProveStage hook seams.
-     */
-    std::vector<uint8_t> proveTask(const journal::TaskRecord &task,
-                                   const CrashHook &crash, bool &crashed);
-
     gpusim::Device &dev_;
     SystemOptions opt_;
     obs::MetricsRegistry *metrics_ = nullptr;

@@ -118,10 +118,9 @@ class GateSnark
     /**
      * @param n_vars constraint tables have 2^n_vars rows.
      * @param seed   shared encoder seed (part of the public parameters).
-     * @param column_openings PCS spot-check count.
      */
-    GateSnark(unsigned n_vars, uint64_t seed, size_t column_openings = 8)
-        : n_vars_(n_vars), pcs_(n_vars, seed, column_openings)
+    GateSnark(unsigned n_vars, uint64_t seed)
+        : n_vars_(n_vars), pcs_(n_vars, seed)
     {
     }
 

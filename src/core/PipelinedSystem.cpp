@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/Protocol.h"
 #include "encoder/GpuEncoder.h"
 #include "exec/ExecContext.h"
 #include "ff/FieldBackend.h"
@@ -45,7 +46,8 @@ randomInstance(unsigned n_vars, Rng &rng)
 }
 
 SystemWorkModel
-systemWorkModel(unsigned n_vars, uint64_t seed)
+gateWorkModel(unsigned n_vars, uint64_t seed, double sumcheck_muls,
+              double sumcheck_adds)
 {
     size_t k, m;
     pcsShape(n_vars, k, m);
@@ -72,11 +74,10 @@ systemWorkModel(unsigned n_vars, uint64_t seed)
         ++merkle_layers;
     model.merkle_stages = merkle_layers;
 
-    // Sum-check: the cubic constraint sum-check over 2^n rows (folds of
-    // four tables plus the degree-3 round evaluations), and the PCS
-    // row-combination passes (2 combos x 3 tables).
-    double per_pair = 12.0 * gpusim::kFieldMulCycles +
-                      30.0 * gpusim::kFieldAddCycles +
+    // Sum-check: the gate's constraint sum-check over 2^n rows, and the
+    // PCS row-combination passes (2 combos x 3 tables).
+    double per_pair = sumcheck_muls * gpusim::kFieldMulCycles +
+                      sumcheck_adds * gpusim::kFieldAddCycles +
                       3.0 * gpusim::kGlobalAccessCycles;
     double combos = 6.0 * n_entries *
                     (gpusim::kFieldMulCycles + gpusim::kFieldAddCycles);
@@ -101,36 +102,10 @@ systemWorkModel(unsigned n_vars, uint64_t seed)
 }
 
 SystemWorkModel
-highDegreeWorkModel(unsigned n_vars, uint64_t seed)
+systemWorkModel(unsigned n_vars, uint64_t seed)
 {
-    // Same commitments and transfer budgets as the table-commit
-    // protocol: three tables through the same encoder and Merkle
-    // modules, same streamed bytes and device residency.
-    SystemWorkModel model = systemWorkModel(n_vars, seed);
-    double n_entries = static_cast<double>(size_t{1} << n_vars);
-
-    // Degree-6 gate sum-check: each pair evaluates eq * (a^4 b - c) at
-    // 7 points per round (t=0,1 from the half-tables, 5 interior points
-    // via affine folds, a^4 via two squarings) plus the end-of-round
-    // folds of four tables — ~56 muls and ~70 adds per pair against
-    // the cubic prover's 12 and 30. PCS row combinations are unchanged.
-    double per_pair = 56.0 * gpusim::kFieldMulCycles +
-                      70.0 * gpusim::kFieldAddCycles +
-                      3.0 * gpusim::kGlobalAccessCycles;
-    double combos = 6.0 * n_entries *
-                    (gpusim::kFieldMulCycles + gpusim::kFieldAddCycles);
-    model.sumcheck_cycles = n_entries * per_pair + combos;
-    model.sumcheck_stages = n_vars + 2;
-    return model;
-}
-
-SystemWorkModel
-protocolWorkModel(sched::ProtocolKind kind, unsigned n_vars,
-                  uint64_t seed)
-{
-    if (kind == sched::ProtocolKind::HighDegreeGate)
-        return highDegreeWorkModel(n_vars, seed);
-    return systemWorkModel(n_vars, seed);
+    return protocolWorkModel(sched::ProtocolKind::TableCommit, n_vars,
+                             seed);
 }
 
 sched::StageGraph
@@ -187,13 +162,13 @@ PipelinedZkpSystem::run(size_t batch, unsigned n_vars, Rng &rng)
     SystemRunResult result;
 
     // Functional proofs on the real prover (multi-core host), then
-    // verified.
-    if (n_vars <= opt_.max_functional_vars) {
+    // verified, up to tables of 2^14 rows.
+    if (n_vars <= 14) {
         size_t count = std::min(batch, opt_.functional);
         exec::ExecConfig exec_cfg;
         exec_cfg.threads = opt_.threads;
         exec::ExecContext exec(exec_cfg);
-        Snark<Fr> snark(n_vars, opt_.seed, opt_.column_openings);
+        Snark<Fr> snark(n_vars, opt_.seed);
         snark.setExec(&exec);
         for (size_t i = 0; i < count; ++i) {
             auto tables = randomInstance(n_vars, rng);
@@ -538,7 +513,7 @@ SameModulesCpuBaseline::run(size_t batch, unsigned n_vars, Rng &rng)
     double merkle_ms = merkle_timer.milliseconds();
 
     // Full prover, measured; sum-check time = total - enc - merkle.
-    Snark<Fr> snark(nm, opt_.seed, opt_.column_openings);
+    Snark<Fr> snark(nm, opt_.seed);
     snark.setExec(&exec);
     Timer total_timer;
     auto proof = snark.prove(tables, {});

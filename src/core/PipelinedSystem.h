@@ -39,10 +39,6 @@ struct SystemOptions
 {
     /** Number of proofs to generate functionally (and verify). */
     size_t functional = 1;
-    /** Skip functional proving above this table log-size. */
-    unsigned max_functional_vars = 14;
-    /** PCS spot-check count. */
-    size_t column_openings = 8;
     /** Public encoder seed. */
     uint64_t seed = 2024;
     /**
@@ -141,21 +137,16 @@ struct SystemWorkModel
     }
 };
 
-/** Derive the per-proof work model for tables of 2^n_vars rows. */
-SystemWorkModel systemWorkModel(unsigned n_vars, uint64_t seed);
-
 /**
- * Work model for the HighDegreeGate protocol: the commitments (encoder
- * and Merkle modules) and transfer budgets match systemWorkModel, but
- * the degree-6 gate sum-check's 7-point round evaluations make the
- * sum-check module ~4x costlier — the HyperPlonk-style cost mix the
- * measured-cost lane policy is built for.
+ * Per-proof work model for a gate protocol over 2^n_vars-row tables
+ * whose constraint sum-check costs @p sumcheck_muls field
+ * multiplications and @p sumcheck_adds additions per table pair.
  */
-SystemWorkModel highDegreeWorkModel(unsigned n_vars, uint64_t seed);
+SystemWorkModel gateWorkModel(unsigned n_vars, uint64_t seed,
+                              double sumcheck_muls, double sumcheck_adds);
 
-/** Work model for @p kind (dispatches to the two models above). */
-SystemWorkModel protocolWorkModel(sched::ProtocolKind kind,
-                                  unsigned n_vars, uint64_t seed);
+/** The table-commit work model (protocolWorkModel of TableCommit). */
+SystemWorkModel systemWorkModel(unsigned n_vars, uint64_t seed);
 
 /**
  * Lower @p model into the scheduler's stage graph: encoder, Merkle,

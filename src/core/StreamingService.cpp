@@ -4,9 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "core/Protocol.h"
 #include "gpusim/FaultInjector.h"
-#include "journal/Journal.h"
-#include "obs/Metrics.h"
 #include "sched/AdmissionQueue.h"
 #include "sched/CycleModel.h"
 #include "util/Log.h"
@@ -85,28 +84,9 @@ StreamingZkpService::run(const StreamingOptions &workload, Rng &rng) const
         now = next_cycle;
         if (auto p = queue.admitOne(now)) {
             // Admitted this cycle; completes after the pipeline depth.
-            // An attached journal records the admission (WAL: the task
-            // is durable before the pipeline owns it) and the ack once
-            // its proof completes, keyed by the admission index so a
-            // replayed run re-derives the same idempotent IDs.
-            if (journal_) {
-                journal::TaskRecord task;
-                task.task_id = result.completed;
-                task.n_vars = workload.n_vars;
-                task.seed = workload.seed;
-                task.kind = workload.kind;
-                journal_->append(task);
-            }
             double completion =
                 now + static_cast<double>(depth) * cycle_ms;
             sojourns.push_back(completion - p->first_arrival);
-            if (journal_) {
-                journal::CompletionRecord ack;
-                ack.task_id = result.completed;
-                ack.n_vars = workload.n_vars;
-                ack.seed = workload.seed;
-                journal_->append(ack);
-            }
             ++result.completed;
             last_completion = std::max(last_completion, completion);
         }
@@ -131,42 +111,6 @@ StreamingZkpService::run(const StreamingOptions &workload, Rng &rng) const
         last_completion > 0.0
             ? static_cast<double>(sojourns.size()) / last_completion
             : 0.0;
-
-    if (metrics_) {
-        metrics_
-            ->counter("bzk_stream_arrivals_total", "requests submitted")
-            .add(static_cast<double>(workload.num_requests));
-        metrics_
-            ->counter("bzk_stream_completed_total",
-                      "requests whose proof completed")
-            .add(static_cast<double>(result.completed));
-        metrics_
-            ->counter("bzk_stream_timed_out_total",
-                      "admission-timeout events")
-            .add(static_cast<double>(result.timed_out));
-        metrics_
-            ->counter("bzk_stream_retried_total",
-                      "re-submissions after timeouts")
-            .add(static_cast<double>(result.retried));
-        metrics_
-            ->counter("bzk_stream_shed_total",
-                      "arrivals rejected at a full queue")
-            .add(static_cast<double>(result.shed));
-        metrics_
-            ->gauge("bzk_stream_offered_load",
-                    "arrival rate over pipeline capacity")
-            .set(result.offered_load);
-        metrics_
-            ->gauge("bzk_stream_mean_queue",
-                    "time-averaged admission queue length")
-            .set(result.mean_queue);
-        auto &sojourn_hist = metrics_->histogram(
-            "bzk_stream_sojourn_ms",
-            {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000},
-            "arrival-to-completion time, ms");
-        for (double s : sojourns)
-            sojourn_hist.observe(s);
-    }
     return result;
 }
 

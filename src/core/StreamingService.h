@@ -22,10 +22,6 @@
 #include "gpusim/Device.h"
 #include "util/Rng.h"
 
-namespace bzk::journal {
-class Journal;
-} // namespace bzk::journal
-
 namespace bzk {
 
 /** Workload description for a streaming run. */
@@ -119,24 +115,6 @@ class StreamingZkpService
     }
 
     /**
-     * Attach a metrics registry (nullptr detaches, the default). Each
-     * run() adds request counters (arrivals/completions/timeouts/
-     * retries/shed) and a sojourn-time histogram. Pure observer: the
-     * simulated results are identical with and without it. Not owned.
-     */
-    void setMetrics(obs::MetricsRegistry *metrics) { metrics_ = metrics; }
-
-    /**
-     * Attach a durable task journal (nullptr detaches, the default).
-     * Each admitted request is journaled as a task record the moment it
-     * enters the pipeline and acked with a completion record when its
-     * proof completes, so a crashed service can re-submit every
-     * admitted-but-unfinished request on restart. Pure observer of the
-     * simulation: results are identical with and without it. Not owned.
-     */
-    void setJournal(journal::Journal *journal) { journal_ = journal; }
-
-    /**
      * Simulate @p workload against the pipeline's steady-state cycle.
      * Deterministic given @p rng's seed.
      */
@@ -145,8 +123,6 @@ class StreamingZkpService
   private:
     gpusim::Device &dev_;
     SystemOptions system_opt_;
-    obs::MetricsRegistry *metrics_ = nullptr;
-    journal::Journal *journal_ = nullptr;
 };
 
 } // namespace bzk

@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "core/Bytes.h"
-#include "core/DurableService.h"
-#include "core/HighDegreeSnark.h"
-#include "core/Serialize.h"
-#include "core/Snark.h"
+#include "core/Protocol.h"
 #include "exec/ExecContext.h"
 #include "hash/Sha256.h"
 
@@ -29,21 +26,11 @@ taskIdentityBytes(const Submit &task)
 std::vector<uint8_t>
 SnarkExecutor::execute(const Submit &task)
 {
-    Rng rng = taskInstanceRng(task.task_id, task.seed, task.n_vars);
     // Serial per task: tasks parallelize across the server's workers,
     // so the shared host pool is never entered from two provers.
     exec::ExecContext exec(exec::ExecConfig{.threads = 1});
-    if (task.kind == sched::ProtocolKind::HighDegreeGate) {
-        auto tables = highDegreeInstance<Fr>(task.n_vars, rng);
-        HighDegreeSnark<Fr> snark(task.n_vars, task.seed,
-                                  column_openings_);
-        snark.setExec(&exec);
-        return serializeHighDegreeProof(snark.prove(tables, {}));
-    }
-    auto tables = randomInstance(task.n_vars, rng);
-    Snark<Fr> snark(task.n_vars, task.seed, column_openings_);
-    snark.setExec(&exec);
-    return serializeProof(snark.prove(tables, {}));
+    return *proveTask(task.kind, task.task_id, task.seed, task.n_vars,
+                      exec);
 }
 
 std::vector<uint8_t>

@@ -6,14 +6,14 @@
  * Proof executors for the network server: the pluggable "what does a
  * task cost" seam between the connection manager and the provers.
  *
- * SnarkExecutor produces real table-commitment proofs with the same
- * (task_id, seed, n_vars) instance derivation as the durable service,
- * so a proof served over the wire verifies with Snark(n_vars,
- * seed).verify(proof, {}) and matches what `batchzk recover` would
- * re-prove. DigestExecutor is the soak-bench stand-in: a deterministic
- * 32-byte pseudo-proof (SHA-256 of the task identity) that keeps
- * bench_net's thousands of connections bounded by the network layer,
- * not the prover.
+ * SnarkExecutor produces real proofs of the task's protocol kind
+ * through proveTask() (core/Protocol.h), the call the durable service
+ * re-proves with, so a proof served over the wire verifies with
+ * verifyProof(kind, proof, n_vars, seed) and is byte-for-byte what
+ * `batchzk recover` would re-prove. DigestExecutor is the soak-bench
+ * stand-in: a deterministic 32-byte pseudo-proof (SHA-256 of the task
+ * identity) that keeps bench_net's thousands of connections bounded by
+ * the network layer, not the prover.
  *
  * execute() is called concurrently from the server's worker threads;
  * implementations must be thread-safe.
@@ -36,24 +36,15 @@ class ProofExecutor
     virtual std::vector<uint8_t> execute(const Submit &task) = 0;
 };
 
-/** Real prover: bit-identical to the durable service's re-prove path. */
+/**
+ * Real prover: bit-identical to the durable service's re-prove path.
+ * Each execute() proves serially (threads = 1); parallelism comes from
+ * the server's worker pool running many tasks at once.
+ */
 class SnarkExecutor : public ProofExecutor
 {
   public:
-    /**
-     * @param column_openings PCS spot-check count (the Snark default).
-     * Each execute() proves serially (threads = 1); parallelism comes
-     * from the server's worker pool running many tasks at once.
-     */
-    explicit SnarkExecutor(size_t column_openings = 8)
-        : column_openings_(column_openings)
-    {
-    }
-
     std::vector<uint8_t> execute(const Submit &task) override;
-
-  private:
-    size_t column_openings_;
 };
 
 /**

@@ -13,8 +13,10 @@
  * (wire version 2), so existing values must never be renumbered.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 
 namespace bzk::sched {
 
@@ -37,44 +39,53 @@ enum class ProtocolKind : uint8_t {
 /** Number of protocol kinds (for per-kind tables). */
 constexpr size_t kNumProtocolKinds = 2;
 
+/** A kind's display name and its metric-safe form. */
+struct ProtocolKindNames
+{
+    const char *name;
+    const char *metric;
+};
+
+/** Names per kind, indexed by the kind's byte. */
+inline constexpr ProtocolKindNames kProtocolKindNames[kNumProtocolKinds] = {
+    {"table-commit", "table_commit"},
+    {"high-degree-gate", "high_degree_gate"},
+};
+
+/** Decode a wire/journal byte; nullopt for unknown kinds. */
+inline std::optional<ProtocolKind>
+protocolKindFromByte(uint8_t byte)
+{
+    if (byte >= kNumProtocolKinds)
+        return std::nullopt;
+    return static_cast<ProtocolKind>(byte);
+}
+
+/** Parse a display name; nullopt for unknown names. */
+inline std::optional<ProtocolKind>
+protocolKindFromName(std::string_view name)
+{
+    for (size_t i = 0; i < kNumProtocolKinds; ++i)
+        if (name == kProtocolKindNames[i].name)
+            return static_cast<ProtocolKind>(i);
+    return std::nullopt;
+}
+
 /** Stable display name ("table-commit", "high-degree-gate"). */
 inline const char *
 protocolKindName(ProtocolKind kind)
 {
-    switch (kind) {
-      case ProtocolKind::TableCommit:
-        return "table-commit";
-      case ProtocolKind::HighDegreeGate:
-        return "high-degree-gate";
-    }
-    return "?";
+    size_t i = static_cast<size_t>(kind);
+    return i < kNumProtocolKinds ? kProtocolKindNames[i].name : "?";
 }
 
 /** Metric-safe name ("table_commit", "high_degree_gate"). */
 inline const char *
 protocolKindMetricName(ProtocolKind kind)
 {
-    switch (kind) {
-      case ProtocolKind::TableCommit:
-        return "table_commit";
-      case ProtocolKind::HighDegreeGate:
-        return "high_degree_gate";
-    }
-    return "unknown";
-}
-
-/** Decode a wire/journal byte; nullopt for unknown kinds. */
-inline std::optional<ProtocolKind>
-protocolKindFromByte(uint8_t byte)
-{
-    switch (byte) {
-      case static_cast<uint8_t>(ProtocolKind::TableCommit):
-        return ProtocolKind::TableCommit;
-      case static_cast<uint8_t>(ProtocolKind::HighDegreeGate):
-        return ProtocolKind::HighDegreeGate;
-      default:
-        return std::nullopt;
-    }
+    size_t i = static_cast<size_t>(kind);
+    return i < kNumProtocolKinds ? kProtocolKindNames[i].metric
+                                 : "unknown";
 }
 
 } // namespace bzk::sched

@@ -88,8 +88,7 @@ VerifiableMlService::serveBatch(size_t batch, Rng &rng,
             auto inputs = inputsFromTensor<Fr>(image);
             auto assignment = compiled.circuit.evaluate(inputs, witness);
             auto tables = compiled.circuit.buildTables(assignment);
-            Snark<Fr> snark(tables.n_vars, opt_.seed,
-                            opt_.column_openings);
+            Snark<Fr> snark(tables.n_vars, opt_.seed);
             snark.setExec(&exec);
             auto proof = snark.prove(tables, inputs);
             result.functional_verified =

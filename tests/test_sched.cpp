@@ -17,6 +17,7 @@
 
 #include "core/MultiGpu.h"
 #include "core/PipelinedSystem.h"
+#include "core/Protocol.h"
 #include "core/Serialize.h"
 #include "gpusim/Device.h"
 #include "gpusim/FaultInjector.h"

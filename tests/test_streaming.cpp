@@ -7,15 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include <unistd.h>
-
 #include "core/StreamingService.h"
 #include "gpusim/Device.h"
 #include "gpusim/FaultInjector.h"
-#include "journal/Journal.h"
-#include "journal/Replay.h"
 
 namespace bzk {
 namespace {
@@ -205,46 +199,6 @@ TEST_F(StreamingRobustnessTest, DeterministicUnderFaults)
     EXPECT_EQ(a.retried, b.retried);
     EXPECT_EQ(a.shed, b.shed);
     EXPECT_EQ(a.max_queue, b.max_queue);
-}
-
-TEST_F(StreamingRobustnessTest, AttachedJournalRecordsEveryAdmission)
-{
-    char tmpl[] = "/tmp/bzk_stream_XXXXXX";
-    std::string dir = ::mkdtemp(tmpl);
-
-    StreamingOptions w;
-    w.n_vars = kVars;
-    w.num_requests = 200;
-    w.arrival_rate_per_ms = 0.5 / cycleMs();
-    StreamingResult with_journal;
-    {
-        journal::Journal journal({dir});
-        StreamingZkpService service(dev_, opt_);
-        service.setJournal(&journal);
-        Rng rng(3);
-        with_journal = service.run(w, rng);
-        EXPECT_EQ(journal.stats().task_appends,
-                  with_journal.completed);
-        EXPECT_EQ(journal.stats().completion_appends,
-                  with_journal.completed);
-    }
-    // Every admitted request was journaled and acked: replay finds a
-    // fully-acked ledger with nothing left to re-submit.
-    auto replayed = journal::replayJournal(dir);
-    EXPECT_FALSE(replayed.torn.torn);
-    EXPECT_TRUE(replayed.pending.empty());
-    EXPECT_EQ(replayed.completions.size(), with_journal.completed);
-
-    // Pure observer: the simulated results are identical without it.
-    Rng rng(3);
-    auto without = StreamingZkpService(dev_, opt_).run(w, rng);
-    EXPECT_EQ(without.completed, with_journal.completed);
-    EXPECT_EQ(without.p99_ms, with_journal.p99_ms);
-    EXPECT_EQ(without.max_queue, with_journal.max_queue);
-
-    for (uint64_t i = 1; i <= 16; ++i)
-        ::unlink(journal::Journal::segmentPath(dir, i).c_str());
-    ::rmdir(dir.c_str());
 }
 
 } // namespace

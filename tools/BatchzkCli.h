@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "sched/ProtocolKind.h"
+
 namespace bzk::cli {
 
 /** Parsed batchzk invocation. */
@@ -184,8 +186,7 @@ parse(int argc, char **argv, Args &args)
                 return need_number("--queue-cap");
             args.queue_cap = number;
         } else if (key == "--kind") {
-            if (value != "table-commit" &&
-                value != "high-degree-gate" && value != "mixed")
+            if (value != "mixed" && !sched::protocolKindFromName(value))
                 return ParseResult::fail(
                     "flag '--kind' needs table-commit, "
                     "high-degree-gate, or mixed, got '" +

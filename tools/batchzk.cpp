@@ -53,9 +53,9 @@
  * `serve` and `submit` speak the framed wire protocol documented in
  * docs/SERVICE.md.
  *
- * `prove` additionally accepts --journal-dir DIR to journal the task
- * before proving and its completion (with the proof bytes) after, so a
- * killed prove can be finished later with `batchzk recover`.
+ * `prove` (either --kind) additionally accepts --journal-dir DIR to
+ * journal the task before proving and an ack-only completion after, so
+ * a killed prove can be finished later with `batchzk recover`.
  */
 
 #include <chrono>
@@ -63,7 +63,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,10 +74,9 @@
 #include "BatchzkCli.h"
 #include "core/DurableService.h"
 #include "core/FullSnark.h"
-#include "core/HighDegreeSnark.h"
 #include "core/PipelinedSystem.h"
+#include "core/Protocol.h"
 #include "core/Serialize.h"
-#include "core/Snark.h"
 #include "exec/ExecContext.h"
 #include "gpusim/Device.h"
 #include "gpusim/FaultInjector.h"
@@ -96,18 +98,40 @@ using cli::Args;
 
 constexpr char kMagic[4] = {'B', 'Z', 'K', 'P'};
 constexpr uint8_t kVersion = 2;
-constexpr uint8_t kSystemTable = 0;
 constexpr uint8_t kSystemFull = 1;
-constexpr uint8_t kSystemHdg = 2;
+
+/**
+ * What the CLI shows of each protocol kind, in ProtocolKind order: its
+ * .bzkp system byte, `info`'s system label and round noun, and the
+ * seeded instance `prove` builds, or nullptr for demoCircuit's mul-gate
+ * tables with public input 11.
+ */
+struct GateDemo
+{
+    uint8_t system;
+    const char *label;
+    const char *rounds;
+    const char *instance;
+};
+
+constexpr GateDemo kGateDemos[] = {
+    {0, "table", "rounds", nullptr},
+    {2, "high-degree-gate", "degree-6 rounds", "high-degree gate"},
+};
+static_assert(std::size(kGateDemos) == sched::kNumProtocolKinds);
+
+const GateDemo &
+demoOf(sched::ProtocolKind kind)
+{
+    return kGateDemos[static_cast<size_t>(kind)];
+}
 
 /** --kind for single-protocol commands (mixed is sched-only). */
 sched::ProtocolKind
 kindByName(const std::string &name)
 {
-    if (name == "high-degree-gate")
-        return sched::ProtocolKind::HighDegreeGate;
-    if (name == "table-commit")
-        return sched::ProtocolKind::TableCommit;
+    if (auto kind = sched::protocolKindFromName(name))
+        return *kind;
     fatal("--kind '%s' is not valid here (mixed is sched-only)",
           name.c_str());
 }
@@ -182,85 +206,84 @@ cmdProve(const Args &args)
 {
     if (args.log_gates < 8 || args.log_gates > 20)
         fatal("--log-gates must be in [8, 20] for the CLI prover");
-    if (kindByName(args.kind) == sched::ProtocolKind::HighDegreeGate) {
-        // High-degree gate protocol: a^4 * b = c row-wise, instance
-        // regenerable from the seed alone (verify needs only the
-        // proof file).
-        std::printf("building a satisfied high-degree gate instance "
-                    "with 2^%u rows...\n",
-                    args.log_gates);
+    sched::ProtocolKind kind = kindByName(args.kind);
+    const GateDemo &demo = demoOf(kind);
+    ConstraintTables<Fr> tables;
+    std::vector<Fr> inputs;
+    if (demo.instance) {
+        // Regenerable from the seed alone: verify needs only the file.
+        std::printf("building a satisfied %s instance with 2^%u "
+                    "rows...\n",
+                    demo.instance, args.log_gates);
         Rng rng(args.seed);
-        auto tables = highDegreeInstance<Fr>(args.log_gates, rng);
-        HighDegreeSnark<Fr> snark(args.log_gates, args.seed);
-        exec::ExecContext exec;
-        snark.setExec(&exec);
-        Timer timer;
-        auto proof = snark.prove(tables, {});
-        std::printf("proved in %.1f ms\n", timer.milliseconds());
-        writeProofFile(args, kSystemHdg,
-                       serializeHighDegreeProof(proof));
-        return 0;
-    }
-    std::printf("building a deterministic satisfied instance with "
-                "~2^%u gates (%s system)...\n",
-                args.log_gates, args.system.c_str());
-    auto circuit = demoCircuit(args.log_gates, args.seed);
-    Rng wit_rng(args.seed + 1);
-    std::vector<Fr> inputs{Fr::fromUint(11)};
-    std::vector<Fr> witness(circuit.numWitnesses());
-    for (auto &w : witness)
-        w = Fr::random(wit_rng);
-    auto assignment = circuit.evaluate(inputs, witness);
-
-    Timer timer;
-    if (args.system == "full") {
-        FullSnark<Fr> snark(buildR1cs(circuit), args.seed);
-        auto proof = snark.prove(inputs, assignment);
-        std::printf("proved in %.1f ms (%zu-byte wiring-sound proof)\n",
-                    timer.milliseconds(), proof.sizeBytes());
-        writeProofFile(args, kSystemFull, serializeFullProof(proof));
-    } else if (args.system == "table") {
-        auto tables = circuit.buildTables(assignment);
-        // WAL discipline: the task is durable before any proving work,
-        // so a killed prove is recoverable via `batchzk recover`.
-        std::unique_ptr<journal::Journal> journal;
-        if (!args.journal_dir.empty()) {
-            journal = std::make_unique<journal::Journal>(
-                journal::JournalOptions{args.journal_dir});
-            journal::TaskRecord task;
-            task.task_id = args.seed;
-            task.n_vars = tables.n_vars;
-            task.seed = args.seed;
-            journal->append(task);
-        }
-        Snark<Fr> snark(tables.n_vars, args.seed);
-        exec::ExecContext exec;
-        snark.setExec(&exec);
-        auto proof = snark.prove(tables, inputs);
-        std::printf("proved in %.1f ms (%zu-byte proof)\n",
-                    timer.milliseconds(), proof.sizeBytes());
-        auto blob = serializeProof(proof);
-        if (journal) {
-            // Ack-only completion: the proof artifact is the .bzkp
-            // file; the ledger records that this task finished so
-            // `recover` will not re-prove it.
-            journal::CompletionRecord done;
-            done.task_id = args.seed;
-            done.n_vars = tables.n_vars;
-            done.seed = args.seed;
-            journal->append(done);
-            std::printf("journaled task + completion under %s (%zu "
-                        "records, %llu bytes)\n",
-                        args.journal_dir.c_str(),
-                        journal->stats().task_appends +
-                            journal->stats().completion_appends,
-                        static_cast<unsigned long long>(
-                            journal->stats().bytes_appended));
-        }
-        writeProofFile(args, kSystemTable, blob);
+        tables = protocolInstance(kind, args.log_gates, rng);
     } else {
-        fatal("--system must be 'table' or 'full'");
+        std::printf("building a deterministic satisfied instance with "
+                    "~2^%u gates (%s system)...\n",
+                    args.log_gates, args.system.c_str());
+        auto circuit = demoCircuit(args.log_gates, args.seed);
+        Rng wit_rng(args.seed + 1);
+        inputs = {Fr::fromUint(11)};
+        std::vector<Fr> witness(circuit.numWitnesses());
+        for (auto &w : witness)
+            w = Fr::random(wit_rng);
+        auto assignment = circuit.evaluate(inputs, witness);
+        if (args.system == "full") {
+            Timer timer;
+            FullSnark<Fr> snark(buildR1cs(circuit), args.seed);
+            auto proof = snark.prove(inputs, assignment);
+            std::printf("proved in %.1f ms (%zu-byte wiring-sound "
+                        "proof)\n",
+                        timer.milliseconds(), proof.sizeBytes());
+            writeProofFile(args, kSystemFull, serializeFullProof(proof));
+            return 0;
+        }
+        if (args.system != "table")
+            fatal("--system must be 'table' or 'full'");
+        tables = circuit.buildTables(assignment);
     }
+
+    // WAL discipline: the task is durable before any proving work, so a
+    // killed prove is recoverable via `batchzk recover`.
+    std::unique_ptr<journal::Journal> journal;
+    if (!args.journal_dir.empty()) {
+        journal = std::make_unique<journal::Journal>(
+            journal::JournalOptions{args.journal_dir});
+        journal::TaskRecord task;
+        task.task_id = args.seed;
+        task.n_vars = tables.n_vars;
+        task.seed = args.seed;
+        task.kind = kind;
+        journal->append(task);
+    }
+    exec::ExecContext exec;
+    Timer timer;
+    std::vector<uint8_t> blob =
+        *proveTables(kind, tables, args.seed, inputs, exec);
+    if (demo.instance)
+        std::printf("proved in %.1f ms\n", timer.milliseconds());
+    else
+        std::printf("proved in %.1f ms (%zu-byte proof)\n",
+                    timer.milliseconds(),
+                    proofInfo(kind, blob)->size_bytes);
+    if (journal) {
+        // Ack-only completion: the proof artifact is the .bzkp file;
+        // the ledger records that this task finished so `recover` will
+        // not re-prove it.
+        journal::CompletionRecord done;
+        done.task_id = args.seed;
+        done.n_vars = tables.n_vars;
+        done.seed = args.seed;
+        journal->append(done);
+        std::printf("journaled task + completion under %s (%zu "
+                    "records, %llu bytes)\n",
+                    args.journal_dir.c_str(),
+                    journal->stats().task_appends +
+                        journal->stats().completion_appends,
+                    static_cast<unsigned long long>(
+                        journal->stats().bytes_appended));
+    }
+    writeProofFile(args, demo.system, blob);
     return 0;
 }
 
@@ -315,9 +338,10 @@ cmdRecover(const Args &args)
     return 0;
 }
 
+/** @p kind is nullopt for a wiring-sound proof. */
 bool
 readProofFile(const std::string &path, unsigned &log_gates,
-              uint8_t &system, uint64_t &seed,
+              std::optional<sched::ProtocolKind> &kind, uint64_t &seed,
               std::vector<uint8_t> &blob)
 {
     std::ifstream in(path, std::ios::binary);
@@ -329,14 +353,16 @@ readProofFile(const std::string &path, unsigned &log_gates,
     uint8_t header[11];
     in.read(magic, 4);
     in.read(reinterpret_cast<char *>(header), sizeof(header));
+    for (size_t i = 0; in && i < std::size(kGateDemos); ++i)
+        if (kGateDemos[i].system == header[2])
+            kind = static_cast<sched::ProtocolKind>(i);
     if (!in || std::memcmp(magic, kMagic, 4) != 0 ||
-        header[0] != kVersion) {
+        header[0] != kVersion || (!kind && header[2] != kSystemFull)) {
         std::fprintf(stderr, "'%s' is not a batchzk proof file\n",
                      path.c_str());
         return false;
     }
     log_gates = header[1];
-    system = header[2];
     seed = 0;
     for (int i = 0; i < 8; ++i)
         seed |= static_cast<uint64_t>(header[3 + i]) << (8 * i);
@@ -349,15 +375,15 @@ int
 cmdVerify(const Args &args)
 {
     unsigned log_gates;
-    uint8_t system;
+    std::optional<sched::ProtocolKind> kind;
     uint64_t seed;
     std::vector<uint8_t> blob;
-    if (!readProofFile(args.in, log_gates, system, seed, blob))
+    if (!readProofFile(args.in, log_gates, kind, seed, blob))
         return 2;
     std::vector<Fr> inputs{Fr::fromUint(11)};
     Timer timer;
     bool ok = false;
-    if (system == kSystemFull) {
+    if (!kind) {
         auto proof = deserializeFullProof<Fr>(blob);
         if (!proof) {
             std::printf("REJECT (malformed proof)\n");
@@ -367,24 +393,15 @@ cmdVerify(const Args &args)
         FullSnark<Fr> snark(buildR1cs(circuit), seed);
         timer.reset();
         ok = snark.verify(*proof, inputs);
-    } else if (system == kSystemHdg) {
-        auto proof = deserializeHighDegreeProof<Fr>(blob);
-        if (!proof) {
-            std::printf("REJECT (malformed proof)\n");
-            return 1;
-        }
-        HighDegreeSnark<Fr> snark(proof->commit_a.n_vars, seed);
-        timer.reset();
-        ok = snark.verify(*proof, {});
     } else {
-        auto proof = deserializeProof<Fr>(blob);
-        if (!proof) {
+        if (!proofInfo(*kind, blob)) {
             std::printf("REJECT (malformed proof)\n");
             return 1;
         }
-        Snark<Fr> snark(proof->commit_a.n_vars, seed);
         timer.reset();
-        ok = snark.verify(*proof, inputs);
+        ok = verifyProof(*kind, blob, log_gates, seed,
+                         demoOf(*kind).instance ? std::span<const Fr>()
+                                                : inputs);
     }
     std::printf("%s (verified in %.1f ms)\n", ok ? "ACCEPT" : "REJECT",
                 timer.milliseconds());
@@ -395,21 +412,19 @@ int
 cmdInfo(const Args &args)
 {
     unsigned log_gates;
-    uint8_t system;
+    std::optional<sched::ProtocolKind> kind;
     uint64_t seed;
     std::vector<uint8_t> blob;
-    if (!readProofFile(args.in, log_gates, system, seed, blob))
+    if (!readProofFile(args.in, log_gates, kind, seed, blob))
         return 2;
     std::printf("file        : %s\n", args.in.c_str());
     std::printf("format      : BZKP v%u\n", kVersion);
     std::printf("system      : %s\n",
-                system == kSystemFull   ? "full (wiring-sound)"
-                : system == kSystemHdg ? "high-degree-gate"
-                                        : "table");
+                kind ? demoOf(*kind).label : "full (wiring-sound)");
     std::printf("circuit     : ~2^%u gates\n", log_gates);
     std::printf("encoder seed: %llu\n",
                 static_cast<unsigned long long>(seed));
-    if (system == kSystemFull) {
+    if (!kind) {
         auto proof = deserializeFullProof<Fr>(blob);
         std::printf("blob        : %zu bytes (%s)\n", blob.size(),
                     proof ? "well-formed" : "MALFORMED");
@@ -419,24 +434,15 @@ cmdInfo(const Args &args)
                         proof->phase1.rounds.size(),
                         proof->phase2.rounds.size(),
                         proof->open_w.columns.size());
-    } else if (system == kSystemHdg) {
-        auto proof = deserializeHighDegreeProof<Fr>(blob);
-        std::printf("blob        : %zu bytes (%s)\n", blob.size(),
-                    proof ? "well-formed" : "MALFORMED");
-        if (proof)
-            std::printf("sum-check   : %zu degree-6 rounds; %zu opened "
-                        "columns per table\n",
-                        proof->gate_sc.rounds.size(),
-                        proof->open_a.columns.size());
     } else {
-        auto proof = deserializeProof<Fr>(blob);
+        auto info = proofInfo(*kind, blob);
         std::printf("blob        : %zu bytes (%s)\n", blob.size(),
-                    proof ? "well-formed" : "MALFORMED");
-        if (proof)
-            std::printf("sum-check   : %zu rounds; %zu opened columns "
-                        "per table\n",
-                        proof->gate_sc.rounds.size(),
-                        proof->open_a.columns.size());
+                    info ? "well-formed" : "MALFORMED");
+        if (info)
+            std::printf("sum-check   : %zu %s; %zu opened columns per "
+                        "table\n",
+                        info->rounds, demoOf(*kind).rounds,
+                        info->opened_columns);
     }
     return 0;
 }
@@ -662,8 +668,8 @@ cmdSched(const Args &args)
     for (size_t i = 0; i < sizes.size(); ++i) {
         sched::ProtocolKind kind =
             args.kind == "mixed"
-                ? (i % 2 ? sched::ProtocolKind::HighDegreeGate
-                         : sched::ProtocolKind::TableCommit)
+                ? *sched::protocolKindFromByte(
+                      static_cast<uint8_t>(i % sched::kNumProtocolKinds))
                 : kindByName(args.kind);
         tasks.push_back(makeProofTask(kind, sizes[i], opt.seed, i));
     }
@@ -819,18 +825,7 @@ cmdSubmit(const Args &args)
                          result ? "rejected" : "connection lost");
             return 1;
         }
-        bool proof_ok = false;
-        if (kind == sched::ProtocolKind::HighDegreeGate) {
-            auto proof =
-                deserializeHighDegreeProof<Fr>(result->proof);
-            HighDegreeSnark<Fr> snark(task.n_vars, task.seed);
-            proof_ok = proof && snark.verify(*proof, {});
-        } else {
-            auto proof = deserializeProof<Fr>(result->proof);
-            Snark<Fr> snark(task.n_vars, task.seed);
-            proof_ok = proof && snark.verify(*proof, {});
-        }
-        if (!proof_ok) {
+        if (!verifyProof(kind, result->proof, task.n_vars, task.seed)) {
             std::fprintf(stderr,
                          "submit: task %llu proof REJECTED\n",
                          static_cast<unsigned long long>(task.task_id));
