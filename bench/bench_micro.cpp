@@ -6,16 +6,18 @@
  *
  * Before the google-benchmark suite runs, scalar-vs-SIMD sweeps of
  * the packed Goldilocks kernels and the wide BN254 Fr kernels (plus
- * the 2^14-point MSM acceptance sweep) are measured and printed; with
+ * the 2^14-point MSM acceptance sweep) and the portable-vs-dispatched
+ * SHA-256 block kernels are measured and printed; with
  * `--json <path>` they are dumped in the JsonBench schema that
  * tools/check_bench.py gates in the perf-smoke CI job (the checked-in
  * baseline pins the packed-vs-scalar mul speedups and the vectorized
- * MSM speedup).
+ * MSM speedup; the SHA-256 row is reported, not pinned).
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "ff/Ntt.h"
 #include "gkr/Gkr.h"
 #include "hash/Sha256.h"
+#include "hash/Sha256Kernels.h"
 #include "merkle/MerkleTree.h"
 #include "poly/Multilinear.h"
 #include "sumcheck/Sumcheck.h"
@@ -48,6 +51,20 @@ BM_Sha256Compress(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Sha256Compress);
+
+void
+BM_Sha256CompressPortable(benchmark::State &state)
+{
+    // The portable kernel regardless of host (BM_Sha256Compress runs
+    // whichever kernel the dispatcher picked).
+    uint8_t block[64] = {1, 2, 3};
+    uint32_t words[8] = {};
+    for (auto _ : state) {
+        hash::detail::compressPortable(words, block, 1);
+        benchmark::DoNotOptimize(words);
+    }
+}
+BENCHMARK(BM_Sha256CompressPortable);
 
 void
 BM_Sha256Compress4(benchmark::State &state)
@@ -696,6 +713,60 @@ runWideFieldSweep(bench::JsonBench &json)
         "(columns are Mpoint/s for that row).");
 }
 
+/**
+ * SHA-256 block compression: the portable kernel against the kernel
+ * every Sha256 entry point dispatches to on this host (SHA-NI when the
+ * CPU has it), over one 8 KiB column leaf's worth of blocks. The two
+ * chaining states must agree or the run dies; the selected path goes
+ * to meta. Reported only: some CI runners lack SHA-NI, so no baseline
+ * pins this row.
+ */
+void
+runShaSweep(bench::JsonBench &json)
+{
+    constexpr size_t kBlocks = 128;
+    constexpr size_t kIters = 64;
+    Rng rng(0x5a256);
+    std::vector<uint8_t> data(64 * kBlocks);
+    for (auto &b : data)
+        b = static_cast<uint8_t>(rng.next());
+    const char *path = hash::detail::activeCompressName();
+    json.meta("sha256_path", path);
+
+    auto sweep = [&](hash::detail::CompressFn kernel,
+                     std::array<uint32_t, 8> &words) {
+        for (size_t it = 0; it < kIters; ++it)
+            kernel(words.data(), data.data(), kBlocks);
+    };
+    std::array<uint32_t, 8> portable{}, dispatched{};
+    double portable_ms = medianMs(
+        [&] { sweep(hash::detail::compressPortable, portable); });
+    double dispatched_ms = medianMs(
+        [&] { sweep(hash::detail::activeCompress(), dispatched); });
+    if (portable != dispatched)
+        fatal("bench_micro: %s SHA-256 kernel diverged from portable",
+              path);
+    double blocks = static_cast<double>(kBlocks * kIters);
+    double portable_ns = portable_ms * 1e6 / blocks;
+    double dispatched_ns = dispatched_ms * 1e6 / blocks;
+    TablePrinter table(
+        {"Kernel", "portable ns/block", std::string(path) + " ns/block",
+         "speedup"});
+    table.addRow({"sha256_compress", formatSig(portable_ns, 4),
+                  formatSig(dispatched_ns, 4),
+                  bench::fmtSpeedup(portable_ns / dispatched_ns)});
+    json.addRow("sha256_compress",
+                {{"portable_ns_per_block", portable_ns},
+                 {"dispatched_ns_per_block", dispatched_ns}});
+    bench::printTable(
+        "SHA-256 block compression (portable vs " + std::string(path) +
+            ")",
+        table,
+        "Single-threaded, 128 chained blocks per pass; chaining states "
+        "verified identical. Not gated: the dispatched path depends on "
+        "the CPU.");
+}
+
 } // namespace
 } // namespace bzk
 
@@ -709,6 +780,7 @@ main(int argc, char **argv)
     bzk::bench::JsonBench json("bench_micro", argc, argv);
     bzk::runFieldSweep(json);
     bzk::runWideFieldSweep(json);
+    bzk::runShaSweep(json);
     json.write();
 
     std::vector<std::string> opts;

@@ -198,6 +198,10 @@ PipelinedZkpSystem::run(size_t batch, unsigned n_vars, Rng &rng)
                 ->gauge("bzk_host_sumcheck_ms",
                         "host wall ms in sum-check regions")
                 .set(exec.stats("sumcheck").wall_ms);
+            metrics_
+                ->gauge("bzk_host_open_ms",
+                        "host wall ms in PCS opening regions")
+                .set(exec.stats("open").wall_ms);
             ff::KernelCounters fc = ff::kernelCounters();
             metrics_
                 ->gauge("bzk_field_backend",

@@ -48,8 +48,11 @@ struct PcsProverState
     PcsCommitment commitment;
     /** The committed evaluation table (k*m entries). */
     std::vector<F> poly;
-    /** Row codewords, k rows of length 2m. */
-    std::vector<std::vector<F>> encoded_rows;
+    /**
+     * Row codewords as one row-major k x 2m matrix: row r's codeword
+     * is codewords[r*2m, (r+1)*2m).
+     */
+    std::vector<F> codewords;
     /** Merkle tree over the 2m column hashes. */
     MerkleTree tree = MerkleTree::buildFromLeaves({Digest{}});
 };
@@ -119,15 +122,18 @@ class TensorPcs
         // Rows are independent messages: parallelize across rows with
         // serial per-row encodes (the outer loop has enough slots; a
         // nested parallel encode would only add scheduling overhead).
+        // Each row encodes in place into its slice of one flat buffer,
+        // so workers allocate nothing per row.
         PcsProverState<F> state;
-        state.encoded_rows.resize(k);
+        state.codewords.resize(k * 2 * m);
         if (exec)
             exec->setRegion("encoder");
         auto encode_rows = [&](size_t begin, size_t end) {
-            for (size_t row = begin; row < end; ++row) {
-                std::span<const F> message(poly.data() + row * m, m);
-                state.encoded_rows[row] = code_.encode(message);
-            }
+            for (size_t row = begin; row < end; ++row)
+                code_.encodeInto(
+                    std::span<const F>(poly.data() + row * m, m),
+                    std::span<F>(state.codewords.data() + row * 2 * m,
+                                 2 * m));
         };
         if (exec)
             exec->parallelFor(k, /*serial_cutoff=*/2, encode_rows);
@@ -143,7 +149,7 @@ class TensorPcs
             std::vector<uint8_t> buf(k * F::kNumBytes);
             for (size_t col = begin; col < end; ++col) {
                 for (size_t row = 0; row < k; ++row)
-                    state.encoded_rows[row][col].toBytes(
+                    state.codewords[row * 2 * m + col].toBytes(
                         buf.data() + row * F::kNumBytes);
                 leaves[col] = Sha256::digest(buf);
             }
@@ -191,7 +197,7 @@ class TensorPcs
         std::vector<F> r_row(point.begin(), point.begin() + row_vars_);
         auto eq_row = eqTable(r_row);
         if (exec)
-            exec->setRegion("sumcheck");
+            exec->setRegion("open");
 
         PcsEvalProof<F> proof;
         proof.eval_row.assign(m, F::zero());
@@ -241,7 +247,7 @@ class TensorPcs
         for (uint64_t col : cols) {
             std::vector<F> column(k);
             for (size_t row = 0; row < k; ++row)
-                column[row] = state.encoded_rows[row][col];
+                column[row] = state.codewords[row * 2 * m + col];
             proof.columns.push_back(std::move(column));
             proof.paths.push_back(state.tree.path(col));
         }

@@ -8,9 +8,12 @@
  * vertices are rows, left vertices are columns, and an edge carries a
  * non-zero field coefficient.
  *
- * Coefficients are stored as 32-bit integers and lifted into the field
- * on use; this keeps a 2^22-size encoder's matrices in hundreds of
- * megabytes instead of gigabytes while preserving exact linearity.
+ * Coefficients are stored as 32-bit integers and never lifted into the
+ * field: each row sum multiplies the field operands by the raw integers
+ * in a lazily reduced F::SmallDot accumulator and reduces once per row,
+ * which equals the sum over fromUint-lifted coefficients bit for bit.
+ * The 32-bit storage keeps a 2^22-size encoder's matrices in hundreds
+ * of megabytes instead of gigabytes.
  */
 
 #include <algorithm>
@@ -19,7 +22,6 @@
 #include <vector>
 
 #include "exec/ExecContext.h"
-#include "ff/FieldBackend.h"
 #include "util/Log.h"
 #include "util/Rng.h"
 
@@ -92,27 +94,11 @@ class SparseMatrix
                   "(%zu x %zu vs in %zu out %zu)",
                   rows(), cols_, x.size(), out.size());
         auto run_rows = [&](size_t begin, size_t end) {
-            // Gather each row's operands into contiguous scratch so
-            // the packed field kernels can run over full lanes; the
-            // row sum is exact-field associative, so the lane
-            // reordering leaves the result (and proof bytes)
-            // unchanged.
-            constexpr size_t kGather = 64;
-            F xs[kGather], cs[kGather];
             for (size_t r = begin; r < end; ++r) {
-                F acc = F::zero();
-                size_t e = offsets_[r];
-                const size_t row_end = offsets_[r + 1];
-                while (e < row_end) {
-                    size_t m = std::min(row_end - e, kGather);
-                    for (size_t k = 0; k < m; ++k) {
-                        xs[k] = x[entries_[e + k].col];
-                        cs[k] = F::fromUint(entries_[e + k].coeff);
-                    }
-                    acc += ff::dotLanes(xs, cs, m);
-                    e += m;
-                }
-                out[r] = acc;
+                typename F::SmallDot acc;
+                for (size_t e = offsets_[r]; e < offsets_[r + 1]; ++e)
+                    acc.add(x[entries_[e].col], entries_[e].coeff);
+                out[r] = acc.result();
             }
         };
         if (!exec || exec->threads() <= 1 ||

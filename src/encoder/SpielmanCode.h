@@ -12,12 +12,12 @@
  * onto the stage kernels the GPU drivers charge for.
  */
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "encoder/SparseMatrix.h"
 #include "encoder/Topology.h"
-#include "ff/FieldBackend.h"
 #include "util/Log.h"
 
 namespace bzk {
@@ -64,36 +64,54 @@ class SpielmanCode
     encode(std::span<const F> message,
            const exec::ExecContext *exec = nullptr) const
     {
+        std::vector<F> out(codewordLength());
+        encodeInto(message, out, exec);
+        return out;
+    }
+
+    /**
+     * encode() straight into @p out (exactly 2k elements), with no
+     * temporaries. The codeword nests, z_l = [x_l | z_{l+1} |
+     * B_l z_{l+1}], so every level lives at a fixed offset of the
+     * output: level l's message x_l starts at o_l = k_0 + ... +
+     * k_{l-1}, A_l x_l = x_{l+1} goes right after it at o_l + k_l,
+     * B_l z_{l+1} at o_l + 3k_l/2, and the base product M x_d at
+     * o_d + k_d. Every stage reads and writes disjoint ranges.
+     */
+    void
+    encodeInto(std::span<const F> message, std::span<F> out,
+               const exec::ExecContext *exec = nullptr) const
+    {
         if (message.size() != messageLength())
             panic("SpielmanCode::encode: message length %zu != %zu",
                   message.size(), messageLength());
+        if (out.size() != codewordLength())
+            panic("SpielmanCode::encodeInto: output length %zu != %zu",
+                  out.size(), codewordLength());
         if (exec)
             exec->setRegion("encoder");
 
-        size_t depth = a_.size();
         // Forward pass: x_{l+1} = A_l x_l (first multiplications).
-        std::vector<std::vector<F>> xs(depth + 1);
-        xs[0].assign(message.begin(), message.end());
+        std::copy(message.begin(), message.end(), out.begin());
+        size_t depth = a_.size();
+        size_t o = 0;
         for (size_t l = 0; l < depth; ++l) {
-            xs[l + 1].resize(a_[l].rows());
-            a_[l].mulVec(xs[l], xs[l + 1], exec);
+            size_t k_l = topo_.levels()[l].k;
+            a_[l].mulVec(out.subspan(o, k_l),
+                         out.subspan(o + k_l, a_[l].rows()), exec);
+            o += k_l;
         }
 
-        // Base case: z = [x | M x].
+        // Base case: z_d = [x_d | M x_d], straight off the 32-bit rows.
         size_t bk = topo_.baseSize();
-        std::vector<F> z(2 * bk);
-        for (size_t i = 0; i < bk; ++i)
-            z[i] = xs[depth][i];
+        const F *x_d = out.data() + o;
+        F *m_x = out.data() + o + bk;
         auto base_rows = [&](size_t begin, size_t end) {
-            // Lift one dense row at a time into field scratch so the
-            // packed dot kernel runs over full lanes; the row sum is
-            // exact-field associative, so the result is unchanged.
-            std::vector<F> coeffs(bk);
             for (size_t r = begin; r < end; ++r) {
+                typename F::SmallDot acc;
                 for (size_t c = 0; c < bk; ++c)
-                    coeffs[c] = F::fromUint(base_[r * bk + c]);
-                z[bk + r] =
-                    ff::dotLanes(xs[depth].data(), coeffs.data(), bk);
+                    acc.add(x_d[c], base_[r * bk + c]);
+                m_x[r] = acc.result();
             }
         };
         if (exec)
@@ -105,14 +123,10 @@ class SpielmanCode
         // multiplications, smallest stage first — Figure 6).
         for (size_t l = depth; l-- > 0;) {
             size_t k_l = topo_.levels()[l].k;
-            std::vector<F> out(2 * k_l);
-            std::copy(xs[l].begin(), xs[l].end(), out.begin());
-            std::copy(z.begin(), z.end(), out.begin() + k_l);
-            std::span<F> v(out.data() + k_l + z.size(), k_l / 2);
-            b_[l].mulVec(z, v, exec);
-            z = std::move(out);
+            o -= k_l;
+            b_[l].mulVec(out.subspan(o + k_l, k_l / 2),
+                         out.subspan(o + 3 * k_l / 2, k_l / 2), exec);
         }
-        return z;
     }
 
   private:

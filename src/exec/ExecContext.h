@@ -116,8 +116,8 @@ class ExecContext
 
     /**
      * Tag subsequent parallelFor calls for per-module accounting
-     * ("encoder", "merkle", "sumcheck"). Caller-thread state; set it
-     * outside parallel regions.
+     * ("encoder", "merkle", "sumcheck", "open"). Caller-thread state;
+     * set it outside parallel regions.
      */
     void setRegion(const char *name) const;
 

@@ -77,11 +77,15 @@ class Fp
         return r;
     }
 
-    /** Standard-form value in [0, p). */
+    /**
+     * Standard-form value in [0, p): the four Montgomery folding
+     * rounds alone (x * R^{-1}), without montMul's multiply-by-one
+     * partial products.
+     */
     constexpr U256
     toU256() const
     {
-        return montMul(mont_, U256{1});
+        return redc(mont_);
     }
 
     /** Serialize the canonical value as 32 little-endian bytes. */
@@ -267,6 +271,60 @@ class Fp
     /** Raw Montgomery limbs (for hashing into transcripts cheaply). */
     constexpr const U256 &montRaw() const { return mont_; }
 
+    /**
+     * Lazily reduced sum of x_i * c_i over 32-bit integer coefficients
+     * c_i — the Spielman encoder's row sums. Each add() multiplies the
+     * Montgomery limbs of x by the raw c into five 64-bit limbs (four
+     * multiply-adds, no reduction); result() reduces once.
+     *
+     * Bit-identical to sum_i x_i * fromUint(c_i): the Montgomery form
+     * of that product is x_i.mont * c_i mod p, mont() is linear, and
+     * the canonical residue is unique. Each term is below
+     * 2^254 * 2^32 = 2^286, so the 320-bit accumulator holds any sum of
+     * fewer than 2^34 terms; encoder rows have at most 255.
+     */
+    class SmallDot
+    {
+      public:
+        /** acc += x * c. */
+        constexpr void
+        add(const Fp &x, uint32_t c)
+        {
+            uint64_t carry = 0;
+            for (int j = 0; j < 4; ++j) {
+                __uint128_t cur =
+                    static_cast<__uint128_t>(x.mont_.limb[j]) * c +
+                    acc_[j] + carry;
+                acc_[j] = static_cast<uint64_t>(cur);
+                carry = static_cast<uint64_t>(cur >> 64);
+            }
+            acc_[4] += carry;
+        }
+
+        /**
+         * The field element whose Montgomery form is acc mod p:
+         * (low 256 bits mod p) + top limb * 2^256 mod p.
+         */
+        constexpr Fp
+        result() const
+        {
+            constexpr U256 r2 = montR2();
+            U256 lo{acc_[0], acc_[1], acc_[2], acc_[3]};
+            // 2^256 < 6p for a 254-bit modulus: at most five passes.
+            while (cmp(lo, kModulus) >= 0) {
+                uint64_t borrow = 0;
+                lo = subBorrow(lo, kModulus, borrow);
+            }
+            // montMul(t, R^2) = t * R mod p = t * 2^256 mod p.
+            Fp r;
+            r.mont_ = addMod(lo, montMul(U256{acc_[4]}, r2), kModulus);
+            return r;
+        }
+
+      private:
+        uint64_t acc_[5] = {0, 0, 0, 0, 0};
+    };
+
   private:
     static constexpr Fp
     fromU256Raw(const U256 &mont)
@@ -335,6 +393,32 @@ class Fp
             r = subBorrow(r, kModulus, borrow);
         }
         return r;
+    }
+
+    /**
+     * Montgomery reduction a * R^{-1} mod p of a single 256-bit value:
+     * montMul's folding rounds with no partial products. For a < p
+     * every round keeps t < 2^255 and the result is already < p.
+     */
+    static constexpr U256
+    redc(const U256 &a)
+    {
+        uint64_t t[4] = {a.limb[0], a.limb[1], a.limb[2], a.limb[3]};
+        for (int i = 0; i < 4; ++i) {
+            // t = (t + m*p) / 2^64 with m chosen to clear the low limb.
+            uint64_t m = t[0] * kInv;
+            __uint128_t acc =
+                static_cast<__uint128_t>(m) * kModulus.limb[0] + t[0];
+            uint64_t carry = static_cast<uint64_t>(acc >> 64);
+            for (int j = 1; j < 4; ++j) {
+                acc = static_cast<__uint128_t>(m) * kModulus.limb[j] +
+                      t[j] + carry;
+                t[j - 1] = static_cast<uint64_t>(acc);
+                carry = static_cast<uint64_t>(acc >> 64);
+            }
+            t[3] = carry;
+        }
+        return U256{t[0], t[1], t[2], t[3]};
     }
 
     U256 mont_;

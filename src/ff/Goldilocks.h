@@ -253,6 +253,36 @@ class Goldilocks
         return buf;
     }
 
+    /**
+     * Lazily reduced sum of x_i * c_i over 32-bit integer coefficients
+     * (the Spielman encoder's row sums), the Fp<>::SmallDot interface:
+     * terms are below 2^96, so a u128 holds any sum of fewer than 2^32
+     * of them and result() reduces once. Bit-identical to
+     * sum_i x_i * fromUint(c_i), since fromUint(c) == c for c < p.
+     */
+    class SmallDot
+    {
+      public:
+        /** acc += x * c. */
+        constexpr void
+        add(const Goldilocks &x, uint32_t c)
+        {
+            acc_ += static_cast<__uint128_t>(x.v_) * c;
+        }
+
+        /** acc mod p. */
+        constexpr Goldilocks
+        result() const
+        {
+            Goldilocks r;
+            r.v_ = reduce128(acc_);
+            return r;
+        }
+
+      private:
+        __uint128_t acc_ = 0;
+    };
+
   private:
     /** Reduce a 128-bit product using 2^64 = 2^32 - 1 (mod p). */
     static constexpr uint64_t

@@ -2,7 +2,13 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "hash/Sha256Kernels.h"
 #include "util/Hex.h"
+#include "util/Log.h"
 
 namespace bzk {
 
@@ -31,6 +37,24 @@ inline uint32_t
 rotr(uint32_t x, int n)
 {
     return (x >> n) | (x << (32 - n));
+}
+
+/** The eight state words, big-endian, as a digest. */
+Digest
+stateDigest(const uint32_t state[8])
+{
+    Digest out;
+    for (int i = 0; i < 8; ++i)
+        for (int j = 0; j < 4; ++j)
+            out.bytes[i * 4 + j] =
+                static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    return out;
+}
+
+void
+compress(uint32_t state[8], const uint8_t *blocks, size_t n_blocks)
+{
+    hash::detail::activeCompress()(state, blocks, n_blocks);
 }
 
 static_assert(sizeof(Digest) == 32,
@@ -93,16 +117,196 @@ compressNBlocks(const uint8_t *blocks, Digest *out)
         }
     }
     for (int lane = 0; lane < N; ++lane) {
-        for (int i = 0; i < 8; ++i) {
-            uint32_t s = kInit[i] + v[i][lane];
-            for (int j = 0; j < 4; ++j)
-                out[lane].bytes[i * 4 + j] =
-                    static_cast<uint8_t>(s >> (24 - 8 * j));
-        }
+        uint32_t state[8];
+        for (int i = 0; i < 8; ++i)
+            state[i] = kInit[i] + v[i][lane];
+        out[lane] = stateDigest(state);
     }
 }
 
+/**
+ * N independent single-block compressions: one SHA-NI block at a time
+ * when the CPU has the extensions (each is already several times
+ * faster than a portable lane), the interleaved portable kernel
+ * otherwise.
+ */
+template <int N>
+void
+compressLanes(const uint8_t *blocks, Digest *out)
+{
+    if (!hash::detail::shaNiSupported()) {
+        compressNBlocks<N>(blocks, out);
+        return;
+    }
+    for (int lane = 0; lane < N; ++lane)
+        out[lane] = Sha256::compressBlock(
+            std::span<const uint8_t, 64>(blocks + 64 * lane, 64));
+}
+
 } // namespace
+
+namespace hash::detail {
+
+void
+compressBlocks4Portable(const uint8_t *blocks, Digest *out)
+{
+    compressNBlocks<4>(blocks, out);
+}
+
+void
+compressBlocks8Portable(const uint8_t *blocks, Digest *out)
+{
+    compressNBlocks<8>(blocks, out);
+}
+
+void
+compressPortable(uint32_t state[8], const uint8_t *blocks,
+                 size_t n_blocks)
+{
+    for (; n_blocks > 0; --n_blocks, blocks += 64) {
+        uint32_t w[64];
+        for (int i = 0; i < 16; ++i) {
+            w[i] = (static_cast<uint32_t>(blocks[4 * i]) << 24) |
+                   (static_cast<uint32_t>(blocks[4 * i + 1]) << 16) |
+                   (static_cast<uint32_t>(blocks[4 * i + 2]) << 8) |
+                   static_cast<uint32_t>(blocks[4 * i + 3]);
+        }
+        for (int i = 16; i < 64; ++i) {
+            uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^
+                          (w[i - 15] >> 3);
+            uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^
+                          (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+        for (int i = 0; i < 64; ++i) {
+            uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+            uint32_t ch = (e & f) ^ (~e & g);
+            uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
+            uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+            uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+            uint32_t t2 = s0 + maj;
+            h = g;
+            g = f;
+            f = e;
+            e = d + t1;
+            d = c;
+            c = b;
+            b = a;
+            a = t1 + t2;
+        }
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
+#if defined(__x86_64__)
+
+bool
+shaNiSupported()
+{
+    static const bool supported = __builtin_cpu_supports("sha") &&
+                                  __builtin_cpu_supports("sse4.1");
+    return supported;
+}
+
+/*
+ * The SHA extensions keep the state as two registers, ABEF and CDGH
+ * (A in the top lane). Each sha256rnds2 runs two rounds on W+K words in
+ * the low two lanes, so one quad of message words takes two of them;
+ * sha256msg1/msg2 extend the schedule four words at a time from a
+ * rolling window of four quads.
+ */
+__attribute__((target("sha,sse4.1"))) void
+compressShaNi(uint32_t state[8], const uint8_t *blocks, size_t n_blocks)
+{
+    // Byte-swap each 32-bit word: the message is big-endian.
+    const __m128i bswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+    __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i *>(state));
+    __m128i hgfe =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(state + 4));
+    __m128i badc = _mm_shuffle_epi32(dcba, 0xB1);
+    __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+    __m128i abef = _mm_alignr_epi8(badc, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, badc, 0xF0);
+
+    for (; n_blocks > 0; --n_blocks, blocks += 64) {
+        const __m128i abef_in = abef;
+        const __m128i cdgh_in = cdgh;
+        __m128i w[4];
+        for (int i = 0; i < 4; ++i)
+            w[i] = _mm_shuffle_epi8(
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(blocks + 16 * i)),
+                bswap);
+#pragma GCC unroll 16
+        for (int q = 0; q < 16; ++q) {
+            if (q >= 4) {
+                // W[4q..4q+3] from quads q-4 .. q-1.
+                __m128i t = _mm_sha256msg1_epu32(w[q & 3], w[(q + 1) & 3]);
+                t = _mm_add_epi32(
+                    t, _mm_alignr_epi8(w[(q + 3) & 3], w[(q + 2) & 3], 4));
+                w[q & 3] = _mm_sha256msg2_epu32(t, w[(q + 3) & 3]);
+            }
+            __m128i wk = _mm_add_epi32(
+                w[q & 3], _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                              kRound + 4 * q)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh,
+                                         _mm_shuffle_epi32(wk, 0x0E));
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+    __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state),
+                     _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state + 4),
+                     _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else
+
+bool
+shaNiSupported()
+{
+    return false;
+}
+
+void
+compressShaNi(uint32_t *, const uint8_t *, size_t)
+{
+    panic("Sha256: SHA-NI kernel called on a non-x86 build");
+}
+
+#endif
+
+CompressFn
+activeCompress()
+{
+    static const CompressFn kernel =
+        shaNiSupported() ? compressShaNi : compressPortable;
+    return kernel;
+}
+
+const char *
+activeCompressName()
+{
+    return shaNiSupported() ? "sha-ni" : "portable";
+}
+
+} // namespace hash::detail
 
 std::string
 Digest::toHex() const
@@ -129,13 +333,13 @@ Sha256::update(std::span<const uint8_t> data)
         buffered_ += take;
         offset = take;
         if (buffered_ == 64) {
-            compress(state_, buffer_);
+            compress(state_, buffer_, 1);
             buffered_ = 0;
         }
     }
-    while (offset + 64 <= data.size()) {
-        compress(state_, data.data() + offset);
-        offset += 64;
+    if (size_t whole = (data.size() - offset) / 64; whole > 0) {
+        compress(state_, data.data() + offset, whole);
+        offset += 64 * whole;
     }
     if (offset < data.size()) {
         std::memcpy(buffer_, data.data() + offset, data.size() - offset);
@@ -156,11 +360,7 @@ Sha256::finalize()
     std::memcpy(pad + pad_len, len_be, 8);
     update(std::span<const uint8_t>(pad, pad_len + 8));
 
-    Digest out;
-    for (int i = 0; i < 8; ++i)
-        for (int j = 0; j < 4; ++j)
-            out.bytes[i * 4 + j] =
-                static_cast<uint8_t>(state_[i] >> (24 - 8 * j));
+    Digest out = stateDigest(state_);
     reset();
     return out;
 }
@@ -178,13 +378,8 @@ Sha256::compressBlock(std::span<const uint8_t, 64> block)
 {
     uint32_t state[8];
     std::memcpy(state, kInit, sizeof(state));
-    compress(state, block.data());
-    Digest out;
-    for (int i = 0; i < 8; ++i)
-        for (int j = 0; j < 4; ++j)
-            out.bytes[i * 4 + j] =
-                static_cast<uint8_t>(state[i] >> (24 - 8 * j));
-    return out;
+    compress(state, block.data(), 1);
+    return stateDigest(state);
 }
 
 Digest
@@ -199,13 +394,13 @@ Sha256::hashPair(const Digest &left, const Digest &right)
 void
 Sha256::compressBlocks4(const uint8_t *blocks, Digest *out)
 {
-    compressNBlocks<4>(blocks, out);
+    compressLanes<4>(blocks, out);
 }
 
 void
 Sha256::compressBlocks8(const uint8_t *blocks, Digest *out)
 {
-    compressNBlocks<8>(blocks, out);
+    compressLanes<8>(blocks, out);
 }
 
 void
@@ -222,52 +417,6 @@ Sha256::hashPairs(const Digest *children, size_t n_pairs, Digest *out)
     for (; i < n_pairs; ++i)
         out[i] = compressBlock(
             std::span<const uint8_t, 64>(blocks + 64 * i, 64));
-}
-
-void
-Sha256::compress(uint32_t state[8], const uint8_t block[64])
-{
-    uint32_t w[64];
-    for (int i = 0; i < 16; ++i) {
-        w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-               (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-               (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-               static_cast<uint32_t>(block[4 * i + 3]);
-    }
-    for (int i = 16; i < 64; ++i) {
-        uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^
-                      (w[i - 15] >> 3);
-        uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^
-                      (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
-    for (int i = 0; i < 64; ++i) {
-        uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        uint32_t ch = (e & f) ^ (~e & g);
-        uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
-        uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        uint32_t t2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + t1;
-        d = c;
-        c = b;
-        b = a;
-        a = t1 + t2;
-    }
-    state[0] += a;
-    state[1] += b;
-    state[2] += c;
-    state[3] += d;
-    state[4] += e;
-    state[5] += f;
-    state[6] += g;
-    state[7] += h;
 }
 
 } // namespace bzk

@@ -9,7 +9,9 @@
  * block compression. The Merkle-tree modules use the raw compression —
  * exactly the "hash a 512-bit block into a 256-bit value" primitive of the
  * paper's Figure 2 — so the cost model can charge precisely one compression
- * per tree node.
+ * per tree node. Every entry point compresses through one block kernel
+ * picked once per process (SHA-NI when the CPU has it, portable code
+ * otherwise; see hash/Sha256Kernels.h).
  */
 
 #include <array>
@@ -61,11 +63,13 @@ class Sha256
     static Digest hashPair(const Digest &left, const Digest &right);
 
     /**
-     * Compress 4 independent 512-bit blocks with interleaved message
-     * schedules — the scalar analogue of the paper's one-thread-per-
-     * node Merkle kernel, laid out so the compiler can vectorize
-     * across the lanes. Bit-identical to 4 compressBlock calls.
-     * @p blocks holds 4 consecutive 64-byte blocks.
+     * Compress 4 independent 512-bit blocks — the scalar analogue of
+     * the paper's one-thread-per-node Merkle kernel. On CPUs with the
+     * SHA extensions each lane is one SHA-NI compression; elsewhere the
+     * portable kernel interleaves the message schedules so the
+     * compiler can vectorize across the lanes. Bit-identical to 4
+     * compressBlock calls. @p blocks holds 4 consecutive 64-byte
+     * blocks.
      */
     static void compressBlocks4(const uint8_t *blocks, Digest *out);
 
@@ -83,8 +87,6 @@ class Sha256
                           Digest *out);
 
   private:
-    static void compress(uint32_t state[8], const uint8_t block[64]);
-
     uint32_t state_[8];
     uint8_t buffer_[64];
     size_t buffered_;

@@ -57,21 +57,56 @@ ThreadPool::parallelFor(size_t n,
     // rethrown on the caller once all chunks have drained.
     std::exception_ptr first_error;
     std::mutex error_mutex;
-    for (size_t begin = 0; begin < n; begin += chunk) {
-        size_t end = std::min(n, begin + chunk);
-        submit([&body, &first_error, &error_mutex, begin, end] {
-            try {
-                body(begin, end);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        });
+    // Every chunk is queued under one lock with one wake-up: a notify
+    // per chunk costs a futex call each.
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (size_t begin = 0; begin < n; begin += chunk) {
+            size_t end = std::min(n, begin + chunk);
+            jobs_.push([&body, &first_error, &error_mutex, begin, end] {
+                try {
+                    body(begin, end);
+                } catch (...) {
+                    std::lock_guard<std::mutex> lock(error_mutex);
+                    if (!first_error)
+                        first_error = std::current_exception();
+                }
+            });
+            ++in_flight_;
+        }
+    }
+    cv_.notify_all();
+    // Help instead of sleeping: the caller runs queued chunks until
+    // none are left, then waits only for the ones already on workers.
+    while (runQueuedJob()) {
     }
     wait();
     if (first_error)
         std::rethrow_exception(first_error);
+}
+
+bool
+ThreadPool::runQueuedJob()
+{
+    std::function<void()> job;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (jobs_.empty())
+            return false;
+        job = std::move(jobs_.front());
+        jobs_.pop();
+    }
+    job();
+    finishJob();
+    return true;
+}
+
+void
+ThreadPool::finishJob()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--in_flight_ == 0)
+        idle_cv_.notify_all();
 }
 
 void
@@ -91,11 +126,7 @@ ThreadPool::workerLoop()
             jobs_.pop();
         }
         job();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--in_flight_ == 0)
-                idle_cv_.notify_all();
-        }
+        finishJob();
     }
 }
 

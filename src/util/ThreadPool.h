@@ -41,9 +41,11 @@ class ThreadPool
 
     /**
      * Split [0, n) into contiguous chunks and run @p body(begin, end) on the
-     * pool, blocking until all chunks finish. If any chunk throws, the
-     * first exception (in completion order) is rethrown on the calling
-     * thread after every chunk has finished; the pool stays usable.
+     * pool, blocking until all chunks finish. The calling thread runs
+     * queued chunks too until the queue is empty, then waits for the
+     * chunks still on workers. If any chunk throws, the first exception
+     * (in completion order) is rethrown on the calling thread after
+     * every chunk has finished; the pool stays usable.
      */
     void parallelFor(size_t n,
                      const std::function<void(size_t, size_t)> &body);
@@ -53,6 +55,10 @@ class ThreadPool
 
   private:
     void workerLoop();
+    /** Pop and run one queued job on this thread; false if none. */
+    bool runQueuedJob();
+    /** Retire one job and wake wait() when none are left. */
+    void finishJob();
 
     std::vector<std::thread> workers_;
     std::queue<std::function<void()>> jobs_;

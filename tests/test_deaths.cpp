@@ -142,6 +142,16 @@ TEST(DeathTest, EncoderRejectsWrongMessageLength)
     EXPECT_DEATH({ (void)code.encode(msg); }, "message length");
 }
 
+TEST(DeathTest, EncoderRejectsWrongOutputLength)
+{
+    // encodeInto writes the whole codeword in place; a window that is
+    // not exactly 2k elements must fail before any write.
+    SpielmanCode<Gl64> code(64, 1);
+    std::vector<Gl64> msg(64);
+    std::vector<Gl64> out(127);
+    EXPECT_DEATH({ code.encodeInto(msg, out); }, "output length");
+}
+
 // A malformed fault plan is an operator configuration error: the CLI
 // must exit cleanly (code 1) with a "fault plan" diagnostic, never
 // install a half-parsed schedule.

@@ -15,6 +15,7 @@
 #include "encoder/Topology.h"
 #include "ff/Fields.h"
 #include "gpusim/Device.h"
+#include "hash/Sha256.h"
 
 namespace bzk {
 namespace {
@@ -243,6 +244,77 @@ TYPED_TEST(SpielmanT, DistinctMessagesDistinctCodewords)
     msg[5] += F::one();
     auto cw2 = code.encode(msg);
     EXPECT_NE(cw1, cw2);
+}
+
+TYPED_TEST(SpielmanT, EncodeIntoWritesExactlyTheCodeword)
+{
+    // encodeInto fills exactly its 2k-element window, in place, with
+    // the same codeword encode() returns; guard cells on both sides
+    // stay untouched.
+    using F = TypeParam;
+    for (size_t k : {size_t{32}, size_t{256}, size_t{1024}}) {
+        SpielmanCode<F> code(k, 24);
+        Rng rng(93);
+        std::vector<F> msg(k);
+        for (auto &m : msg)
+            m = F::random(rng);
+        const F guard = F::fromUint(0xabcdef);
+        std::vector<F> buf(2 * k + 2, guard);
+        code.encodeInto(msg, std::span<F>(buf.data() + 1, 2 * k));
+        EXPECT_EQ(buf.front(), guard) << "k=" << k;
+        EXPECT_EQ(buf.back(), guard) << "k=" << k;
+        EXPECT_EQ(std::vector<F>(buf.begin() + 1, buf.end() - 1),
+                  code.encode(msg))
+            << "k=" << k;
+    }
+}
+
+/**
+ * SHA-256 of the codeword bytes for a fixed seed and message: pins
+ * SpielmanCode's output across encoder refactors for both field sizes.
+ */
+template <typename F>
+std::string
+codewordSha256(size_t k)
+{
+    SpielmanCode<F> code(k, /*seed=*/0x60d5eed);
+    Rng rng(0xc0de0000 + k);
+    std::vector<F> msg(k);
+    for (auto &m : msg)
+        m = F::random(rng);
+    auto cw = code.encode(msg);
+    std::vector<uint8_t> bytes(cw.size() * F::kNumBytes);
+    for (size_t i = 0; i < cw.size(); ++i)
+        cw[i].toBytes(bytes.data() + i * F::kNumBytes);
+    return Sha256::digest(bytes).toHex();
+}
+
+// k = 2^5 is the dense base case alone; 2^8 and 2^10 add two and three
+// sparse levels.
+TEST(EncoderGolden, FrCodewords)
+{
+    EXPECT_EQ(codewordSha256<Fr>(1 << 5),
+              "9998c87c300e9e61c210c7a84a5e80bd"
+              "44bfb392c8880b4ff050827f8318b2a6");
+    EXPECT_EQ(codewordSha256<Fr>(1 << 8),
+              "2a290a90f07df992b77fc823d2653de8"
+              "044b7c60fafc8d75110138fca6ff47a2");
+    EXPECT_EQ(codewordSha256<Fr>(1 << 10),
+              "9529287616c07677c72bd6e89e725879"
+              "0213c9484aee042517ed4412d9732938");
+}
+
+TEST(EncoderGolden, Gl64Codewords)
+{
+    EXPECT_EQ(codewordSha256<Gl64>(1 << 5),
+              "0e1b8972448794414801d51e91cbd0f4"
+              "83e5627800200477d463898124ecec3d");
+    EXPECT_EQ(codewordSha256<Gl64>(1 << 8),
+              "eb581eb47199a53cbe29d3fdce017267"
+              "8d64eb343e938ef5a145569ea25fe87e");
+    EXPECT_EQ(codewordSha256<Gl64>(1 << 10),
+              "232b16a3add2fe197a9c3a0e4b3fe6dc"
+              "21bd56ab2b76ae26c3d874865018e47a");
 }
 
 TEST(EncoderStageCosts, SortedNeverWorse)

@@ -183,6 +183,68 @@ TYPED_TEST(FieldTest, RootOfUnityHasExactOrder)
     EXPECT_NE(w.pow(uint64_t{1} << (k - 1)), F::one());
 }
 
+TYPED_TEST(FieldTest, SmallDotMatchesLiftedSum)
+{
+    // The encoder's lazily reduced row sum must equal the sum of
+    // fromUint-lifted products bit for bit at every row length it
+    // sees: 1..255 covers every sparse row degree and the dense base
+    // rows (at most kEncoderBaseSize = 32 wide). Operands mix the
+    // corners x in {0, 1, p-1}, c in {1, 2^32-1} with random values.
+    using F = TypeParam;
+    Rng rng(0x5d07);
+    const F x_corner[] = {F::zero(), F::one(), -F::one()};
+    const uint32_t c_corner[] = {1, 0xffffffffu};
+    for (size_t len = 1; len <= 255; ++len) {
+        typename F::SmallDot acc;
+        F ref = F::zero();
+        for (size_t i = 0; i < len; ++i) {
+            size_t xs = rng.nextBounded(4), cs = rng.nextBounded(3);
+            F x = xs < 3 ? x_corner[xs] : F::random(rng);
+            uint32_t c = cs < 2 ? c_corner[cs]
+                                : static_cast<uint32_t>(rng.next());
+            acc.add(x, c);
+            ref += x * F::fromUint(c);
+        }
+        EXPECT_EQ(acc.result(), ref) << "len " << len;
+    }
+    // The largest accumulator a row can reach: every term (p-1)(2^32-1).
+    typename F::SmallDot worst;
+    F ref = F::zero();
+    for (size_t i = 0; i < 255; ++i) {
+        worst.add(-F::one(), 0xffffffffu);
+        ref += -F::one() * F::fromUint(0xffffffffu);
+    }
+    EXPECT_EQ(worst.result(), ref);
+    EXPECT_EQ(typename F::SmallDot{}.result(), F::zero());
+}
+
+template <typename F>
+class MontFieldTest : public ::testing::Test
+{
+};
+
+using MontFields = ::testing::Types<Fr, Fq>;
+TYPED_TEST_SUITE(MontFieldTest, MontFields);
+
+TYPED_TEST(MontFieldTest, ToU256IsCanonicalAndRoundTrips)
+{
+    using F = TypeParam;
+    uint64_t borrow = 0;
+    const U256 pm1 = subBorrow(F::kModulus, U256{1}, borrow);
+    EXPECT_EQ(F::zero().toU256(), U256{});
+    EXPECT_EQ(F::one().toU256(), U256{1});
+    EXPECT_EQ(F::fromUint(0xfedcba9876543210ULL).toU256(),
+              U256{0xfedcba9876543210ULL});
+    EXPECT_EQ((-F::one()).toU256(), pm1);
+    Rng rng(0x7ed);
+    for (int i = 0; i < 1000; ++i) {
+        F x = F::random(rng);
+        U256 v = x.toU256();
+        EXPECT_LT(cmp(v, F::kModulus), 0);
+        EXPECT_EQ(F::fromU256(v), x);
+    }
+}
+
 TEST(Fr, KnownModularReduction)
 {
     // (p - 1) + 2 == 1 (mod p)

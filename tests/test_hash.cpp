@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for SHA-256 (against FIPS 180-4 vectors) and the Fiat-Shamir
- * transcript.
+ * Tests for SHA-256 (against FIPS 180-4 vectors, through every block
+ * kernel the host can run) and the Fiat-Shamir transcript.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,9 @@
 
 #include "ff/Fields.h"
 #include "hash/Sha256.h"
+#include "hash/Sha256Kernels.h"
 #include "hash/Transcript.h"
+#include "util/Rng.h"
 
 namespace bzk {
 namespace {
@@ -103,17 +105,22 @@ TEST(Sha256, HashPairDeterministicAndOrderSensitive)
     EXPECT_NE(Sha256::hashPair(a, b), Sha256::hashPair(b, a));
 }
 
+// The dispatched entry point and, on every host, the portable
+// interleaved kernel it falls back to without SHA-NI.
 TEST(Sha256, CompressBlocks4MatchesScalar)
 {
     uint8_t blocks[4 * 64];
     for (size_t i = 0; i < sizeof(blocks); ++i)
         blocks[i] = static_cast<uint8_t>(i * 31 + 7);
-    Digest out[4];
-    Sha256::compressBlocks4(blocks, out);
-    for (size_t lane = 0; lane < 4; ++lane) {
-        Digest ref = Sha256::compressBlock(
-            std::span<const uint8_t, 64>(blocks + 64 * lane, 64));
-        EXPECT_EQ(out[lane], ref) << "lane " << lane;
+    for (auto kernel :
+         {&Sha256::compressBlocks4, &hash::detail::compressBlocks4Portable}) {
+        Digest out[4];
+        kernel(blocks, out);
+        for (size_t lane = 0; lane < 4; ++lane) {
+            Digest ref = Sha256::compressBlock(
+                std::span<const uint8_t, 64>(blocks + 64 * lane, 64));
+            EXPECT_EQ(out[lane], ref) << "lane " << lane;
+        }
     }
 }
 
@@ -122,12 +129,15 @@ TEST(Sha256, CompressBlocks8MatchesScalar)
     uint8_t blocks[8 * 64];
     for (size_t i = 0; i < sizeof(blocks); ++i)
         blocks[i] = static_cast<uint8_t>(i * 131 + 17);
-    Digest out[8];
-    Sha256::compressBlocks8(blocks, out);
-    for (size_t lane = 0; lane < 8; ++lane) {
-        Digest ref = Sha256::compressBlock(
-            std::span<const uint8_t, 64>(blocks + 64 * lane, 64));
-        EXPECT_EQ(out[lane], ref) << "lane " << lane;
+    for (auto kernel :
+         {&Sha256::compressBlocks8, &hash::detail::compressBlocks8Portable}) {
+        Digest out[8];
+        kernel(blocks, out);
+        for (size_t lane = 0; lane < 8; ++lane) {
+            Digest ref = Sha256::compressBlock(
+                std::span<const uint8_t, 64>(blocks + 64 * lane, 64));
+            EXPECT_EQ(out[lane], ref) << "lane " << lane;
+        }
     }
 }
 
@@ -141,11 +151,14 @@ TEST(Sha256, CompressBlocks4KnownAnswer)
     blocks[2] = 'c';
     blocks[3] = 0x80;
     blocks[63] = 24; // bit length
-    Digest out[4];
-    Sha256::compressBlocks4(blocks, out);
-    EXPECT_EQ(out[0].toHex(),
-              "ba7816bf8f01cfea414140de5dae2223"
-              "b00361a396177a9cb410ff61f20015ad");
+    for (auto kernel :
+         {&Sha256::compressBlocks4, &hash::detail::compressBlocks4Portable}) {
+        Digest out[4];
+        kernel(blocks, out);
+        EXPECT_EQ(out[0].toHex(),
+                  "ba7816bf8f01cfea414140de5dae2223"
+                  "b00361a396177a9cb410ff61f20015ad");
+    }
 }
 
 TEST(Sha256, HashPairsMatchesHashPairForAllLaneWidths)
@@ -161,6 +174,98 @@ TEST(Sha256, HashPairsMatchesHashPairForAllLaneWidths)
         EXPECT_EQ(out[i], Sha256::hashPair(children[2 * i],
                                            children[2 * i + 1]))
             << "pair " << i;
+}
+
+/**
+ * Each block kernel on its own, with the padding done here: the
+ * portable kernel always, SHA-NI only where the CPU has it (the
+ * dispatcher never selects it elsewhere).
+ */
+class Sha256KernelTest : public ::testing::TestWithParam<bool>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() && !hash::detail::shaNiSupported())
+            GTEST_SKIP() << "CPU lacks the SHA extensions";
+        kernel_ = GetParam() ? hash::detail::compressShaNi
+                             : hash::detail::compressPortable;
+    }
+
+    /** FIPS 180-4 padded digest of @p msg through kernel_ only. */
+    std::string
+    digestHex(const std::string &msg) const
+    {
+        std::vector<uint8_t> buf(msg.begin(), msg.end());
+        uint64_t bits = uint64_t{8} * msg.size();
+        buf.push_back(0x80);
+        while (buf.size() % 64 != 56)
+            buf.push_back(0);
+        for (int i = 7; i >= 0; --i)
+            buf.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+        uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                             0xa54ff53a, 0x510e527f, 0x9b05688c,
+                             0x1f83d9ab, 0x5be0cd19};
+        kernel_(state, buf.data(), buf.size() / 64);
+        Digest d;
+        for (int i = 0; i < 8; ++i)
+            for (int j = 0; j < 4; ++j)
+                d.bytes[4 * i + j] =
+                    static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+        return d.toHex();
+    }
+
+    hash::detail::CompressFn kernel_ = nullptr;
+};
+
+TEST_P(Sha256KernelTest, Fips180Vectors)
+{
+    EXPECT_EQ(digestHex(""), "e3b0c44298fc1c149afbf4c8996fb924"
+                             "27ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(digestHex("abc"), "ba7816bf8f01cfea414140de5dae2223"
+                                "b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(
+        digestHex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+        "248d6a61d20638b8e5c026930c3e6039"
+        "a33ce45964ff2167f6ecedd419db06c1");
+    EXPECT_EQ(digestHex(std::string(1000000, 'a')),
+              "cdc76e5c9914fb9281a1c7e284d73e67"
+              "f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256KernelTest, MatchesPortableOnRandomStatesAndBlocks)
+{
+    // Arbitrary chaining states, not just the IV, and runs of 1..4
+    // blocks so the multi-block loop carries state between blocks.
+    Rng rng(0x5a256);
+    for (int trial = 0; trial < 10000; ++trial) {
+        size_t n_blocks = 1 + trial % 4;
+        uint32_t state[8], ref[8];
+        for (auto &w : state)
+            w = static_cast<uint32_t>(rng.next());
+        std::memcpy(ref, state, sizeof(state));
+        std::vector<uint8_t> blocks(64 * n_blocks);
+        for (auto &b : blocks)
+            b = static_cast<uint8_t>(rng.next());
+        kernel_(state, blocks.data(), n_blocks);
+        hash::detail::compressPortable(ref, blocks.data(), n_blocks);
+        ASSERT_EQ(std::memcmp(state, ref, sizeof(state)), 0)
+            << "trial " << trial;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha256KernelTest, ::testing::Bool(),
+                         [](const auto &info) {
+                             return info.param ? "ShaNi" : "Portable";
+                         });
+
+TEST(Sha256, DispatchFollowsCpuid)
+{
+    EXPECT_EQ(hash::detail::activeCompress(),
+              hash::detail::shaNiSupported()
+                  ? hash::detail::compressShaNi
+                  : hash::detail::compressPortable);
 }
 
 TEST(Transcript, DeterministicReplay)

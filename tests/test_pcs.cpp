@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/TensorPcs.h"
 #include "ff/Fields.h"
 
@@ -201,6 +203,51 @@ TYPED_TEST(PcsT, DistinctPolynomialsDistinctRoots)
     poly[0] += F::one();
     auto s2 = pcs.commit(poly);
     EXPECT_NE(s1.commitment.root, s2.commitment.root);
+}
+
+TYPED_TEST(PcsT, CommitStoresRowCodewordsRowMajor)
+{
+    // The prover state keeps one flat k x 2m matrix: row r's slice is
+    // the codeword of the table's row r, for any thread count.
+    using F = TypeParam;
+    Rng rng(10);
+    unsigned n = 9;
+    TensorPcs<F> pcs(n, 9);
+    size_t m = size_t{1} << pcs.colVars();
+    size_t k = size_t{1} << pcs.rowVars();
+    auto poly = randomPoly<F>(n, rng);
+    exec::ExecConfig cfg;
+    cfg.threads = 2;
+    exec::ExecContext exec(cfg);
+    auto state = pcs.commit(poly, &exec);
+    ASSERT_EQ(state.codewords.size(), k * 2 * m);
+    for (size_t row = 0; row < k; ++row) {
+        auto cw = pcs.code().encode(
+            std::span<const F>(poly.data() + row * m, m));
+        EXPECT_TRUE(std::equal(cw.begin(), cw.end(),
+                               state.codewords.begin() + row * 2 * m))
+            << "row " << row;
+    }
+    EXPECT_EQ(state.commitment.root, pcs.commit(poly).commitment.root);
+}
+
+TYPED_TEST(PcsT, OpenAccountsUnderItsOwnRegion)
+{
+    // open()'s two row combinations are PCS opening work; tagging them
+    // "sumcheck" would fold opening time into bzk_host_sumcheck_ms.
+    using F = TypeParam;
+    Rng rng(11);
+    unsigned n = 8;
+    TensorPcs<F> pcs(n, 9);
+    exec::ExecConfig cfg;
+    cfg.threads = 2;
+    exec::ExecContext exec(cfg);
+    auto state = pcs.commit(randomPoly<F>(n, rng), &exec);
+    Transcript t("pcs-region");
+    t.absorbDigest("root", state.commitment.root);
+    (void)pcs.open(state, randomPoint<F>(n, rng), t, &exec);
+    EXPECT_EQ(exec.stats("sumcheck").calls, 0u);
+    EXPECT_EQ(exec.stats("open").calls, 2u);
 }
 
 TYPED_TEST(PcsT, ShapeSplitsVariables)

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "util/Hex.h"
 #include "util/Rng.h"
@@ -244,6 +246,31 @@ TEST(ThreadPool, ParallelForCoversRange)
     });
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, CallerRunsQueuedChunks)
+{
+    // parallelFor's caller helps instead of sleeping: with the only
+    // worker held inside chunk 0 until the caller has run a chunk,
+    // the loop completes only because the caller drains the queue.
+    // (The timeout keeps a non-helping pool from hanging the test.)
+    ThreadPool pool(1);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<int> caller_chunks{0};
+    pool.parallelFor(4, [&](size_t begin, size_t) {
+        if (std::this_thread::get_id() == caller) {
+            caller_chunks.fetch_add(1);
+            return;
+        }
+        if (begin != 0)
+            return;
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (caller_chunks.load() == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    });
+    EXPECT_GT(caller_chunks.load(), 0);
 }
 
 TEST(ThreadPool, ParallelForEmpty)
