@@ -18,7 +18,8 @@
  *        vA + a vB + a^2 vC = sum_y M(y) z~(y),
  *        M(y) = A~(rx,y) + a B~(rx,y) + a^2 C~(rx,y)
  *      ending at ry with claims for M(ry) (the verifier evaluates the
- *      sparse matrix MLEs itself) and z~(ry);
+ *      sparse matrix MLEs itself) and z~(ry) — the shared round loop
+ *      with a dot-product combine step, exactly 3 values per round;
  *   4. z~(ry) splits into the public half (verifier-computed from the
  *      claimed inputs) and the committed private half, opened via the
  *      PCS at ry's tail.
@@ -28,6 +29,7 @@
  * breaks one of the two sum-checks or the opening.
  */
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -46,12 +48,12 @@ struct FullSnarkProof
 {
     PcsCommitment commit_w;
     /** Phase 1 (rows), cubic: 4 evaluations per round. */
-    ProductSumcheckProof<F> phase1;
+    RoundsProof<F> phase1;
     F va{};
     F vb{};
     F vc{};
     /** Phase 2 (columns), quadratic: 3 evaluations per round. */
-    ProductSumcheckProof<F> phase2;
+    RoundsProof<F> phase2;
     /** Claimed private-half evaluation w~(ry tail). */
     F vw{};
     PcsEvalProof<F> open_w;
@@ -142,12 +144,12 @@ class FullSnark
         for (const auto &e : r1cs_.c)
             m[e.col] += a2 * e.coeff * eq_rx[e.row];
 
-        std::vector<Multilinear<F>> factors;
-        factors.emplace_back(std::move(m));
-        factors.emplace_back(z);
-        std::vector<F> ry;
-        proof.phase2 =
-            proveProductSumcheckFs(factors, transcript, &ry);
+        std::vector<F> ry = proveRounds<3>(
+            std::array{&m, &z},
+            [](const std::array<const F *, 2> &at, F *, size_t n) {
+                return ff::dotLanes(at[0], at[1], n);
+            },
+            kPhase2Labels.absorber<F>(transcript), proof.phase2.rounds);
 
         // Open the private half at ry's tail.
         std::vector<F> ry_tail(ry.begin() + 1, ry.end());
@@ -192,8 +194,8 @@ class FullSnark
         F alpha = transcript.template challengeField<F>("alpha");
         F target = proof.va + alpha * proof.vb +
                    alpha * alpha * proof.vc;
-        auto verdict =
-            verifyProductSumcheckFs(target, proof.phase2, transcript);
+        auto verdict = verifyRounds<3>(target, proof.phase2.rounds,
+                                       kPhase2Labels.absorber<F>(transcript));
         if (!verdict.ok || verdict.point.size() != r1cs_.col_vars)
             return false;
         const std::vector<F> &ry = verdict.point;
@@ -217,6 +219,8 @@ class FullSnark
   private:
     /** Phase 1 is the multiplicative gate's sum-check, own labels. */
     static constexpr RoundLabels kPhase1Labels{"p1.g", "p1.r"};
+    /** Phase 2 is the sum of M times z. */
+    static constexpr RoundLabels kPhase2Labels{"psc.g", "psc.r"};
 
     void
     absorbStatement(Transcript &transcript,

@@ -81,7 +81,7 @@ struct GateProof
     PcsCommitment commit_b;
     PcsCommitment commit_c;
     /** Gate sum-check: Gate::kEvals evaluations per round. */
-    ProductSumcheckProof<F> gate_sc;
+    RoundsProof<F> gate_sc;
     /** Claimed openings of the three tables at the sum-check point. */
     F va{};
     F vb{};

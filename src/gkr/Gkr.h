@@ -16,7 +16,9 @@
  *
  * using the Libra-style linear-time prover: phase one sums over x with
  * scatter-built bookkeeping tables A1/A2/A3, phase two over y with
- * B1/B2, each O(gates + layer width) per layer. The two resulting
+ * B1/B2, each O(gates + layer width) per layer. Both phases sum
+ * h(b) = V(b) * C(b) + D(b) on the shared sum-check round loop
+ * (sumcheck/Sumcheck.h), on the lane kernels. The two resulting
  * claims V_{l-1}(rx), V_{l-1}(ry) are merged with random alpha, beta
  * into the next layer's combined claim. The verifier evaluates the
  * wiring predicates add~/mul~ itself from the gate list (O(gates))
@@ -28,11 +30,14 @@
  * tensor PCS instead of evaluating it in the clear.
  */
 
+#include <array>
 #include <vector>
 
+#include "ff/FieldBackend.h"
 #include "gkr/LayeredCircuit.h"
 #include "hash/Transcript.h"
 #include "poly/Multilinear.h"
+#include "sumcheck/Sumcheck.h"
 #include "util/Log.h"
 
 namespace bzk {
@@ -125,9 +130,9 @@ class Gkr
                 }
             }
             std::vector<F> vx_table = below;
-            std::vector<F> rx =
-                sumcheckHalf(vx_table, a12, &a3, k, transcript,
-                             layer.rounds);
+            std::vector<F> rx = proveRounds<3>(
+                std::array{&vx_table, &a12, &a3}, vcd,
+                kLabels.absorber<F>(transcript), layer.rounds);
             layer.vx = vx_table[0];
 
             // Phase 2 bookkeeping (scatter by in1, rx fixed):
@@ -146,9 +151,9 @@ class Gkr
                 }
             }
             std::vector<F> vy_table = below;
-            std::vector<F> ry =
-                sumcheckHalf(vy_table, c, &d, k, transcript,
-                             layer.rounds);
+            std::vector<F> ry = proveRounds<3>(
+                std::array{&vy_table, &c, &d}, vcd,
+                kLabels.absorber<F>(transcript), layer.rounds);
             layer.vy = vy_table[0];
 
             transcript.absorbField("gkr.vx", layer.vx);
@@ -201,24 +206,14 @@ class Gkr
             // Walk the 2k rounds, starting from the combined claim.
             F cur = (l == depth) ? claim
                                  : alpha * claim_x + beta * claim_y;
-            std::vector<F> rx, ry;
-            for (size_t i = 0; i < layer.rounds.size(); ++i) {
-                const auto &g = layer.rounds[i];
-                if (g.size() != 3)
-                    return false;
-                if (g[0] + g[1] != cur)
-                    return false;
-                for (const F &gi : g)
-                    transcript.absorbField("gkr.h", gi);
-                F r = transcript.template challengeField<F>("gkr.r");
-                std::vector<F> xs{F::fromUint(0), F::fromUint(1),
-                                  F::fromUint(2)};
-                cur = lagrangeEval(xs, g, r);
-                if (i < k)
-                    rx.push_back(r);
-                else
-                    ry.push_back(r);
-            }
+            auto verdict = verifyRounds<3>(cur, layer.rounds,
+                                           kLabels.absorber<F>(transcript));
+            if (!verdict.ok)
+                return false;
+            std::vector<F> rx(verdict.point.begin(),
+                              verdict.point.begin() + k);
+            std::vector<F> ry(verdict.point.begin() + k,
+                              verdict.point.end());
 
             // Final wiring check: verifier evaluates the predicates.
             const auto &gates = circuit_.layerGates(l);
@@ -239,7 +234,7 @@ class Gkr
             }
             F expect = add_c * (layer.vx + layer.vy) +
                        mul_c * layer.vx * layer.vy;
-            if (expect != cur)
+            if (expect != verdict.final_claim)
                 return false;
 
             transcript.absorbField("gkr.vx", layer.vx);
@@ -276,53 +271,14 @@ class Gkr
         return point;
     }
 
-    /**
-     * Run k sum-check rounds of h(b) = V(b)*C(b) + D(b), folding all
-     * three tables; appends round evaluations to @p rounds and returns
-     * the challenges. D may be null (treated as zero).
-     */
-    static std::vector<F>
-    sumcheckHalf(std::vector<F> &v_table, std::vector<F> &c_table,
-                 std::vector<F> *d_table, unsigned k,
-                 Transcript &transcript,
-                 std::vector<std::vector<F>> &rounds)
+    /** Labels of each layer's 2k round messages and challenges. */
+    static constexpr RoundLabels kLabels{"gkr.h", "gkr.r"};
+
+    /** Combine step of h(b) = V(b) * C(b) + D(b) over a chunk. */
+    static F
+    vcd(const std::array<const F *, 3> &at, F *, size_t m)
     {
-        const F two = F::fromUint(2);
-        std::vector<F> challenges;
-        challenges.reserve(k);
-        for (unsigned round = 0; round < k; ++round) {
-            size_t half = v_table.size() / 2;
-            std::vector<F> g(3, F::zero());
-            for (size_t b = 0; b < half; ++b) {
-                F dv = v_table[b + half] - v_table[b];
-                F dc = c_table[b + half] - c_table[b];
-                g[0] += v_table[b] * c_table[b];
-                g[1] += v_table[b + half] * c_table[b + half];
-                g[2] += (v_table[b] + two * dv) *
-                        (c_table[b] + two * dc);
-                if (d_table) {
-                    F dd = (*d_table)[b + half] - (*d_table)[b];
-                    g[0] += (*d_table)[b];
-                    g[1] += (*d_table)[b + half];
-                    g[2] += (*d_table)[b] + two * dd;
-                }
-            }
-            for (const F &gi : g)
-                transcript.absorbField("gkr.h", gi);
-            F r = transcript.template challengeField<F>("gkr.r");
-            auto fold = [&](std::vector<F> &t) {
-                for (size_t b = 0; b < half; ++b)
-                    t[b] = t[b] + r * (t[b + half] - t[b]);
-                t.resize(half);
-            };
-            fold(v_table);
-            fold(c_table);
-            if (d_table)
-                fold(*d_table);
-            challenges.push_back(r);
-            rounds.push_back(std::move(g));
-        }
-        return challenges;
+        return ff::dotLanes(at[0], at[1], m) + ff::sumLanes(at[2], m);
     }
 
     const LayeredCircuit<F> &circuit_;

@@ -7,20 +7,24 @@
  *
  * proveSumcheck() is a line-for-line implementation of Algorithm 1 for a
  * multilinear polynomial: round i emits the two half-table sums
- * (pi_i1, pi_i2) and folds the table with the round challenge.
+ * (pi_i1, pi_i2) and folds the table with the round challenge. It and
+ * verifySumcheck() take explicit challenges; they are the reference the
+ * tests compare against.
  *
- * ProductSumcheck generalizes to sums of products of up to a few
- * multilinear factors (degree-d round polynomials). The gate sum-check
- * is the SNARK core's constraint check: eq times a custom gate
- * G(a, b, c), the one round loop every gate protocol runs.
- *
- * Fiat-Shamir wrappers derive challenges from a Transcript so prover and
- * verifier stay non-interactive and in sync.
+ * Every Fiat-Shamir sum-check runs on one prover round loop,
+ * proveRounds(), and one verifier loop, verifyRounds(). A caller
+ * supplies the tables, a combine step that sums its round polynomial
+ * over a chunk of rows, and the absorb step that binds each round
+ * message into its transcript. The four callers: proveSumcheckFs
+ * (Algorithm 1), the gate sum-check (eq times a custom gate G(a, b, c),
+ * core/GateSnark.h), FullSnark's phase 2 (M times z) and GKR's layer
+ * rounds (V times C plus D).
  */
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "exec/ExecContext.h"
@@ -106,288 +110,107 @@ verifySumcheck(const F &claimed_sum, const SumcheckProof<F> &proof,
     return verdict;
 }
 
-/** Fiat-Shamir sum-check output: the proof plus derived challenges. */
-template <typename F>
-struct FsSumcheck
-{
-    SumcheckProof<F> proof;
-    std::vector<F> challenges;
-};
-
 /**
- * Non-interactive Algorithm 1: challenges come from @p transcript, which
- * must already have absorbed the statement (commitment, claimed sum).
- * With a non-null @p exec each round's half-table sums run in parallel
- * chunks under a fixed-shape tree reduction and the fold splits across
- * host threads; proof bytes are bit-identical for any thread count.
+ * Proof of a sum-check on the shared round loop: round i carries its
+ * round polynomial g_i as the values g_i(0), ..., g_i(d).
  */
 template <typename F>
-FsSumcheck<F>
-proveSumcheckFs(const Multilinear<F> &poly, Transcript &transcript,
-                const exec::ExecContext *exec = nullptr)
-{
-    unsigned n = poly.numVars();
-    FsSumcheck<F> out;
-    out.proof.rounds.reserve(n);
-    std::vector<F> table = poly.evals();
-    if (exec)
-        exec->setRegion("sumcheck");
-    using Pair = std::array<F, 2>;
-    for (unsigned i = 0; i < n; ++i) {
-        size_t half = table.size() / 2;
-        // Packed kernels keep proof bytes unchanged: a lane kernel only
-        // reorders an exactly associative field sum, and the chunk
-        // shape of the tree reduction is untouched.
-        Pair sums = exec::reduceChunked<Pair>(
-            exec, half, Pair{F::zero(), F::zero()},
-            [&table, half](size_t begin, size_t end) {
-                return Pair{
-                    ff::sumLanes(table.data() + begin, end - begin),
-                    ff::sumLanes(table.data() + half + begin,
-                                 end - begin)};
-            },
-            [](const Pair &x, const Pair &y) {
-                return Pair{x[0] + y[0], x[1] + y[1]};
-            });
-        transcript.absorbField("sc.pi1", sums[0]);
-        transcript.absorbField("sc.pi2", sums[1]);
-        F r = transcript.template challengeField<F>("sc.r");
-        auto fold = [&table, half, &r](size_t begin, size_t end) {
-            ff::foldLanes(table.data() + begin,
-                          table.data() + half + begin, r, end - begin);
-        };
-        if (exec)
-            exec->parallelFor(half, fold);
-        else
-            fold(0, half);
-        table.resize(half);
-        out.proof.rounds.push_back({sums[0], sums[1]});
-        out.challenges.push_back(r);
-    }
-    return out;
-}
-
-/**
- * Verifier side of proveSumcheckFs: replays the transcript to derive the
- * same challenges, then runs the algebraic checks.
- */
-template <typename F>
-SumcheckVerdict<F>
-verifySumcheckFs(const F &claimed_sum, const SumcheckProof<F> &proof,
-                 Transcript &transcript)
-{
-    std::vector<F> challenges;
-    challenges.reserve(proof.rounds.size());
-    for (const auto &round : proof.rounds) {
-        transcript.absorbField("sc.pi1", round[0]);
-        transcript.absorbField("sc.pi2", round[1]);
-        challenges.push_back(transcript.template challengeField<F>("sc.r"));
-    }
-    return verifySumcheck(claimed_sum, proof, challenges);
-}
-
-/**
- * Proof for a sum of products of multilinear factors. Round i carries
- * the round polynomial g_i evaluated at 0, 1, ..., d where d is the
- * number of factors.
- */
-template <typename F>
-struct ProductSumcheckProof
+struct RoundsProof
 {
     std::vector<std::vector<F>> rounds;
 };
 
-/**
- * Prove sum_{x in {0,1}^n} prod_j factors[j](x) == (implicit claim).
- * Challenges come from @p transcript. On return @p factors have been
- * fully folded; factors[j].evals()[0] is factor j's value at the final
- * point, which the caller typically needs for the outer protocol.
- */
-template <typename F>
-ProductSumcheckProof<F>
-proveProductSumcheckFs(std::vector<Multilinear<F>> &factors,
-                       Transcript &transcript,
-                       std::vector<F> *point_out = nullptr,
-                       const exec::ExecContext *exec = nullptr)
-{
-    if (factors.empty())
-        panic("proveProductSumcheckFs: no factors");
-    unsigned n = factors[0].numVars();
-    for (const auto &f : factors)
-        if (f.numVars() != n)
-            panic("proveProductSumcheckFs: mismatched factor sizes");
-    size_t degree = factors.size();
-
-    if (exec)
-        exec->setRegion("sumcheck");
-    ProductSumcheckProof<F> proof;
-    proof.rounds.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
-        size_t half = factors[0].evals().size() / 2;
-        // g(t) for t = 0 .. degree: evaluate each factor at
-        // (1-t)*lo + t*hi and accumulate the product. Fixed-shape
-        // chunk reduction keeps the sums thread-count independent.
-        // Per chunk the factor interpolation is itself a fold
-        // (lo + t*(hi - lo)), so the whole evaluation runs on the
-        // packed kernels over chunk-sized scratch; the final sum per t
-        // is exact-field associative and reorders freely.
-        std::vector<F> identity(degree + 1, F::zero());
-        std::vector<F> g = exec::reduceChunked<std::vector<F>>(
-            exec, half, identity,
-            [&factors, &identity, half, degree](size_t begin, size_t end) {
-                size_t m = end - begin;
-                std::vector<F> acc = identity;
-                std::vector<F> term(m), at_t(m);
-                for (size_t t = 0; t <= degree; ++t) {
-                    F t_f = F::fromUint(t);
-                    for (size_t j = 0; j < factors.size(); ++j) {
-                        const F *lo = factors[j].evals().data() + begin;
-                        const F *hi = lo + half;
-                        if (j == 0) {
-                            std::copy(lo, lo + m, term.begin());
-                            ff::foldLanes(term.data(), hi, t_f, m);
-                            continue;
-                        }
-                        std::copy(lo, lo + m, at_t.begin());
-                        ff::foldLanes(at_t.data(), hi, t_f, m);
-                        ff::mulLanes(term.data(), at_t.data(),
-                                     term.data(), m);
-                    }
-                    acc[t] += ff::sumLanes(term.data(), m);
-                }
-                return acc;
-            },
-            [degree](const std::vector<F> &x, const std::vector<F> &y) {
-                std::vector<F> sum(degree + 1);
-                for (size_t t = 0; t <= degree; ++t)
-                    sum[t] = x[t] + y[t];
-                return sum;
-            });
-        for (size_t t = 0; t <= degree; ++t)
-            transcript.absorbField("psc.g", g[t]);
-        F r = transcript.template challengeField<F>("psc.r");
-        for (auto &f : factors) {
-            auto &tab = f.evals();
-            auto fold = [&tab, half, &r](size_t begin, size_t end) {
-                ff::foldLanes(tab.data() + begin,
-                              tab.data() + half + begin, r,
-                              end - begin);
-            };
-            if (exec)
-                exec->parallelFor(half, fold);
-            else
-                fold(0, half);
-            tab.resize(half);
-            // Rewrap keeps the invariant table-size == power of two.
-            f = Multilinear<F>(std::move(tab));
-        }
-        if (point_out)
-            point_out->push_back(r);
-        proof.rounds.push_back(std::move(g));
-    }
-    return proof;
-}
-
-/**
- * Verify a product sum-check. Returns the verdict whose final_claim must
- * equal prod_j factors[j](point) — checked by the caller with whatever
- * oracle it has for the factors.
- */
-template <typename F>
-SumcheckVerdict<F>
-verifyProductSumcheckFs(const F &claimed_sum,
-                        const ProductSumcheckProof<F> &proof,
-                        Transcript &transcript)
-{
-    SumcheckVerdict<F> verdict;
-    F claim = claimed_sum;
-    for (const auto &g : proof.rounds) {
-        if (g.size() < 2)
-            return verdict;
-        if (g[0] + g[1] != claim)
-            return verdict;
-        for (const F &gi : g)
-            transcript.absorbField("psc.g", gi);
-        F r = transcript.template challengeField<F>("psc.r");
-        // Interpolate the degree-d round polynomial through 0..d at r.
-        std::vector<F> xs(g.size());
-        for (size_t t = 0; t < g.size(); ++t)
-            xs[t] = F::fromUint(t);
-        claim = lagrangeEval(xs, g, r);
-        verdict.point.push_back(r);
-    }
-    verdict.ok = true;
-    verdict.final_claim = claim;
-    return verdict;
-}
-
-/** Transcript labels of a gate sum-check's round messages. */
+/** Transcript labels of a round message and its challenge. */
 struct RoundLabels
 {
-    /** Label of each round-polynomial evaluation. */
+    /** Label of each round-polynomial value. */
     const char *g;
     /** Label of each round challenge. */
     const char *r;
+
+    /**
+     * The common absorb step on @p transcript: every value of a round
+     * message under label g, then the challenge drawn under label r.
+     */
+    template <typename F>
+    auto
+    absorber(Transcript &transcript) const
+    {
+        return [labels = *this, &transcript](std::span<const F> values) {
+            for (const F &v : values)
+                transcript.absorbField(labels.g, v);
+            return transcript.template challengeField<F>(labels.r);
+        };
+    }
 };
 
 /**
- * Prove sum_x eq(x) * G(a(x), b(x), c(x)) == 0 for a custom gate G
- * (see core/GateSnark.h): round i sends eq * G restricted to variable i
- * as its values at t = 0 .. Gate::kEvals - 1. All four tables must
- * have the same power-of-two size; they are folded in place, so on
- * return a[0], b[0], c[0] are the tables' values at the sum-check
- * point. Challenges come from @p transcript under @p labels; @p
- * point_out accumulates them.
+ * The one Fiat-Shamir sum-check prover round loop (Algorithm 1: one
+ * kernel per round, then a tree reduction of the round sums). It proves
+ * sum_x P(T_0(x), ..., T_{N-1}(x)) for @p tables of one power-of-two
+ * size and a polynomial P of degree kEvals - 1 in each variable. The
+ * tables are folded in place; on return each holds one entry, its
+ * value at the sum-check point.
  *
- * Each factor restricted to the round variable is affine, so its value
- * at t is the fold lo + t * (hi - lo), and t = 0, 1 are the table
- * halves themselves. Per chunk the factors at t live in chunk-sized
- * scratch, so the whole round runs on the lane kernels: foldLanes for
- * the factors, Gate::eval, then dotLanes against eq. The fixed-shape
- * chunk reduction keeps the sums, and so the proof bytes, identical
- * for any thread count and kernel backend.
+ * Round i sends g_i(t) for t = 0 .. kEvals - 1. Each table restricted
+ * to the round variable is affine, so its value at t is the fold
+ * lo + t * (hi - lo): at t = 0 and t = 1 the table halves themselves,
+ * for t >= 2 a foldLanes into chunk scratch. @p combine maps those
+ * values to the chunk's sum on the lane kernels,
+ *
+ *   F combine(const std::array<const F *, N> &at, F *scratch, size_t m)
+ *
+ * over rows at[j][0 .. m), where @p scratch holds m values it may
+ * overwrite (none when kEvals == 2). @p absorb,
+ *
+ *   F absorb(std::span<const F> g),
+ *
+ * binds the round message into the transcript and returns the round
+ * challenge. The fixed-shape chunk reduction keeps the sums, and so the
+ * proof bytes, identical for any thread count and kernel backend.
+ * Appends each round's values to @p rounds; returns the challenges.
  */
-template <typename Gate, typename F>
-ProductSumcheckProof<F>
-proveGateSumcheck(std::vector<F> &eq, std::vector<F> &a, std::vector<F> &b,
-                  std::vector<F> &c, RoundLabels labels,
-                  Transcript &transcript, std::vector<F> *point_out = nullptr,
-                  const exec::ExecContext *exec = nullptr)
+template <size_t kEvals, typename F, size_t N, typename Combine,
+          typename Absorb>
+std::vector<F>
+proveRounds(const std::array<std::vector<F> *, N> &tables, Combine combine,
+            Absorb absorb, std::vector<std::vector<F>> &rounds,
+            const exec::ExecContext *exec = nullptr)
 {
-    size_t size = eq.size();
+    static_assert(kEvals >= 2, "a round sends at least g(0) and g(1)");
+    size_t size = tables[0]->size();
     if (size == 0 || (size & (size - 1)) != 0)
-        panic("proveGateSumcheck: table size %zu not a power of two", size);
-    if (a.size() != size || b.size() != size || c.size() != size)
-        panic("proveGateSumcheck: mismatched table sizes");
+        panic("proveRounds: table size %zu not a power of two", size);
+    for (const std::vector<F> *table : tables)
+        if (table->size() != size)
+            panic("proveRounds: mismatched table sizes");
 
-    const std::array<std::vector<F> *, 4> tables{&eq, &a, &b, &c};
-    using Evals = std::array<F, Gate::kEvals>;
+    using Evals = std::array<F, kEvals>;
     if (exec)
         exec->setRegion("sumcheck");
-    ProductSumcheckProof<F> proof;
+    std::vector<F> point;
     for (size_t half = size / 2; half > 0; half /= 2) {
-        auto chunk_evals = [&tables, half](size_t begin, size_t end) {
+        auto chunk_evals = [&tables, &combine, half](size_t begin,
+                                                     size_t end) {
             size_t m = end - begin;
-            // Scratch: eq, a, b, c at t, then the gate values.
-            std::vector<F> scratch(5 * m);
-            F *gate = scratch.data() + 4 * m;
+            // Scratch: the tables at t >= 2, then the combine step's.
+            std::vector<F> scratch(kEvals > 2 ? (N + 1) * m : 0);
+            F *spare = kEvals > 2 ? scratch.data() + N * m : nullptr;
             Evals g{};
-            for (size_t t = 0; t < Gate::kEvals; ++t) {
-                const F t_f = F::fromUint(t);
-                std::array<const F *, 4> at{};
-                for (size_t j = 0; j < tables.size(); ++j) {
-                    const F *lo = tables[j]->data() + begin;
-                    if (t < 2) {
-                        at[j] = lo + t * half;
-                        continue;
+            for (size_t t = 0; t < kEvals; ++t) {
+                std::array<const F *, N> at{};
+                for (size_t j = 0; j < N; ++j)
+                    at[j] = tables[j]->data() + begin + (t == 1 ? half : 0);
+                if (t >= 2) {
+                    const F t_f = F::fromUint(t);
+                    for (size_t j = 0; j < N; ++j) {
+                        F *f = scratch.data() + j * m;
+                        std::copy(at[j], at[j] + m, f);
+                        ff::foldLanes(f, at[j] + half, t_f, m);
+                        at[j] = f;
                     }
-                    F *f = scratch.data() + j * m;
-                    std::copy(lo, lo + m, f);
-                    ff::foldLanes(f, lo + half, t_f, m);
-                    at[j] = f;
                 }
-                Gate::eval(at[1], at[2], at[3], gate, m);
-                g[t] = ff::dotLanes(at[0], gate, m);
+                g[t] = combine(at, spare, m);
             }
             return g;
         };
@@ -395,13 +218,11 @@ proveGateSumcheck(std::vector<F> &eq, std::vector<F> &a, std::vector<F> &b,
             exec, half, Evals{}, chunk_evals,
             [](const Evals &x, const Evals &y) {
                 Evals sum{};
-                for (size_t t = 0; t < Gate::kEvals; ++t)
+                for (size_t t = 0; t < kEvals; ++t)
                     sum[t] = x[t] + y[t];
                 return sum;
             });
-        for (const F &gt : g)
-            transcript.absorbField(labels.g, gt);
-        F r = transcript.template challengeField<F>(labels.r);
+        F r = absorb(std::span<const F>(g));
         auto fold = [&tables, half, &r](size_t begin, size_t end) {
             for (std::vector<F> *table : tables)
                 ff::foldLanes(table->data() + begin,
@@ -414,10 +235,133 @@ proveGateSumcheck(std::vector<F> &eq, std::vector<F> &a, std::vector<F> &b,
             fold(0, half);
         for (std::vector<F> *table : tables)
             table->resize(half);
-        if (point_out)
-            point_out->push_back(r);
-        proof.rounds.emplace_back(g.begin(), g.end());
+        point.push_back(r);
+        rounds.emplace_back(g.begin(), g.end());
     }
+    return point;
+}
+
+/**
+ * The one sum-check verifier round loop, the other side of proveRounds.
+ * Every round must carry exactly kEvals values g(0), g(1), ... with
+ * g(0) + g(1) equal to the running claim; @p absorb (the prover's
+ * absorb step) draws the round challenge r, and the claim moves to
+ * g(r) by Lagrange interpolation through t = 0 .. kEvals - 1. The
+ * verdict's final_claim must still equal P at verdict.point, which the
+ * caller checks with its own oracles.
+ */
+template <size_t kEvals, typename F, typename Rounds, typename Absorb>
+SumcheckVerdict<F>
+verifyRounds(const F &claimed_sum, const Rounds &rounds, Absorb absorb)
+{
+    std::vector<F> xs(kEvals);
+    for (size_t t = 0; t < kEvals; ++t)
+        xs[t] = F::fromUint(t);
+    SumcheckVerdict<F> verdict;
+    F claim = claimed_sum;
+    for (const auto &g : rounds) {
+        if (g.size() != kEvals || g[0] + g[1] != claim)
+            return verdict;
+        F r = absorb(std::span<const F>(g));
+        claim = lagrangeEval(xs, std::vector<F>(g.begin(), g.end()), r);
+        verdict.point.push_back(r);
+    }
+    verdict.ok = true;
+    verdict.final_claim = claim;
+    return verdict;
+}
+
+/** Fiat-Shamir sum-check output: the proof plus derived challenges. */
+template <typename F>
+struct FsSumcheck
+{
+    SumcheckProof<F> proof;
+    std::vector<F> challenges;
+};
+
+namespace detail {
+
+/** Algorithm 1's absorb step: pi_i1 and pi_i2 under their own labels. */
+template <typename F>
+auto
+piAbsorber(Transcript &transcript)
+{
+    return [&transcript](std::span<const F> pi) {
+        transcript.absorbField("sc.pi1", pi[0]);
+        transcript.absorbField("sc.pi2", pi[1]);
+        return transcript.template challengeField<F>("sc.r");
+    };
+}
+
+} // namespace detail
+
+/**
+ * Non-interactive Algorithm 1 on the shared round loop: the combine
+ * step is the half-table sum, so each round sends (pi_i1, pi_i2).
+ * Challenges come from @p transcript, which must already have absorbed
+ * the statement (commitment, claimed sum). With a non-null @p exec the
+ * sums and folds split across host threads; proof bytes are
+ * bit-identical for any thread count.
+ */
+template <typename F>
+FsSumcheck<F>
+proveSumcheckFs(const Multilinear<F> &poly, Transcript &transcript,
+                const exec::ExecContext *exec = nullptr)
+{
+    std::vector<F> table = poly.evals();
+    std::vector<std::vector<F>> rounds;
+    FsSumcheck<F> out;
+    out.challenges = proveRounds<2>(
+        std::array{&table},
+        [](const std::array<const F *, 1> &at, F *, size_t m) {
+            return ff::sumLanes(at[0], m);
+        },
+        detail::piAbsorber<F>(transcript), rounds, exec);
+    for (const auto &pi : rounds)
+        out.proof.rounds.push_back({pi[0], pi[1]});
+    return out;
+}
+
+/**
+ * Verifier side of proveSumcheckFs: replays the transcript to derive the
+ * same challenges while it runs the algebraic checks.
+ */
+template <typename F>
+SumcheckVerdict<F>
+verifySumcheckFs(const F &claimed_sum, const SumcheckProof<F> &proof,
+                 Transcript &transcript)
+{
+    return verifyRounds<2>(claimed_sum, proof.rounds,
+                           detail::piAbsorber<F>(transcript));
+}
+
+/**
+ * Prove sum_x eq(x) * G(a(x), b(x), c(x)) == 0 for a custom gate G
+ * (see core/GateSnark.h) on the shared round loop: round i sends eq * G
+ * restricted to variable i as its values at t = 0 .. Gate::kEvals - 1.
+ * The combine step runs Gate::eval into scratch, then dotLanes against
+ * eq. All four tables must have the same power-of-two size; they are
+ * folded in place, so on return a[0], b[0], c[0] are the tables' values
+ * at the sum-check point. Challenges come from @p transcript under
+ * @p labels; @p point_out accumulates them.
+ */
+template <typename Gate, typename F>
+RoundsProof<F>
+proveGateSumcheck(std::vector<F> &eq, std::vector<F> &a, std::vector<F> &b,
+                  std::vector<F> &c, RoundLabels labels,
+                  Transcript &transcript, std::vector<F> *point_out = nullptr,
+                  const exec::ExecContext *exec = nullptr)
+{
+    RoundsProof<F> proof;
+    std::vector<F> point = proveRounds<Gate::kEvals>(
+        std::array{&eq, &a, &b, &c},
+        [](const std::array<const F *, 4> &at, F *gate, size_t m) {
+            Gate::eval(at[1], at[2], at[3], gate, m);
+            return ff::dotLanes(at[0], gate, m);
+        },
+        labels.absorber<F>(transcript), proof.rounds, exec);
+    if (point_out)
+        point_out->insert(point_out->end(), point.begin(), point.end());
     return proof;
 }
 
@@ -429,26 +373,11 @@ proveGateSumcheck(std::vector<F> &eq, std::vector<F> &a, std::vector<F> &b,
  */
 template <typename Gate, typename F>
 SumcheckVerdict<F>
-verifyGateSumcheck(const F &claimed_sum, const ProductSumcheckProof<F> &proof,
+verifyGateSumcheck(const F &claimed_sum, const RoundsProof<F> &proof,
                    RoundLabels labels, Transcript &transcript)
 {
-    SumcheckVerdict<F> verdict;
-    std::vector<F> xs(Gate::kEvals);
-    for (size_t t = 0; t < Gate::kEvals; ++t)
-        xs[t] = F::fromUint(t);
-    F claim = claimed_sum;
-    for (const auto &g : proof.rounds) {
-        if (g.size() != Gate::kEvals || g[0] + g[1] != claim)
-            return verdict;
-        for (const F &gt : g)
-            transcript.absorbField(labels.g, gt);
-        F r = transcript.template challengeField<F>(labels.r);
-        claim = lagrangeEval(xs, g, r);
-        verdict.point.push_back(r);
-    }
-    verdict.ok = true;
-    verdict.final_claim = claim;
-    return verdict;
+    return verifyRounds<Gate::kEvals>(claimed_sum, proof.rounds,
+                                      labels.absorber<F>(transcript));
 }
 
 } // namespace bzk

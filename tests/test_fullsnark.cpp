@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
+
 #include "circuit/Circuit.h"
 #include "circuit/R1cs.h"
 #include "core/FullSnark.h"
@@ -240,6 +243,93 @@ TYPED_TEST(FullSnarkT, RejectsTamperedPhase2)
     auto proof = snark.prove(inst.inputs, inst.assignment);
     proof.phase2.rounds[0][0] += F::one();
     EXPECT_FALSE(snark.verify(proof, inst.inputs));
+}
+
+/**
+ * FullSnark's prover with a degree-3 phase 2: sum_y M(y) z(y) 1(y) over
+ * an all-ones third table, so every phase-2 round sends 4 values of the
+ * same quadratic. Lagrange interpolation through them gives back the
+ * honest round polynomial; only the round-size bound rejects the proof.
+ */
+template <typename F>
+FullSnarkProof<F>
+proveWithCubicPhase2(const R1cs<F> &r1cs, std::span<const F> inputs,
+                     const Assignment<F> &assignment, uint64_t seed)
+{
+    TensorPcs<F> pcs(r1cs.col_vars - 1, seed);
+    Transcript transcript("batchzk.fullsnark.v1");
+    uint8_t dims[2] = {static_cast<uint8_t>(r1cs.row_vars),
+                       static_cast<uint8_t>(r1cs.col_vars)};
+    transcript.absorb("r1cs.dims", dims);
+    for (const F &x : inputs)
+        transcript.absorbField("public", x);
+
+    FullSnarkProof<F> proof;
+    std::vector<F> z = r1cs.extendWitness(inputs, assignment);
+    auto st_w = pcs.commit(r1cs.privateHalf(assignment));
+    proof.commit_w = st_w.commitment;
+    transcript.absorbDigest("com.w", proof.commit_w.root);
+    std::vector<F> tau(r1cs.row_vars);
+    for (auto &t : tau)
+        t = transcript.template challengeField<F>("tau");
+
+    std::vector<F> az = r1cs.apply(r1cs.a, z);
+    std::vector<F> bz = r1cs.apply(r1cs.b, z);
+    std::vector<F> cz = r1cs.apply(r1cs.c, z);
+    std::vector<F> eq = eqTable(tau);
+    std::vector<F> rx;
+    proof.phase1 = proveGateSumcheck<MulGate>(
+        eq, az, bz, cz, RoundLabels{"p1.g", "p1.r"}, transcript, &rx);
+    proof.va = az[0];
+    proof.vb = bz[0];
+    proof.vc = cz[0];
+    transcript.absorbField("p1.va", proof.va);
+    transcript.absorbField("p1.vb", proof.vb);
+    transcript.absorbField("p1.vc", proof.vc);
+
+    F alpha = transcript.template challengeField<F>("alpha");
+    std::vector<F> m(r1cs.numCols(), F::zero());
+    auto eq_rx = eqTable(rx);
+    for (const auto &e : r1cs.a)
+        m[e.col] += e.coeff * eq_rx[e.row];
+    for (const auto &e : r1cs.b)
+        m[e.col] += alpha * e.coeff * eq_rx[e.row];
+    for (const auto &e : r1cs.c)
+        m[e.col] += alpha * alpha * e.coeff * eq_rx[e.row];
+    std::vector<F> ones(z.size(), F::one());
+    std::vector<F> ry = proveRounds<4>(
+        std::array{&m, &z, &ones},
+        [](const std::array<const F *, 3> &at, F *mz, size_t n) {
+            ff::mulLanes(at[0], at[1], mz, n);
+            return ff::dotLanes(mz, at[2], n);
+        },
+        RoundLabels{"psc.g", "psc.r"}.absorber<F>(transcript),
+        proof.phase2.rounds);
+
+    std::vector<F> ry_tail(ry.begin() + 1, ry.end());
+    proof.vw = pcs.evaluate(st_w, ry_tail);
+    transcript.absorbField("p2.vw", proof.vw);
+    proof.open_w = pcs.open(st_w, ry_tail, transcript);
+    return proof;
+}
+
+TYPED_TEST(FullSnarkT, RejectsOverDegreePhase2)
+{
+    // Phase 2 is quadratic: its rounds carry exactly 3 values, although
+    // the wire format admits more.
+    using F = TypeParam;
+    Rng rng(11);
+    auto inst = randomInstanceWithInputs<F>(200, rng);
+    FullSnark<F> snark(inst.r1cs, 77);
+    auto proof = proveWithCubicPhase2<F>(inst.r1cs, inst.inputs,
+                                         inst.assignment, 77);
+    ASSERT_FALSE(proof.phase2.rounds.empty());
+    for (const auto &g : proof.phase2.rounds)
+        ASSERT_EQ(g.size(), 4u);
+    EXPECT_FALSE(snark.verify(proof, inst.inputs));
+    // The same statement proved honestly is accepted.
+    EXPECT_TRUE(
+        snark.verify(snark.prove(inst.inputs, inst.assignment), inst.inputs));
 }
 
 TYPED_TEST(FullSnarkT, RejectsTamperedOpening)

@@ -179,6 +179,58 @@ TYPED_TEST(GkrT, RejectsTamperedClaims)
     EXPECT_FALSE(gkr.verify(bad, inputs, vt2));
 }
 
+TYPED_TEST(GkrT, FirstRoundMatchesScalarReference)
+{
+    // The output layer's first round is g(t) = sum_x V_t(x) * C_t(x) +
+    // D_t(x) over the layer below, with the phase-1 tables built from
+    // the gate list and every table interpolated as lo + t * (hi - lo),
+    // one row at a time.
+    using F = TypeParam;
+    Rng rng(8);
+    auto c = randomLayeredCircuit<F>(5, 2, 24, rng);
+    std::vector<F> inputs(32);
+    for (auto &x : inputs)
+        x = F::random(rng);
+    Transcript pt("gkr-test");
+    auto proof = Gkr<F>(c).prove(inputs, pt);
+
+    // Replay the transcript up to the output point u.
+    Transcript rt("gkr-test");
+    for (const F &o : proof.outputs)
+        rt.absorbField("gkr.out", o);
+    std::vector<F> u(c.layerVars(c.depth()));
+    for (auto &x : u)
+        x = rt.template challengeField<F>("gkr.g");
+    auto eq_u = eqTable(u);
+
+    // C(x) and D(x) of h(x) = V(x) * C(x) + D(x) for the top layer.
+    const auto below = c.evaluate(inputs)[c.depth() - 1];
+    std::vector<F> cx(below.size(), F::zero());
+    std::vector<F> dx(below.size(), F::zero());
+    const auto &gates = c.layerGates(c.depth());
+    for (size_t g = 0; g < gates.size(); ++g) {
+        if (gates[g].kind == LayeredGate::Kind::Mul) {
+            cx[gates[g].in0] += eq_u[g] * below[gates[g].in1];
+        } else {
+            cx[gates[g].in0] += eq_u[g];
+            dx[gates[g].in0] += eq_u[g] * below[gates[g].in1];
+        }
+    }
+    size_t half = below.size() / 2;
+    const auto &round = proof.layers[0].rounds[0];
+    ASSERT_EQ(round.size(), 3u);
+    for (size_t t = 0; t < 3; ++t) {
+        F t_f = F::fromUint(t);
+        auto at = [&](const std::vector<F> &v, size_t x) {
+            return v[x] + t_f * (v[x + half] - v[x]);
+        };
+        F expected = F::zero();
+        for (size_t x = 0; x < half; ++x)
+            expected += at(below, x) * at(cx, x) + at(dx, x);
+        EXPECT_EQ(round[t], expected) << "t=" << t;
+    }
+}
+
 TYPED_TEST(GkrT, ProofSizeLogarithmicInWidth)
 {
     // GKR's selling point: proof size ~ depth * log(width), far below

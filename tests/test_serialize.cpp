@@ -19,6 +19,7 @@
 #include "core/Snark.h"
 #include "exec/ExecContext.h"
 #include "ff/Fields.h"
+#include "gkr/Gkr.h"
 #include "gkr/LayeredCircuit.h"
 #include "hash/Sha256.h"
 #include "journal/Record.h"
@@ -103,6 +104,25 @@ TEST(ProofGolden, FullSnark)
     EXPECT_EQ(Sha256::digest(bytes).toHex(),
               "4218721e12cf9f9c1958719f8a4aeca19db60ab53e4f118132adb7fffb6c"
               "6505");
+}
+
+TEST(ProofGolden, Gkr)
+{
+    // 2^13 input wires: the first rounds of the bottom layer sum over
+    // several reduction chunks.
+    Rng rng(2024);
+    auto c = randomLayeredCircuit<Fr>(13, 3, 6000, rng);
+    std::vector<Fr> inputs(size_t{1} << 13);
+    for (auto &x : inputs)
+        x = Fr::random(rng);
+    Gkr<Fr> gkr(c);
+    Transcript pt("golden-gkr");
+    auto proof = gkr.prove(inputs, pt);
+    Transcript vt("golden-gkr");
+    ASSERT_TRUE(gkr.verify(proof, inputs, vt));
+    EXPECT_EQ(Sha256::digest(serializeGkrProof(proof)).toHex(),
+              "43409632763b751eed280b33a8374001dde4aa5f58c6079d7e47393d525a"
+              "2a9e");
 }
 
 TEST(Serialize, SnarkProofRoundTrip)

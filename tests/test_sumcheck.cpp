@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the sum-check module: Algorithm 1 completeness/soundness,
- * product and gate sum-checks, Fiat-Shamir consistency, and the GPU
- * drivers.
+ * the shared round loop with the Algorithm 1, product and gate combine
+ * steps, Fiat-Shamir consistency, and the simulated GPU batch runs.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "exec/ExecContext.h"
 #include "ff/Fields.h"
 #include "gpusim/Device.h"
+#include "hash/Sha256.h"
 #include "sumcheck/GpuSumcheck.h"
 #include "sumcheck/Sumcheck.h"
 
@@ -188,28 +189,108 @@ TYPED_TEST(SumcheckT, FsProofBitIdenticalAcrossThreadCounts)
     }
 }
 
+TYPED_TEST(SumcheckT, FiatShamirMatchesAlgorithm1Reference)
+{
+    // Under the challenges it drew, the Fiat-Shamir prover sends exactly
+    // the rounds of the explicit-challenge Algorithm 1.
+    using F = TypeParam;
+    Rng rng(63);
+    exec::ExecConfig cfg;
+    cfg.threads = 2;
+    exec::ExecContext exec(cfg);
+    const exec::ExecContext *contexts[] = {nullptr, &exec};
+    for (unsigned n : {1u, 8u, 13u}) {
+        auto poly = Multilinear<F>::random(n, rng);
+        for (const exec::ExecContext *ctx : contexts) {
+            Transcript pt("fs-reference");
+            auto fs = proveSumcheckFs(poly, pt, ctx);
+            EXPECT_EQ(fs.proof.rounds,
+                      proveSumcheck(poly, fs.challenges).rounds)
+                << "n=" << n << (ctx ? " with exec" : " serial");
+        }
+    }
+}
+
+TEST(SumcheckGolden, FiatShamirRoundsN14)
+{
+    // SHA-256 of every round value of one fixed-seed proof. At n = 14
+    // the first rounds sum over several exec::kReduceChunk-wide chunks.
+    Rng rng(2024);
+    auto poly = Multilinear<Fr>::random(14, rng);
+    exec::ExecContext exec;
+    const exec::ExecContext *contexts[] = {nullptr, &exec};
+    for (const exec::ExecContext *ctx : contexts) {
+        Transcript transcript("golden-sumcheck");
+        auto fs = proveSumcheckFs(poly, transcript, ctx);
+        Sha256 hash;
+        for (const auto &round : fs.proof.rounds) {
+            for (const Fr &v : round) {
+                uint8_t bytes[Fr::kNumBytes];
+                v.toBytes(bytes);
+                hash.update(bytes);
+            }
+        }
+        EXPECT_EQ(hash.finalize().toHex(),
+                  "fdf0feb1458123c2be03fa45c1a673a5abcb7e8e3739aab09e7f9b25"
+                  "7f9124f5")
+            << (ctx ? "with exec" : "serial");
+    }
+}
+
+constexpr RoundLabels kProductLabels{"psc.g", "psc.r"};
+
+/**
+ * FullSnark's phase-2 product sum_x p(x) * q(x) on the shared round
+ * loop: a dot-product combine step, 3 values per round.
+ */
+template <typename F>
+RoundsProof<F>
+proveProduct(std::vector<F> &p, std::vector<F> &q, Transcript &transcript,
+             std::vector<F> *point = nullptr,
+             const exec::ExecContext *exec = nullptr)
+{
+    RoundsProof<F> proof;
+    std::vector<F> r = proveRounds<3>(
+        std::array{&p, &q},
+        [](const std::array<const F *, 2> &at, F *, size_t m) {
+            return ff::dotLanes(at[0], at[1], m);
+        },
+        kProductLabels.absorber<F>(transcript), proof.rounds, exec);
+    if (point)
+        *point = r;
+    return proof;
+}
+
+template <typename F>
+SumcheckVerdict<F>
+verifyProduct(const F &sum, const RoundsProof<F> &proof,
+              Transcript &transcript)
+{
+    return verifyRounds<3>(sum, proof.rounds,
+                           kProductLabels.absorber<F>(transcript));
+}
+
 TYPED_TEST(SumcheckT, ProductFsProofBitIdenticalAcrossThreadCounts)
 {
+    // 2^13 rows: several reduction chunks and a pooled fold in the
+    // first rounds.
     using F = TypeParam;
     Rng rng(62);
-    std::vector<Multilinear<F>> factors{Multilinear<F>::random(8, rng),
-                                        Multilinear<F>::random(8, rng),
-                                        Multilinear<F>::random(8, rng)};
-    auto serial_factors = factors;
+    auto p = Multilinear<F>::random(13, rng).evals();
+    auto q = Multilinear<F>::random(13, rng).evals();
+    auto serial_p = p, serial_q = q;
     Transcript st("psc-threads");
     std::vector<F> serial_point;
-    auto serial =
-        proveProductSumcheckFs(serial_factors, st, &serial_point);
+    auto serial = proveProduct(serial_p, serial_q, st, &serial_point);
 
-    for (size_t threads : {size_t{2}, size_t{5}}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{5}}) {
         exec::ExecConfig cfg;
         cfg.threads = threads;
         exec::ExecContext exec(cfg);
-        auto par_factors = factors;
+        auto par_p = p, par_q = q;
         Transcript pt("psc-threads");
         std::vector<F> point;
-        auto proof =
-            proveProductSumcheckFs(par_factors, pt, &point, &exec);
+        auto proof = proveProduct(par_p, par_q, pt, &point, &exec);
         ASSERT_EQ(proof.rounds, serial.rounds) << "threads=" << threads;
         EXPECT_EQ(point, serial_point);
     }
@@ -219,64 +300,49 @@ TYPED_TEST(SumcheckT, ProductSumcheckCompleteness)
 {
     using F = TypeParam;
     Rng rng(8);
-    for (size_t degree : {1u, 2u, 3u}) {
-        unsigned n = 4;
-        std::vector<Multilinear<F>> factors;
-        for (size_t j = 0; j < degree; ++j)
-            factors.push_back(Multilinear<F>::random(n, rng));
+    auto p = Multilinear<F>::random(4, rng);
+    auto q = Multilinear<F>::random(4, rng);
+    F sum = F::zero();
+    for (size_t b = 0; b < 16; ++b)
+        sum += p.evals()[b] * q.evals()[b];
 
-        // Claimed sum of the product over the hypercube.
-        F sum = F::zero();
-        for (size_t b = 0; b < (size_t{1} << n); ++b) {
-            F term = F::one();
-            for (const auto &f : factors)
-                term *= f.evals()[b];
-            sum += term;
-        }
+    auto fold_p = p.evals(), fold_q = q.evals();
+    Transcript pt("psc-test");
+    pt.absorbField("sum", sum);
+    std::vector<F> point;
+    auto proof = proveProduct(fold_p, fold_q, pt, &point);
+    for (const auto &g : proof.rounds)
+        EXPECT_EQ(g.size(), 3u);
 
-        auto factors_copy = factors;
-        Transcript pt("psc-test");
-        pt.absorbField("sum", sum);
-        std::vector<F> point;
-        auto proof = proveProductSumcheckFs(factors_copy, pt, &point);
-
-        Transcript vt("psc-test");
-        vt.absorbField("sum", sum);
-        auto verdict = verifyProductSumcheckFs(sum, proof, vt);
-        ASSERT_TRUE(verdict.ok) << "degree " << degree;
-        EXPECT_EQ(verdict.point, point);
-
-        F expected = F::one();
-        for (const auto &f : factors)
-            expected *= f.evaluate(verdict.point);
-        EXPECT_EQ(verdict.final_claim, expected) << "degree " << degree;
-
-        // The folded factors the prover is left with equal the factor
-        // evaluations at the final point.
-        for (size_t j = 0; j < degree; ++j)
-            EXPECT_EQ(factors_copy[j].evals()[0],
-                      factors[j].evaluate(verdict.point));
-    }
+    Transcript vt("psc-test");
+    vt.absorbField("sum", sum);
+    auto verdict = verifyProduct(sum, proof, vt);
+    ASSERT_TRUE(verdict.ok);
+    EXPECT_EQ(verdict.point, point);
+    EXPECT_EQ(verdict.final_claim,
+              p.evaluate(verdict.point) * q.evaluate(verdict.point));
+    // The folded tables are the factors' values at the final point.
+    EXPECT_EQ(fold_p[0], p.evaluate(verdict.point));
+    EXPECT_EQ(fold_q[0], q.evaluate(verdict.point));
 }
 
 TYPED_TEST(SumcheckT, ProductSumcheckRejectsWrongSum)
 {
     using F = TypeParam;
     Rng rng(9);
-    std::vector<Multilinear<F>> factors{Multilinear<F>::random(3, rng),
-                                        Multilinear<F>::random(3, rng)};
+    auto p = Multilinear<F>::random(3, rng).evals();
+    auto q = Multilinear<F>::random(3, rng).evals();
     F sum = F::zero();
     for (size_t b = 0; b < 8; ++b)
-        sum += factors[0].evals()[b] * factors[1].evals()[b];
+        sum += p[b] * q[b];
 
-    auto factors_copy = factors;
     Transcript pt("psc-test");
     pt.absorbField("sum", sum);
-    auto proof = proveProductSumcheckFs(factors_copy, pt);
+    auto proof = proveProduct(p, q, pt);
 
     Transcript vt("psc-test");
     vt.absorbField("sum", sum);
-    EXPECT_FALSE(verifyProductSumcheckFs(sum + F::one(), proof, vt).ok);
+    EXPECT_FALSE(verifyProduct(sum + F::one(), proof, vt).ok);
 }
 
 template <typename FieldT, typename GateT>
@@ -357,7 +423,7 @@ randomGateInstance(unsigned n, Rng &rng)
 }
 
 template <typename Gate, typename F>
-ProductSumcheckProof<F>
+RoundsProof<F>
 proveGate(GateInstance<F> &inst, Transcript &transcript,
           std::vector<F> *point = nullptr,
           const exec::ExecContext *exec = nullptr)
