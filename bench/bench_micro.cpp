@@ -6,12 +6,14 @@
  *
  * Before the google-benchmark suite runs, scalar-vs-SIMD sweeps of
  * the packed Goldilocks kernels and the wide BN254 Fr kernels (plus
- * the 2^14-point MSM acceptance sweep) and the portable-vs-dispatched
- * SHA-256 block kernels are measured and printed; with
- * `--json <path>` they are dumped in the JsonBench schema that
- * tools/check_bench.py gates in the perf-smoke CI job (the checked-in
- * baseline pins the packed-vs-scalar mul speedups and the vectorized
- * MSM speedup; the SHA-256 row is reported, not pinned).
+ * the 2^14-point MSM acceptance sweep), the portable-vs-dispatched
+ * SHA-256 block kernels, and the scalar-path rows (eqTable and the
+ * column-leaf function against their reference loops) are measured
+ * and printed; with `--json <path>` they are dumped in the JsonBench
+ * schema that tools/check_bench.py gates in the perf-smoke CI job (the
+ * checked-in baseline pins the packed-vs-scalar mul speedups and the
+ * vectorized MSM speedup; the SHA-256 and scalar-path rows are
+ * reported, not pinned).
  */
 
 #include <benchmark/benchmark.h>
@@ -767,6 +769,89 @@ runShaSweep(bench::JsonBench &json)
         "the CPU.");
 }
 
+/**
+ * The scalar-path rows. eq_table: eqTable at 2^16 (one lane multiply
+ * per entry) against the two-multiply loop it replaced. column_leaves:
+ * the shared column-leaf function over a 256 x 512 Fr codeword matrix
+ * (TensorPcs::commit's shape at n_vars = 16) against the strided
+ * per-column loop. Each pair must agree exactly or the run dies.
+ * Reported only, like sha256_compress: no baseline pins these rows.
+ */
+void
+runScalarPathSweep(bench::JsonBench &json)
+{
+    constexpr unsigned kEqVars = 16;
+    Rng rng(0x5ca1a);
+    std::vector<Fr> r(kEqVars);
+    for (auto &x : r)
+        x = Fr::random(rng);
+    auto two_multiplies = [&r] {
+        std::vector<Fr> table{Fr::one()};
+        table.reserve(size_t{1} << r.size());
+        for (auto it = r.rbegin(); it != r.rend(); ++it) {
+            size_t half = table.size();
+            table.resize(half * 2);
+            for (size_t b = 0; b < half; ++b) {
+                Fr t = table[b];
+                table[b] = t * (Fr::one() - *it);
+                table[b + half] = t * *it;
+            }
+        }
+        return table;
+    };
+    std::vector<Fr> want, got;
+    double two_mul_ms = medianMs([&] { want = two_multiplies(); });
+    double lane_ms = medianMs([&] { got = eqTable(r); });
+    if (got != want)
+        fatal("bench_micro: eqTable diverged from the two-multiply loop");
+
+    constexpr size_t kRows = 256;
+    constexpr size_t kCols = 512;
+    std::vector<Fr> matrix(kRows * kCols);
+    for (auto &x : matrix)
+        x = Fr::random(rng);
+    std::vector<Digest> strided(kCols), blocked(kCols);
+    double strided_ms = medianMs([&] {
+        std::vector<uint8_t> buf(kRows * Fr::kNumBytes);
+        for (size_t col = 0; col < kCols; ++col) {
+            for (size_t row = 0; row < kRows; ++row)
+                matrix[row * kCols + col].toBytes(buf.data() +
+                                                  row * Fr::kNumBytes);
+            strided[col] = Sha256::digest(buf);
+        }
+    });
+    double blocked_ms = medianMs([&] {
+        std::vector<uint8_t> scratch;
+        for (size_t col = 0; col < kCols; col += kLeafBlock)
+            columnLeaves(matrix.data() + col, kRows, kCols, kLeafBlock,
+                         scratch, blocked.data() + col);
+    });
+    if (strided != blocked)
+        fatal("bench_micro: column-blocked leaves diverged from the "
+              "strided loop");
+
+    TablePrinter table({"Row", "reference ms", "fast ms", "speedup"});
+    table.addRow({"eq_table", formatSig(two_mul_ms, 4),
+                  formatSig(lane_ms, 4),
+                  bench::fmtSpeedup(two_mul_ms / lane_ms)});
+    json.addRow("eq_table", {{"two_multiply_ms", two_mul_ms},
+                             {"lane_ms", lane_ms},
+                             {"lane_speedup", two_mul_ms / lane_ms}});
+    table.addRow({"column_leaves", formatSig(strided_ms, 4),
+                  formatSig(blocked_ms, 4),
+                  bench::fmtSpeedup(strided_ms / blocked_ms)});
+    json.addRow("column_leaves", {{"strided_ms", strided_ms},
+                                  {"blocked_ms", blocked_ms},
+                                  {"leaf_speedup", strided_ms / blocked_ms}});
+    bench::printTable(
+        "Scalar BN254 path (reference vs fast)", table,
+        "Single-threaded. eq_table: eqTable over 16 variables, one lane "
+        "multiply per entry vs two scalar multiplies. column_leaves: "
+        "SHA-256 leaves of a 256 x 512 Fr matrix's columns, 16-column "
+        "blocks read in row order vs one strided column at a time. "
+        "Outputs verified identical. Not gated.");
+}
+
 } // namespace
 } // namespace bzk
 
@@ -781,6 +866,7 @@ main(int argc, char **argv)
     bzk::runFieldSweep(json);
     bzk::runWideFieldSweep(json);
     bzk::runShaSweep(json);
+    bzk::runScalarPathSweep(json);
     json.write();
 
     std::vector<std::string> opts;

@@ -112,13 +112,23 @@ class ByteReader
         return v;
     }
 
+    /**
+     * A field element in its canonical encoding. An integer >= p fails
+     * the read: reducing it would give one element two encodings, so
+     * one proof two byte strings.
+     */
     template <typename F>
     F
     field()
     {
         if (!take(F::kNumBytes))
             return F::zero();
-        return F::fromBytes(data_.data() + pos_ - F::kNumBytes);
+        auto v = F::fromCanonicalBytes(data_.data() + pos_ - F::kNumBytes);
+        if (!v) {
+            ok_ = false;
+            return F::zero();
+        }
+        return *v;
     }
 
     Digest

@@ -180,7 +180,9 @@ class GateSnark
         if (keep_going && !keep_going(ProveStage::FiatShamir))
             return std::nullopt;
 
-        // 3. Gate sum-check over eq * G(a, b, c), folding copies.
+        // 3. Gate sum-check over eq * G(a, b, c), folding copies. The
+        // folded copies end as the tables' values at the final point,
+        // which are the openings.
         std::vector<F> point;
         {
             std::vector<F> eq = eqTable(tau);
@@ -189,14 +191,14 @@ class GateSnark
             std::vector<F> c = tables.c;
             proof.gate_sc = proveGateSumcheck<Gate>(
                 eq, a, b, c, Gate::kLabels, transcript, &point, exec_);
+            proof.va = a[0];
+            proof.vb = b[0];
+            proof.vc = c[0];
         }
         if (keep_going && !keep_going(ProveStage::Sumcheck))
             return std::nullopt;
 
         // 4. Open the tables at the final point.
-        proof.va = pcs_.evaluate(st_a, point);
-        proof.vb = pcs_.evaluate(st_b, point);
-        proof.vc = pcs_.evaluate(st_c, point);
         absorbOpenings(transcript, proof);
         proof.open_a = pcs_.open(st_a, point, transcript, exec_);
         proof.open_b = pcs_.open(st_b, point, transcript, exec_);

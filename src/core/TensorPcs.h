@@ -20,7 +20,9 @@
  * (fixed soundness parameters, no zero-knowledge masking row).
  */
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "encoder/SpielmanCode.h"
@@ -33,6 +35,37 @@
 #include "util/Log.h"
 
 namespace bzk {
+
+/** Codeword columns per columnLeaves block in TensorPcs::commit. */
+inline constexpr size_t kLeafBlock = 16;
+
+/**
+ * The Merkle leaves of @p width adjacent codeword columns, each the
+ * SHA-256 of its @p rows canonical elements in row order. Column j's
+ * element in row r is block[r * stride + j]. One pass over the rows
+ * copies the whole block into per-column runs of @p scratch (resized
+ * as needed), so a row-major matrix is read in row order, not down a
+ * column; then each run is hashed into out[j]. TensorPcs::commit
+ * passes blocks of kLeafBlock columns of its k x 2m matrix, verify
+ * each opened column as a block of one.
+ */
+template <typename F>
+void
+columnLeaves(const F *block, size_t rows, size_t stride, size_t width,
+             std::vector<uint8_t> &scratch, Digest *out)
+{
+    const size_t leaf_bytes = rows * F::kNumBytes;
+    scratch.resize(width * leaf_bytes);
+    for (size_t row = 0; row < rows; ++row) {
+        const F *src = block + row * stride;
+        uint8_t *dst = scratch.data() + row * F::kNumBytes;
+        for (size_t j = 0; j < width; ++j)
+            src[j].toBytes(dst + j * leaf_bytes);
+    }
+    for (size_t j = 0; j < width; ++j)
+        out[j] = Sha256::digest(std::span<const uint8_t>(
+            scratch.data() + j * leaf_bytes, leaf_bytes));
+}
 
 /** Verifier-side commitment: just the Merkle root. */
 struct PcsCommitment
@@ -140,19 +173,17 @@ class TensorPcs
         else
             encode_rows(0, k);
 
-        // Hash each of the 2m codeword columns into a leaf; one
-        // serialization scratch buffer per worker chunk.
+        // Hash each of the 2m codeword columns into a leaf, one block
+        // of kLeafBlock columns per pass over the rows.
         std::vector<Digest> leaves(2 * m);
         if (exec)
             exec->setRegion("merkle");
         auto hash_cols = [&](size_t begin, size_t end) {
-            std::vector<uint8_t> buf(k * F::kNumBytes);
-            for (size_t col = begin; col < end; ++col) {
-                for (size_t row = 0; row < k; ++row)
-                    state.codewords[row * 2 * m + col].toBytes(
-                        buf.data() + row * F::kNumBytes);
-                leaves[col] = Sha256::digest(buf);
-            }
+            std::vector<uint8_t> scratch;
+            for (size_t col = begin; col < end; col += kLeafBlock)
+                columnLeaves(state.codewords.data() + col, k, 2 * m,
+                             std::min(kLeafBlock, end - col), scratch,
+                             leaves.data() + col);
         };
         if (exec)
             exec->parallelFor(2 * m, /*serial_cutoff=*/2, hash_cols);
@@ -173,8 +204,7 @@ class TensorPcs
     evaluate(const PcsProverState<F> &state,
              const std::vector<F> &point) const
     {
-        Multilinear<F> ml(state.poly);
-        return ml.evaluate(point);
+        return evaluateTable(state.poly, point);
     }
 
     /**
@@ -299,16 +329,15 @@ class TensorPcs
             g *= gamma;
         }
 
-        std::vector<uint8_t> buf(k * F::kNumBytes);
+        std::vector<uint8_t> scratch;
         for (size_t i = 0; i < cols.size(); ++i) {
             uint64_t col = cols[i];
             const auto &column = proof.columns[i];
             if (column.size() != k)
                 return false;
             // Merkle membership.
-            for (size_t row = 0; row < k; ++row)
-                column[row].toBytes(buf.data() + row * F::kNumBytes);
-            Digest leaf = Sha256::digest(buf);
+            Digest leaf;
+            columnLeaves(column.data(), k, 1, 1, scratch, &leaf);
             if (proof.paths[i].leaf_index != col)
                 return false;
             if (!MerkleTree::verifyPath(commitment.root, leaf,

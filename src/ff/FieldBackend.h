@@ -228,7 +228,11 @@ addLanes(const F *a, const F *b, F *out, size_t n)
         out[i] = a[i] + b[i];
 }
 
-/** out[i] = a[i] - b[i] for i in [0, n). */
+/**
+ * out[i] = a[i] - b[i] for i in [0, n). @p out may be @p a itself (in
+ * place, as eqTable runs it); no other overlap is allowed. Every
+ * backend reads a block's operands before it writes that block.
+ */
 template <typename F>
 void
 subLanes(const F *a, const F *b, F *out, size_t n)

@@ -8,12 +8,16 @@
  * Elements are stored in Montgomery form (x * R mod p with R = 2^256).
  * Multiplication uses the CIOS algorithm with 128-bit accumulation; the
  * implementation requires the modulus to fit in 255 bits, which both
- * BN254 fields satisfy.
+ * BN254 fields satisfy. The limb loops of montMul, redc and SmallDot
+ * carry `#pragma GCC unroll` (gcc at -O2 keeps them rolled otherwise),
+ * so the scalar path outside the lane kernels runs straight-line code.
  */
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -88,19 +92,40 @@ class Fp
         return redc(mont_);
     }
 
-    /** Serialize the canonical value as 32 little-endian bytes. */
+    /**
+     * Serialize the canonical value as 32 little-endian bytes. On a
+     * little-endian host the four limbs already are those bytes; other
+     * hosts take the portable u256ToBytes loop.
+     */
     void
     toBytes(uint8_t *out) const
     {
         U256 v = toU256();
-        u256ToBytes(v, std::span<uint8_t, 32>(out, 32));
+        if constexpr (std::endian::native == std::endian::little)
+            std::memcpy(out, v.limb.data(), kNumBytes);
+        else
+            u256ToBytes(v, std::span<uint8_t, 32>(out, 32));
     }
 
     /** Parse 32 little-endian bytes, reducing mod p. */
     static Fp
     fromBytes(const uint8_t *in)
     {
-        return fromU256(u256FromBytes(std::span<const uint8_t, 32>(in, 32)));
+        return fromU256(loadBytes(in));
+    }
+
+    /**
+     * Parse 32 little-endian bytes that must hold a canonical value:
+     * nullopt when the integer is >= p, so every element has exactly
+     * one encoding (the proof decoders' rule).
+     */
+    static std::optional<Fp>
+    fromCanonicalBytes(const uint8_t *in)
+    {
+        U256 v = loadBytes(in);
+        if (cmp(v, kModulus) >= 0)
+            return std::nullopt;
+        return fromU256Raw(montMul(v, montR2()));
     }
 
     /**
@@ -274,14 +299,16 @@ class Fp
     /**
      * Lazily reduced sum of x_i * c_i over 32-bit integer coefficients
      * c_i — the Spielman encoder's row sums. Each add() multiplies the
-     * Montgomery limbs of x by the raw c into five 64-bit limbs (four
-     * multiply-adds, no reduction); result() reduces once.
+     * four Montgomery limbs of x by the raw c into four independent
+     * 128-bit column sums (no carries between limbs, no reduction);
+     * result() propagates the carries and reduces once.
      *
      * Bit-identical to sum_i x_i * fromUint(c_i): the Montgomery form
      * of that product is x_i.mont * c_i mod p, mont() is linear, and
-     * the canonical residue is unique. Each term is below
-     * 2^254 * 2^32 = 2^286, so the 320-bit accumulator holds any sum of
-     * fewer than 2^34 terms; encoder rows have at most 255.
+     * the canonical residue is unique. Each limb product is below
+     * 2^64 * 2^32 = 2^96 and each term below 2^254 * 2^32 = 2^286, so
+     * a sum of fewer than 2^24 terms stays below 2^310 (result()'s
+     * bound); encoder rows have at most 255 terms.
      */
     class SmallDot
     {
@@ -290,39 +317,55 @@ class Fp
         constexpr void
         add(const Fp &x, uint32_t c)
         {
-            uint64_t carry = 0;
-            for (int j = 0; j < 4; ++j) {
-                __uint128_t cur =
-                    static_cast<__uint128_t>(x.mont_.limb[j]) * c +
-                    acc_[j] + carry;
-                acc_[j] = static_cast<uint64_t>(cur);
-                carry = static_cast<uint64_t>(cur >> 64);
-            }
-            acc_[4] += carry;
+#pragma GCC unroll 4
+            for (int j = 0; j < 4; ++j)
+                acc_[j] += static_cast<__uint128_t>(x.mont_.limb[j]) * c;
         }
 
         /**
-         * The field element whose Montgomery form is acc mod p:
-         * (low 256 bits mod p) + top limb * 2^256 mod p.
+         * The field element whose Montgomery form is acc mod p, by one
+         * quotient estimate. With h = acc >> 192 (below 2^118) and
+         * p3 = p >> 192, q = h / (p3 + 1) satisfies
+         * q <= acc / p < q + 1 + h / p3^2 + 1 / p3, and h / p3^2 < 1/16
+         * for p >= 2^253; so acc - q * p lies in [0, 2p) and one
+         * conditional subtraction leaves the canonical residue.
          */
         constexpr Fp
         result() const
         {
-            constexpr U256 r2 = montR2();
-            U256 lo{acc_[0], acc_[1], acc_[2], acc_[3]};
-            // 2^256 < 6p for a 254-bit modulus: at most five passes.
-            while (cmp(lo, kModulus) >= 0) {
-                uint64_t borrow = 0;
-                lo = subBorrow(lo, kModulus, borrow);
+            static_assert(kModulus.limb[3] >= (uint64_t{1} << 61),
+                          "the quotient estimate needs p >= 2^253");
+            uint64_t lo[4];
+            __uint128_t t = acc_[0];
+            lo[0] = static_cast<uint64_t>(t);
+#pragma GCC unroll 3
+            for (int j = 1; j < 4; ++j) {
+                t = acc_[j] + (t >> 64);
+                lo[j] = static_cast<uint64_t>(t);
             }
-            // montMul(t, R^2) = t * R mod p = t * 2^256 mod p.
-            Fp r;
-            r.mont_ = addMod(lo, montMul(U256{acc_[4]}, r2), kModulus);
-            return r;
+            const __uint128_t h = (t >> 64 << 64) | lo[3];
+            const uint64_t q =
+                static_cast<uint64_t>(h / (kModulus.limb[3] + 1));
+            // r = acc - q * p; the fifth limb of the difference is zero.
+            U256 r;
+            uint64_t carry = 0, borrow = 0;
+#pragma GCC unroll 4
+            for (int j = 0; j < 4; ++j) {
+                __uint128_t qp =
+                    static_cast<__uint128_t>(q) * kModulus.limb[j] + carry;
+                carry = static_cast<uint64_t>(qp >> 64);
+                __uint128_t d = static_cast<__uint128_t>(lo[j]) -
+                                static_cast<uint64_t>(qp) - borrow;
+                r.limb[j] = static_cast<uint64_t>(d);
+                borrow = static_cast<uint64_t>(d >> 64) & 1;
+            }
+            if (cmp(r, kModulus) >= 0)
+                r = subBorrow(r, kModulus, borrow);
+            return fromU256Raw(r);
         }
 
       private:
-        uint64_t acc_[5] = {0, 0, 0, 0, 0};
+        __uint128_t acc_[4] = {0, 0, 0, 0};
     };
 
   private:
@@ -332,6 +375,19 @@ class Fp
         Fp r;
         r.mont_ = mont;
         return r;
+    }
+
+    /** The 32 little-endian bytes at @p in as an integer (no reduction). */
+    static U256
+    loadBytes(const uint8_t *in)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            U256 v;
+            std::memcpy(v.limb.data(), in, kNumBytes);
+            return v;
+        } else {
+            return u256FromBytes(std::span<const uint8_t, 32>(in, 32));
+        }
     }
 
     /** R = 2^256 mod p. */
@@ -356,9 +412,11 @@ class Fp
     montMul(const U256 &a, const U256 &b)
     {
         uint64_t t[6] = {0, 0, 0, 0, 0, 0};
+#pragma GCC unroll 4
         for (int i = 0; i < 4; ++i) {
             // t += a * b[i]
             uint64_t carry = 0;
+#pragma GCC unroll 4
             for (int j = 0; j < 4; ++j) {
                 __uint128_t cur = static_cast<__uint128_t>(a.limb[j]) *
                                       b.limb[i] +
@@ -376,6 +434,7 @@ class Fp
                                   kModulus.limb[0] +
                               t[0];
             carry = static_cast<uint64_t>(acc >> 64);
+#pragma GCC unroll 3
             for (int j = 1; j < 4; ++j) {
                 acc = static_cast<__uint128_t>(m) * kModulus.limb[j] +
                       t[j] + carry;
@@ -404,12 +463,14 @@ class Fp
     redc(const U256 &a)
     {
         uint64_t t[4] = {a.limb[0], a.limb[1], a.limb[2], a.limb[3]};
+#pragma GCC unroll 4
         for (int i = 0; i < 4; ++i) {
             // t = (t + m*p) / 2^64 with m chosen to clear the low limb.
             uint64_t m = t[0] * kInv;
             __uint128_t acc =
                 static_cast<__uint128_t>(m) * kModulus.limb[0] + t[0];
             uint64_t carry = static_cast<uint64_t>(acc >> 64);
+#pragma GCC unroll 3
             for (int j = 1; j < 4; ++j) {
                 acc = static_cast<__uint128_t>(m) * kModulus.limb[j] +
                       t[j] + carry;

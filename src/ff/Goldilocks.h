@@ -14,6 +14,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "util/Log.h"
@@ -89,6 +90,20 @@ class Goldilocks
         uint64_t v;
         std::memcpy(&v, in, 8);
         return fromUint(v);
+    }
+
+    /**
+     * Parse 8 little-endian bytes that must hold a canonical value:
+     * nullopt when the integer is >= p (the proof decoders' rule).
+     */
+    static std::optional<Goldilocks>
+    fromCanonicalBytes(const uint8_t *in)
+    {
+        uint64_t v;
+        std::memcpy(&v, in, 8);
+        if (v >= kModulus)
+            return std::nullopt;
+        return fromRaw(v);
     }
 
     /**

@@ -6,7 +6,10 @@
  * Fixed-width 256-bit unsigned integer with constexpr arithmetic.
  *
  * Kept deliberately minimal: just what Montgomery field arithmetic and
- * constant derivation need. Limbs are little-endian 64-bit words.
+ * constant derivation need. Limbs are little-endian 64-bit words. The
+ * limb loops of the helpers every field operation runs (cmp, addCarry,
+ * subBorrow) carry `#pragma GCC unroll 4`: gcc at -O2 leaves them
+ * rolled otherwise.
  */
 
 #include <array>
@@ -75,6 +78,7 @@ struct U256
 constexpr int
 cmp(const U256 &a, const U256 &b)
 {
+#pragma GCC unroll 4
     for (int i = 3; i >= 0; --i) {
         if (a.limb[i] < b.limb[i])
             return -1;
@@ -97,6 +101,7 @@ addCarry(const U256 &a, const U256 &b, uint64_t &carry)
 {
     U256 r;
     uint64_t c = 0;
+#pragma GCC unroll 4
     for (int i = 0; i < 4; ++i) {
         __uint128_t sum = static_cast<__uint128_t>(a.limb[i]) + b.limb[i] + c;
         r.limb[i] = static_cast<uint64_t>(sum);
@@ -112,6 +117,7 @@ subBorrow(const U256 &a, const U256 &b, uint64_t &borrow)
 {
     U256 r;
     uint64_t bw = 0;
+#pragma GCC unroll 4
     for (int i = 0; i < 4; ++i) {
         __uint128_t diff = static_cast<__uint128_t>(a.limb[i]) - b.limb[i] - bw;
         r.limb[i] = static_cast<uint64_t>(diff);
@@ -170,10 +176,14 @@ negInv64(uint64_t m0)
     return ~inv + 1; // negate mod 2^64
 }
 
-/** Serialize as 32 little-endian bytes into @p out. */
+/**
+ * Serialize as 32 little-endian bytes into @p out, one byte at a time:
+ * the portable reference for any host byte order. Fp::toBytes copies
+ * the limbs directly on little-endian hosts.
+ */
 void u256ToBytes(const U256 &v, std::span<uint8_t, 32> out);
 
-/** Parse 32 little-endian bytes. */
+/** Parse 32 little-endian bytes (portable reference of Fp::fromBytes). */
 U256 u256FromBytes(std::span<const uint8_t, 32> in);
 
 /** Hex string (most-significant nibble first, 64 digits). */

@@ -22,6 +22,27 @@
 namespace bzk {
 
 /**
+ * The value at (r_1, ..., r_n) of the multilinear polynomial with
+ * evaluation @p table, by n rounds of folding it in place:
+ * A'[b] = (1 - r_i) A[b] + r_i A[b + half]. Takes the table by value,
+ * so a caller that keeps its table pays exactly one copy.
+ */
+template <typename F>
+F
+evaluateTable(std::vector<F> table, const std::vector<F> &point)
+{
+    if (point.size() >= 64 || table.size() != size_t{1} << point.size())
+        panic("evaluateTable: %zu coords for a table of %zu", point.size(),
+              table.size());
+    size_t half = table.size() / 2;
+    for (const F &r : point) {
+        ff::foldLanes(table.data(), table.data() + half, r, half);
+        half /= 2;
+    }
+    return table[0];
+}
+
+/**
  * Dense multilinear polynomial given by its hypercube evaluation table.
  *
  * @tparam F field type (Fr, Gl64, ...).
@@ -73,23 +94,11 @@ class Multilinear
         return ff::sumLanes(evals_.data(), evals_.size());
     }
 
-    /**
-     * Evaluate at an arbitrary point (r_1, ..., r_n) by n rounds of
-     * table folding: A'[b] = (1 - r_i) A[b] + r_i A[b + half].
-     */
+    /** Evaluate at an arbitrary point (r_1, ..., r_n): evaluateTable. */
     F
     evaluate(const std::vector<F> &point) const
     {
-        if (point.size() != numVars())
-            panic("Multilinear::evaluate: %zu coords for %u vars",
-                  point.size(), numVars());
-        std::vector<F> table = evals_;
-        size_t half = table.size() / 2;
-        for (const F &r : point) {
-            ff::foldLanes(table.data(), table.data() + half, r, half);
-            half /= 2;
-        }
-        return table[0];
+        return evaluateTable(evals_, point);
     }
 
     /**
@@ -122,21 +131,18 @@ template <typename F>
 std::vector<F>
 eqTable(const std::vector<F> &r)
 {
-    std::vector<F> table{F::one()};
-    table.reserve(size_t{1} << r.size());
+    std::vector<F> table(size_t{1} << r.size());
+    table[0] = F::one();
     // Each doubling step makes the newly-processed variable control the
     // current top bit. Processing r back-to-front therefore leaves r[0]
     // on the most-significant bit, matching evaluate()'s fold order.
-    for (auto it = r.rbegin(); it != r.rend(); ++it) {
-        const F &ri = *it;
-        size_t half = table.size();
-        table.resize(half * 2);
-        for (size_t b = 0; b < half; ++b) {
-            F lo = table[b] * (F::one() - ri);
-            F hi = table[b] * ri;
-            table[b] = lo;
-            table[b + half] = hi;
-        }
+    // A step costs one lane multiply per entry: hi = lo * r_i into the
+    // still-zero upper half, then lo -= hi leaves lo * (1 - r_i).
+    size_t half = 1;
+    for (auto it = r.rbegin(); it != r.rend(); ++it, half *= 2) {
+        F *lo = table.data();
+        ff::axpyLanes(lo + half, lo, *it, half);
+        ff::subLanes(lo, lo + half, lo, half);
     }
     return table;
 }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "ff/Fields.h"
 #include "ff/Ntt.h"
 #include "util/Rng.h"
@@ -242,6 +245,107 @@ TYPED_TEST(MontFieldTest, ToU256IsCanonicalAndRoundTrips)
         U256 v = x.toU256();
         EXPECT_LT(cmp(v, F::kModulus), 0);
         EXPECT_EQ(F::fromU256(v), x);
+    }
+}
+
+TYPED_TEST(MontFieldTest, ToBytesMatchesPortableAndRoundTrips)
+{
+    // toBytes copies the limbs on little-endian hosts; it must equal
+    // the portable byte loop, and fromBytes must invert it.
+    using F = TypeParam;
+    uint64_t borrow = 0;
+    const U256 pm1 = subBorrow(F::kModulus, U256{1}, borrow);
+    std::vector<F> xs = {F::zero(), F::one(), F::fromU256(pm1)};
+    Rng rng(0xb17e5);
+    for (int i = 0; i < 10000; ++i)
+        xs.push_back(F::random(rng));
+    for (const F &x : xs) {
+        uint8_t got[32], want[32];
+        x.toBytes(got);
+        u256ToBytes(x.toU256(), std::span<uint8_t, 32>(want, 32));
+        ASSERT_EQ(std::memcmp(got, want, 32), 0) << x.toHexString();
+        ASSERT_EQ(F::fromBytes(got), x);
+    }
+}
+
+TYPED_TEST(MontFieldTest, FromCanonicalBytesAcceptsExactlyBelowP)
+{
+    // p and p + 1 reduce to 0 and 1 under fromBytes but have no
+    // canonical reading; 2^256 - 1 is the largest encodable integer.
+    using F = TypeParam;
+    uint64_t borrow = 0, carry = 0;
+    const U256 pm1 = subBorrow(F::kModulus, U256{1}, borrow);
+    const U256 pp1 = addCarry(F::kModulus, U256{1}, carry);
+    const U256 max{~0ULL, ~0ULL, ~0ULL, ~0ULL};
+    uint8_t buf[32];
+    for (const U256 &v : {U256{}, U256{1}, pm1}) {
+        u256ToBytes(v, std::span<uint8_t, 32>(buf, 32));
+        auto x = F::fromCanonicalBytes(buf);
+        ASSERT_TRUE(x.has_value()) << u256ToHex(v);
+        EXPECT_EQ(x->toU256(), v);
+    }
+    for (const U256 &v : {F::kModulus, pp1, max}) {
+        u256ToBytes(v, std::span<uint8_t, 32>(buf, 32));
+        EXPECT_FALSE(F::fromCanonicalBytes(buf).has_value())
+            << u256ToHex(v);
+    }
+    u256ToBytes(pp1, std::span<uint8_t, 32>(buf, 32));
+    EXPECT_EQ(F::fromBytes(buf), F::one());
+}
+
+TEST(Goldilocks, FromCanonicalBytesAcceptsExactlyBelowP)
+{
+    for (uint64_t v : {Gl64::kModulus, Gl64::kModulus + 1, ~uint64_t{0}}) {
+        uint8_t buf[8];
+        std::memcpy(buf, &v, 8);
+        EXPECT_FALSE(Gl64::fromCanonicalBytes(buf).has_value()) << v;
+    }
+    for (uint64_t v : {uint64_t{0}, uint64_t{7}, Gl64::kModulus - 1}) {
+        uint8_t buf[8];
+        std::memcpy(buf, &v, 8);
+        auto x = Gl64::fromCanonicalBytes(buf);
+        ASSERT_TRUE(x.has_value());
+        EXPECT_EQ(x->toUint(), v);
+    }
+}
+
+TYPED_TEST(MontFieldTest, SmallDotReducesSumsNearMultiplesOfP)
+{
+    // result() reduces with one quotient estimate that may fall one
+    // short; sums of k * p + {0, 1, p - 1} and k * p - 1 make the
+    // remainder land at both ends of [0, 2p). The operands are the
+    // elements whose Montgomery limbs are 1 and p - 1.
+    using F = TypeParam;
+    const F unit = F::fromU256(F::one().montRaw()).inverse();
+    ASSERT_EQ(unit.montRaw(), U256{1});
+    const F pm1 = -unit;
+    Rng rng(0x9e57);
+    for (size_t n : {size_t{1}, size_t{2}, size_t{100}, size_t{255}}) {
+        for (uint32_t c : {1u, 0xffffffffu,
+                           static_cast<uint32_t>(rng.next()) | 2u}) {
+            for (int tail = 0; tail < 4; ++tail) {
+                typename F::SmallDot acc;
+                F ref = F::zero();
+                auto add = [&](const F &x, uint32_t coeff) {
+                    acc.add(x, coeff);
+                    ref += x * F::fromUint(coeff);
+                };
+                // n - 1 pairs, then a last pair whose unit term the
+                // tail may shorten by one: (p - 1) c + c = c p.
+                for (size_t i = 0; i + 1 < n; ++i) {
+                    add(pm1, c);
+                    add(unit, c);
+                }
+                add(pm1, c);
+                add(unit, tail == 3 ? c - 1 : c);
+                if (tail == 1)
+                    add(unit, 1);
+                if (tail == 2)
+                    add(pm1, 1);
+                EXPECT_EQ(acc.result(), ref)
+                    << "n=" << n << " c=" << c << " tail=" << tail;
+            }
+        }
     }
 }
 

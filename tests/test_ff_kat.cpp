@@ -260,6 +260,9 @@ TEST(FieldBackendKat, LaneKernelsMatchScalarAcrossSizes)
             EXPECT_EQ(got, want_add);
             ff::subLanes(a.data(), b.data(), got.data(), n);
             EXPECT_EQ(got, want_sub);
+            got = a; // in place: out == a
+            ff::subLanes(got.data(), b.data(), got.data(), n);
+            EXPECT_EQ(got, want_sub);
             ff::mulLanes(a.data(), b.data(), got.data(), n);
             EXPECT_EQ(got, want_mul);
             got = a;
@@ -493,6 +496,9 @@ checkWideLaneKernels()
             ff::addLanes(a.data(), b.data(), got.data(), n);
             EXPECT_EQ(got, want_add);
             ff::subLanes(a.data(), b.data(), got.data(), n);
+            EXPECT_EQ(got, want_sub);
+            got = a; // in place: out == a
+            ff::subLanes(got.data(), b.data(), got.data(), n);
             EXPECT_EQ(got, want_sub);
             ff::mulLanes(a.data(), b.data(), got.data(), n);
             EXPECT_EQ(got, want_mul);

@@ -231,6 +231,41 @@ TYPED_TEST(PcsT, CommitStoresRowCodewordsRowMajor)
     EXPECT_EQ(state.commitment.root, pcs.commit(poly).commitment.root);
 }
 
+TYPED_TEST(PcsT, CommitRootMatchesPerColumnLeaves)
+{
+    // The commit hashes columns in blocks of kLeafBlock, cut short
+    // where a thread chunk ends (3 and 5 threads split 2m = 64 and 128
+    // columns off block boundaries). The root must equal a tree over
+    // leaves built one column at a time from the row codewords.
+    using F = TypeParam;
+    Rng rng(12);
+    for (unsigned n : {6u, 9u, 12u}) {
+        TensorPcs<F> pcs(n, 9);
+        size_t m = size_t{1} << pcs.colVars();
+        size_t k = size_t{1} << pcs.rowVars();
+        auto poly = randomPoly<F>(n, rng);
+        std::vector<std::vector<F>> rows(k);
+        for (size_t row = 0; row < k; ++row)
+            rows[row] = pcs.code().encode(
+                std::span<const F>(poly.data() + row * m, m));
+        std::vector<Digest> leaves(2 * m);
+        for (size_t col = 0; col < 2 * m; ++col) {
+            std::vector<uint8_t> bytes(k * F::kNumBytes);
+            for (size_t row = 0; row < k; ++row)
+                rows[row][col].toBytes(bytes.data() + row * F::kNumBytes);
+            leaves[col] = Sha256::digest(bytes);
+        }
+        Digest want = MerkleTree::buildFromLeaves(leaves).root();
+        for (size_t threads : {1u, 3u, 5u}) {
+            exec::ExecConfig cfg;
+            cfg.threads = threads;
+            exec::ExecContext exec(cfg);
+            EXPECT_EQ(pcs.commit(poly, &exec).commitment.root, want)
+                << "n=" << n << " threads=" << threads;
+        }
+    }
+}
+
 TYPED_TEST(PcsT, OpenAccountsUnderItsOwnRegion)
 {
     // open()'s two row combinations are PCS opening work; tagging them

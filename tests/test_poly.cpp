@@ -123,6 +123,36 @@ TYPED_TEST(MultilinearTest, EqTableMatchesMultilinearEvaluate)
     EXPECT_EQ(via_eq, p.evaluate(r));
 }
 
+/** eqTable's two-multiply definition: lo = t * (1 - r), hi = t * r. */
+template <typename F>
+std::vector<F>
+eqTableTwoMultiplies(const std::vector<F> &r)
+{
+    std::vector<F> table{F::one()};
+    for (auto it = r.rbegin(); it != r.rend(); ++it) {
+        size_t half = table.size();
+        table.resize(half * 2);
+        for (size_t b = 0; b < half; ++b) {
+            F t = table[b];
+            table[b] = t * (F::one() - *it);
+            table[b + half] = t * *it;
+        }
+    }
+    return table;
+}
+
+TYPED_TEST(MultilinearTest, EqTableMatchesTwoMultiplyDefinition)
+{
+    using F = TypeParam;
+    Rng rng(7);
+    for (unsigned n : {0u, 1u, 7u, 12u}) {
+        std::vector<F> r(n);
+        for (auto &x : r)
+            x = F::random(rng);
+        EXPECT_EQ(eqTable(r), eqTableTwoMultiplies(r)) << "n=" << n;
+    }
+}
+
 TYPED_TEST(MultilinearTest, LagrangeRecoversPolynomial)
 {
     using F = TypeParam;

@@ -11,6 +11,7 @@
 #include <sys/resource.h>
 
 #include <cstdlib>
+#include <cstring>
 
 #include "circuit/Circuit.h"
 #include "core/FullSnark.h"
@@ -194,6 +195,58 @@ TEST(Serialize, EmptyInputRejected)
         deserializeProof<Fr>(std::span<const uint8_t>{}).has_value());
     EXPECT_FALSE(
         deserializeFullProof<Fr>(std::span<const uint8_t>{}).has_value());
+}
+
+/**
+ * Offset of va in a gate proof's encoding: after the tag, the three
+ * (root, n_vars) commitments and the length-prefixed rounds.
+ */
+template <typename F, typename Gate>
+size_t
+vaOffset(const GateProof<F, Gate> &proof)
+{
+    size_t offset = 1 + 3 * (32 + 1) + 4;
+    for (const auto &g : proof.gate_sc.rounds)
+        offset += 4 + g.size() * F::kNumBytes;
+    return offset;
+}
+
+TEST(Serialize, NonCanonicalFrElementRejected)
+{
+    // va re-encoded as the integer va + p (< 2^256 for a 254-bit p)
+    // is the same field element; accepting it would give one proof two
+    // byte strings.
+    auto &f = fixture();
+    auto bytes = serializeProof(f.proof);
+    size_t at = vaOffset(f.proof);
+    uint8_t want[32];
+    f.proof.va.toBytes(want);
+    ASSERT_EQ(std::memcmp(bytes.data() + at, want, 32), 0);
+    uint64_t carry = 0;
+    U256 alias = addCarry(f.proof.va.toU256(), Fr::kModulus, carry);
+    ASSERT_EQ(carry, 0u);
+    u256ToBytes(alias, std::span<uint8_t, 32>(bytes.data() + at, 32));
+    EXPECT_FALSE(deserializeProof<Fr>(bytes).has_value());
+}
+
+TEST(Serialize, NonCanonicalGl64ElementRejected)
+{
+    // All-zero tables satisfy a * b - c = 0 and give va = 0, whose
+    // alias 0 + p still fits Goldilocks' 8 bytes.
+    ConstraintTables<Gl64> tables;
+    tables.n_vars = 8;
+    tables.a.assign(size_t{1} << 8, Gl64::zero());
+    tables.b = tables.a;
+    tables.c = tables.a;
+    Snark<Gl64> snark(8, 99);
+    auto proof = snark.prove(tables, {});
+    ASSERT_TRUE(snark.verify(proof, {}));
+    ASSERT_EQ(proof.va, Gl64::zero());
+    auto bytes = serializeProof(proof);
+    ASSERT_TRUE(deserializeProof<Gl64>(bytes).has_value());
+    uint64_t alias = Gl64::kModulus;
+    std::memcpy(bytes.data() + vaOffset(proof), &alias, 8);
+    EXPECT_FALSE(deserializeProof<Gl64>(bytes).has_value());
 }
 
 /** Peak resident set of this process, KiB (Linux ru_maxrss). */
