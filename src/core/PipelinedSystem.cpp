@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/Protocol.h"
+#include "core/TensorPcs.h"
 #include "encoder/GpuEncoder.h"
 #include "exec/ExecContext.h"
 #include "ff/FieldBackend.h"
@@ -18,39 +19,12 @@ namespace bzk {
 
 using gpusim::BatchStats;
 
-namespace {
-
-/** PCS shape used by Snark/TensorPcs for n variables. */
-void
-pcsShape(unsigned n_vars, size_t &k_rows, size_t &m_cols)
-{
-    unsigned col = (n_vars + 1) / 2;
-    if (col < 5)
-        col = 5;
-    m_cols = size_t{1} << col;
-    k_rows = size_t{1} << (n_vars - col);
-}
-
-} // namespace
-
-ConstraintTables<Fr>
-randomInstance(unsigned n_vars, Rng &rng)
-{
-    size_t target = (size_t{1} << n_vars) - (size_t{1} << (n_vars - 2));
-    auto circuit = randomCircuit<Fr>(target, 8, rng);
-    std::vector<Fr> witness(circuit.numWitnesses());
-    for (auto &w : witness)
-        w = Fr::random(rng);
-    auto assignment = circuit.evaluate({}, witness);
-    return circuit.buildTables(assignment);
-}
-
 SystemWorkModel
-gateWorkModel(unsigned n_vars, uint64_t seed, double sumcheck_muls,
-              double sumcheck_adds)
+protocolWorkModel(sched::ProtocolKind kind, unsigned n_vars, uint64_t seed)
 {
-    size_t k, m;
-    pcsShape(n_vars, k, m);
+    unsigned col_vars = TensorPcs<Fr>::colVarsFor(n_vars);
+    size_t m = size_t{1} << col_vars;
+    size_t k = size_t{1} << (n_vars - col_vars);
     double n_entries = static_cast<double>(size_t{1} << n_vars);
 
     SystemWorkModel model;
@@ -76,8 +50,9 @@ gateWorkModel(unsigned n_vars, uint64_t seed, double sumcheck_muls,
 
     // Sum-check: the gate's constraint sum-check over 2^n rows, and the
     // PCS row-combination passes (2 combos x 3 tables).
-    double per_pair = sumcheck_muls * gpusim::kFieldMulCycles +
-                      sumcheck_adds * gpusim::kFieldAddCycles +
+    SumcheckOps ops = protocolSumcheckOps(kind);
+    double per_pair = ops.muls * gpusim::kFieldMulCycles +
+                      ops.adds * gpusim::kFieldAddCycles +
                       3.0 * gpusim::kGlobalAccessCycles;
     double combos = 6.0 * n_entries *
                     (gpusim::kFieldMulCycles + gpusim::kFieldAddCycles);
@@ -161,20 +136,19 @@ PipelinedZkpSystem::run(size_t batch, unsigned n_vars, Rng &rng)
 {
     SystemRunResult result;
 
-    // Functional proofs on the real prover (multi-core host), then
-    // verified, up to tables of 2^14 rows.
+    // Functional proofs through the protocol table on the real prover
+    // (multi-core host), then verified, up to tables of 2^14 rows.
     if (n_vars <= 14) {
+        constexpr auto kKind = sched::ProtocolKind::TableCommit;
         size_t count = std::min(batch, opt_.functional);
         exec::ExecConfig exec_cfg;
         exec_cfg.threads = opt_.threads;
         exec::ExecContext exec(exec_cfg);
-        Snark<Fr> snark(n_vars, opt_.seed);
-        snark.setExec(&exec);
         for (size_t i = 0; i < count; ++i) {
             auto tables = randomInstance(n_vars, rng);
-            auto proof = snark.prove(tables, {});
-            result.verified =
-                result.verified && snark.verify(proof, {});
+            auto proof = *proveTables(kKind, tables, opt_.seed, {}, exec);
+            result.verified = result.verified &&
+                              verifyProof(kKind, proof, n_vars, opt_.seed);
             result.proofs.push_back(std::move(proof));
         }
         if (metrics_ && count > 0) {
@@ -471,8 +445,6 @@ SameModulesCpuBaseline::run(size_t batch, unsigned n_vars, Rng &rng)
                                      static_cast<double>(nm));
 
     auto tables = randomInstance(nm, rng);
-    size_t k, m;
-    pcsShape(nm, k, m);
 
     // Multi-core host baseline, like the Orion/Arkworks provers the
     // paper measures; thread count from opt_.threads / BZK_THREADS.
@@ -480,50 +452,17 @@ SameModulesCpuBaseline::run(size_t batch, unsigned n_vars, Rng &rng)
     exec_cfg.threads = opt_.threads;
     exec::ExecContext exec(exec_cfg);
 
-    // Encoder phase, measured: 3k real row encodings split across rows.
-    SpielmanCode<Fr> code(m, opt_.seed);
-    std::vector<std::vector<Fr>> encoded(3 * k);
-    Timer enc_timer;
-    {
-        const std::vector<Fr> *table_of[3] = {&tables.a, &tables.b,
-                                              &tables.c};
-        auto encode_rows = [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                const std::vector<Fr> &table = *table_of[i / k];
-                std::span<const Fr> msg(table.data() + (i % k) * m, m);
-                encoded[i] = code.encode(msg);
-            }
-        };
-        exec.parallelFor(3 * k, /*serial_cutoff=*/2, encode_rows);
-    }
-    double enc_ms = enc_timer.milliseconds();
-
-    // Merkle phase, measured: column hashing + trees for the 3 tables.
-    Timer merkle_timer;
-    for (size_t t = 0; t < 3; ++t) {
-        std::vector<Digest> leaves(2 * m);
-        auto hash_cols = [&](size_t begin, size_t end) {
-            std::vector<uint8_t> buf(k * Fr::kNumBytes);
-            for (size_t col = begin; col < end; ++col) {
-                for (size_t row = 0; row < k; ++row)
-                    encoded[t * k + row][col].toBytes(
-                        buf.data() + row * Fr::kNumBytes);
-                leaves[col] = Sha256::digest(buf);
-            }
-        };
-        exec.parallelFor(2 * m, /*serial_cutoff=*/2, hash_cols);
-        MerkleTree::buildFromLeaves(std::move(leaves), &exec);
-    }
-    double merkle_ms = merkle_timer.milliseconds();
-
-    // Full prover, measured; sum-check time = total - enc - merkle.
+    // One real proof, measured. Its commits account the row encodings
+    // to the "encoder" region and the column hashes and trees to
+    // "merkle"; sum-check time = total - encoder - merkle.
     Snark<Fr> snark(nm, opt_.seed);
     snark.setExec(&exec);
     Timer total_timer;
     auto proof = snark.prove(tables, {});
     double total_ms = total_timer.milliseconds();
+    double enc_ms = exec.stats("encoder").wall_ms;
+    double merkle_ms = exec.stats("merkle").wall_ms;
     result.verified = snark.verify(proof, {});
-    result.proofs.push_back(std::move(proof));
 
     double sc_ms = std::max(0.0, total_ms - enc_ms - merkle_ms);
 

@@ -17,10 +17,11 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/Circuit.h"
-#include "core/Snark.h"
+#include "core/Snark.h" // randomInstance, the instances run() proves
 #include "ff/Fields.h"
 #include "gpusim/BatchStats.h"
 #include "gpusim/Device.h"
@@ -85,8 +86,8 @@ struct SystemRunResult
     double lanes_encoder = 0.0;
     double lanes_merkle = 0.0;
     double lanes_sumcheck = 0.0;
-    /** Functional proofs produced (if any). */
-    std::vector<SnarkProof<Fr>> proofs;
+    /** Serialized functional proofs produced (if any). */
+    std::vector<std::vector<uint8_t>> proofs;
     /** All functional proofs passed verification. */
     bool verified = true;
 
@@ -138,12 +139,12 @@ struct SystemWorkModel
 };
 
 /**
- * Per-proof work model for a gate protocol over 2^n_vars-row tables
- * whose constraint sum-check costs @p sumcheck_muls field
- * multiplications and @p sumcheck_adds additions per table pair.
+ * Per-proof work model of a @p kind proof over 2^n_vars-row tables: the
+ * PCS shape comes from TensorPcs::colVarsFor, the constraint sum-check
+ * cost from the protocol table's protocolSumcheckOps.
  */
-SystemWorkModel gateWorkModel(unsigned n_vars, uint64_t seed,
-                              double sumcheck_muls, double sumcheck_adds);
+SystemWorkModel protocolWorkModel(sched::ProtocolKind kind,
+                                  unsigned n_vars, uint64_t seed);
 
 /** The table-commit work model (protocolWorkModel of TableCommit). */
 SystemWorkModel systemWorkModel(unsigned n_vars, uint64_t seed);
@@ -217,10 +218,10 @@ class PipelinedZkpSystem
 
 /**
  * CPU baseline with the same computational modules (Orion's encoder and
- * Merkle trees + Arkworks' sum-check): the real prover measured on the
- * host, with per-module timing breakdowns. Large sizes are sampled at
- * @p measure_cap_vars and extrapolated linearly (documented in
- * DESIGN.md).
+ * Merkle trees + Arkworks' sum-check): one real proof measured on the
+ * host, split into modules by its ExecContext regions. Large sizes are
+ * sampled at @p measure_cap_vars and extrapolated linearly (documented
+ * in DESIGN.md).
  */
 class SameModulesCpuBaseline
 {
@@ -238,9 +239,6 @@ class SameModulesCpuBaseline
     SystemOptions opt_;
     unsigned cap_vars_;
 };
-
-/** Build a random satisfied instance sized for 2^n_vars rows. */
-ConstraintTables<Fr> randomInstance(unsigned n_vars, Rng &rng);
 
 } // namespace bzk
 

@@ -14,8 +14,7 @@ template <typename Gate>
 struct Row
 {
     ConstraintTables<Fr> (*instance)(unsigned n_vars, Rng &rng);
-    double sumcheck_muls;
-    double sumcheck_adds;
+    SumcheckOps sumcheck;
 };
 
 /** The table: call @p f with the row of @p kind. */
@@ -26,11 +25,11 @@ withRow(sched::ProtocolKind kind, Fn &&f)
     switch (kind) {
       case sched::ProtocolKind::TableCommit:
         // Degree-3 round evaluations plus folds of four tables.
-        return f(Row<MulGate>{randomInstance, 12.0, 30.0});
+        return f(Row<MulGate>{randomInstance, {12.0, 30.0}});
       case sched::ProtocolKind::HighDegreeGate:
         // eq * (a^4 b - c) at 7 points (a^4 by two squarings) plus
         // folds of four tables.
-        return f(Row<Pow4Gate>{highDegreeInstance<Fr>, 56.0, 70.0});
+        return f(Row<Pow4Gate>{highDegreeInstance<Fr>, {56.0, 70.0}});
     }
     panic("no protocol row for kind %u", static_cast<unsigned>(kind));
 }
@@ -116,13 +115,10 @@ proofInfo(sched::ProtocolKind kind, std::span<const uint8_t> bytes)
     });
 }
 
-SystemWorkModel
-protocolWorkModel(sched::ProtocolKind kind, unsigned n_vars, uint64_t seed)
+SumcheckOps
+protocolSumcheckOps(sched::ProtocolKind kind)
 {
-    return withRow(kind, [&](auto row) {
-        return gateWorkModel(n_vars, seed, row.sumcheck_muls,
-                             row.sumcheck_adds);
-    });
+    return withRow(kind, [](auto row) { return row.sumcheck; });
 }
 
 } // namespace bzk

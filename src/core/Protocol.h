@@ -5,9 +5,14 @@
  * @file
  * The protocol table: the only code that maps a sched::ProtocolKind, or
  * a proof's tag byte, to its gate (a GateSnark<Fr, Gate>), instance
- * builder and sum-check work constants. The durable service and the
+ * builder and sum-check operation counts. The durable service and the
  * network executor both prove through proveTask(), so a served proof
  * equals a replayed one. A new kind is one row plus its gate.
+ *
+ * This is the real prover's side of the layering: nothing here reaches
+ * the GPU simulator. The simulator's work model (core/PipelinedSystem.h)
+ * calls in for protocolSumcheckOps(), never the other way round
+ * (tests/test_layering.sh).
  */
 
 #include <cstddef>
@@ -17,8 +22,9 @@
 #include <vector>
 
 #include "core/GateSnark.h"
-#include "core/PipelinedSystem.h"
+#include "ff/Fields.h"
 #include "sched/ProtocolKind.h"
+#include "util/Rng.h"
 
 namespace bzk {
 
@@ -62,9 +68,15 @@ struct ProofInfo
 std::optional<ProofInfo> proofInfo(sched::ProtocolKind kind,
                                    std::span<const uint8_t> bytes);
 
-/** gateWorkModel at @p kind's sum-check operation counts. */
-SystemWorkModel protocolWorkModel(sched::ProtocolKind kind,
-                                  unsigned n_vars, uint64_t seed);
+/** Field operations per table pair of a constraint sum-check. */
+struct SumcheckOps
+{
+    double muls = 0.0;
+    double adds = 0.0;
+};
+
+/** @p kind's constraint sum-check cost, for the simulator's model. */
+SumcheckOps protocolSumcheckOps(sched::ProtocolKind kind);
 
 } // namespace bzk
 

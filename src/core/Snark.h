@@ -13,9 +13,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
+#include "circuit/Circuit.h"
 #include "core/GateSnark.h"
 #include "ff/FieldBackend.h"
+#include "ff/Fields.h"
+#include "util/Rng.h"
 
 namespace bzk {
 
@@ -43,6 +47,23 @@ using Snark = GateSnark<F, MulGate>;
 
 template <typename F>
 using SnarkProof = GateProof<F, MulGate>;
+
+/**
+ * Build a satisfied mul-gate instance sized for 2^n_vars rows: a random
+ * circuit filling three quarters of the table, with random witnesses.
+ * Deterministic in @p rng, like highDegreeInstance.
+ */
+inline ConstraintTables<Fr>
+randomInstance(unsigned n_vars, Rng &rng)
+{
+    size_t target = (size_t{1} << n_vars) - (size_t{1} << (n_vars - 2));
+    auto circuit = randomCircuit<Fr>(target, 8, rng);
+    std::vector<Fr> witness(circuit.numWitnesses());
+    for (auto &w : witness)
+        w = Fr::random(rng);
+    auto assignment = circuit.evaluate({}, witness);
+    return circuit.buildTables(assignment);
+}
 
 } // namespace bzk
 

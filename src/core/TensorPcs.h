@@ -362,7 +362,11 @@ class TensorPcs
                value;
     }
 
-  private:
+    /**
+     * log2 of the row length m for 2^n_vars entries: half the
+     * variables rounded up, and at least 5. The other
+     * n_vars - colVarsFor(n_vars) variables select the row.
+     */
     static unsigned
     colVarsFor(unsigned n_vars)
     {
@@ -372,6 +376,7 @@ class TensorPcs
         return col < 5 ? 5 : col;
     }
 
+  private:
     unsigned n_vars_;
     unsigned col_vars_;
     unsigned row_vars_;

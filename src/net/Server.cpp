@@ -7,6 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -16,13 +17,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "core/PipelinedSystem.h"
-#include "gpusim/Device.h"
-#include "gpusim/DeviceSpec.h"
 #include "net/RateLimiter.h"
 #include "net/Socket.h"
 #include "sched/AdmissionQueue.h"
-#include "sched/CycleModel.h"
 #include "util/Log.h"
 
 namespace bzk::net {
@@ -41,17 +38,6 @@ constexpr size_t kMaxConnBacklog = size_t{64} << 20;
 const std::vector<double> kLatencyBounds = {1,   2,   5,    10,   20,  50,
                                             100, 200, 500,  1000, 2000,
                                             5000};
-
-gpusim::DeviceSpec
-specByName(const std::string &name)
-{
-    for (const auto &spec : gpusim::DeviceSpec::allPresets())
-        if (spec.name == name)
-            return spec;
-    warn("ProofServer: unknown device '%s', pacing with GH200",
-         name.c_str());
-    return gpusim::DeviceSpec::gh200();
-}
 
 /** One accepted connection's protocol state. */
 struct Connection
@@ -151,7 +137,6 @@ struct ProofServer::Impl
     std::unordered_map<uint64_t, TokenBucket> buckets;
     size_t inflight = 0;
     size_t window = 1;
-    double cycle_ms = 0.0;
     std::chrono::steady_clock::time_point t0;
     /// @}
 
@@ -233,24 +218,16 @@ ProofServer::start()
     ev.data.u64 = kEventId;
     ::epoll_ctl(s.epoll.get(), EPOLL_CTL_ADD, s.event.get(), &ev);
 
-    // The in-flight window defaults to the prover pipeline's depth on
-    // the configured device: the server admits exactly as many tasks as
-    // the pipeline it fronts can hold, and queues the rest.
-    gpusim::Device dev(specByName(s.opt.device));
-    sched::ProofTask shape = makeProofTask(s.opt.max_n_vars, s.opt.seed);
-    sched::CycleModel model(shape.graph, dev, true);
-    s.window = s.opt.window ? s.opt.window
-                            : std::max<size_t>(1, model.depth());
-    s.cycle_ms = model.cycleMs();
-    s.bump([&](ServerStats &st) {
-        st.window = s.window;
-        st.cycle_ms = s.cycle_ms;
-    });
+    // The in-flight window defaults to one task per worker: a task
+    // past it waits in the admission queue, where the capacity and
+    // deadline guard rails see it, not in the worker hand-off.
+    size_t workers = std::max<size_t>(1, s.opt.workers);
+    s.window = s.opt.window ? s.opt.window : workers;
+    s.bump([&](ServerStats &st) { st.window = s.window; });
 
     s.t0 = std::chrono::steady_clock::now();
     s.stopping.store(false);
     s.running.store(true);
-    size_t workers = std::max<size_t>(1, s.opt.workers);
     for (size_t i = 0; i < workers; ++i)
         s.workers.emplace_back([&s] { s.runWorker(); });
     s.loop = std::thread([&s] { s.runLoop(); });
@@ -779,10 +756,6 @@ ProofServer::Impl::updateGauges()
         .set(static_cast<double>(inflight));
     metrics->gauge("bzk_net_window", "in-flight window")
         .set(static_cast<double>(window));
-    metrics
-        ->gauge("bzk_net_cycle_ms",
-                "CycleModel admission interval of the pacing shape")
-        .set(cycle_ms);
 }
 
 } // namespace bzk::net

@@ -18,8 +18,8 @@
  *      the same guard-rail engine the streaming service admits through;
  *      a queue deadline expiry also sheds)
  *   4. bounded in-flight window -> tasks wait in the queue; the window
- *      defaults to the pipeline depth from sched::CycleModel, so the
- *      server admits exactly as deep as the prover pipeline it fronts
+ *      defaults to one task per worker, so every task that is not
+ *      running waits where rail 3's capacity and deadline reach it
  *
  * Results flow back through a completion queue and an eventfd wakeup,
  * so worker threads never touch a socket. Every observable quantity is
@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 
 #include "net/Executor.h"
 #include "obs/Metrics.h"
@@ -50,7 +49,7 @@ struct ServerOptions
     size_t queue_capacity = 4096;
     /** Queued longer than this is shed (0 disables the deadline), ms. */
     double queue_timeout_ms = 0.0;
-    /** In-flight window; 0 derives the pipeline depth via CycleModel. */
+    /** In-flight window; 0 = one task per worker. */
     size_t window = 0;
     /** Per-tenant sustained submit rate, tokens/s; 0 = unlimited. */
     double tenant_rate_per_s = 0.0;
@@ -60,10 +59,6 @@ struct ServerOptions
     size_t workers = 2;
     /** Largest task log-size a Submit may carry. */
     unsigned max_n_vars = 16;
-    /** Device preset for CycleModel pacing ("GH200", "A100", ...). */
-    std::string device = "GH200";
-    /** Seed of the pacing-shape task (window derivation). */
-    uint64_t seed = 2024;
 };
 
 /** Per-tenant accounting. */
@@ -101,10 +96,8 @@ struct ServerStats
     size_t queue_depth = 0;
     size_t peak_queue_depth = 0;
     size_t inflight = 0;
-    /** Effective in-flight window (after CycleModel derivation). */
+    /** Effective in-flight window (the worker count when unset). */
     size_t window = 0;
-    /** CycleModel admission interval of the pacing shape, ms. */
-    double cycle_ms = 0.0;
     std::map<uint64_t, TenantStats> tenants;
 };
 

@@ -1,6 +1,6 @@
 #include "zkml/MlService.h"
 
-#include "core/Snark.h"
+#include "core/Protocol.h"
 #include "exec/ExecContext.h"
 #include "obs/Metrics.h"
 #include "util/Log.h"
@@ -74,6 +74,7 @@ VerifiableMlService::serveBatch(size_t batch, Rng &rng,
     // Optionally exercise the full Figure 8 loop cryptographically on
     // a reduced CNN: real circuit, real proof, real verification.
     if (functional_proofs > 0) {
+        constexpr auto kKind = sched::ProtocolKind::TableCommit;
         CnnModel tiny(CnnConfig::tiny(), rng);
         auto compiled = compileCnn<Fr>(tiny);
         auto witness = witnessFromModel<Fr>(tiny);
@@ -88,12 +89,12 @@ VerifiableMlService::serveBatch(size_t batch, Rng &rng,
             auto inputs = inputsFromTensor<Fr>(image);
             auto assignment = compiled.circuit.evaluate(inputs, witness);
             auto tables = compiled.circuit.buildTables(assignment);
-            Snark<Fr> snark(tables.n_vars, opt_.seed);
-            snark.setExec(&exec);
-            auto proof = snark.prove(tables, inputs);
+            auto proof = *proveTables(kKind, tables, opt_.seed, inputs,
+                                      exec);
             result.functional_verified =
                 result.functional_verified &&
-                snark.verify(proof, inputs);
+                verifyProof(kKind, proof, tables.n_vars, opt_.seed,
+                            inputs);
             ++result.functional_proofs;
         }
     }

@@ -13,12 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/DurableService.h"
 #include "core/HighDegreeSnark.h"
-#include "core/PipelinedSystem.h"
 #include "core/Serialize.h"
 #include "core/Snark.h"
 #include "journal/Crc32.h"
@@ -532,72 +532,86 @@ TEST(NetServer, RateLimitsPerTenantWithRetryHint)
 
 TEST(NetServer, ShedsAtQueueCapacityInSubmitOrder)
 {
-    SlowExecutor executor(100);
-    ServerOptions opt;
-    opt.window = 1;
-    opt.workers = 1;
-    opt.queue_capacity = 1;
-    ProofServer server(opt, executor);
-    ASSERT_TRUE(server.start());
+    // One worker, the window set to 1 and left at its default (one per
+    // worker): either way no queued task hides past the capacity rail.
+    for (size_t window : {size_t{1}, size_t{0}}) {
+        SCOPED_TRACE("window option " + std::to_string(window));
+        SlowExecutor executor(100);
+        ServerOptions opt;
+        opt.window = window;
+        opt.workers = 1;
+        opt.queue_capacity = 1;
+        ProofServer server(opt, executor);
+        ASSERT_TRUE(server.start());
+        EXPECT_EQ(1u, server.stats().window);
 
-    SyncClient client;
-    ASSERT_TRUE(client.connect(server.port()));
-    // Five pipelined submits: 1 admitted, 2 queued, 3..5 shed.
-    for (uint64_t id = 1; id <= 5; ++id) {
-        Submit task;
-        task.task_id = id;
-        ASSERT_TRUE(client.send(Message{task}));
+        SyncClient client;
+        ASSERT_TRUE(client.connect(server.port()));
+        EXPECT_EQ(1u, client.ack().window);
+        // Five pipelined submits: 1 admitted, 2 queued, 3..5 shed.
+        for (uint64_t id = 1; id <= 5; ++id) {
+            Submit task;
+            task.task_id = id;
+            ASSERT_TRUE(client.send(Message{task}));
+        }
+        size_t ok = 0, shed = 0;
+        for (int i = 0; i < 5; ++i) {
+            auto msg = client.receive(10000.0);
+            ASSERT_TRUE(msg.has_value());
+            auto *result = std::get_if<Result>(&*msg);
+            ASSERT_NE(nullptr, result);
+            if (result->status == Status::Ok)
+                ++ok;
+            else if (result->status == Status::Shed)
+                ++shed;
+        }
+        EXPECT_EQ(2u, ok);
+        EXPECT_EQ(3u, shed);
+        EXPECT_EQ(3u, server.stats().sheds);
     }
-    size_t ok = 0, shed = 0;
-    for (int i = 0; i < 5; ++i) {
-        auto msg = client.receive(10000.0);
-        ASSERT_TRUE(msg.has_value());
-        auto *result = std::get_if<Result>(&*msg);
-        ASSERT_NE(nullptr, result);
-        if (result->status == Status::Ok)
-            ++ok;
-        else if (result->status == Status::Shed)
-            ++shed;
-    }
-    EXPECT_EQ(2u, ok);
-    EXPECT_EQ(3u, shed);
-    EXPECT_EQ(3u, server.stats().sheds);
 }
 
 TEST(NetServer, ShedsQueuedWorkPastTheDeadline)
 {
-    SlowExecutor executor(150);
-    ServerOptions opt;
-    opt.window = 1;
-    opt.workers = 1;
-    opt.queue_timeout_ms = 40.0;
-    ProofServer server(opt, executor);
-    ASSERT_TRUE(server.start());
+    // As above: the explicit window of 1 and the default window of one
+    // per worker both keep the waiting task under the deadline rail.
+    for (size_t window : {size_t{1}, size_t{0}}) {
+        SCOPED_TRACE("window option " + std::to_string(window));
+        SlowExecutor executor(150);
+        ServerOptions opt;
+        opt.window = window;
+        opt.workers = 1;
+        opt.queue_timeout_ms = 40.0;
+        ProofServer server(opt, executor);
+        ASSERT_TRUE(server.start());
+        EXPECT_EQ(1u, server.stats().window);
 
-    SyncClient client;
-    ASSERT_TRUE(client.connect(server.port()));
-    for (uint64_t id = 1; id <= 2; ++id) {
-        Submit task;
-        task.task_id = id;
-        ASSERT_TRUE(client.send(Message{task}));
+        SyncClient client;
+        ASSERT_TRUE(client.connect(server.port()));
+        EXPECT_EQ(1u, client.ack().window);
+        for (uint64_t id = 1; id <= 2; ++id) {
+            Submit task;
+            task.task_id = id;
+            ASSERT_TRUE(client.send(Message{task}));
+        }
+        // Task 1 occupies the window for 150 ms; task 2 waits past the
+        // 40 ms deadline and must come back shed well before task 1's
+        // proof.
+        size_t ok = 0, shed = 0;
+        for (int i = 0; i < 2; ++i) {
+            auto msg = client.receive(10000.0);
+            ASSERT_TRUE(msg.has_value());
+            auto *result = std::get_if<Result>(&*msg);
+            ASSERT_NE(nullptr, result);
+            if (result->status == Status::Ok)
+                ++ok;
+            else if (result->status == Status::Shed)
+                ++shed;
+        }
+        EXPECT_EQ(1u, ok);
+        EXPECT_EQ(1u, shed);
+        EXPECT_EQ(1u, server.stats().queue_timeouts);
     }
-    // Task 1 occupies the window for 150 ms; task 2 waits past the
-    // 40 ms deadline and must come back shed well before task 1's
-    // proof.
-    size_t ok = 0, shed = 0;
-    for (int i = 0; i < 2; ++i) {
-        auto msg = client.receive(10000.0);
-        ASSERT_TRUE(msg.has_value());
-        auto *result = std::get_if<Result>(&*msg);
-        ASSERT_NE(nullptr, result);
-        if (result->status == Status::Ok)
-            ++ok;
-        else if (result->status == Status::Shed)
-            ++shed;
-    }
-    EXPECT_EQ(1u, ok);
-    EXPECT_EQ(1u, shed);
-    EXPECT_EQ(1u, server.stats().queue_timeouts);
 }
 
 TEST(NetServer, NegotiatesVersionAndRefusesUnsupportedRanges)

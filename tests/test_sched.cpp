@@ -18,7 +18,6 @@
 #include "core/MultiGpu.h"
 #include "core/PipelinedSystem.h"
 #include "core/Protocol.h"
-#include "core/Serialize.h"
 #include "gpusim/Device.h"
 #include "gpusim/FaultInjector.h"
 #include "hash/Sha256.h"
@@ -35,13 +34,11 @@ namespace {
 
 /** SHA-256 over the concatenated serialized proofs, hex. */
 std::string
-proofsSha256(const std::vector<SnarkProof<Fr>> &proofs)
+proofsSha256(const std::vector<std::vector<uint8_t>> &proofs)
 {
     std::vector<uint8_t> all;
-    for (const auto &p : proofs) {
-        auto bytes = serializeProof(p);
+    for (const auto &bytes : proofs)
         all.insert(all.end(), bytes.begin(), bytes.end());
-    }
     auto digest = Sha256::digest(all);
     return toHex(std::span<const uint8_t>(digest.bytes));
 }

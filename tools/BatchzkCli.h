@@ -36,7 +36,7 @@ struct Args
     uint16_t port = 9091;        // serve/submit: loopback TCP port
     uint64_t tenant = 0;         // submit: tenant identity
     uint64_t rate = 0;           // serve: per-tenant submits/s (0 = off)
-    size_t window = 0;           // serve: in-flight window (0 = derive)
+    size_t window = 0;           // serve: in-flight window (0 = workers)
     size_t queue_cap = 4096;     // serve: admission-queue capacity
     // Proving protocol: "table-commit", "high-degree-gate", or (sched
     // only) "mixed" for a batch alternating between the two.
