@@ -17,7 +17,6 @@
 #include "bench/BenchUtil.h"
 #include "encoder/SpielmanCode.h"
 #include "exec/ExecContext.h"
-#include "ff/FieldBackend.h"
 #include "ff/Fields.h"
 #include "hash/Transcript.h"
 #include "merkle/MerkleTree.h"
@@ -179,43 +178,5 @@ main(int argc, char **argv)
         "Real host modules on this machine; speedups depend on core "
         "count (single-core hosts show ~1.0x). Results are verified "
         "bit-identical across the sweep.");
-
-    // Module-level field-backend sweep: the Goldilocks sum-check
-    // prover under the forced scalar backend vs. the host's best one.
-    // Informational (not gated): the kernel-level gate lives in
-    // bench_micro's baseline.
-    ff::Backend best = ff::detectBackend();
-    json.meta("field_backend", ff::backendName(best));
-    auto gl_poly = Multilinear<Gl64>::random(kSumcheckVars, rng);
-    Gl64 gl_ref{}, gl_pin{};
-    auto run_gl = [&](Gl64 *pin) {
-        return timeMs([&] {
-            Transcript transcript("bench_host.gl_sumcheck");
-            auto proof = proveSumcheckFs(gl_poly, transcript);
-            *pin = proof.proof.rounds.back().back();
-        });
-    };
-    ff::forceBackend(ff::Backend::kScalar);
-    double gl_scalar_ms = run_gl(&gl_ref);
-    ff::forceBackend(best);
-    double gl_simd_ms = run_gl(&gl_pin);
-    ff::clearForcedBackend();
-    if (gl_pin != gl_ref)
-        fatal("bench_host: Goldilocks sum-check diverged across "
-              "field backends");
-    json.addRow("gl_sumcheck_backend",
-                {{"ms_scalar", gl_scalar_ms},
-                 {"ms_simd", gl_simd_ms},
-                 {"simd_speedup", gl_scalar_ms / gl_simd_ms}});
-    TablePrinter fb_table(
-        {"Module", "scalar ms",
-         std::string(ff::backendName(best)) + " ms", "speedup"});
-    fb_table.addRow({"gl_sumcheck", fmtMs(gl_scalar_ms),
-                     fmtMs(gl_simd_ms),
-                     fmtSpeedup(gl_scalar_ms / gl_simd_ms)});
-    printTable(
-        "Goldilocks sum-check by field backend (1 thread)", fb_table,
-        "Transcripts verified identical across backends; see "
-        "bench_micro for the kernel-level sweep CI gates on.");
     return 0;
 }

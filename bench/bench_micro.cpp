@@ -4,16 +4,15 @@
  * modules are built from. These are the real host-side costs behind the
  * measured CPU baseline columns in Tables 3-5 and 7.
  *
- * Before the google-benchmark suite runs, scalar-vs-SIMD sweeps of
- * the packed Goldilocks kernels and the wide BN254 Fr kernels (plus
- * the 2^14-point MSM acceptance sweep), the portable-vs-dispatched
- * SHA-256 block kernels, and the scalar-path rows (eqTable and the
- * column-leaf function against their reference loops) are measured
- * and printed; with `--json <path>` they are dumped in the JsonBench
- * schema that tools/check_bench.py gates in the perf-smoke CI job (the
- * checked-in baseline pins the packed-vs-scalar mul speedups and the
- * vectorized MSM speedup; the SHA-256 and scalar-path rows are
- * reported, not pinned).
+ * Before the google-benchmark suite runs, a scalar-vs-SIMD sweep of
+ * the wide BN254 Fr kernels (plus the 2^14-point MSM acceptance
+ * sweep), the portable-vs-dispatched SHA-256 block kernels, and the
+ * scalar-path rows (eqTable and the column-leaf function against their
+ * reference loops) are measured and printed; with `--json <path>` they
+ * are dumped in the JsonBench schema that tools/check_bench.py gates in
+ * the perf-smoke CI job (the checked-in baseline pins the
+ * packed-vs-scalar Fr mul speedup and the vectorized MSM speedup; the
+ * SHA-256 and scalar-path rows are reported, not pinned).
  */
 
 #include <benchmark/benchmark.h>
@@ -199,7 +198,7 @@ BM_FrMulLanes(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(n));
-    state.SetLabel(ff::wideBackendName(ff::activeWideBackend()));
+    state.SetLabel(ff::backendName(ff::activeBackend()));
 }
 BENCHMARK(BM_FrMulLanes)->Range(1 << 10, 1 << 14);
 
@@ -219,7 +218,7 @@ BM_FrBatchInverse(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(n));
-    state.SetLabel(ff::wideBackendName(ff::activeWideBackend()));
+    state.SetLabel(ff::backendName(ff::activeBackend()));
 }
 BENCHMARK(BM_FrBatchInverse)->Range(1 << 10, 1 << 12);
 
@@ -235,86 +234,6 @@ BM_GoldilocksMul(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GoldilocksMul);
-
-void
-BM_GlMulLanes(benchmark::State &state)
-{
-    Rng rng(11);
-    size_t n = static_cast<size_t>(state.range(0));
-    std::vector<Gl64> a(n), b(n), out(n);
-    for (size_t i = 0; i < n; ++i) {
-        a[i] = Gl64::random(rng);
-        b[i] = Gl64::random(rng);
-    }
-    for (auto _ : state) {
-        ff::mulLanes(a.data(), b.data(), out.data(), n);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(n));
-    state.SetLabel(ff::backendName(ff::activeBackend()));
-}
-BENCHMARK(BM_GlMulLanes)->Range(1 << 10, 1 << 14);
-
-void
-BM_GlFoldLanes(benchmark::State &state)
-{
-    Rng rng(12);
-    size_t n = static_cast<size_t>(state.range(0));
-    std::vector<Gl64> lo(n), hi(n);
-    for (size_t i = 0; i < n; ++i) {
-        lo[i] = Gl64::random(rng);
-        hi[i] = Gl64::random(rng);
-    }
-    Gl64 r = Gl64::random(rng);
-    for (auto _ : state) {
-        ff::foldLanes(lo.data(), hi.data(), r, n);
-        benchmark::DoNotOptimize(lo.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(n));
-    state.SetLabel(ff::backendName(ff::activeBackend()));
-}
-BENCHMARK(BM_GlFoldLanes)->Range(1 << 10, 1 << 14);
-
-void
-BM_GlDotLanes(benchmark::State &state)
-{
-    Rng rng(13);
-    size_t n = static_cast<size_t>(state.range(0));
-    std::vector<Gl64> a(n), b(n);
-    for (size_t i = 0; i < n; ++i) {
-        a[i] = Gl64::random(rng);
-        b[i] = Gl64::random(rng);
-    }
-    for (auto _ : state) {
-        Gl64 d = ff::dotLanes(a.data(), b.data(), n);
-        benchmark::DoNotOptimize(d);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(n));
-    state.SetLabel(ff::backendName(ff::activeBackend()));
-}
-BENCHMARK(BM_GlDotLanes)->Range(1 << 10, 1 << 14);
-
-void
-BM_GlBatchInverse(benchmark::State &state)
-{
-    Rng rng(14);
-    size_t n = static_cast<size_t>(state.range(0));
-    std::vector<Gl64> x(n);
-    for (auto &v : x)
-        v = Gl64::random(rng);
-    std::vector<Gl64> scratch(n);
-    for (auto _ : state) {
-        std::copy(x.begin(), x.end(), scratch.begin());
-        ff::batchInverse(scratch.data(), n);
-        benchmark::DoNotOptimize(scratch.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(n));
-}
-BENCHMARK(BM_GlBatchInverse)->Range(1 << 10, 1 << 12);
 
 void
 BM_Ntt(benchmark::State &state)
@@ -446,131 +365,14 @@ medianMs(Fn &&fn)
 }
 
 /**
- * Scalar-vs-SIMD sweep of the packed Goldilocks kernels. Each kernel
- * runs the identical call sites under the forced scalar backend and
- * the host's best backend; outputs are cross-checked (they must be
- * bit-identical) and throughput goes to the table and the JSON dump.
- */
-void
-runFieldSweep(bench::JsonBench &json)
-{
-    using bzk::ff::Backend;
-    constexpr size_t kN = size_t{1} << 14;
-    constexpr size_t kIters = 64;
-    constexpr size_t kInvN = size_t{1} << 12;
-
-    Rng rng(0xf1e1d);
-    std::vector<Gl64> a(kN), b(kN), out(kN), scratch(kN);
-    for (size_t i = 0; i < kN; ++i) {
-        a[i] = Gl64::random(rng);
-        b[i] = Gl64::random(rng);
-    }
-    Gl64 r = Gl64::random(rng);
-
-    Backend best = ff::detectBackend();
-    json.meta("field_backend", ff::backendName(best));
-    json.meta("field_lanes",
-              std::to_string(ff::backendLanes(best)));
-
-    struct Kernel
-    {
-        const char *label;
-        void (*run)(std::vector<Gl64> &, std::vector<Gl64> &,
-                    std::vector<Gl64> &, const Gl64 &);
-    };
-    const Kernel kernels[] = {
-        {"field_add",
-         [](std::vector<Gl64> &x, std::vector<Gl64> &y,
-            std::vector<Gl64> &o, const Gl64 &) {
-             for (size_t it = 0; it < kIters; ++it)
-                 ff::addLanes(x.data(), y.data(), o.data(), x.size());
-         }},
-        {"field_mul",
-         [](std::vector<Gl64> &x, std::vector<Gl64> &y,
-            std::vector<Gl64> &o, const Gl64 &) {
-             for (size_t it = 0; it < kIters; ++it)
-                 ff::mulLanes(x.data(), y.data(), o.data(), x.size());
-         }},
-        {"field_fold",
-         [](std::vector<Gl64> &x, std::vector<Gl64> &y,
-            std::vector<Gl64> &o, const Gl64 &rr) {
-             for (size_t it = 0; it < kIters; ++it) {
-                 std::copy(x.begin(), x.end(), o.begin());
-                 ff::foldLanes(o.data(), y.data(), rr, x.size());
-             }
-         }},
-        {"field_dot",
-         [](std::vector<Gl64> &x, std::vector<Gl64> &y,
-            std::vector<Gl64> &o, const Gl64 &) {
-             for (size_t it = 0; it < kIters; ++it)
-                 o[0] = ff::dotLanes(x.data(), y.data(), x.size());
-         }},
-    };
-
-    TablePrinter table({"Kernel", "scalar Melem/s",
-                        std::string(ff::backendName(best)) + " Melem/s",
-                        "speedup"});
-    double total_elems = static_cast<double>(kN) * kIters;
-    for (const Kernel &k : kernels) {
-        ff::forceBackend(Backend::kScalar);
-        double scalar_ms = medianMs([&] { k.run(a, b, out, r); });
-        std::vector<Gl64> scalar_out = out;
-        ff::forceBackend(best);
-        double simd_ms = medianMs([&] { k.run(a, b, out, r); });
-        if (out != scalar_out)
-            fatal("bench_micro: %s diverged between backends", k.label);
-        double scalar_tp = total_elems / scalar_ms / 1e3;
-        double simd_tp = total_elems / simd_ms / 1e3;
-        double speedup = scalar_ms / simd_ms;
-        table.addRow({k.label, formatSig(scalar_tp, 4),
-                      formatSig(simd_tp, 4), bench::fmtSpeedup(speedup)});
-        json.addRow(k.label, {{"scalar_elems_per_ms", scalar_tp * 1e3},
-                              {"simd_elems_per_ms", simd_tp * 1e3},
-                              {"simd_speedup", speedup}});
-    }
-    ff::clearForcedBackend();
-
-    // Batch inversion vs. per-element Fermat inversions (the win is
-    // algorithmic — one inversion plus 3n muls — not lane packing).
-    std::vector<Gl64> inv_in(a.begin(), a.begin() + kInvN);
-    double fermat_ms = medianMs([&] {
-        std::copy(inv_in.begin(), inv_in.end(), scratch.begin());
-        for (size_t i = 0; i < kInvN; ++i)
-            scratch[i] = scratch[i].inverse();
-    });
-    std::vector<Gl64> fermat_out(scratch.begin(),
-                                 scratch.begin() + kInvN);
-    double batch_ms = medianMs([&] {
-        std::copy(inv_in.begin(), inv_in.end(), scratch.begin());
-        ff::batchInverse(scratch.data(), kInvN);
-    });
-    if (!std::equal(fermat_out.begin(), fermat_out.end(),
-                    scratch.begin()))
-        fatal("bench_micro: batchInverse diverged from Fermat");
-    double batch_tp = kInvN / batch_ms;
-    table.addRow({"field_batch_inverse", formatSig(kInvN / fermat_ms / 1e3, 4),
-                  formatSig(batch_tp / 1e3, 4),
-                  bench::fmtSpeedup(fermat_ms / batch_ms)});
-    json.addRow("field_batch_inverse",
-                {{"elems_per_ms", batch_tp},
-                 {"speedup_vs_fermat", fermat_ms / batch_ms}});
-
-    bench::printTable(
-        "Packed Goldilocks field kernels (scalar vs " +
-            std::string(ff::backendName(best)) + ")",
-        table,
-        "Single-threaded; outputs verified bit-identical across "
-        "backends. batch_inverse compares against per-element Fermat "
-        "inversion on the same backend.");
-}
-
-/**
  * Scalar-vs-packed sweep of the wide 4x64-limb Montgomery kernels on
  * BN254 Fr, plus the 2^14-point MSM acceptance sweep: the vectorized
  * batch-affine bucket pass must beat the scalar Jacobian bucket loop
  * and produce a bit-identical point. Outputs under the forced scalar
- * table and the host's best wide backend are cross-checked
- * element-by-element before any throughput is reported.
+ * table and the host's best table (detectBackend(), whatever
+ * BZK_FIELD_BACKEND says) are cross-checked element-by-element before
+ * any throughput is reported; the column heading and the meta name
+ * the table the sweep forces.
  */
 void
 runWideFieldSweep(bench::JsonBench &json)
@@ -588,13 +390,9 @@ runWideFieldSweep(bench::JsonBench &json)
     }
 
     Backend best = ff::detectBackend();
-    const char *wide_name =
-        ff::wideBackendName(ff::activeWideBackend());
+    const char *wide_name = ff::backendName(best);
     json.meta("wide_backend", wide_name);
-    json.meta("wide_lanes", std::to_string(ff::wideBackendLanes(
-                                ff::activeWideBackend())));
-    json.meta("wide_ifma",
-              ff::wideIfmaAvailable() ? "available" : "absent");
+    json.meta("wide_lanes", std::to_string(ff::backendLanes(best)));
 
     TablePrinter table({"Kernel", "scalar Melem/s",
                         std::string(wide_name) + " Melem/s",
@@ -855,15 +653,14 @@ runScalarPathSweep(bench::JsonBench &json)
 } // namespace
 } // namespace bzk
 
-// Custom main: `--json <path>` feeds the JsonBench dump of the field
-// sweep (the perf-smoke CI gate), `--threads <n>` installs the
+// Custom main: `--json <path>` feeds the JsonBench dump of the sweeps
+// (the perf-smoke CI gate), `--threads <n>` installs the
 // process-wide host-thread default, and everything else passes through
 // to google-benchmark.
 int
 main(int argc, char **argv)
 {
     bzk::bench::JsonBench json("bench_micro", argc, argv);
-    bzk::runFieldSweep(json);
     bzk::runWideFieldSweep(json);
     bzk::runShaSweep(json);
     bzk::runScalarPathSweep(json);

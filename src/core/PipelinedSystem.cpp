@@ -179,64 +179,48 @@ PipelinedZkpSystem::run(size_t batch, unsigned n_vars, Rng &rng)
             ff::KernelCounters fc = ff::kernelCounters();
             metrics_
                 ->gauge("bzk_field_backend",
-                        "active packed field backend "
-                        "(0=scalar 1=avx2 2=avx512 3=neon)")
+                        "active Fr/Fq field kernel table "
+                        "(0=scalar 1=avx2 2=ifma)")
                 .set(static_cast<double>(
                     static_cast<int>(ff::activeBackend())));
             metrics_
                 ->gauge("bzk_field_lanes",
                         "field elements per packed op on the active "
-                        "backend")
+                        "table")
                 .set(static_cast<double>(
                     ff::backendLanes(ff::activeBackend())));
             metrics_
                 ->gauge("bzk_field_add_calls",
-                        "packed field addLanes kernel calls")
+                        "generic (non-Fr/Fq) addLanes calls")
                 .set(static_cast<double>(fc.add_lanes));
             metrics_
                 ->gauge("bzk_field_sub_calls",
-                        "packed field subLanes kernel calls")
+                        "generic (non-Fr/Fq) subLanes calls")
                 .set(static_cast<double>(fc.sub_lanes));
             metrics_
                 ->gauge("bzk_field_mul_calls",
-                        "packed field mulLanes kernel calls")
+                        "generic (non-Fr/Fq) mulLanes calls")
                 .set(static_cast<double>(fc.mul_lanes));
             metrics_
                 ->gauge("bzk_field_fold_calls",
-                        "packed field foldLanes kernel calls")
+                        "generic (non-Fr/Fq) foldLanes calls")
                 .set(static_cast<double>(fc.fold_lanes));
             metrics_
                 ->gauge("bzk_field_axpy_calls",
-                        "packed field axpyLanes kernel calls")
+                        "generic (non-Fr/Fq) axpyLanes calls")
                 .set(static_cast<double>(fc.axpy_lanes));
             metrics_
                 ->gauge("bzk_field_sum_calls",
-                        "packed field sumLanes kernel calls")
+                        "generic (non-Fr/Fq) sumLanes calls")
                 .set(static_cast<double>(fc.sum_lanes));
             metrics_
                 ->gauge("bzk_field_dot_calls",
-                        "packed field dotLanes kernel calls")
+                        "generic (non-Fr/Fq) dotLanes calls")
                 .set(static_cast<double>(fc.dot_lanes));
             metrics_
                 ->gauge("bzk_field_batch_inverse_calls",
-                        "field batchInverse calls")
+                        "generic (non-Fr/Fq) batchInverse calls")
                 .set(static_cast<double>(fc.batch_inverse));
-            metrics_
-                ->gauge("bzk_field_wide_backend",
-                        "active wide 4x64-limb field backend "
-                        "(0=scalar 1=avx2 2=ifma)")
-                .set(static_cast<double>(
-                    static_cast<int>(ff::activeWideBackend())));
-            metrics_
-                ->gauge("bzk_field_wide_lanes",
-                        "field elements per packed op on the active "
-                        "wide backend")
-                .set(static_cast<double>(
-                    ff::wideBackendLanes(ff::activeWideBackend())));
-            metrics_
-                ->gauge("bzk_field_wide_ifma_available",
-                        "1 if the host CPU supports AVX-512 IFMA")
-                .set(ff::wideIfmaAvailable() ? 1.0 : 0.0);
             metrics_
                 ->gauge("bzk_field_wide_add_calls",
                         "wide field addLanes kernel calls")

@@ -1,9 +1,8 @@
 /**
  * @file
  * Backend resolution (CPUID, env override, test forcing), kernel call
- * counters, the portable scalar kernel table, and the Goldilocks
- * specializations that route the public packed API through whichever
- * table is active.
+ * counters, and the BN254 Fr/Fq specializations that route the public
+ * lane API through whichever wide kernel table is active.
  */
 
 #include "ff/FieldBackend.h"
@@ -12,7 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "ff/GoldilocksKernels.h"
 #include "ff/WideKernels.h"
 #include "util/Log.h"
 
@@ -33,72 +31,6 @@ countKernel(Kernel kernel)
         1, std::memory_order_relaxed);
 }
 
-namespace {
-
-void
-scalarAdd(const uint64_t *a, const uint64_t *b, uint64_t *out, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] = glAdd(a[i], b[i]);
-}
-
-void
-scalarSub(const uint64_t *a, const uint64_t *b, uint64_t *out, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] = glSub(a[i], b[i]);
-}
-
-void
-scalarMul(const uint64_t *a, const uint64_t *b, uint64_t *out, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        out[i] = glMul(a[i], b[i]);
-}
-
-void
-scalarFold(uint64_t *lo, const uint64_t *hi, uint64_t r, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        lo[i] = glAdd(lo[i], glMul(r, glSub(hi[i], lo[i])));
-}
-
-void
-scalarAxpy(uint64_t *acc, const uint64_t *x, uint64_t s, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        acc[i] = glAdd(acc[i], glMul(s, x[i]));
-}
-
-uint64_t
-scalarSum(const uint64_t *a, size_t n)
-{
-    uint64_t acc = 0;
-    for (size_t i = 0; i < n; ++i)
-        acc = glAdd(acc, a[i]);
-    return acc;
-}
-
-uint64_t
-scalarDot(const uint64_t *a, const uint64_t *b, size_t n)
-{
-    uint64_t acc = 0;
-    for (size_t i = 0; i < n; ++i)
-        acc = glAdd(acc, glMul(a[i], b[i]));
-    return acc;
-}
-
-} // namespace
-
-const GlKernelTable &
-glScalarKernels()
-{
-    static const GlKernelTable table{scalarAdd, scalarSub, scalarMul,
-                                     scalarFold, scalarAxpy, scalarSum,
-                                     scalarDot};
-    return table;
-}
-
 } // namespace detail
 
 namespace {
@@ -114,12 +46,10 @@ parseBackendName(const char *name)
         return Backend::kScalar;
     if (std::strcmp(name, "avx2") == 0)
         return Backend::kAvx2;
-    if (std::strcmp(name, "avx512") == 0)
-        return Backend::kAvx512;
-    if (std::strcmp(name, "neon") == 0)
-        return Backend::kNeon;
+    if (std::strcmp(name, "ifma") == 0)
+        return Backend::kIfma;
     fatal("BZK_FIELD_BACKEND: unknown backend '%s' "
-          "(want scalar|avx2|avx512|neon)",
+          "(want scalar|avx2|ifma)",
           name);
 }
 
@@ -136,69 +66,6 @@ resolveBackend()
         return requested;
     }
     return detectBackend();
-}
-
-const detail::GlKernelTable &
-tableFor(Backend backend)
-{
-    switch (backend) {
-#if defined(__x86_64__) || defined(_M_X64)
-      case Backend::kAvx2:
-        return detail::glAvx2Kernels();
-      case Backend::kAvx512:
-        return detail::glAvx512Kernels();
-#endif
-#if defined(__aarch64__)
-      case Backend::kNeon:
-        return detail::glNeonKernels();
-#endif
-      default:
-        return detail::glScalarKernels();
-    }
-}
-
-/** The active table; resolves and caches the backend on first use. */
-const detail::GlKernelTable &
-activeTable()
-{
-    return tableFor(activeBackend());
-}
-
-static_assert(sizeof(Goldilocks) == sizeof(uint64_t),
-              "packed kernels view Goldilocks arrays as limb arrays");
-
-const uint64_t *
-limbs(const Goldilocks *p)
-{
-    return reinterpret_cast<const uint64_t *>(p);
-}
-
-uint64_t *
-limbs(Goldilocks *p)
-{
-    return reinterpret_cast<uint64_t *>(p);
-}
-
-// Wide-field (4x64-limb Montgomery) dispatch state. -1 = unresolved;
-// 0/1 = IFMA disabled/enabled. forceWideIfma stores directly; the
-// first wideIfmaEnabled() call resolves BZK_FIELD_IFMA then CPUID.
-std::atomic<int> g_ifma{-1};
-
-int
-resolveIfma()
-{
-    if (const char *env = std::getenv("BZK_FIELD_IFMA"); env && *env) {
-        if (std::strcmp(env, "0") == 0)
-            return 0;
-        if (std::strcmp(env, "1") == 0) {
-            if (!wideIfmaAvailable())
-                fatal("BZK_FIELD_IFMA=1 requested but this host has "
-                      "no AVX-512 IFMA");
-            return 1;
-        }
-        fatal("BZK_FIELD_IFMA: unknown value '%s' (want 0|1)", env);
-    }
-    return wideIfmaAvailable() ? 1 : 0;
 }
 
 static_assert(sizeof(Fp<Bn254FrParams>) == 4 * sizeof(uint64_t) &&
@@ -232,15 +99,15 @@ wideConstants()
     return c;
 }
 
-/** The wide table matching the active backend and IFMA state. */
+/** The wide table of the active backend. */
 const detail::WideKernelTable &
 activeWideTable()
 {
 #if defined(__x86_64__) || defined(_M_X64)
-    switch (activeWideBackend()) {
-      case WideBackend::kIfma:
+    switch (activeBackend()) {
+      case Backend::kIfma:
         return detail::wideIfmaKernels();
-      case WideBackend::kAvx2:
+      case Backend::kAvx2:
         return detail::wideAvx2Kernels();
       default:
         break;
@@ -259,10 +126,8 @@ backendName(Backend backend)
         return "scalar";
       case Backend::kAvx2:
         return "avx2";
-      case Backend::kAvx512:
-        return "avx512";
-      case Backend::kNeon:
-        return "neon";
+      case Backend::kIfma:
+        return "ifma";
     }
     return "unknown";
 }
@@ -276,12 +141,9 @@ backendAvailable(Backend backend)
 #if defined(__x86_64__) || defined(_M_X64)
       case Backend::kAvx2:
         return __builtin_cpu_supports("avx2");
-      case Backend::kAvx512:
-        return __builtin_cpu_supports("avx512f");
-#endif
-#if defined(__aarch64__)
-      case Backend::kNeon:
-        return true;
+      case Backend::kIfma:
+        return __builtin_cpu_supports("avx512f") &&
+               __builtin_cpu_supports("avx512ifma");
 #endif
       default:
         return false;
@@ -291,12 +153,13 @@ backendAvailable(Backend backend)
 Backend
 detectBackend()
 {
-    if (backendAvailable(Backend::kAvx512))
-        return Backend::kAvx512;
+    // AVX-512F without IFMA lands on avx2: AVX-512F implies AVX2, and
+    // the carry-chain code gains nothing from 512-bit lanes
+    // (docs/PERFORMANCE.md).
+    if (backendAvailable(Backend::kIfma))
+        return Backend::kIfma;
     if (backendAvailable(Backend::kAvx2))
         return Backend::kAvx2;
-    if (backendAvailable(Backend::kNeon))
-        return Backend::kNeon;
     return Backend::kScalar;
 }
 
@@ -338,93 +201,10 @@ backendLanes(Backend backend)
     switch (backend) {
       case Backend::kAvx2:
         return 4;
-      case Backend::kAvx512:
-        return 8;
-      case Backend::kNeon:
-        return 2;
-      default:
-        return 1;
-    }
-}
-
-const char *
-wideBackendName(WideBackend backend)
-{
-    switch (backend) {
-      case WideBackend::kScalar:
-        return "scalar";
-      case WideBackend::kAvx2:
-        return "avx2";
-      case WideBackend::kIfma:
-        return "ifma";
-    }
-    return "unknown";
-}
-
-size_t
-wideBackendLanes(WideBackend backend)
-{
-    switch (backend) {
-      case WideBackend::kAvx2:
-        return 4;
-      case WideBackend::kIfma:
+      case Backend::kIfma:
         return 8;
       default:
         return 1;
-    }
-}
-
-bool
-wideIfmaAvailable()
-{
-#if defined(__x86_64__) || defined(_M_X64)
-    return __builtin_cpu_supports("avx512ifma");
-#else
-    return false;
-#endif
-}
-
-bool
-wideIfmaEnabled()
-{
-    int cached = g_ifma.load(std::memory_order_acquire);
-    if (cached >= 0)
-        return cached != 0;
-    int resolved = resolveIfma();
-    int expected = -1;
-    g_ifma.compare_exchange_strong(expected, resolved,
-                                   std::memory_order_acq_rel);
-    // On a lost race another thread resolved the same way (resolution
-    // is deterministic), so either value is correct.
-    return resolved != 0;
-}
-
-void
-forceWideIfma(int mode)
-{
-    if (mode > 0 && !wideIfmaAvailable())
-        fatal("forceWideIfma: AVX-512 IFMA unavailable on this host");
-    g_ifma.store(mode < 0 ? -1 : (mode > 0 ? 1 : 0),
-                 std::memory_order_release);
-}
-
-WideBackend
-activeWideBackend()
-{
-    switch (activeBackend()) {
-      case Backend::kAvx512:
-        // Without vpmadd52 the 4-way radix-64 CIOS table is the best
-        // available: AVX-512F implies AVX2, and the carry-chain code
-        // gains nothing from 512-bit lanes (docs/PERFORMANCE.md).
-        return wideIfmaEnabled() ? WideBackend::kIfma
-                                 : WideBackend::kAvx2;
-      case Backend::kAvx2:
-        return WideBackend::kAvx2;
-      default:
-        // NEON has no wide table yet: a 2-way 4x64 carry chain was
-        // measured no better than scalar and there is no aarch64
-        // toolchain in CI to keep it honest. Scalar is exact.
-        return WideBackend::kScalar;
     }
 }
 
@@ -461,67 +241,6 @@ resetKernelCounters()
 {
     for (auto &counter : detail::g_counters)
         counter.store(0, std::memory_order_relaxed);
-}
-
-template <>
-void
-addLanes<Goldilocks>(const Goldilocks *a, const Goldilocks *b,
-                     Goldilocks *out, size_t n)
-{
-    detail::countKernel(detail::Kernel::kAdd);
-    activeTable().add(limbs(a), limbs(b), limbs(out), n);
-}
-
-template <>
-void
-subLanes<Goldilocks>(const Goldilocks *a, const Goldilocks *b,
-                     Goldilocks *out, size_t n)
-{
-    detail::countKernel(detail::Kernel::kSub);
-    activeTable().sub(limbs(a), limbs(b), limbs(out), n);
-}
-
-template <>
-void
-mulLanes<Goldilocks>(const Goldilocks *a, const Goldilocks *b,
-                     Goldilocks *out, size_t n)
-{
-    detail::countKernel(detail::Kernel::kMul);
-    activeTable().mul(limbs(a), limbs(b), limbs(out), n);
-}
-
-template <>
-void
-foldLanes<Goldilocks>(Goldilocks *lo, const Goldilocks *hi,
-                      const Goldilocks &r, size_t n)
-{
-    detail::countKernel(detail::Kernel::kFold);
-    activeTable().fold(limbs(lo), limbs(hi), r.toUint(), n);
-}
-
-template <>
-void
-axpyLanes<Goldilocks>(Goldilocks *acc, const Goldilocks *x,
-                      const Goldilocks &s, size_t n)
-{
-    detail::countKernel(detail::Kernel::kAxpy);
-    activeTable().axpy(limbs(acc), limbs(x), s.toUint(), n);
-}
-
-template <>
-Goldilocks
-sumLanes<Goldilocks>(const Goldilocks *a, size_t n)
-{
-    detail::countKernel(detail::Kernel::kSum);
-    return Goldilocks::fromRaw(activeTable().sum(limbs(a), n));
-}
-
-template <>
-Goldilocks
-dotLanes<Goldilocks>(const Goldilocks *a, const Goldilocks *b, size_t n)
-{
-    detail::countKernel(detail::Kernel::kDot);
-    return Goldilocks::fromRaw(activeTable().dot(limbs(a), limbs(b), n));
 }
 
 // ---- Wide-field (BN254 Fr/Fq) specializations. The kernels operate

@@ -12,14 +12,6 @@
  * sub, mul, fold and dot/sum/axpy kernels over lanes, plus Montgomery
  * batch inversion.
  *
- * A portable scalar backend is always available. On x86-64, AVX2
- * (4-way) and AVX-512 (8-way) Goldilocks backends are compiled in and
- * selected via CPUID at startup; on AArch64 a NEON (2-way) backend
- * takes their place. The choice can be forced with the
- * BZK_FIELD_BACKEND=scalar|avx2|avx512|neon environment variable (CI
- * pins `scalar` for a dispatch-off determinism leg) or, in tests, with
- * forceBackend().
- *
  * Every kernel computes exactly the same field elements as the obvious
  * scalar loop: lane packing only reorders independent lane work, and
  * where a kernel folds lanes into one value (sumLanes, dotLanes) the
@@ -29,19 +21,16 @@
  * by test_ff_kat and the system goldens).
  *
  * The generic templates below run the portable loop for any field
- * type. Two families have specializations that route through the
- * dispatched backends instead:
- *
- *  - Goldilocks (one 64-bit canonical limb per SIMD lane) uses the
- *    kernels declared in GoldilocksKernels.h.
- *  - The 4x64-limb Montgomery fields BN254 Fr and Fq use the *wide*
- *    kernels of WideKernels.h: blocks of elements are transposed to a
- *    limb-major (struct-of-arrays) layout and multiplied 8-way with
- *    AVX-512 IFMA vpmadd52 (radix-52), 4-way with AVX2 widening
- *    64x64 multiplies (radix-64 CIOS), or element-wise on the scalar
- *    reference. On AVX-512F hosts without IFMA — and whenever
- *    BZK_FIELD_IFMA=0 or forceWideIfma(0) disables it — the AVX2
- *    4-way table serves as the fallback. See docs/PERFORMANCE.md.
+ * type (Goldilocks among them). The 4x64-limb Montgomery fields BN254
+ * Fr and Fq specialize them onto the wide kernel tables of
+ * WideKernels.h: blocks of elements are transposed to a limb-major
+ * (struct-of-arrays) layout and multiplied 8-way with AVX-512 IFMA
+ * vpmadd52 (radix-52), 4-way with AVX2 widening 64x64 multiplies
+ * (radix-64 CIOS), or element-wise on the scalar reference. One
+ * Backend names the table: CPUID picks the best one the host runs,
+ * BZK_FIELD_BACKEND=scalar|avx2|ifma forces one (CI pins `scalar` and
+ * `avx2` for dispatch legs), and tests force one with forceBackend().
+ * See docs/PERFORMANCE.md.
  */
 
 #include <cstddef>
@@ -50,31 +39,35 @@
 
 #include "ff/FieldParams.h"
 #include "ff/Fp.h"
-#include "ff/Goldilocks.h"
 
 namespace bzk::ff {
 
-/** Packed-kernel implementations, in preference order. */
+/**
+ * The wide-field (BN254 Fr/Fq) kernel tables. Ordinals are stable:
+ * the bzk_field_backend gauge reports them.
+ */
 enum class Backend {
+    /** Element-wise radix-64 CIOS; always available. */
     kScalar = 0,
+    /** 4-way radix-64 CIOS; needs AVX2. */
     kAvx2 = 1,
-    kAvx512 = 2,
-    kNeon = 3,
+    /** 8-way radix-52 vpmadd52; needs AVX-512F and AVX-512 IFMA. */
+    kIfma = 2,
 };
 
-/** Stable lower-case name ("scalar", "avx2", "avx512", "neon"). */
+/** Stable lower-case name ("scalar", "avx2", "ifma"). */
 const char *backendName(Backend backend);
 
 /** True when @p backend can run on this host (kScalar always can). */
 bool backendAvailable(Backend backend);
 
-/** Best backend this host supports, ignoring any override. */
+/** Best backend this host supports (ifma, then avx2, then scalar). */
 Backend detectBackend();
 
 /**
- * The backend packed kernels dispatch to: a forceBackend() override
- * wins, then BZK_FIELD_BACKEND (fatal on unknown or unavailable
- * names), then detectBackend(). Resolved once and cached.
+ * The backend Fr/Fq lane kernels dispatch to: a forceBackend()
+ * override wins, then BZK_FIELD_BACKEND (fatal on unknown or
+ * unavailable names), then detectBackend(). Resolved once and cached.
  */
 Backend activeBackend();
 
@@ -88,46 +81,8 @@ void forceBackend(Backend backend);
 /** Undo forceBackend(); the next call re-resolves env then CPUID. */
 void clearForcedBackend();
 
-/** Lanes processed per packed op by @p backend (1 for scalar). */
+/** Elements per packed block of @p backend (1, 4 or 8). */
 size_t backendLanes(Backend backend);
-
-/**
- * The wide-field (4x64-limb Montgomery) kernel families. Which one
- * runs is derived from activeBackend() plus IFMA availability:
- * kAvx512 + IFMA -> kIfma (8-way radix-52); kAvx512 without IFMA or
- * kAvx2 -> kAvx2 (4-way radix-64 CIOS); anything else -> kScalar.
- */
-enum class WideBackend {
-    kScalar = 0,
-    kAvx2 = 1,
-    kIfma = 2,
-};
-
-/** Stable lower-case name ("scalar", "avx2", "ifma"). */
-const char *wideBackendName(WideBackend backend);
-
-/** Elements per packed wide-field block (1, 4 or 8). */
-size_t wideBackendLanes(WideBackend backend);
-
-/** The wide-field table Fr/Fq lane kernels dispatch to right now. */
-WideBackend activeWideBackend();
-
-/** True when this host has AVX-512 IFMA (vpmadd52). */
-bool wideIfmaAvailable();
-
-/**
- * True when wide-field dispatch may use the IFMA table: the host has
- * it and neither BZK_FIELD_IFMA=0 nor forceWideIfma(0) disabled it.
- * (The table actually runs only when activeBackend() is kAvx512.)
- */
-bool wideIfmaEnabled();
-
-/**
- * Test hook: 0 disables the IFMA table (exercises the AVX2 fallback
- * on IFMA hosts), 1 re-enables it (fatal when the host lacks IFMA),
- * -1 restores env/CPUID resolution.
- */
-void forceWideIfma(int mode);
 
 /** Cumulative packed-kernel invocation counts (exported as metrics). */
 struct KernelCounters
@@ -140,9 +95,8 @@ struct KernelCounters
     uint64_t sum_lanes = 0;
     uint64_t dot_lanes = 0;
     uint64_t batch_inverse = 0;
-    // Wide-field (Fr/Fq) kernel invocations, counted separately so
-    // the metrics can tell 64-bit Goldilocks traffic from 256-bit
-    // Montgomery traffic.
+    // Wide-field (Fr/Fq) kernel invocations, counted separately from
+    // the generic loops above (which every other field runs).
     uint64_t wide_add_lanes = 0;
     uint64_t wide_sub_lanes = 0;
     uint64_t wide_mul_lanes = 0;
@@ -315,29 +269,6 @@ batchInverse(F *x, size_t n)
     detail::countKernel(detail::Kernel::kBatchInverse);
     return detail::batchInverseImpl(x, n);
 }
-
-// Goldilocks is the packed field: its 64-bit canonical elements map
-// one-to-one onto SIMD lanes, so these route through the dispatched
-// backend instead of the portable loop above.
-template <>
-void addLanes<Goldilocks>(const Goldilocks *a, const Goldilocks *b,
-                          Goldilocks *out, size_t n);
-template <>
-void subLanes<Goldilocks>(const Goldilocks *a, const Goldilocks *b,
-                          Goldilocks *out, size_t n);
-template <>
-void mulLanes<Goldilocks>(const Goldilocks *a, const Goldilocks *b,
-                          Goldilocks *out, size_t n);
-template <>
-void foldLanes<Goldilocks>(Goldilocks *lo, const Goldilocks *hi,
-                           const Goldilocks &r, size_t n);
-template <>
-void axpyLanes<Goldilocks>(Goldilocks *acc, const Goldilocks *x,
-                           const Goldilocks &s, size_t n);
-template <> Goldilocks sumLanes<Goldilocks>(const Goldilocks *a, size_t n);
-template <>
-Goldilocks dotLanes<Goldilocks>(const Goldilocks *a, const Goldilocks *b,
-                                size_t n);
 
 // BN254 Fr and Fq route through the wide-field (4x64-limb Montgomery)
 // kernel tables: limb-transposed SoA blocks, 8-way under AVX-512 IFMA,

@@ -1,9 +1,10 @@
 /**
  * @file
- * Portable wide-field kernel table: the scalar references applied
- * element by element. Always available; also the dispatch target when
- * BZK_FIELD_BACKEND=scalar pins the determinism leg, and the tail
- * path the SIMD tables reuse for trailing elements.
+ * Portable wide-field kernel table (Backend::kScalar): the scalar
+ * references applied element by element. Always available; CPUID
+ * picks it on hosts without AVX2, BZK_FIELD_BACKEND=scalar forces it
+ * for the determinism leg, and the SIMD tables reuse the references
+ * for trailing elements.
  */
 
 #include "ff/WideKernels.h"

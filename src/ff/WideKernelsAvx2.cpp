@@ -10,12 +10,11 @@
  * the 128-bit accumulator split across (lo, carry) lane vectors. AVX2
  * has no 64x64->128 multiply or unsigned 64-bit compare, so products
  * go through four 32x32->64 partial products (mul64Wide) and carries
- * are detected with sign-flip compares — the same tricks as the
- * Goldilocks AVX2 TU, just chained across four limbs.
+ * are detected with sign-flip compares, chained across four limbs.
  *
- * This table is also the wide-field path on AVX-512F hosts without
- * IFMA: AVX-512F implies AVX2, and without vpmadd52 the carry-chain
- * structure gains nothing from 512-bit lanes.
+ * This is Backend::kAvx2. CPUID also picks it on AVX-512F hosts
+ * without IFMA: AVX-512F implies AVX2, and without vpmadd52 the
+ * carry-chain structure gains nothing from 512-bit lanes.
  *
  * Results are bit-identical to the scalar reference: same algorithm,
  * same conditional subtracts, full canonicalization per element.

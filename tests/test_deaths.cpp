@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "../tools/BatchzkCli.h"
 #include "circuit/Circuit.h"
 #include "encoder/SpielmanCode.h"
+#include "ff/FieldBackend.h"
 #include "ff/Fields.h"
 #include "gpusim/Device.h"
 #include "gpusim/FaultInjector.h"
@@ -150,6 +152,24 @@ TEST(DeathTest, EncoderRejectsWrongOutputLength)
     std::vector<Gl64> msg(64);
     std::vector<Gl64> out(127);
     EXPECT_DEATH({ code.encodeInto(msg, out); }, "output length");
+}
+
+TEST(DeathTest, FieldBackendEnvRejectsUnknownNames)
+{
+    // BZK_FIELD_BACKEND names a kernel table: scalar, avx2 or ifma.
+    // Any other name, ISA names that are no table (avx512, neon)
+    // included, is an operator error that exits 1 before any kernel
+    // runs.
+    for (const char *name : {"avx512", "neon", "bogus"}) {
+        SCOPED_TRACE(name);
+        EXPECT_EXIT(
+            {
+                setenv("BZK_FIELD_BACKEND", name, 1);
+                ff::clearForcedBackend();
+                (void)ff::activeBackend();
+            },
+            ::testing::ExitedWithCode(1), "want scalar\\|avx2\\|ifma");
+    }
 }
 
 // A malformed fault plan is an operator configuration error: the CLI

@@ -162,20 +162,21 @@ TEST(GoldilocksKat, FromBytesReduceShortCompat)
               "2222222200000000");
 }
 
-// ---- Packed kernel KATs, forced through every available backend ----
+// ---- Lane kernel KATs ------------------------------------------------
 
+/** Every Fr/Fq kernel table this host can run. */
 std::vector<ff::Backend>
 availableBackends()
 {
     std::vector<ff::Backend> backends;
     for (ff::Backend b : {ff::Backend::kScalar, ff::Backend::kAvx2,
-                          ff::Backend::kAvx512, ff::Backend::kNeon})
+                          ff::Backend::kIfma})
         if (ff::backendAvailable(b))
             backends.push_back(b);
     return backends;
 }
 
-/** Operand mix exercising the reduction edge cases in every lane. */
+/** Gl64 operand mix exercising the reduction edge cases. */
 std::vector<Gl64>
 edgeOperands(size_t n, uint64_t salt)
 {
@@ -197,101 +198,39 @@ edgeOperands(size_t n, uint64_t salt)
 class BackendGuard
 {
   public:
-    ~BackendGuard()
-    {
-        ff::clearForcedBackend();
-        ff::forceWideIfma(-1);
-    }
+    ~BackendGuard() { ff::clearForcedBackend(); }
 };
 
 TEST(FieldBackendKat, MulAddSubAtModulusBoundary)
 {
-    BackendGuard guard;
     Gl64 pm1 = Gl64::fromUint(Gl64::kModulus - 1);
     Gl64 pm2 = Gl64::fromUint(Gl64::kModulus - 2);
-    for (ff::Backend backend : availableBackends()) {
-        SCOPED_TRACE(ff::backendName(backend));
-        ff::forceBackend(backend);
-        // Fill a whole 8-lane vector with boundary values so every
-        // lane of every backend sees them.
-        std::vector<Gl64> a(8, pm1), b(8, pm2), out(8);
-        ff::mulLanes(a.data(), b.data(), out.data(), 8);
-        for (const Gl64 &o : out)
-            EXPECT_EQ(o.toHexString(), "0000000000000002");
-        ff::addLanes(a.data(), a.data(), out.data(), 8);
-        for (const Gl64 &o : out)
-            EXPECT_EQ(o, pm2);
-        ff::subLanes(b.data(), a.data(), out.data(), 8);
-        for (const Gl64 &o : out)
-            EXPECT_EQ(o, -Gl64::one());
-    }
-}
-
-TEST(FieldBackendKat, LaneKernelsMatchScalarAcrossSizes)
-{
-    BackendGuard guard;
-    Gl64 r = Gl64::fromUint(0x0123456789abcdefULL);
-    for (ff::Backend backend : availableBackends()) {
-        size_t lanes = ff::backendLanes(backend);
-        // Lane-boundary sizes: a partial vector, exact multiples, and
-        // one-past, so both the SIMD body and the scalar tail run.
-        const size_t sizes[] = {1,         lanes,        lanes + 1,
-                                2 * lanes, 2 * lanes + 3, 67};
-        for (size_t n : sizes) {
-            SCOPED_TRACE(std::string(ff::backendName(backend)) +
-                         " n=" + std::to_string(n));
-            auto a = edgeOperands(n, 1);
-            auto b = edgeOperands(n, 2);
-
-            ff::forceBackend(ff::Backend::kScalar);
-            std::vector<Gl64> want_add(n), want_sub(n), want_mul(n);
-            std::vector<Gl64> want_fold = a, want_axpy = a;
-            ff::addLanes(a.data(), b.data(), want_add.data(), n);
-            ff::subLanes(a.data(), b.data(), want_sub.data(), n);
-            ff::mulLanes(a.data(), b.data(), want_mul.data(), n);
-            ff::foldLanes(want_fold.data(), b.data(), r, n);
-            ff::axpyLanes(want_axpy.data(), b.data(), r, n);
-            Gl64 want_sum = ff::sumLanes(a.data(), n);
-            Gl64 want_dot = ff::dotLanes(a.data(), b.data(), n);
-
-            ff::forceBackend(backend);
-            std::vector<Gl64> got(n);
-            ff::addLanes(a.data(), b.data(), got.data(), n);
-            EXPECT_EQ(got, want_add);
-            ff::subLanes(a.data(), b.data(), got.data(), n);
-            EXPECT_EQ(got, want_sub);
-            got = a; // in place: out == a
-            ff::subLanes(got.data(), b.data(), got.data(), n);
-            EXPECT_EQ(got, want_sub);
-            ff::mulLanes(a.data(), b.data(), got.data(), n);
-            EXPECT_EQ(got, want_mul);
-            got = a;
-            ff::foldLanes(got.data(), b.data(), r, n);
-            EXPECT_EQ(got, want_fold);
-            got = a;
-            ff::axpyLanes(got.data(), b.data(), r, n);
-            EXPECT_EQ(got, want_axpy);
-            EXPECT_EQ(ff::sumLanes(a.data(), n), want_sum);
-            EXPECT_EQ(ff::dotLanes(a.data(), b.data(), n), want_dot);
-
-            // Canonicalization audit: packed outputs must be < p so
-            // they are safe to serialize (toBytes panics otherwise).
-            for (const Gl64 &v : want_mul)
-                EXPECT_LT(v.toUint(), Gl64::kModulus);
-            for (const Gl64 &v : got)
-                EXPECT_LT(v.toUint(), Gl64::kModulus);
-        }
-    }
+    std::vector<Gl64> a(8, pm1), b(8, pm2), out(8);
+    ff::mulLanes(a.data(), b.data(), out.data(), 8);
+    for (const Gl64 &o : out)
+        EXPECT_EQ(o.toHexString(), "0000000000000002");
+    ff::addLanes(a.data(), a.data(), out.data(), 8);
+    for (const Gl64 &o : out)
+        EXPECT_EQ(o, pm2);
+    ff::subLanes(b.data(), a.data(), out.data(), 8);
+    for (const Gl64 &o : out)
+        EXPECT_EQ(o, -Gl64::one());
 }
 
 TEST(FieldBackendKat, BackendDispatchControls)
 {
     BackendGuard guard;
-    EXPECT_TRUE(ff::backendAvailable(ff::Backend::kScalar));
+    EXPECT_STREQ(ff::backendName(ff::Backend::kScalar), "scalar");
+    EXPECT_STREQ(ff::backendName(ff::Backend::kAvx2), "avx2");
+    EXPECT_STREQ(ff::backendName(ff::Backend::kIfma), "ifma");
     EXPECT_EQ(ff::backendLanes(ff::Backend::kScalar), 1u);
-    EXPECT_STREQ(ff::backendName(ff::Backend::kAvx512), "avx512");
-    ff::forceBackend(ff::Backend::kScalar);
-    EXPECT_EQ(ff::activeBackend(), ff::Backend::kScalar);
+    EXPECT_EQ(ff::backendLanes(ff::Backend::kAvx2), 4u);
+    EXPECT_EQ(ff::backendLanes(ff::Backend::kIfma), 8u);
+    EXPECT_TRUE(ff::backendAvailable(ff::Backend::kScalar));
+    for (ff::Backend backend : availableBackends()) {
+        ff::forceBackend(backend);
+        EXPECT_EQ(ff::activeBackend(), backend) << ff::backendName(backend);
+    }
     ff::clearForcedBackend();
     // Re-resolution lands on an available backend.
     EXPECT_TRUE(ff::backendAvailable(ff::activeBackend()));
@@ -315,25 +254,19 @@ TEST(FieldBackendKat, KernelCountersAdvance)
 
 TEST(FieldBackendKat, BatchInverseMatchesFermatAndSkipsZeros)
 {
-    BackendGuard guard;
-    for (ff::Backend backend : availableBackends()) {
-        SCOPED_TRACE(ff::backendName(backend));
-        ff::forceBackend(backend);
-        auto x = edgeOperands(33, 3);
-        std::vector<Gl64> want(x.size());
-        for (size_t i = 0; i < x.size(); ++i)
-            want[i] = x[i].isZero() ? Gl64::zero() : x[i].inverse();
-        std::vector<Gl64> got = x;
-        // One zero at index 1: skipped, not inverted.
-        EXPECT_EQ(ff::batchInverse(got.data(), got.size()),
-                  got.size() - 1);
-        EXPECT_EQ(got, want);
+    auto x = edgeOperands(33, 3);
+    std::vector<Gl64> want(x.size());
+    for (size_t i = 0; i < x.size(); ++i)
+        want[i] = x[i].isZero() ? Gl64::zero() : x[i].inverse();
+    std::vector<Gl64> got = x;
+    // One zero at index 1: skipped, not inverted.
+    EXPECT_EQ(ff::batchInverse(got.data(), got.size()), got.size() - 1);
+    EXPECT_EQ(got, want);
 
-        // Round trip: x * x^-1 == 1 for the non-zero entries.
-        for (size_t i = 0; i < x.size(); ++i) {
-            if (!x[i].isZero()) {
-                EXPECT_EQ(x[i] * got[i], Gl64::one());
-            }
+    // Round trip: x * x^-1 == 1 for the non-zero entries.
+    for (size_t i = 0; i < x.size(); ++i) {
+        if (!x[i].isZero()) {
+            EXPECT_EQ(x[i] * got[i], Gl64::one());
         }
     }
 }
@@ -349,35 +282,9 @@ TEST(FieldBackendKat, BatchInverseAllZeroAndEmpty)
 
 // ---- Wide-field (BN254 Fr/Fq) kernel KATs --------------------------
 //
-// Every (backend, IFMA) combination this host can run is swept
-// through the same call sites: the scalar table, the 4-way AVX2
-// table, the AVX2 table as the IFMA-off AVX-512 fallback, and the
-// 8-way IFMA table where the CPU has vpmadd52.
-
-struct WideConfig
-{
-    ff::Backend backend;
-    int ifma; // forceWideIfma argument
-};
-
-std::vector<WideConfig>
-wideConfigs()
-{
-    std::vector<WideConfig> cfgs;
-    for (ff::Backend b : availableBackends()) {
-        cfgs.push_back({b, 0});
-        if (b == ff::Backend::kAvx512 && ff::wideIfmaAvailable())
-            cfgs.push_back({b, 1});
-    }
-    return cfgs;
-}
-
-std::string
-wideTrace(const WideConfig &cfg)
-{
-    return std::string(ff::backendName(cfg.backend)) +
-           (cfg.ifma ? "+ifma" : "-ifma");
-}
+// Every table this host can run is swept through the same call sites:
+// the scalar table, the 4-way AVX2 table, and the 8-way IFMA table
+// where the CPU has vpmadd52.
 
 /** Operand mix hitting the modulus boundary in SIMD-body lanes. */
 template <typename F>
@@ -415,10 +322,9 @@ checkWideMulPinned(const char *const (&expect_mul)[9],
         a[i] = F::fromU256(u256FromHexStr(kA)) + F::fromUint(i);
         b[i] = F::fromU256(u256FromHexStr(kB)) + F::fromUint(i);
     }
-    for (const WideConfig &cfg : wideConfigs()) {
-        SCOPED_TRACE(wideTrace(cfg));
-        ff::forceBackend(cfg.backend);
-        ff::forceWideIfma(cfg.ifma);
+    for (ff::Backend backend : availableBackends()) {
+        SCOPED_TRACE(ff::backendName(backend));
+        ff::forceBackend(backend);
         ff::mulLanes(a.data(), b.data(), out.data(), 9);
         for (size_t i = 0; i < 9; ++i)
             EXPECT_EQ(out[i].toHexString(), expect_mul[i]) << "lane " << i;
@@ -473,9 +379,10 @@ checkWideLaneKernels()
     // vectors, exact multiples, and one-past, so the SIMD body and the
     // scalar tail both run.
     const size_t sizes[] = {1, 3, 4, 5, 7, 8, 9, 16, 19, 67};
-    for (const WideConfig &cfg : wideConfigs()) {
+    for (ff::Backend backend : availableBackends()) {
         for (size_t n : sizes) {
-            SCOPED_TRACE(wideTrace(cfg) + " n=" + std::to_string(n));
+            SCOPED_TRACE(std::string(ff::backendName(backend)) +
+                         " n=" + std::to_string(n));
             auto a = wideEdgeOperands<F>(n, 1);
             auto b = wideEdgeOperands<F>(n, 2);
 
@@ -490,8 +397,7 @@ checkWideLaneKernels()
             F want_sum = ff::sumLanes(a.data(), n);
             F want_dot = ff::dotLanes(a.data(), b.data(), n);
 
-            ff::forceBackend(cfg.backend);
-            ff::forceWideIfma(cfg.ifma);
+            ff::forceBackend(backend);
             std::vector<F> got(n);
             ff::addLanes(a.data(), b.data(), got.data(), n);
             EXPECT_EQ(got, want_add);
@@ -532,32 +438,6 @@ TEST(WideFieldKat, FqLaneKernelsMatchScalarAcrossSizes)
     checkWideLaneKernels<Fq>();
 }
 
-TEST(WideFieldKat, DispatchControls)
-{
-    BackendGuard guard;
-    EXPECT_STREQ(ff::wideBackendName(ff::WideBackend::kIfma), "ifma");
-    EXPECT_EQ(ff::wideBackendLanes(ff::WideBackend::kScalar), 1u);
-    EXPECT_EQ(ff::wideBackendLanes(ff::WideBackend::kAvx2), 4u);
-    EXPECT_EQ(ff::wideBackendLanes(ff::WideBackend::kIfma), 8u);
-
-    ff::forceBackend(ff::Backend::kScalar);
-    EXPECT_EQ(ff::activeWideBackend(), ff::WideBackend::kScalar);
-    if (ff::backendAvailable(ff::Backend::kAvx2)) {
-        ff::forceBackend(ff::Backend::kAvx2);
-        EXPECT_EQ(ff::activeWideBackend(), ff::WideBackend::kAvx2);
-    }
-    if (ff::backendAvailable(ff::Backend::kAvx512)) {
-        ff::forceBackend(ff::Backend::kAvx512);
-        ff::forceWideIfma(0);
-        // The IFMA-off AVX-512 fallback is the 4-way AVX2 table.
-        EXPECT_EQ(ff::activeWideBackend(), ff::WideBackend::kAvx2);
-        if (ff::wideIfmaAvailable()) {
-            ff::forceWideIfma(1);
-            EXPECT_EQ(ff::activeWideBackend(), ff::WideBackend::kIfma);
-        }
-    }
-}
-
 TEST(WideFieldKat, WideCountersAdvance)
 {
     BackendGuard guard;
@@ -573,13 +453,13 @@ TEST(WideFieldKat, WideCountersAdvance)
     EXPECT_EQ(c.wide_sum_lanes, 1u);
     EXPECT_EQ(c.wide_batch_inverse, 1u);
     EXPECT_EQ(c.wide_add_lanes, 0u);
-    // Goldilocks counters are untouched by wide-field traffic.
+    // The generic-loop counters are untouched by wide-field traffic.
     EXPECT_EQ(c.mul_lanes, 0u);
 }
 
 TEST(FieldBackendKat, BatchInverseWorksForFr)
 {
-    // The generic (non-Goldilocks) instantiation of the same template.
+    // The Fr specialization of the same Montgomery-trick body.
     Rng rng(77);
     std::vector<Fr> x(9);
     for (auto &v : x)

@@ -3,7 +3,7 @@
  * Equivalence fuzz for the MSM paths: msmNaive (double-and-add
  * reference), msmPippengerJacobian (scalar bucket loop), and
  * msmPippenger (vectorized batch-affine bucket accumulation), across
- * every wide-field backend this host can run. The batch-affine pass
+ * every Fr/Fq kernel table this host can run. The batch-affine pass
  * leans on bucket-internal doublings and P + (-P) cancellations, so
  * the fuzz deliberately feeds duplicate points, negated pairs, zero
  * and boundary scalars.
@@ -24,39 +24,18 @@ namespace {
 class BackendGuard
 {
   public:
-    ~BackendGuard()
-    {
-        ff::clearForcedBackend();
-        ff::forceWideIfma(-1);
-    }
+    ~BackendGuard() { ff::clearForcedBackend(); }
 };
 
-struct WideConfig
+std::vector<ff::Backend>
+availableBackends()
 {
-    ff::Backend backend;
-    int ifma;
-};
-
-std::vector<WideConfig>
-wideConfigs()
-{
-    std::vector<WideConfig> cfgs;
+    std::vector<ff::Backend> backends;
     for (ff::Backend b : {ff::Backend::kScalar, ff::Backend::kAvx2,
-                          ff::Backend::kAvx512, ff::Backend::kNeon}) {
-        if (!ff::backendAvailable(b))
-            continue;
-        cfgs.push_back({b, 0});
-        if (b == ff::Backend::kAvx512 && ff::wideIfmaAvailable())
-            cfgs.push_back({b, 1});
-    }
-    return cfgs;
-}
-
-std::string
-traceOf(const WideConfig &cfg)
-{
-    return std::string(ff::backendName(cfg.backend)) +
-           (cfg.ifma ? "+ifma" : "-ifma");
+                          ff::Backend::kIfma})
+        if (ff::backendAvailable(b))
+            backends.push_back(b);
+    return backends;
 }
 
 /** Affine serialization equality: bit-identical, not just same group
@@ -83,10 +62,10 @@ TEST(Msm, AllPathsMatchNaiveAcrossSizesAndBackends)
         for (auto &s : scalars)
             s = Fr::random(rng);
         G1Point expect = msmNaive(points, scalars);
-        for (const WideConfig &cfg : wideConfigs()) {
-            SCOPED_TRACE(traceOf(cfg) + " n=" + std::to_string(n));
-            ff::forceBackend(cfg.backend);
-            ff::forceWideIfma(cfg.ifma);
+        for (ff::Backend backend : availableBackends()) {
+            SCOPED_TRACE(std::string(ff::backendName(backend)) +
+                         " n=" + std::to_string(n));
+            ff::forceBackend(backend);
             G1Point vec = msmPippenger(points, scalars);
             G1Point jac = msmPippengerJacobian(points, scalars);
             EXPECT_EQ(vec, expect);
