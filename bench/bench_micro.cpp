@@ -369,10 +369,12 @@ medianMs(Fn &&fn)
  * BN254 Fr, plus the 2^14-point MSM acceptance sweep: the vectorized
  * batch-affine bucket pass must beat the scalar Jacobian bucket loop
  * and produce a bit-identical point. Outputs under the forced scalar
- * table and the host's best table (detectBackend(), whatever
- * BZK_FIELD_BACKEND says) are cross-checked element-by-element before
- * any throughput is reported; the column heading and the meta name
- * the table the sweep forces.
+ * backend (Fp's element loop, no table) and the host's best table
+ * (detectBackend(), whatever BZK_FIELD_BACKEND says) are cross-checked
+ * element-by-element before any throughput is reported; the column
+ * heading and the meta name the table the sweep forces. The speedup is
+ * a table against Fp itself: IFMA hosts read several times, AVX2-only
+ * hosts about 1x.
  */
 void
 runWideFieldSweep(bench::JsonBench &json)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Backend resolution (CPUID, env override, test forcing), kernel call
- * counters, and the BN254 Fr/Fq specializations that route the public
- * lane API through whichever wide kernel table is active.
+ * counters, and the BN254 Fr/Fq specializations of the public lane
+ * API: the active SIMD table runs each call's whole blocks, and Fp's
+ * operators run the tail (and every element under kScalar).
  */
 
 #include "ff/FieldBackend.h"
@@ -99,21 +100,37 @@ wideConstants()
     return c;
 }
 
-/** The wide table of the active backend. */
-const detail::WideKernelTable &
-activeWideTable()
+/**
+ * How an n-element Fr/Fq call splits: the active SIMD table runs the
+ * first `blocks_n` elements, whole blocks of `lanes`, and Fp's
+ * operators run the rest. kScalar has no table, so Fp runs them all.
+ */
+struct WideSplit
 {
+    const detail::WideKernelTable *table;
+    size_t lanes;
+    size_t blocks_n;
+};
+
+WideSplit
+wideSplit(size_t n)
+{
+    Backend backend = activeBackend();
+    const detail::WideKernelTable *table = nullptr;
 #if defined(__x86_64__) || defined(_M_X64)
-    switch (activeBackend()) {
+    switch (backend) {
       case Backend::kIfma:
-        return detail::wideIfmaKernels();
+        table = &detail::wideIfmaKernels();
+        break;
       case Backend::kAvx2:
-        return detail::wideAvx2Kernels();
+        table = &detail::wideAvx2Kernels();
+        break;
       default:
         break;
     }
 #endif
-    return detail::wideScalarKernels();
+    size_t lanes = backendLanes(backend);
+    return {table, lanes, table ? n - n % lanes : 0};
 }
 
 } // namespace
@@ -200,9 +217,9 @@ backendLanes(Backend backend)
 {
     switch (backend) {
       case Backend::kAvx2:
-        return 4;
+        return detail::kAvx2Lanes;
       case Backend::kIfma:
-        return 8;
+        return detail::kIfmaLanes;
       default:
         return 1;
     }
@@ -243,7 +260,7 @@ resetKernelCounters()
         counter.store(0, std::memory_order_relaxed);
 }
 
-// ---- Wide-field (BN254 Fr/Fq) specializations. The kernels operate
+// ---- Wide-field (BN254 Fr/Fq) specializations. The tables operate
 // ---- on the raw Montgomery limb view; reading the result back
 // ---- through Fp is safe because every kernel output is canonical.
 
@@ -254,8 +271,12 @@ void
 wideAddLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
 {
     detail::countKernel(detail::Kernel::kWideAdd);
-    activeWideTable().add(wideConstants<P>(), limbs(a), limbs(b),
-                          limbs(out), n);
+    WideSplit s = wideSplit(n);
+    if (s.blocks_n)
+        s.table->add(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
+                     s.blocks_n);
+    for (size_t i = s.blocks_n; i < n; ++i)
+        out[i] = a[i] + b[i];
 }
 
 template <typename P>
@@ -263,8 +284,12 @@ void
 wideSubLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
 {
     detail::countKernel(detail::Kernel::kWideSub);
-    activeWideTable().sub(wideConstants<P>(), limbs(a), limbs(b),
-                          limbs(out), n);
+    WideSplit s = wideSplit(n);
+    if (s.blocks_n)
+        s.table->sub(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
+                     s.blocks_n);
+    for (size_t i = s.blocks_n; i < n; ++i)
+        out[i] = a[i] - b[i];
 }
 
 template <typename P>
@@ -272,8 +297,12 @@ void
 wideMulLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
 {
     detail::countKernel(detail::Kernel::kWideMul);
-    activeWideTable().mul(wideConstants<P>(), limbs(a), limbs(b),
-                          limbs(out), n);
+    WideSplit s = wideSplit(n);
+    if (s.blocks_n)
+        s.table->mul(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
+                     s.blocks_n);
+    for (size_t i = s.blocks_n; i < n; ++i)
+        out[i] = a[i] * b[i];
 }
 
 template <typename P>
@@ -281,8 +310,12 @@ void
 wideFoldLanes(Fp<P> *lo, const Fp<P> *hi, const Fp<P> &r, size_t n)
 {
     detail::countKernel(detail::Kernel::kWideFold);
-    activeWideTable().fold(wideConstants<P>(), limbs(lo), limbs(hi),
-                           limbs(&r), n);
+    WideSplit s = wideSplit(n);
+    if (s.blocks_n)
+        s.table->fold(wideConstants<P>(), limbs(lo), limbs(hi), limbs(&r),
+                      s.blocks_n);
+    for (size_t i = s.blocks_n; i < n; ++i)
+        lo[i] = lo[i] + r * (hi[i] - lo[i]);
 }
 
 template <typename P>
@@ -290,8 +323,12 @@ void
 wideAxpyLanes(Fp<P> *acc, const Fp<P> *x, const Fp<P> &s, size_t n)
 {
     detail::countKernel(detail::Kernel::kWideAxpy);
-    activeWideTable().axpy(wideConstants<P>(), limbs(acc), limbs(x),
-                           limbs(&s), n);
+    WideSplit w = wideSplit(n);
+    if (w.blocks_n)
+        w.table->axpy(wideConstants<P>(), limbs(acc), limbs(x), limbs(&s),
+                      w.blocks_n);
+    for (size_t i = w.blocks_n; i < n; ++i)
+        acc[i] += s * x[i];
 }
 
 template <typename P>
@@ -299,10 +336,17 @@ Fp<P>
 wideSumLanes(const Fp<P> *a, size_t n)
 {
     detail::countKernel(detail::Kernel::kWideSum);
-    Fp<P> out;
-    activeWideTable().sum(wideConstants<P>(), limbs(a), n,
-                          limbs(&out));
-    return out;
+    WideSplit s = wideSplit(n);
+    Fp<P> acc = Fp<P>::zero();
+    if (s.blocks_n) {
+        Fp<P> partial[detail::kIfmaLanes]; // room for the widest table
+        s.table->sum(wideConstants<P>(), limbs(a), s.blocks_n, limbs(partial));
+        for (size_t l = 0; l < s.lanes; ++l)
+            acc += partial[l];
+    }
+    for (size_t i = s.blocks_n; i < n; ++i)
+        acc += a[i];
+    return acc;
 }
 
 template <typename P>
@@ -310,10 +354,18 @@ Fp<P>
 wideDotLanes(const Fp<P> *a, const Fp<P> *b, size_t n)
 {
     detail::countKernel(detail::Kernel::kWideDot);
-    Fp<P> out;
-    activeWideTable().dot(wideConstants<P>(), limbs(a), limbs(b), n,
-                          limbs(&out));
-    return out;
+    WideSplit s = wideSplit(n);
+    Fp<P> acc = Fp<P>::zero();
+    if (s.blocks_n) {
+        Fp<P> partial[detail::kIfmaLanes]; // room for the widest table
+        s.table->dot(wideConstants<P>(), limbs(a), limbs(b), s.blocks_n,
+                     limbs(partial));
+        for (size_t l = 0; l < s.lanes; ++l)
+            acc += partial[l];
+    }
+    for (size_t i = s.blocks_n; i < n; ++i)
+        acc += a[i] * b[i];
+    return acc;
 }
 
 } // namespace

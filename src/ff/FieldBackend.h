@@ -23,10 +23,11 @@
  * The generic templates below run the portable loop for any field
  * type (Goldilocks among them). The 4x64-limb Montgomery fields BN254
  * Fr and Fq specialize them onto the wide kernel tables of
- * WideKernels.h: blocks of elements are transposed to a limb-major
- * (struct-of-arrays) layout and multiplied 8-way with AVX-512 IFMA
- * vpmadd52 (radix-52), 4-way with AVX2 widening 64x64 multiplies
- * (radix-64 CIOS), or element-wise on the scalar reference. One
+ * WideKernels.h: whole blocks of elements are transposed to a
+ * limb-major (struct-of-arrays) layout and multiplied 8-way with
+ * AVX-512 IFMA vpmadd52 (radix-52) or 4-way with AVX2 widening 64x64
+ * multiplies (radix-64 CIOS), and Fp's own operators run each call's
+ * tail. The scalar backend has no table: Fp runs every element. One
  * Backend names the table: CPUID picks the best one the host runs,
  * BZK_FIELD_BACKEND=scalar|avx2|ifma forces one (CI pins `scalar` and
  * `avx2` for dispatch legs), and tests force one with forceBackend().
@@ -47,7 +48,7 @@ namespace bzk::ff {
  * the bzk_field_backend gauge reports them.
  */
 enum class Backend {
-    /** Element-wise radix-64 CIOS; always available. */
+    /** Fp's element loop, no table; always available. */
     kScalar = 0,
     /** 4-way radix-64 CIOS; needs AVX2. */
     kAvx2 = 1,
@@ -272,8 +273,9 @@ batchInverse(F *x, size_t n)
 
 // BN254 Fr and Fq route through the wide-field (4x64-limb Montgomery)
 // kernel tables: limb-transposed SoA blocks, 8-way under AVX-512 IFMA,
-// 4-way under AVX2, scalar otherwise. Bit-identical to the portable
-// loop for every backend (each element result is fully canonical).
+// 4-way under AVX2, with Fp finishing each tail; under kScalar Fp runs
+// the whole loop. Bit-identical to the portable loop for every backend
+// (each element result is fully canonical).
 using Bn254Fr = Fp<Bn254FrParams>;
 using Bn254Fq = Fp<Bn254FqParams>;
 

@@ -9,19 +9,21 @@
  *
  * Kernels operate on contiguous arrays of Montgomery-form elements in
  * the same memory layout as Fp<> (four little-endian 64-bit limbs per
- * element, canonical `< p`). FieldBackend.cpp is the only caller and
- * handles the Fp <-> limb view. Field constants travel by reference in
- * a WideFieldConstants so one kernel table serves every 4x64 field.
+ * element, canonical `< p`). FieldBackend.cpp is the only caller: it
+ * handles the Fp <-> limb view, hands a table whole blocks only, and
+ * runs each call's remaining elements (and every call under
+ * Backend::kScalar, which has no table) with Fp's own operators. Field
+ * constants travel by reference in a WideFieldConstants so one kernel
+ * table serves every 4x64 field.
  *
- * Every kernel must produce bit-for-bit the scalar reference results
- * below. That holds even across radically different mul algorithms
- * (radix-52 IFMA vs. the scalar radix-64 CIOS) because each element
- * result is fully canonicalized: the Montgomery product
- * a*b*2^-256 mod p is a unique value < p, so any correct algorithm
- * stores identical limbs. Where a kernel folds lanes into one value
- * (sum, dot) the lane-major order is invisible because field addition
- * is exactly associative. test_ff_kat holds each backend to this and
- * the proof goldens depend on it.
+ * Every kernel must store bit-for-bit what Fp's operators compute.
+ * That holds even across radically different mul algorithms (radix-52
+ * IFMA vs. Fp's radix-64 CIOS) because each element result is fully
+ * canonicalized: the Montgomery product a*b*2^-256 mod p is a unique
+ * value < p, so any correct algorithm stores identical limbs. Where a
+ * result folds lanes into one value (sum, dot) the lane-major order is
+ * invisible because field addition is exactly associative. test_ff_kat
+ * holds each table to this and the proof goldens depend on it.
  */
 
 #include <cstddef>
@@ -68,138 +70,22 @@ makeWideConstants(uint64_t p0, uint64_t p1, uint64_t p2, uint64_t p3,
     return c;
 }
 
-// ---- Scalar references (shared by the scalar table, SIMD tails and
-// ---- the KAT cross-checks). One element = limbs[4].
-
-/** out = (a + b) mod p for canonical a, b. */
-inline void
-wideAddRef(const WideFieldConstants &c, const uint64_t *a,
-           const uint64_t *b, uint64_t *out)
-{
-    uint64_t sum[4];
-    uint64_t carry = 0;
-    for (int i = 0; i < 4; ++i) {
-        __uint128_t s = static_cast<__uint128_t>(a[i]) + b[i] + carry;
-        sum[i] = static_cast<uint64_t>(s);
-        carry = static_cast<uint64_t>(s >> 64);
-    }
-    // Subtract p when the sum wrapped or reached it.
-    uint64_t ge = carry;
-    if (!ge) {
-        ge = 1;
-        for (int i = 3; i >= 0; --i) {
-            if (sum[i] != c.modulus[i]) {
-                ge = sum[i] > c.modulus[i] ? 1 : 0;
-                break;
-            }
-        }
-    }
-    if (ge) {
-        uint64_t borrow = 0;
-        for (int i = 0; i < 4; ++i) {
-            __uint128_t d = static_cast<__uint128_t>(sum[i]) -
-                            c.modulus[i] - borrow;
-            sum[i] = static_cast<uint64_t>(d);
-            borrow = (d >> 64) != 0 ? 1 : 0;
-        }
-    }
-    for (int i = 0; i < 4; ++i)
-        out[i] = sum[i];
-}
-
-/** out = (a - b) mod p for canonical a, b. */
-inline void
-wideSubRef(const WideFieldConstants &c, const uint64_t *a,
-           const uint64_t *b, uint64_t *out)
-{
-    uint64_t diff[4];
-    uint64_t borrow = 0;
-    for (int i = 0; i < 4; ++i) {
-        __uint128_t d = static_cast<__uint128_t>(a[i]) - b[i] - borrow;
-        diff[i] = static_cast<uint64_t>(d);
-        borrow = (d >> 64) != 0 ? 1 : 0;
-    }
-    if (borrow) {
-        uint64_t carry = 0;
-        for (int i = 0; i < 4; ++i) {
-            __uint128_t s = static_cast<__uint128_t>(diff[i]) +
-                            c.modulus[i] + carry;
-            diff[i] = static_cast<uint64_t>(s);
-            carry = static_cast<uint64_t>(s >> 64);
-        }
-    }
-    for (int i = 0; i < 4; ++i)
-        out[i] = diff[i];
-}
+/** Elements per block of the 4-way AVX2 and 8-way IFMA tables. */
+inline constexpr size_t kAvx2Lanes = 4;
+inline constexpr size_t kIfmaLanes = 8;
 
 /**
- * out = a * b * 2^-256 mod p (Montgomery CIOS, the same algorithm as
- * Fp<>::montMul but over runtime constants). Fully canonical.
- */
-inline void
-wideMulRef(const WideFieldConstants &c, const uint64_t *a,
-           const uint64_t *b, uint64_t *out)
-{
-    uint64_t t[6] = {0, 0, 0, 0, 0, 0};
-    for (int i = 0; i < 4; ++i) {
-        uint64_t carry = 0;
-        for (int j = 0; j < 4; ++j) {
-            __uint128_t cur = static_cast<__uint128_t>(a[j]) * b[i] +
-                              t[j] + carry;
-            t[j] = static_cast<uint64_t>(cur);
-            carry = static_cast<uint64_t>(cur >> 64);
-        }
-        __uint128_t cur = static_cast<__uint128_t>(t[4]) + carry;
-        t[4] = static_cast<uint64_t>(cur);
-        t[5] = static_cast<uint64_t>(cur >> 64);
-
-        uint64_t m = t[0] * c.inv;
-        __uint128_t acc = static_cast<__uint128_t>(m) * c.modulus[0] +
-                          t[0];
-        carry = static_cast<uint64_t>(acc >> 64);
-        for (int j = 1; j < 4; ++j) {
-            acc = static_cast<__uint128_t>(m) * c.modulus[j] + t[j] +
-                  carry;
-            t[j - 1] = static_cast<uint64_t>(acc);
-            carry = static_cast<uint64_t>(acc >> 64);
-        }
-        acc = static_cast<__uint128_t>(t[4]) + carry;
-        t[3] = static_cast<uint64_t>(acc);
-        t[4] = t[5] + static_cast<uint64_t>(acc >> 64);
-        t[5] = 0;
-    }
-    uint64_t ge = t[4];
-    if (!ge) {
-        ge = 1;
-        for (int i = 3; i >= 0; --i) {
-            if (t[i] != c.modulus[i]) {
-                ge = t[i] > c.modulus[i] ? 1 : 0;
-                break;
-            }
-        }
-    }
-    if (ge) {
-        uint64_t borrow = 0;
-        for (int i = 0; i < 4; ++i) {
-            __uint128_t d = static_cast<__uint128_t>(t[i]) -
-                            c.modulus[i] - borrow;
-            t[i] = static_cast<uint64_t>(d);
-            borrow = (d >> 64) != 0 ? 1 : 0;
-        }
-    }
-    for (int i = 0; i < 4; ++i)
-        out[i] = t[i];
-}
-
-/**
- * One backend's packed kernels over contiguous 4-limb Montgomery
- * elements (array pointers hold 4*n limbs; `r` and `out_one` are a
- * single element). Pointers need only natural (8-byte) alignment.
+ * One SIMD table's packed kernels over contiguous 4-limb Montgomery
+ * elements. Every n is a whole number of the table's blocks
+ * (kAvx2Lanes or kIfmaLanes); array pointers hold 4*n limbs, `r` and
+ * `s` are a single element, and `out_lanes` receives one partial per
+ * lane. Pointers need only natural (8-byte) alignment.
  */
 struct WideKernelTable
 {
     void (*add)(const WideFieldConstants &c, const uint64_t *a,
                 const uint64_t *b, uint64_t *out, size_t n);
+    /** @p out may be @p a itself; each block is read before written. */
     void (*sub)(const WideFieldConstants &c, const uint64_t *a,
                 const uint64_t *b, uint64_t *out, size_t n);
     void (*mul)(const WideFieldConstants &c, const uint64_t *a,
@@ -210,16 +96,13 @@ struct WideKernelTable
     /** acc[i] += s * x[i]. */
     void (*axpy)(const WideFieldConstants &c, uint64_t *acc,
                  const uint64_t *x, const uint64_t *s, size_t n);
-    /** out_one = sum_i a[i]. */
+    /** out_lanes[l] = sum of a[i] over the i in lane l (i % lanes). */
     void (*sum)(const WideFieldConstants &c, const uint64_t *a,
-                size_t n, uint64_t *out_one);
-    /** out_one = sum_i a[i] * b[i]. */
+                size_t n, uint64_t *out_lanes);
+    /** out_lanes[l] = sum of a[i] * b[i] over the i in lane l. */
     void (*dot)(const WideFieldConstants &c, const uint64_t *a,
-                const uint64_t *b, size_t n, uint64_t *out_one);
+                const uint64_t *b, size_t n, uint64_t *out_lanes);
 };
-
-/** Portable table built from the references above. Always available. */
-const WideKernelTable &wideScalarKernels();
 
 #if defined(__x86_64__) || defined(_M_X64)
 /**

@@ -6,7 +6,7 @@
  *
  * Layout: each block of 4 elements is transposed in-register from AoS
  * (four 64-bit limbs per element) to limb-major vectors, then the
- * radix-64 CIOS Montgomery loop from wideMulRef runs verbatim with
+ * radix-64 CIOS Montgomery loop of Fp<>::montMul runs verbatim with
  * the 128-bit accumulator split across (lo, carry) lane vectors. AVX2
  * has no 64x64->128 multiply or unsigned 64-bit compare, so products
  * go through four 32x32->64 partial products (mul64Wide) and carries
@@ -16,8 +16,10 @@
  * without IFMA: AVX-512F implies AVX2, and without vpmadd52 the
  * carry-chain structure gains nothing from 512-bit lanes.
  *
- * Results are bit-identical to the scalar reference: same algorithm,
- * same conditional subtracts, full canonicalization per element.
+ * The drivers run whole blocks only (WideKernels.h); FieldBackend.cpp
+ * finishes each tail and adds sum's and dot's lane partials with Fp.
+ * Results are bit-identical to Fp's operators: same algorithm, same
+ * conditional subtracts, full canonicalization per element.
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -30,6 +32,8 @@ namespace bzk::ff::detail {
 namespace {
 
 using V = __m256i;
+static_assert(kAvx2Lanes * sizeof(uint64_t) == sizeof(V),
+              "one element per 64-bit lane");
 
 // Broadcast constants come from per-call setup, not file-scope
 // globals (a global __m256i initializer would execute AVX2
@@ -150,7 +154,7 @@ mullo64(V a, V b)
 
 /**
  * 4-way CIOS Montgomery product: out = x * y * 2^-256 mod p,
- * canonical. Mirrors wideMulRef step for step; the 128-bit scalar
+ * canonical. Mirrors Fp<>::montMul step for step; the 128-bit scalar
  * accumulator becomes a (sum, carry) pair where carry absorbs the
  * mul64Wide high halves plus the chain's wrap bits (hi <= 2^64 -
  * 2^33 + 1, so adding two wrap bits cannot overflow).
@@ -284,40 +288,18 @@ broadcastSoA(const uint64_t *one, V L[4])
         L[j] = _mm256_set1_epi64x(static_cast<long long>(one[j]));
 }
 
-/** Fold 4 lanes of a limb-major accumulator into one element. */
-inline void
-reduceLanes(const WideFieldConstants &c, const V acc[4],
-            uint64_t *out_one)
-{
-    alignas(32) uint64_t lanes[4][4];
-    for (int j = 0; j < 4; ++j)
-        _mm256_store_si256(reinterpret_cast<V *>(lanes[j]), acc[j]);
-    uint64_t total[4] = {0, 0, 0, 0};
-    uint64_t elem[4];
-    for (int lane = 0; lane < 4; ++lane) {
-        for (int j = 0; j < 4; ++j)
-            elem[j] = lanes[j][lane];
-        wideAddRef(c, total, elem, total);
-    }
-    for (int j = 0; j < 4; ++j)
-        out_one[j] = total[j];
-}
-
 void
 avx2Add(const WideFieldConstants &c, const uint64_t *a,
         const uint64_t *b, uint64_t *out, size_t n)
 {
     ConstsV k = makeConstsV(c);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (size_t i = 0; i < n; i += kAvx2Lanes) {
         V av[4], bv[4], ov[4];
         loadSoA(a + 4 * i, av);
         loadSoA(b + 4 * i, bv);
         addModSoA(k, av, bv, ov);
         storeAoS(out + 4 * i, ov);
     }
-    for (; i < n; ++i)
-        wideAddRef(c, a + 4 * i, b + 4 * i, out + 4 * i);
 }
 
 void
@@ -325,16 +307,13 @@ avx2Sub(const WideFieldConstants &c, const uint64_t *a,
         const uint64_t *b, uint64_t *out, size_t n)
 {
     ConstsV k = makeConstsV(c);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (size_t i = 0; i < n; i += kAvx2Lanes) {
         V av[4], bv[4], ov[4];
         loadSoA(a + 4 * i, av);
         loadSoA(b + 4 * i, bv);
         subModSoA(k, av, bv, ov);
         storeAoS(out + 4 * i, ov);
     }
-    for (; i < n; ++i)
-        wideSubRef(c, a + 4 * i, b + 4 * i, out + 4 * i);
 }
 
 void
@@ -342,16 +321,13 @@ avx2Mul(const WideFieldConstants &c, const uint64_t *a,
         const uint64_t *b, uint64_t *out, size_t n)
 {
     ConstsV k = makeConstsV(c);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (size_t i = 0; i < n; i += kAvx2Lanes) {
         V av[4], bv[4], ov[4];
         loadSoA(a + 4 * i, av);
         loadSoA(b + 4 * i, bv);
         montMulV(k, av, bv, ov);
         storeAoS(out + 4 * i, ov);
     }
-    for (; i < n; ++i)
-        wideMulRef(c, a + 4 * i, b + 4 * i, out + 4 * i);
 }
 
 void
@@ -361,8 +337,7 @@ avx2Fold(const WideFieldConstants &c, uint64_t *lo, const uint64_t *hi,
     ConstsV k = makeConstsV(c);
     V rv[4];
     broadcastSoA(r, rv);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (size_t i = 0; i < n; i += kAvx2Lanes) {
         V lov[4], hiv[4], dv[4], pv[4];
         loadSoA(lo + 4 * i, lov);
         loadSoA(hi + 4 * i, hiv);
@@ -370,12 +345,6 @@ avx2Fold(const WideFieldConstants &c, uint64_t *lo, const uint64_t *hi,
         montMulV(k, rv, dv, pv);
         addModSoA(k, lov, pv, lov);
         storeAoS(lo + 4 * i, lov);
-    }
-    uint64_t d[4], t[4];
-    for (; i < n; ++i) {
-        wideSubRef(c, hi + 4 * i, lo + 4 * i, d);
-        wideMulRef(c, r, d, t);
-        wideAddRef(c, lo + 4 * i, t, lo + 4 * i);
     }
 }
 
@@ -386,8 +355,7 @@ avx2Axpy(const WideFieldConstants &c, uint64_t *acc, const uint64_t *x,
     ConstsV k = makeConstsV(c);
     V sv[4];
     broadcastSoA(s, sv);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (size_t i = 0; i < n; i += kAvx2Lanes) {
         V av[4], xv[4], pv[4];
         loadSoA(acc + 4 * i, av);
         loadSoA(x + 4 * i, xv);
@@ -395,50 +363,36 @@ avx2Axpy(const WideFieldConstants &c, uint64_t *acc, const uint64_t *x,
         addModSoA(k, av, pv, av);
         storeAoS(acc + 4 * i, av);
     }
-    uint64_t t[4];
-    for (; i < n; ++i) {
-        wideMulRef(c, s, x + 4 * i, t);
-        wideAddRef(c, acc + 4 * i, t, acc + 4 * i);
-    }
 }
 
 void
 avx2Sum(const WideFieldConstants &c, const uint64_t *a, size_t n,
-        uint64_t *out_one)
+        uint64_t *out_lanes)
 {
     ConstsV k = makeConstsV(c);
     V acc[4] = {k.zero, k.zero, k.zero, k.zero};
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (size_t i = 0; i < n; i += kAvx2Lanes) {
         V av[4];
         loadSoA(a + 4 * i, av);
         addModSoA(k, acc, av, acc);
     }
-    reduceLanes(c, acc, out_one);
-    for (; i < n; ++i)
-        wideAddRef(c, out_one, a + 4 * i, out_one);
+    storeAoS(out_lanes, acc);
 }
 
 void
 avx2Dot(const WideFieldConstants &c, const uint64_t *a,
-        const uint64_t *b, size_t n, uint64_t *out_one)
+        const uint64_t *b, size_t n, uint64_t *out_lanes)
 {
     ConstsV k = makeConstsV(c);
     V acc[4] = {k.zero, k.zero, k.zero, k.zero};
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (size_t i = 0; i < n; i += kAvx2Lanes) {
         V av[4], bv[4], pv[4];
         loadSoA(a + 4 * i, av);
         loadSoA(b + 4 * i, bv);
         montMulV(k, av, bv, pv);
         addModSoA(k, acc, pv, acc);
     }
-    reduceLanes(c, acc, out_one);
-    uint64_t t[4];
-    for (; i < n; ++i) {
-        wideMulRef(c, a + 4 * i, b + 4 * i, t);
-        wideAddRef(c, out_one, t, out_one);
-    }
+    storeAoS(out_lanes, acc);
 }
 
 } // namespace

@@ -15,13 +15,15 @@
  * 8x 52x52->104-bit multiply-accumulates per instruction.
  *
  * Domain fix-up: a 5-round radix-52 Montgomery reduction divides by
- * 2^260, not the 2^256 the scalar CIOS uses. Instead of leaving the
+ * 2^260, not the 2^256 Fp's CIOS uses. Instead of leaving the
  * packed domain, one operand is pre-shifted left by 4 bits during the
  * 64->52-bit re-slicing, so the kernel computes
- * (a*2^4) * b * 2^-260 = a * b * 2^-256 mod p — the exact scalar
+ * (a*2^4) * b * 2^-260 = a * b * 2^-256 mod p — the exact Fp
  * Montgomery product. The result is fully canonicalized (< p), and
  * since a*b*2^-256 mod p is a unique value, outputs are bit-identical
- * to the scalar reference despite the different radix.
+ * to Fp's operators despite the different radix. The drivers
+ * run whole blocks only (WideKernels.h); FieldBackend.cpp finishes
+ * each tail and adds sum's and dot's lane partials with Fp.
  *
  * Bounds: p < 2^255 (static-asserted via the 255-bit requirement in
  * Fp<>), so a*16 < 2^259 < 2^260 fits five 52-bit limbs and the
@@ -41,6 +43,8 @@ namespace bzk::ff::detail {
 namespace {
 
 using V = __m512i;
+static_assert(kIfmaLanes * sizeof(uint64_t) == sizeof(V),
+              "one element per 64-bit lane");
 
 // Broadcast constants come from per-call setup, not file-scope
 // globals: a global __m512i initializer would execute AVX-512
@@ -321,40 +325,18 @@ broadcastSoA(const uint64_t *one, V L[4])
         L[j] = _mm512_set1_epi64(static_cast<long long>(one[j]));
 }
 
-/** Fold 8 lanes of a limb-major accumulator into one element. */
-inline void
-reduceLanes(const WideFieldConstants &c, const V acc[4],
-            uint64_t *out_one)
-{
-    alignas(64) uint64_t lanes[4][8];
-    for (int j = 0; j < 4; ++j)
-        _mm512_store_si512(lanes[j], acc[j]);
-    uint64_t total[4] = {0, 0, 0, 0};
-    uint64_t elem[4];
-    for (int lane = 0; lane < 8; ++lane) {
-        for (int j = 0; j < 4; ++j)
-            elem[j] = lanes[j][lane];
-        wideAddRef(c, total, elem, total);
-    }
-    for (int j = 0; j < 4; ++j)
-        out_one[j] = total[j];
-}
-
 void
 ifmaAdd(const WideFieldConstants &c, const uint64_t *a,
         const uint64_t *b, uint64_t *out, size_t n)
 {
     ConstsV k = makeConstsV(c);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
+    for (size_t i = 0; i < n; i += kIfmaLanes) {
         V av[4], bv[4], ov[4];
         loadSoA(a + 4 * i, av);
         loadSoA(b + 4 * i, bv);
         addModSoA(k, av, bv, ov);
         storeAoS(out + 4 * i, ov);
     }
-    for (; i < n; ++i)
-        wideAddRef(c, a + 4 * i, b + 4 * i, out + 4 * i);
 }
 
 void
@@ -362,16 +344,13 @@ ifmaSub(const WideFieldConstants &c, const uint64_t *a,
         const uint64_t *b, uint64_t *out, size_t n)
 {
     ConstsV k = makeConstsV(c);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
+    for (size_t i = 0; i < n; i += kIfmaLanes) {
         V av[4], bv[4], ov[4];
         loadSoA(a + 4 * i, av);
         loadSoA(b + 4 * i, bv);
         subModSoA(k, av, bv, ov);
         storeAoS(out + 4 * i, ov);
     }
-    for (; i < n; ++i)
-        wideSubRef(c, a + 4 * i, b + 4 * i, out + 4 * i);
 }
 
 void
@@ -379,16 +358,13 @@ ifmaMul(const WideFieldConstants &c, const uint64_t *a,
         const uint64_t *b, uint64_t *out, size_t n)
 {
     ConstsV k = makeConstsV(c);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
+    for (size_t i = 0; i < n; i += kIfmaLanes) {
         V av[4], bv[4], ov[4];
         loadSoA(a + 4 * i, av);
         loadSoA(b + 4 * i, bv);
         mulModSoA(k, av, bv, ov);
         storeAoS(out + 4 * i, ov);
     }
-    for (; i < n; ++i)
-        wideMulRef(c, a + 4 * i, b + 4 * i, out + 4 * i);
 }
 
 void
@@ -399,8 +375,7 @@ ifmaFold(const WideFieldConstants &c, uint64_t *lo, const uint64_t *hi,
     V rv[4], r52[5];
     broadcastSoA(r, rv);
     to52<4>(k, rv, r52);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
+    for (size_t i = 0; i < n; i += kIfmaLanes) {
         V lov[4], hiv[4], dv[4], y[5], t[5], pv[4];
         loadSoA(lo + 4 * i, lov);
         loadSoA(hi + 4 * i, hiv);
@@ -410,12 +385,6 @@ ifmaFold(const WideFieldConstants &c, uint64_t *lo, const uint64_t *hi,
         from52(t, pv);
         addModSoA(k, lov, pv, lov);
         storeAoS(lo + 4 * i, lov);
-    }
-    uint64_t d[4], t[4];
-    for (; i < n; ++i) {
-        wideSubRef(c, hi + 4 * i, lo + 4 * i, d);
-        wideMulRef(c, r, d, t);
-        wideAddRef(c, lo + 4 * i, t, lo + 4 * i);
     }
 }
 
@@ -427,8 +396,7 @@ ifmaAxpy(const WideFieldConstants &c, uint64_t *acc, const uint64_t *x,
     V sv[4], s52[5];
     broadcastSoA(s, sv);
     to52<4>(k, sv, s52);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
+    for (size_t i = 0; i < n; i += kIfmaLanes) {
         V av[4], xv[4], y[5], t[5], pv[4];
         loadSoA(acc + 4 * i, av);
         loadSoA(x + 4 * i, xv);
@@ -438,50 +406,36 @@ ifmaAxpy(const WideFieldConstants &c, uint64_t *acc, const uint64_t *x,
         addModSoA(k, av, pv, av);
         storeAoS(acc + 4 * i, av);
     }
-    uint64_t t[4];
-    for (; i < n; ++i) {
-        wideMulRef(c, s, x + 4 * i, t);
-        wideAddRef(c, acc + 4 * i, t, acc + 4 * i);
-    }
 }
 
 void
 ifmaSum(const WideFieldConstants &c, const uint64_t *a, size_t n,
-        uint64_t *out_one)
+        uint64_t *out_lanes)
 {
     ConstsV k = makeConstsV(c);
     V acc[4] = {k.zero, k.zero, k.zero, k.zero};
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
+    for (size_t i = 0; i < n; i += kIfmaLanes) {
         V av[4];
         loadSoA(a + 4 * i, av);
         addModSoA(k, acc, av, acc);
     }
-    reduceLanes(c, acc, out_one);
-    for (; i < n; ++i)
-        wideAddRef(c, out_one, a + 4 * i, out_one);
+    storeAoS(out_lanes, acc);
 }
 
 void
 ifmaDot(const WideFieldConstants &c, const uint64_t *a,
-        const uint64_t *b, size_t n, uint64_t *out_one)
+        const uint64_t *b, size_t n, uint64_t *out_lanes)
 {
     ConstsV k = makeConstsV(c);
     V acc[4] = {k.zero, k.zero, k.zero, k.zero};
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
+    for (size_t i = 0; i < n; i += kIfmaLanes) {
         V av[4], bv[4], pv[4];
         loadSoA(a + 4 * i, av);
         loadSoA(b + 4 * i, bv);
         mulModSoA(k, av, bv, pv);
         addModSoA(k, acc, pv, acc);
     }
-    reduceLanes(c, acc, out_one);
-    uint64_t t[4];
-    for (; i < n; ++i) {
-        wideMulRef(c, a + 4 * i, b + 4 * i, t);
-        wideAddRef(c, out_one, t, out_one);
-    }
+    storeAoS(out_lanes, acc);
 }
 
 } // namespace

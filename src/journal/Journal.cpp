@@ -100,8 +100,7 @@ Journal::openNextSegment()
     stats_.bytes_appended += header.size();
     ++stats_.segments_created;
     segments_.push_back(SegmentState{current_index_, {}});
-    if (opt_.fsync_appends)
-        sync();
+    sync();
     if (metrics_)
         metrics_
             ->counter("bzk_journal_segments_created_total",
@@ -123,8 +122,7 @@ Journal::appendFramed(std::span<const uint8_t> body)
               static_cast<unsigned long long>(current_index_));
     current_segment_bytes_ += frame.size();
     stats_.bytes_appended += frame.size();
-    if (opt_.fsync_appends)
-        sync();
+    sync();
     if (metrics_) {
         metrics_
             ->counter("bzk_journal_appended_total",

@@ -47,12 +47,6 @@ struct JournalOptions
     std::string dir;
     /** Rotate to a fresh segment beyond this many bytes. */
     size_t segment_bytes = size_t{1} << 20;
-    /**
-     * fsync after every append (the WAL guarantee). Disabling trades
-     * durability of the most recent records for throughput; recovery
-     * still stops cleanly at the torn tail.
-     */
-    bool fsync_appends = true;
 };
 
 /** Monotonic writer-side counters (mirrored into bzk_journal_*). */
@@ -86,7 +80,7 @@ class Journal
 
     /**
      * Durably record an admitted task. On return the record is written
-     * and (with fsync_appends) synced: the task can no longer be lost.
+     * and synced: the task can no longer be lost.
      */
     void append(const TaskRecord &record);
 

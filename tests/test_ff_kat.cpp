@@ -282,9 +282,9 @@ TEST(FieldBackendKat, BatchInverseAllZeroAndEmpty)
 
 // ---- Wide-field (BN254 Fr/Fq) kernel KATs --------------------------
 //
-// Every table this host can run is swept through the same call sites:
-// the scalar table, the 4-way AVX2 table, and the 8-way IFMA table
-// where the CPU has vpmadd52.
+// Every backend this host can run is swept through the same call
+// sites: scalar (Fp's own loop, the reference), the 4-way AVX2 table,
+// and the 8-way IFMA table where the CPU has vpmadd52.
 
 /** Operand mix hitting the modulus boundary in SIMD-body lanes. */
 template <typename F>
@@ -308,7 +308,7 @@ wideEdgeOperands(size_t n, uint64_t salt)
 
 /**
  * CPython-pinned lane products and dot over 9 elements (one past the
- * 8-wide IFMA block, so the scalar tail runs too): a_i = A + i,
+ * 8-wide IFMA block, so the Fp tail runs too): a_i = A + i,
  * b_i = B + i with the file-level kA/kB operands.
  */
 template <typename F>
@@ -375,10 +375,10 @@ checkWideLaneKernels()
 {
     BackendGuard guard;
     F r = F::fromU256(u256FromHexStr(kB));
-    // Lane-boundary sizes for both 4-wide and 8-wide blocks: partial
-    // vectors, exact multiples, and one-past, so the SIMD body and the
-    // scalar tail both run.
-    const size_t sizes[] = {1, 3, 4, 5, 7, 8, 9, 16, 19, 67};
+    // Lane-boundary sizes for both 4-wide and 8-wide blocks: empty,
+    // shorter than a block, exact multiples, and one-past, so the SIMD
+    // blocks and the Fp tail each run alone and together.
+    const size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 19, 67};
     for (ff::Backend backend : availableBackends()) {
         for (size_t n : sizes) {
             SCOPED_TRACE(std::string(ff::backendName(backend)) +
