@@ -179,79 +179,47 @@ PipelinedZkpSystem::run(size_t batch, unsigned n_vars, Rng &rng)
             ff::KernelCounters fc = ff::kernelCounters();
             metrics_
                 ->gauge("bzk_field_backend",
-                        "active Fr/Fq field kernel table "
-                        "(0=scalar 1=avx2 2=ifma)")
+                        "active Fr/Fq field kernel backend "
+                        "(0=scalar 2=ifma)")
                 .set(static_cast<double>(
                     static_cast<int>(ff::activeBackend())));
             metrics_
                 ->gauge("bzk_field_lanes",
                         "field elements per packed op on the active "
-                        "table")
+                        "backend")
                 .set(static_cast<double>(
                     ff::backendLanes(ff::activeBackend())));
             metrics_
-                ->gauge("bzk_field_add_calls",
-                        "generic (non-Fr/Fq) addLanes calls")
-                .set(static_cast<double>(fc.add_lanes));
-            metrics_
-                ->gauge("bzk_field_sub_calls",
-                        "generic (non-Fr/Fq) subLanes calls")
-                .set(static_cast<double>(fc.sub_lanes));
-            metrics_
-                ->gauge("bzk_field_mul_calls",
-                        "generic (non-Fr/Fq) mulLanes calls")
-                .set(static_cast<double>(fc.mul_lanes));
-            metrics_
-                ->gauge("bzk_field_fold_calls",
-                        "generic (non-Fr/Fq) foldLanes calls")
-                .set(static_cast<double>(fc.fold_lanes));
-            metrics_
-                ->gauge("bzk_field_axpy_calls",
-                        "generic (non-Fr/Fq) axpyLanes calls")
-                .set(static_cast<double>(fc.axpy_lanes));
-            metrics_
-                ->gauge("bzk_field_sum_calls",
-                        "generic (non-Fr/Fq) sumLanes calls")
-                .set(static_cast<double>(fc.sum_lanes));
-            metrics_
-                ->gauge("bzk_field_dot_calls",
-                        "generic (non-Fr/Fq) dotLanes calls")
-                .set(static_cast<double>(fc.dot_lanes));
-            metrics_
-                ->gauge("bzk_field_batch_inverse_calls",
-                        "generic (non-Fr/Fq) batchInverse calls")
-                .set(static_cast<double>(fc.batch_inverse));
-            metrics_
                 ->gauge("bzk_field_wide_add_calls",
-                        "wide field addLanes kernel calls")
+                        "Fr/Fq addLanes kernel calls")
                 .set(static_cast<double>(fc.wide_add_lanes));
             metrics_
                 ->gauge("bzk_field_wide_sub_calls",
-                        "wide field subLanes kernel calls")
+                        "Fr/Fq subLanes kernel calls")
                 .set(static_cast<double>(fc.wide_sub_lanes));
             metrics_
                 ->gauge("bzk_field_wide_mul_calls",
-                        "wide field mulLanes kernel calls")
+                        "Fr/Fq mulLanes kernel calls")
                 .set(static_cast<double>(fc.wide_mul_lanes));
             metrics_
                 ->gauge("bzk_field_wide_fold_calls",
-                        "wide field foldLanes kernel calls")
+                        "Fr/Fq foldLanes kernel calls")
                 .set(static_cast<double>(fc.wide_fold_lanes));
             metrics_
                 ->gauge("bzk_field_wide_axpy_calls",
-                        "wide field axpyLanes kernel calls")
+                        "Fr/Fq axpyLanes kernel calls")
                 .set(static_cast<double>(fc.wide_axpy_lanes));
             metrics_
                 ->gauge("bzk_field_wide_sum_calls",
-                        "wide field sumLanes kernel calls")
+                        "Fr/Fq sumLanes kernel calls")
                 .set(static_cast<double>(fc.wide_sum_lanes));
             metrics_
                 ->gauge("bzk_field_wide_dot_calls",
-                        "wide field dotLanes kernel calls")
+                        "Fr/Fq dotLanes kernel calls")
                 .set(static_cast<double>(fc.wide_dot_lanes));
             metrics_
                 ->gauge("bzk_field_wide_batch_inverse_calls",
-                        "wide field batchInverse calls")
+                        "Fr/Fq batchInverse calls")
                 .set(static_cast<double>(fc.wide_batch_inverse));
         }
     }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Backend resolution (CPUID, env override, test forcing), kernel call
- * counters, and the BN254 Fr/Fq specializations of the public lane
- * API: the active SIMD table runs each call's whole blocks, and Fp's
- * operators run the tail (and every element under kScalar).
+ * counters, and the lane kernels: under kIfma the IFMA kernels run each
+ * call's whole 8-element blocks and Fp's operators run the tail; under
+ * kScalar Fp runs every element.
  */
 
 #include "ff/FieldBackend.h"
@@ -11,30 +11,47 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
+#include "ff/Fields.h"
 #include "ff/WideKernels.h"
 #include "util/Log.h"
 
 namespace bzk::ff {
 
-namespace detail {
 namespace {
+
+// x86-64 builds compile WideKernelsIfma.cpp. Elsewhere kScalar is the
+// only backend, and the kernels below discard their IFMA calls.
+#if defined(__x86_64__) || defined(_M_X64)
+constexpr bool kIfmaBuilt = true;
+#else
+constexpr bool kIfmaBuilt = false;
+#endif
+
+/** Counter slots, one per lane kernel. */
+enum class Kernel {
+    kAdd = 0,
+    kSub,
+    kMul,
+    kFold,
+    kAxpy,
+    kSum,
+    kDot,
+    kBatchInverse,
+    kCount_,
+};
 
 std::atomic<uint64_t>
     g_counters[static_cast<size_t>(Kernel::kCount_)] = {};
 
-} // namespace
-
+/** Bump one kernel's call counter (relaxed atomic). */
 void
 countKernel(Kernel kernel)
 {
     g_counters[static_cast<size_t>(kernel)].fetch_add(
         1, std::memory_order_relaxed);
 }
-
-} // namespace detail
-
-namespace {
 
 // -1 = unresolved; otherwise a Backend value. forceBackend stores
 // directly; the first activeBackend() call resolves env then CPUID.
@@ -45,13 +62,9 @@ parseBackendName(const char *name)
 {
     if (std::strcmp(name, "scalar") == 0)
         return Backend::kScalar;
-    if (std::strcmp(name, "avx2") == 0)
-        return Backend::kAvx2;
     if (std::strcmp(name, "ifma") == 0)
         return Backend::kIfma;
-    fatal("BZK_FIELD_BACKEND: unknown backend '%s' "
-          "(want scalar|avx2|ifma)",
-          name);
+    fatal("BZK_FIELD_BACKEND: unknown backend '%s' (want scalar|ifma)", name);
 }
 
 Backend
@@ -69,9 +82,9 @@ resolveBackend()
     return detectBackend();
 }
 
-static_assert(sizeof(Fp<Bn254FrParams>) == 4 * sizeof(uint64_t) &&
-                  sizeof(Fp<Bn254FqParams>) == 4 * sizeof(uint64_t),
-              "wide kernels view Fp arrays as 4-limb arrays");
+static_assert(sizeof(Fr) == 4 * sizeof(uint64_t) &&
+                  sizeof(Fq) == 4 * sizeof(uint64_t),
+              "the IFMA kernels view Fp arrays as 4-limb arrays");
 
 template <typename P>
 const uint64_t *
@@ -87,7 +100,7 @@ limbs(Fp<P> *p)
     return reinterpret_cast<uint64_t *>(p);
 }
 
-/** The per-field runtime constants the wide kernel tables consume. */
+/** The per-field runtime constants the IFMA kernels consume. */
 template <typename P>
 const detail::WideFieldConstants &
 wideConstants()
@@ -101,36 +114,14 @@ wideConstants()
 }
 
 /**
- * How an n-element Fr/Fq call splits: the active SIMD table runs the
- * first `blocks_n` elements, whole blocks of `lanes`, and Fp's
- * operators run the rest. kScalar has no table, so Fp runs them all.
+ * How many of an n-element call's leading elements the IFMA kernels
+ * run: its whole 8-element blocks under kIfma, none under kScalar. Fp
+ * runs the rest.
  */
-struct WideSplit
+size_t
+ifmaElements(size_t n)
 {
-    const detail::WideKernelTable *table;
-    size_t lanes;
-    size_t blocks_n;
-};
-
-WideSplit
-wideSplit(size_t n)
-{
-    Backend backend = activeBackend();
-    const detail::WideKernelTable *table = nullptr;
-#if defined(__x86_64__) || defined(_M_X64)
-    switch (backend) {
-      case Backend::kIfma:
-        table = &detail::wideIfmaKernels();
-        break;
-      case Backend::kAvx2:
-        table = &detail::wideAvx2Kernels();
-        break;
-      default:
-        break;
-    }
-#endif
-    size_t lanes = backendLanes(backend);
-    return {table, lanes, table ? n - n % lanes : 0};
+    return activeBackend() == Backend::kIfma ? n - n % detail::kIfmaLanes : 0;
 }
 
 } // namespace
@@ -141,8 +132,6 @@ backendName(Backend backend)
     switch (backend) {
       case Backend::kScalar:
         return "scalar";
-      case Backend::kAvx2:
-        return "avx2";
       case Backend::kIfma:
         return "ifma";
     }
@@ -155,29 +144,22 @@ backendAvailable(Backend backend)
     switch (backend) {
       case Backend::kScalar:
         return true;
-#if defined(__x86_64__) || defined(_M_X64)
-      case Backend::kAvx2:
-        return __builtin_cpu_supports("avx2");
       case Backend::kIfma:
+#if defined(__x86_64__) || defined(_M_X64)
         return __builtin_cpu_supports("avx512f") &&
                __builtin_cpu_supports("avx512ifma");
-#endif
-      default:
+#else
         return false;
+#endif
     }
+    return false;
 }
 
 Backend
 detectBackend()
 {
-    // AVX-512F without IFMA lands on avx2: AVX-512F implies AVX2, and
-    // the carry-chain code gains nothing from 512-bit lanes
-    // (docs/PERFORMANCE.md).
-    if (backendAvailable(Backend::kIfma))
-        return Backend::kIfma;
-    if (backendAvailable(Backend::kAvx2))
-        return Backend::kAvx2;
-    return Backend::kScalar;
+    return backendAvailable(Backend::kIfma) ? Backend::kIfma
+                                            : Backend::kScalar;
 }
 
 Backend
@@ -215,267 +197,197 @@ clearForcedBackend()
 size_t
 backendLanes(Backend backend)
 {
-    switch (backend) {
-      case Backend::kAvx2:
-        return detail::kAvx2Lanes;
-      case Backend::kIfma:
-        return detail::kIfmaLanes;
-      default:
-        return 1;
-    }
+    return backend == Backend::kIfma ? detail::kIfmaLanes : 1;
 }
 
 KernelCounters
 kernelCounters()
 {
-    using detail::Kernel;
     auto load = [](Kernel k) {
-        return detail::g_counters[static_cast<size_t>(k)].load(
+        return g_counters[static_cast<size_t>(k)].load(
             std::memory_order_relaxed);
     };
     KernelCounters c;
-    c.add_lanes = load(Kernel::kAdd);
-    c.sub_lanes = load(Kernel::kSub);
-    c.mul_lanes = load(Kernel::kMul);
-    c.fold_lanes = load(Kernel::kFold);
-    c.axpy_lanes = load(Kernel::kAxpy);
-    c.sum_lanes = load(Kernel::kSum);
-    c.dot_lanes = load(Kernel::kDot);
-    c.batch_inverse = load(Kernel::kBatchInverse);
-    c.wide_add_lanes = load(Kernel::kWideAdd);
-    c.wide_sub_lanes = load(Kernel::kWideSub);
-    c.wide_mul_lanes = load(Kernel::kWideMul);
-    c.wide_fold_lanes = load(Kernel::kWideFold);
-    c.wide_axpy_lanes = load(Kernel::kWideAxpy);
-    c.wide_sum_lanes = load(Kernel::kWideSum);
-    c.wide_dot_lanes = load(Kernel::kWideDot);
-    c.wide_batch_inverse = load(Kernel::kWideBatchInverse);
+    c.wide_add_lanes = load(Kernel::kAdd);
+    c.wide_sub_lanes = load(Kernel::kSub);
+    c.wide_mul_lanes = load(Kernel::kMul);
+    c.wide_fold_lanes = load(Kernel::kFold);
+    c.wide_axpy_lanes = load(Kernel::kAxpy);
+    c.wide_sum_lanes = load(Kernel::kSum);
+    c.wide_dot_lanes = load(Kernel::kDot);
+    c.wide_batch_inverse = load(Kernel::kBatchInverse);
     return c;
 }
 
 void
 resetKernelCounters()
 {
-    for (auto &counter : detail::g_counters)
+    for (auto &counter : g_counters)
         counter.store(0, std::memory_order_relaxed);
 }
 
-// ---- Wide-field (BN254 Fr/Fq) specializations. The tables operate
-// ---- on the raw Montgomery limb view; reading the result back
-// ---- through Fp is safe because every kernel output is canonical.
-
-namespace {
+// ---- The lane kernels. The IFMA kernels operate on the raw Montgomery
+// ---- limb view; reading the result back through Fp is safe because
+// ---- every kernel output is canonical.
 
 template <typename P>
 void
-wideAddLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
+addLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
 {
-    detail::countKernel(detail::Kernel::kWideAdd);
-    WideSplit s = wideSplit(n);
-    if (s.blocks_n)
-        s.table->add(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
-                     s.blocks_n);
-    for (size_t i = s.blocks_n; i < n; ++i)
+    countKernel(Kernel::kAdd);
+    size_t i = ifmaElements(n);
+    if constexpr (kIfmaBuilt)
+        if (i)
+            detail::ifmaAdd(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
+                            i);
+    for (; i < n; ++i)
         out[i] = a[i] + b[i];
 }
 
 template <typename P>
 void
-wideSubLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
+subLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
 {
-    detail::countKernel(detail::Kernel::kWideSub);
-    WideSplit s = wideSplit(n);
-    if (s.blocks_n)
-        s.table->sub(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
-                     s.blocks_n);
-    for (size_t i = s.blocks_n; i < n; ++i)
+    countKernel(Kernel::kSub);
+    size_t i = ifmaElements(n);
+    if constexpr (kIfmaBuilt)
+        if (i)
+            detail::ifmaSub(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
+                            i);
+    for (; i < n; ++i)
         out[i] = a[i] - b[i];
 }
 
 template <typename P>
 void
-wideMulLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
+mulLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
 {
-    detail::countKernel(detail::Kernel::kWideMul);
-    WideSplit s = wideSplit(n);
-    if (s.blocks_n)
-        s.table->mul(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
-                     s.blocks_n);
-    for (size_t i = s.blocks_n; i < n; ++i)
+    countKernel(Kernel::kMul);
+    size_t i = ifmaElements(n);
+    if constexpr (kIfmaBuilt)
+        if (i)
+            detail::ifmaMul(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
+                            i);
+    for (; i < n; ++i)
         out[i] = a[i] * b[i];
 }
 
 template <typename P>
 void
-wideFoldLanes(Fp<P> *lo, const Fp<P> *hi, const Fp<P> &r, size_t n)
+foldLanes(Fp<P> *lo, const Fp<P> *hi, const Fp<P> &r, size_t n)
 {
-    detail::countKernel(detail::Kernel::kWideFold);
-    WideSplit s = wideSplit(n);
-    if (s.blocks_n)
-        s.table->fold(wideConstants<P>(), limbs(lo), limbs(hi), limbs(&r),
-                      s.blocks_n);
-    for (size_t i = s.blocks_n; i < n; ++i)
+    countKernel(Kernel::kFold);
+    size_t i = ifmaElements(n);
+    if constexpr (kIfmaBuilt)
+        if (i)
+            detail::ifmaFold(wideConstants<P>(), limbs(lo), limbs(hi),
+                             limbs(&r), i);
+    for (; i < n; ++i)
         lo[i] = lo[i] + r * (hi[i] - lo[i]);
 }
 
 template <typename P>
 void
-wideAxpyLanes(Fp<P> *acc, const Fp<P> *x, const Fp<P> &s, size_t n)
+axpyLanes(Fp<P> *acc, const Fp<P> *x, const Fp<P> &s, size_t n)
 {
-    detail::countKernel(detail::Kernel::kWideAxpy);
-    WideSplit w = wideSplit(n);
-    if (w.blocks_n)
-        w.table->axpy(wideConstants<P>(), limbs(acc), limbs(x), limbs(&s),
-                      w.blocks_n);
-    for (size_t i = w.blocks_n; i < n; ++i)
+    countKernel(Kernel::kAxpy);
+    size_t i = ifmaElements(n);
+    if constexpr (kIfmaBuilt)
+        if (i)
+            detail::ifmaAxpy(wideConstants<P>(), limbs(acc), limbs(x),
+                             limbs(&s), i);
+    for (; i < n; ++i)
         acc[i] += s * x[i];
 }
 
 template <typename P>
 Fp<P>
-wideSumLanes(const Fp<P> *a, size_t n)
+sumLanes(const Fp<P> *a, size_t n)
 {
-    detail::countKernel(detail::Kernel::kWideSum);
-    WideSplit s = wideSplit(n);
+    countKernel(Kernel::kSum);
     Fp<P> acc = Fp<P>::zero();
-    if (s.blocks_n) {
-        Fp<P> partial[detail::kIfmaLanes]; // room for the widest table
-        s.table->sum(wideConstants<P>(), limbs(a), s.blocks_n, limbs(partial));
-        for (size_t l = 0; l < s.lanes; ++l)
-            acc += partial[l];
+    size_t i = ifmaElements(n);
+    if constexpr (kIfmaBuilt) {
+        if (i) {
+            Fp<P> partial[detail::kIfmaLanes];
+            detail::ifmaSum(wideConstants<P>(), limbs(a), i, limbs(partial));
+            for (const Fp<P> &p : partial)
+                acc += p;
+        }
     }
-    for (size_t i = s.blocks_n; i < n; ++i)
+    for (; i < n; ++i)
         acc += a[i];
     return acc;
 }
 
 template <typename P>
 Fp<P>
-wideDotLanes(const Fp<P> *a, const Fp<P> *b, size_t n)
+dotLanes(const Fp<P> *a, const Fp<P> *b, size_t n)
 {
-    detail::countKernel(detail::Kernel::kWideDot);
-    WideSplit s = wideSplit(n);
+    countKernel(Kernel::kDot);
     Fp<P> acc = Fp<P>::zero();
-    if (s.blocks_n) {
-        Fp<P> partial[detail::kIfmaLanes]; // room for the widest table
-        s.table->dot(wideConstants<P>(), limbs(a), limbs(b), s.blocks_n,
-                     limbs(partial));
-        for (size_t l = 0; l < s.lanes; ++l)
-            acc += partial[l];
+    size_t i = ifmaElements(n);
+    if constexpr (kIfmaBuilt) {
+        if (i) {
+            Fp<P> partial[detail::kIfmaLanes];
+            detail::ifmaDot(wideConstants<P>(), limbs(a), limbs(b), i,
+                            limbs(partial));
+            for (const Fp<P> &p : partial)
+                acc += p;
+        }
     }
-    for (size_t i = s.blocks_n; i < n; ++i)
+    for (; i < n; ++i)
         acc += a[i] * b[i];
     return acc;
 }
 
-} // namespace
-
-template <>
-void
-addLanes<Bn254Fr>(const Bn254Fr *a, const Bn254Fr *b, Bn254Fr *out,
-                  size_t n)
+template <typename P>
+size_t
+batchInverse(Fp<P> *x, size_t n)
 {
-    wideAddLanes(a, b, out, n);
+    countKernel(Kernel::kBatchInverse);
+    std::vector<Fp<P>> prefix(n);
+    Fp<P> run = Fp<P>::one();
+    size_t inverted = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (x[i].isZero())
+            continue;
+        prefix[i] = run;
+        run *= x[i];
+        ++inverted;
+    }
+    if (inverted == 0)
+        return 0;
+    Fp<P> inv = run.inverse();
+    for (size_t i = n; i-- > 0;) {
+        if (x[i].isZero())
+            continue;
+        Fp<P> xi = x[i];
+        x[i] = inv * prefix[i];
+        inv *= xi;
+    }
+    return inverted;
 }
 
-template <>
-void
-subLanes<Bn254Fr>(const Bn254Fr *a, const Bn254Fr *b, Bn254Fr *out,
-                  size_t n)
-{
-    wideSubLanes(a, b, out, n);
-}
+// The lane API exists for these two fields only: Fr for every proof,
+// Fq for the MSM baseline's batch-affine pass.
 
-template <>
-void
-mulLanes<Bn254Fr>(const Bn254Fr *a, const Bn254Fr *b, Bn254Fr *out,
-                  size_t n)
-{
-    wideMulLanes(a, b, out, n);
-}
+template void addLanes(const Fr *, const Fr *, Fr *, size_t);
+template void subLanes(const Fr *, const Fr *, Fr *, size_t);
+template void mulLanes(const Fr *, const Fr *, Fr *, size_t);
+template void foldLanes(Fr *, const Fr *, const Fr &, size_t);
+template void axpyLanes(Fr *, const Fr *, const Fr &, size_t);
+template Fr sumLanes(const Fr *, size_t);
+template Fr dotLanes(const Fr *, const Fr *, size_t);
+template size_t batchInverse(Fr *, size_t);
 
-template <>
-void
-foldLanes<Bn254Fr>(Bn254Fr *lo, const Bn254Fr *hi, const Bn254Fr &r,
-                   size_t n)
-{
-    wideFoldLanes(lo, hi, r, n);
-}
-
-template <>
-void
-axpyLanes<Bn254Fr>(Bn254Fr *acc, const Bn254Fr *x, const Bn254Fr &s,
-                   size_t n)
-{
-    wideAxpyLanes(acc, x, s, n);
-}
-
-template <>
-Bn254Fr
-sumLanes<Bn254Fr>(const Bn254Fr *a, size_t n)
-{
-    return wideSumLanes(a, n);
-}
-
-template <>
-Bn254Fr
-dotLanes<Bn254Fr>(const Bn254Fr *a, const Bn254Fr *b, size_t n)
-{
-    return wideDotLanes(a, b, n);
-}
-
-template <>
-void
-addLanes<Bn254Fq>(const Bn254Fq *a, const Bn254Fq *b, Bn254Fq *out,
-                  size_t n)
-{
-    wideAddLanes(a, b, out, n);
-}
-
-template <>
-void
-subLanes<Bn254Fq>(const Bn254Fq *a, const Bn254Fq *b, Bn254Fq *out,
-                  size_t n)
-{
-    wideSubLanes(a, b, out, n);
-}
-
-template <>
-void
-mulLanes<Bn254Fq>(const Bn254Fq *a, const Bn254Fq *b, Bn254Fq *out,
-                  size_t n)
-{
-    wideMulLanes(a, b, out, n);
-}
-
-template <>
-void
-foldLanes<Bn254Fq>(Bn254Fq *lo, const Bn254Fq *hi, const Bn254Fq &r,
-                   size_t n)
-{
-    wideFoldLanes(lo, hi, r, n);
-}
-
-template <>
-void
-axpyLanes<Bn254Fq>(Bn254Fq *acc, const Bn254Fq *x, const Bn254Fq &s,
-                   size_t n)
-{
-    wideAxpyLanes(acc, x, s, n);
-}
-
-template <>
-Bn254Fq
-sumLanes<Bn254Fq>(const Bn254Fq *a, size_t n)
-{
-    return wideSumLanes(a, n);
-}
-
-template <>
-Bn254Fq
-dotLanes<Bn254Fq>(const Bn254Fq *a, const Bn254Fq *b, size_t n)
-{
-    return wideDotLanes(a, b, n);
-}
+template void addLanes(const Fq *, const Fq *, Fq *, size_t);
+template void subLanes(const Fq *, const Fq *, Fq *, size_t);
+template void mulLanes(const Fq *, const Fq *, Fq *, size_t);
+template void foldLanes(Fq *, const Fq *, const Fq &, size_t);
+template void axpyLanes(Fq *, const Fq *, const Fq &, size_t);
+template Fq sumLanes(const Fq *, size_t);
+template Fq dotLanes(const Fq *, const Fq *, size_t);
+template size_t batchInverse(Fq *, size_t);
 
 } // namespace bzk::ff

@@ -8,7 +8,6 @@
 
 #include "ff/FieldParams.h"
 #include "ff/Fp.h"
-#include "ff/Goldilocks.h"
 
 namespace bzk {
 
@@ -17,9 +16,6 @@ using Fr = Fp<Bn254FrParams>;
 
 /** The 256-bit base field of BN254 G1 (MSM baseline substrate). */
 using Fq = Fp<Bn254FqParams>;
-
-/** Fast 64-bit field for tests and fast instantiation sweeps. */
-using Gl64 = Goldilocks;
 
 } // namespace bzk
 

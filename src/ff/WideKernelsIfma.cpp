@@ -325,6 +325,8 @@ broadcastSoA(const uint64_t *one, V L[4])
         L[j] = _mm512_set1_epi64(static_cast<long long>(one[j]));
 }
 
+} // namespace
+
 void
 ifmaAdd(const WideFieldConstants &c, const uint64_t *a,
         const uint64_t *b, uint64_t *out, size_t n)
@@ -436,17 +438,6 @@ ifmaDot(const WideFieldConstants &c, const uint64_t *a,
         addModSoA(k, acc, pv, acc);
     }
     storeAoS(out_lanes, acc);
-}
-
-} // namespace
-
-const WideKernelTable &
-wideIfmaKernels()
-{
-    static const WideKernelTable table{ifmaAdd,  ifmaSub,  ifmaMul,
-                                       ifmaFold, ifmaAxpy, ifmaSum,
-                                       ifmaDot};
-    return table;
 }
 
 } // namespace bzk::ff::detail

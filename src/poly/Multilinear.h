@@ -45,7 +45,7 @@ evaluateTable(std::vector<F> table, const std::vector<F> &point)
 /**
  * Dense multilinear polynomial given by its hypercube evaluation table.
  *
- * @tparam F field type (Fr, Gl64, ...).
+ * @tparam F field type (Fr).
  */
 template <typename F>
 class Multilinear

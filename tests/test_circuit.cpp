@@ -16,7 +16,7 @@ class CircuitT : public ::testing::Test
 {
 };
 
-using Fields = ::testing::Types<Fr, Gl64>;
+using Fields = ::testing::Types<Fr>;
 TYPED_TEST_SUITE(CircuitT, Fields);
 
 TYPED_TEST(CircuitT, EvaluatesArithmetic)

@@ -29,29 +29,29 @@ using DeathTest = ::testing::Test;
 TEST(DeathTest, MultilinearRejectsNonPow2)
 {
     EXPECT_DEATH(
-        { Multilinear<Gl64> m(std::vector<Gl64>(3)); },
+        { Multilinear<Fr> m(std::vector<Fr>(3)); },
         "power of two");
 }
 
 TEST(DeathTest, MultilinearRejectsEmpty)
 {
-    EXPECT_DEATH({ Multilinear<Gl64> m((std::vector<Gl64>())); },
+    EXPECT_DEATH({ Multilinear<Fr> m((std::vector<Fr>())); },
                  "power of two");
 }
 
 TEST(DeathTest, EvaluateRejectsWrongArity)
 {
     Rng rng(1);
-    auto p = Multilinear<Gl64>::random(3, rng);
-    std::vector<Gl64> point(2);
+    auto p = Multilinear<Fr>::random(3, rng);
+    std::vector<Fr> point(2);
     EXPECT_DEATH({ (void)p.evaluate(point); }, "coords");
 }
 
 TEST(DeathTest, SumcheckRejectsWrongChallengeCount)
 {
     Rng rng(2);
-    auto p = Multilinear<Gl64>::random(3, rng);
-    std::vector<Gl64> challenges(2);
+    auto p = Multilinear<Fr>::random(3, rng);
+    std::vector<Fr> challenges(2);
     EXPECT_DEATH({ (void)proveSumcheck(p, challenges); }, "challenges");
 }
 
@@ -63,16 +63,16 @@ TEST(DeathTest, MerklePathOutOfRange)
 
 TEST(DeathTest, CircuitRejectsDanglingWire)
 {
-    Circuit<Gl64> c;
+    Circuit<Fr> c;
     WireId a = c.addWitness();
     EXPECT_DEATH({ (void)c.mul(a, 7); }, "does not exist");
 }
 
 TEST(DeathTest, CircuitRejectsWrongWitnessCount)
 {
-    Circuit<Gl64> c;
+    Circuit<Fr> c;
     c.addWitness();
-    std::vector<Gl64> none;
+    std::vector<Fr> none;
     EXPECT_DEATH({ (void)c.evaluate({}, none); }, "witness");
 }
 
@@ -101,25 +101,11 @@ TEST(DeathTest, DeviceRejectsBadOpQuery)
     EXPECT_DEATH({ (void)dev.opEnd(3); }, "bad op");
 }
 
-TEST(DeathTest, ToBytesRejectsNonCanonicalLimb)
-{
-    // A raw limb >= p must never serialize: transcripts would fork
-    // between encodings of the same field element.
-    EXPECT_DEATH(
-        {
-            uint8_t out[8];
-            Gl64::fromRaw(Gl64::kModulus).toBytes(out);
-        },
-        "non-canonical");
-}
-
 TEST(DeathTest, InverseOfZeroAsserts)
 {
     // Fermat's little theorem silently maps 0 -> 0; the assert makes
     // the misuse loud in debug builds. Callers that legitimately hold
     // zeros use ff::batchInverse's documented skip-zero semantics.
-    EXPECT_DEBUG_DEATH({ (void)Gl64::zero().inverse(); },
-                       "inverse of zero");
     EXPECT_DEBUG_DEATH({ (void)Fr::zero().inverse(); },
                        "inverse of zero");
     // Fq sees zero denominators routinely in the MSM batch-affine
@@ -133,14 +119,14 @@ TEST(DeathTest, InverseOfZeroAsserts)
 TEST(DeathTest, EncoderRejectsTinyMessage)
 {
     // Message length below the base size is a configuration error.
-    EXPECT_EXIT({ SpielmanCode<Gl64> code(16, 1); },
+    EXPECT_EXIT({ SpielmanCode<Fr> code(16, 1); },
                 ::testing::ExitedWithCode(1), "power of two");
 }
 
 TEST(DeathTest, EncoderRejectsWrongMessageLength)
 {
-    SpielmanCode<Gl64> code(64, 1);
-    std::vector<Gl64> msg(63);
+    SpielmanCode<Fr> code(64, 1);
+    std::vector<Fr> msg(63);
     EXPECT_DEATH({ (void)code.encode(msg); }, "message length");
 }
 
@@ -148,19 +134,19 @@ TEST(DeathTest, EncoderRejectsWrongOutputLength)
 {
     // encodeInto writes the whole codeword in place; a window that is
     // not exactly 2k elements must fail before any write.
-    SpielmanCode<Gl64> code(64, 1);
-    std::vector<Gl64> msg(64);
-    std::vector<Gl64> out(127);
+    SpielmanCode<Fr> code(64, 1);
+    std::vector<Fr> msg(64);
+    std::vector<Fr> out(127);
     EXPECT_DEATH({ code.encodeInto(msg, out); }, "output length");
 }
 
 TEST(DeathTest, FieldBackendEnvRejectsUnknownNames)
 {
-    // BZK_FIELD_BACKEND names a kernel table: scalar, avx2 or ifma.
-    // Any other name, ISA names that are no table (avx512, neon)
-    // included, is an operator error that exits 1 before any kernel
-    // runs.
-    for (const char *name : {"avx512", "neon", "bogus"}) {
+    // BZK_FIELD_BACKEND names a lane-kernel backend: scalar or ifma.
+    // Any other name, ISA names that are no backend (avx2, avx512,
+    // neon) included, is an operator error that exits 1 before any
+    // kernel runs.
+    for (const char *name : {"avx2", "avx512", "neon", "bogus"}) {
         SCOPED_TRACE(name);
         EXPECT_EXIT(
             {
@@ -168,7 +154,7 @@ TEST(DeathTest, FieldBackendEnvRejectsUnknownNames)
                 ff::clearForcedBackend();
                 (void)ff::activeBackend();
             },
-            ::testing::ExitedWithCode(1), "want scalar\\|avx2\\|ifma");
+            ::testing::ExitedWithCode(1), "want scalar\\|ifma");
     }
 }
 

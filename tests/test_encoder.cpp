@@ -107,8 +107,8 @@ TEST(SparseMatrix, ZeroInZeroOut)
 {
     Rng rng(5);
     std::vector<uint8_t> degrees(8, 4);
-    SparseMatrix<Gl64> m(degrees, 16, rng);
-    std::vector<Gl64> x(16, Gl64::zero()), out(8);
+    SparseMatrix<Fr> m(degrees, 16, rng);
+    std::vector<Fr> x(16, Fr::zero()), out(8);
     m.mulVec(x, out);
     for (const auto &v : out)
         EXPECT_TRUE(v.isZero());
@@ -119,7 +119,7 @@ class SpielmanT : public ::testing::Test
 {
 };
 
-using Fields = ::testing::Types<Fr, Gl64>;
+using Fields = ::testing::Types<Fr>;
 TYPED_TEST_SUITE(SpielmanT, Fields);
 
 TYPED_TEST(SpielmanT, CodewordLengthIsRateHalf)
@@ -302,19 +302,6 @@ TEST(EncoderGolden, FrCodewords)
     EXPECT_EQ(codewordSha256<Fr>(1 << 10),
               "9529287616c07677c72bd6e89e725879"
               "0213c9484aee042517ed4412d9732938");
-}
-
-TEST(EncoderGolden, Gl64Codewords)
-{
-    EXPECT_EQ(codewordSha256<Gl64>(1 << 5),
-              "0e1b8972448794414801d51e91cbd0f4"
-              "83e5627800200477d463898124ecec3d");
-    EXPECT_EQ(codewordSha256<Gl64>(1 << 8),
-              "eb581eb47199a53cbe29d3fdce017267"
-              "8d64eb343e938ef5a145569ea25fe87e");
-    EXPECT_EQ(codewordSha256<Gl64>(1 << 10),
-              "232b16a3add2fe197a9c3a0e4b3fe6dc"
-              "21bd56ab2b76ae26c3d874865018e47a");
 }
 
 TEST(EncoderStageCosts, SortedNeverWorse)

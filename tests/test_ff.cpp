@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and property tests for the finite-field substrate: U256, the
- * Montgomery fields (BN254 Fr/Fq), Goldilocks, and the NTT.
+ * Montgomery fields (BN254 Fr/Fq), and the NTT.
  */
 
 #include <gtest/gtest.h>
@@ -74,7 +74,7 @@ class FieldTest : public ::testing::Test
 {
 };
 
-using FieldTypes = ::testing::Types<Fr, Fq, Gl64>;
+using FieldTypes = ::testing::Types<Fr, Fq>;
 TYPED_TEST_SUITE(FieldTest, FieldTypes);
 
 TYPED_TEST(FieldTest, AdditiveIdentity)
@@ -293,22 +293,6 @@ TYPED_TEST(MontFieldTest, FromCanonicalBytesAcceptsExactlyBelowP)
     EXPECT_EQ(F::fromBytes(buf), F::one());
 }
 
-TEST(Goldilocks, FromCanonicalBytesAcceptsExactlyBelowP)
-{
-    for (uint64_t v : {Gl64::kModulus, Gl64::kModulus + 1, ~uint64_t{0}}) {
-        uint8_t buf[8];
-        std::memcpy(buf, &v, 8);
-        EXPECT_FALSE(Gl64::fromCanonicalBytes(buf).has_value()) << v;
-    }
-    for (uint64_t v : {uint64_t{0}, uint64_t{7}, Gl64::kModulus - 1}) {
-        uint8_t buf[8];
-        std::memcpy(buf, &v, 8);
-        auto x = Gl64::fromCanonicalBytes(buf);
-        ASSERT_TRUE(x.has_value());
-        EXPECT_EQ(x->toUint(), v);
-    }
-}
-
 TYPED_TEST(MontFieldTest, SmallDotReducesSumsNearMultiplesOfP)
 {
     // result() reduces with one quotient estimate that may fall one
@@ -373,20 +357,12 @@ TEST(Fr, FromU256ReducesOversized)
     EXPECT_EQ(b, r256);
 }
 
-TEST(Goldilocks, OverflowCorners)
-{
-    Gl64 max = Gl64::fromUint(Gl64::kModulus - 1);
-    EXPECT_EQ(max + Gl64::one(), Gl64::zero());
-    EXPECT_EQ(Gl64::zero() - Gl64::one(), max);
-    EXPECT_EQ(max * max, Gl64::one()); // (-1)^2 = 1
-}
-
 template <typename F>
 class NttTest : public ::testing::Test
 {
 };
 
-using NttFields = ::testing::Types<Fr, Gl64>;
+using NttFields = ::testing::Types<Fr>;
 TYPED_TEST_SUITE(NttTest, NttFields);
 
 TYPED_TEST(NttTest, RoundTrip)

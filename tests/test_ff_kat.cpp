@@ -93,14 +93,6 @@ TEST(FqKat, Mul)
               "667dc4403d458fdf5a49f36fd44a66cf");
 }
 
-TEST(GoldilocksKat, MulAndInverse)
-{
-    Gl64 a = Gl64::fromUint(0x123456789abcdef0ULL);
-    Gl64 b = Gl64::fromUint(0xfedcba9876543210ULL);
-    EXPECT_EQ((a * b).toHexString(), "faeafd1f6c7bbad4");
-    EXPECT_EQ(a.inverse().toHexString(), "cc82422076a04151");
-}
-
 TEST(FrKat, MontgomeryFormInvisible)
 {
     // toU256 of small values must be the values themselves (round-trip
@@ -119,80 +111,21 @@ TEST(FrKat, ModulusMinusOneSquares)
     EXPECT_EQ(m1.square(), Fr::one());
 }
 
-// fromBytesReduce used to truncate to the low 8 bytes and reduce with
-// a modulo-biased `v % p`; it now consumes up to 16 bytes through the
-// full 128-bit reduction. Expected values from CPython big ints.
-
-TEST(GoldilocksKat, FromBytesReduceWide)
-{
-    uint8_t seq[16];
-    for (int i = 0; i < 16; ++i)
-        seq[i] = static_cast<uint8_t>(0xf0 + i);
-    EXPECT_EQ(Gl64::fromBytesReduce(seq, 16).toHexString(),
-              "f3f1efebf7f8f9fb");
-
-    uint8_t ones[16];
-    std::fill(ones, ones + 16, 0xff);
-    EXPECT_EQ(Gl64::fromBytesReduce(ones, 16).toHexString(),
-              "fffffffe00000000");
-
-    // Longer inputs (a 32-byte transcript digest) consume exactly the
-    // first 16 bytes.
-    uint8_t digest[32];
-    for (int i = 0; i < 32; ++i)
-        digest[i] = static_cast<uint8_t>(i + 1);
-    EXPECT_EQ(Gl64::fromBytesReduce(digest, 32).toHexString(),
-              "1412100de7e8e9eb");
-    EXPECT_EQ(Gl64::fromBytesReduce(digest, 32),
-              Gl64::fromBytesReduce(digest, 16));
-}
-
-TEST(GoldilocksKat, FromBytesReduceShortCompat)
-{
-    // For len <= 8 the mapping is unchanged from the old single-limb
-    // path (high limb zero), so absorbed-field transcripts still match.
-    uint8_t eight[8] = {0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04};
-    EXPECT_EQ(Gl64::fromBytesReduce(eight, 8).toHexString(),
-              "04030201efbeadde");
-    EXPECT_EQ(Gl64::fromBytesReduce(eight, 8), Gl64::fromBytes(eight));
-
-    uint8_t twelve[12];
-    std::fill(twelve, twelve + 12, 0x11);
-    EXPECT_EQ(Gl64::fromBytesReduce(twelve, 12).toHexString(),
-              "2222222200000000");
-}
-
 // ---- Lane kernel KATs ------------------------------------------------
+//
+// Every backend this host can run is swept through the same call
+// sites: scalar (Fp's own loop, the reference) and the 8-way IFMA
+// kernels where the CPU has vpmadd52.
 
-/** Every Fr/Fq kernel table this host can run. */
+/** Every lane-kernel backend this host can run. */
 std::vector<ff::Backend>
 availableBackends()
 {
     std::vector<ff::Backend> backends;
-    for (ff::Backend b : {ff::Backend::kScalar, ff::Backend::kAvx2,
-                          ff::Backend::kIfma})
+    for (ff::Backend b : {ff::Backend::kScalar, ff::Backend::kIfma})
         if (ff::backendAvailable(b))
             backends.push_back(b);
     return backends;
-}
-
-/** Gl64 operand mix exercising the reduction edge cases. */
-std::vector<Gl64>
-edgeOperands(size_t n, uint64_t salt)
-{
-    Rng rng(0x5eed ^ salt);
-    std::vector<Gl64> v(n);
-    for (size_t i = 0; i < n; ++i)
-        v[i] = Gl64::random(rng);
-    if (n > 0)
-        v[0] = Gl64::fromUint(Gl64::kModulus - 1);
-    if (n > 1)
-        v[1] = Gl64::zero();
-    if (n > 2)
-        v[2] = Gl64::fromUint(Gl64::kModulus - 1);
-    if (n > 3)
-        v[3] = Gl64::one();
-    return v;
 }
 
 class BackendGuard
@@ -200,91 +133,6 @@ class BackendGuard
   public:
     ~BackendGuard() { ff::clearForcedBackend(); }
 };
-
-TEST(FieldBackendKat, MulAddSubAtModulusBoundary)
-{
-    Gl64 pm1 = Gl64::fromUint(Gl64::kModulus - 1);
-    Gl64 pm2 = Gl64::fromUint(Gl64::kModulus - 2);
-    std::vector<Gl64> a(8, pm1), b(8, pm2), out(8);
-    ff::mulLanes(a.data(), b.data(), out.data(), 8);
-    for (const Gl64 &o : out)
-        EXPECT_EQ(o.toHexString(), "0000000000000002");
-    ff::addLanes(a.data(), a.data(), out.data(), 8);
-    for (const Gl64 &o : out)
-        EXPECT_EQ(o, pm2);
-    ff::subLanes(b.data(), a.data(), out.data(), 8);
-    for (const Gl64 &o : out)
-        EXPECT_EQ(o, -Gl64::one());
-}
-
-TEST(FieldBackendKat, BackendDispatchControls)
-{
-    BackendGuard guard;
-    EXPECT_STREQ(ff::backendName(ff::Backend::kScalar), "scalar");
-    EXPECT_STREQ(ff::backendName(ff::Backend::kAvx2), "avx2");
-    EXPECT_STREQ(ff::backendName(ff::Backend::kIfma), "ifma");
-    EXPECT_EQ(ff::backendLanes(ff::Backend::kScalar), 1u);
-    EXPECT_EQ(ff::backendLanes(ff::Backend::kAvx2), 4u);
-    EXPECT_EQ(ff::backendLanes(ff::Backend::kIfma), 8u);
-    EXPECT_TRUE(ff::backendAvailable(ff::Backend::kScalar));
-    for (ff::Backend backend : availableBackends()) {
-        ff::forceBackend(backend);
-        EXPECT_EQ(ff::activeBackend(), backend) << ff::backendName(backend);
-    }
-    ff::clearForcedBackend();
-    // Re-resolution lands on an available backend.
-    EXPECT_TRUE(ff::backendAvailable(ff::activeBackend()));
-    // detectBackend ignores overrides and only names available ones.
-    EXPECT_TRUE(ff::backendAvailable(ff::detectBackend()));
-}
-
-TEST(FieldBackendKat, KernelCountersAdvance)
-{
-    BackendGuard guard;
-    ff::resetKernelCounters();
-    std::vector<Gl64> a(16, Gl64::one()), out(16);
-    ff::mulLanes(a.data(), a.data(), out.data(), 16);
-    ff::mulLanes(a.data(), a.data(), out.data(), 16);
-    (void)ff::sumLanes(a.data(), 16);
-    ff::KernelCounters c = ff::kernelCounters();
-    EXPECT_EQ(c.mul_lanes, 2u);
-    EXPECT_EQ(c.sum_lanes, 1u);
-    EXPECT_EQ(c.add_lanes, 0u);
-}
-
-TEST(FieldBackendKat, BatchInverseMatchesFermatAndSkipsZeros)
-{
-    auto x = edgeOperands(33, 3);
-    std::vector<Gl64> want(x.size());
-    for (size_t i = 0; i < x.size(); ++i)
-        want[i] = x[i].isZero() ? Gl64::zero() : x[i].inverse();
-    std::vector<Gl64> got = x;
-    // One zero at index 1: skipped, not inverted.
-    EXPECT_EQ(ff::batchInverse(got.data(), got.size()), got.size() - 1);
-    EXPECT_EQ(got, want);
-
-    // Round trip: x * x^-1 == 1 for the non-zero entries.
-    for (size_t i = 0; i < x.size(); ++i) {
-        if (!x[i].isZero()) {
-            EXPECT_EQ(x[i] * got[i], Gl64::one());
-        }
-    }
-}
-
-TEST(FieldBackendKat, BatchInverseAllZeroAndEmpty)
-{
-    std::vector<Gl64> zeros(5, Gl64::zero());
-    EXPECT_EQ(ff::batchInverse(zeros.data(), zeros.size()), 0u);
-    for (const Gl64 &z : zeros)
-        EXPECT_TRUE(z.isZero());
-    EXPECT_EQ(ff::batchInverse(zeros.data(), 0), 0u);
-}
-
-// ---- Wide-field (BN254 Fr/Fq) kernel KATs --------------------------
-//
-// Every backend this host can run is swept through the same call
-// sites: scalar (Fp's own loop, the reference), the 4-way AVX2 table,
-// and the 8-way IFMA table where the CPU has vpmadd52.
 
 /** Operand mix hitting the modulus boundary in SIMD-body lanes. */
 template <typename F>
@@ -304,6 +152,74 @@ wideEdgeOperands(size_t n, uint64_t salt)
     if (n > 3)
         v[3] = F::one();
     return v;
+}
+
+TEST(FieldBackendKat, MulAddSubAtModulusBoundary)
+{
+    BackendGuard guard;
+    // 9 elements: one IFMA block plus an Fp tail.
+    const Fr pm1 = -Fr::one(), pm2 = -Fr::fromUint(2);
+    std::vector<Fr> a(9, pm1), b(9, pm2), out(9);
+    for (ff::Backend backend : availableBackends()) {
+        SCOPED_TRACE(ff::backendName(backend));
+        ff::forceBackend(backend);
+        ff::mulLanes(a.data(), b.data(), out.data(), 9);
+        for (const Fr &o : out)
+            EXPECT_EQ(o, Fr::fromUint(2));
+        ff::addLanes(a.data(), a.data(), out.data(), 9);
+        for (const Fr &o : out)
+            EXPECT_EQ(o, pm2);
+        ff::subLanes(b.data(), a.data(), out.data(), 9);
+        for (const Fr &o : out)
+            EXPECT_EQ(o, -Fr::one());
+    }
+}
+
+TEST(FieldBackendKat, BackendDispatchControls)
+{
+    BackendGuard guard;
+    EXPECT_STREQ(ff::backendName(ff::Backend::kScalar), "scalar");
+    EXPECT_STREQ(ff::backendName(ff::Backend::kIfma), "ifma");
+    EXPECT_EQ(ff::backendLanes(ff::Backend::kScalar), 1u);
+    EXPECT_EQ(ff::backendLanes(ff::Backend::kIfma), 8u);
+    EXPECT_TRUE(ff::backendAvailable(ff::Backend::kScalar));
+    for (ff::Backend backend : availableBackends()) {
+        ff::forceBackend(backend);
+        EXPECT_EQ(ff::activeBackend(), backend) << ff::backendName(backend);
+    }
+    ff::clearForcedBackend();
+    // Re-resolution lands on an available backend.
+    EXPECT_TRUE(ff::backendAvailable(ff::activeBackend()));
+    // detectBackend ignores overrides and only names available ones.
+    EXPECT_TRUE(ff::backendAvailable(ff::detectBackend()));
+}
+
+TEST(FieldBackendKat, BatchInverseMatchesFermatAndSkipsZeros)
+{
+    auto x = wideEdgeOperands<Fr>(33, 3);
+    std::vector<Fr> want(x.size());
+    for (size_t i = 0; i < x.size(); ++i)
+        want[i] = x[i].isZero() ? Fr::zero() : x[i].inverse();
+    std::vector<Fr> got = x;
+    // One zero at index 1: skipped, not inverted.
+    EXPECT_EQ(ff::batchInverse(got.data(), got.size()), got.size() - 1);
+    EXPECT_EQ(got, want);
+
+    // Round trip: x * x^-1 == 1 for the non-zero entries.
+    for (size_t i = 0; i < x.size(); ++i) {
+        if (!x[i].isZero()) {
+            EXPECT_EQ(x[i] * got[i], Fr::one());
+        }
+    }
+}
+
+TEST(FieldBackendKat, BatchInverseAllZeroAndEmpty)
+{
+    std::vector<Fr> zeros(5, Fr::zero());
+    EXPECT_EQ(ff::batchInverse(zeros.data(), zeros.size()), 0u);
+    for (const Fr &z : zeros)
+        EXPECT_TRUE(z.isZero());
+    EXPECT_EQ(ff::batchInverse(zeros.data(), 0), 0u);
 }
 
 /**
@@ -375,9 +291,9 @@ checkWideLaneKernels()
 {
     BackendGuard guard;
     F r = F::fromU256(u256FromHexStr(kB));
-    // Lane-boundary sizes for both 4-wide and 8-wide blocks: empty,
-    // shorter than a block, exact multiples, and one-past, so the SIMD
-    // blocks and the Fp tail each run alone and together.
+    // Sizes around the 8-wide IFMA block: empty, shorter than a block,
+    // exact multiples, and one-past, so the SIMD blocks and the Fp
+    // tail each run alone and together.
     const size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 19, 67};
     for (ff::Backend backend : availableBackends()) {
         for (size_t n : sizes) {
@@ -387,11 +303,12 @@ checkWideLaneKernels()
             auto b = wideEdgeOperands<F>(n, 2);
 
             ff::forceBackend(ff::Backend::kScalar);
-            std::vector<F> want_add(n), want_sub(n), want_mul(n);
+            std::vector<F> want_add(n), want_sub(n), want_mul(n), want_sq(n);
             std::vector<F> want_fold = a, want_axpy = a;
             ff::addLanes(a.data(), b.data(), want_add.data(), n);
             ff::subLanes(a.data(), b.data(), want_sub.data(), n);
             ff::mulLanes(a.data(), b.data(), want_mul.data(), n);
+            ff::mulLanes(a.data(), a.data(), want_sq.data(), n);
             ff::foldLanes(want_fold.data(), b.data(), r, n);
             ff::axpyLanes(want_axpy.data(), b.data(), r, n);
             F want_sum = ff::sumLanes(a.data(), n);
@@ -403,11 +320,27 @@ checkWideLaneKernels()
             EXPECT_EQ(got, want_add);
             ff::subLanes(a.data(), b.data(), got.data(), n);
             EXPECT_EQ(got, want_sub);
-            got = a; // in place: out == a
-            ff::subLanes(got.data(), b.data(), got.data(), n);
-            EXPECT_EQ(got, want_sub);
             ff::mulLanes(a.data(), b.data(), got.data(), n);
             EXPECT_EQ(got, want_mul);
+
+            // In place: add, sub and mul allow out == a, out == b and
+            // out == a == b.
+            got = a;
+            ff::addLanes(got.data(), b.data(), got.data(), n);
+            EXPECT_EQ(got, want_add);
+            got = a;
+            ff::subLanes(got.data(), b.data(), got.data(), n);
+            EXPECT_EQ(got, want_sub);
+            got = a;
+            ff::mulLanes(got.data(), b.data(), got.data(), n);
+            EXPECT_EQ(got, want_mul);
+            got = b;
+            ff::mulLanes(a.data(), got.data(), got.data(), n);
+            EXPECT_EQ(got, want_mul);
+            got = a;
+            ff::mulLanes(got.data(), got.data(), got.data(), n);
+            EXPECT_EQ(got, want_sq);
+
             got = a;
             ff::foldLanes(got.data(), b.data(), r, n);
             EXPECT_EQ(got, want_fold);
@@ -453,13 +386,11 @@ TEST(WideFieldKat, WideCountersAdvance)
     EXPECT_EQ(c.wide_sum_lanes, 1u);
     EXPECT_EQ(c.wide_batch_inverse, 1u);
     EXPECT_EQ(c.wide_add_lanes, 0u);
-    // The generic-loop counters are untouched by wide-field traffic.
-    EXPECT_EQ(c.mul_lanes, 0u);
 }
 
 TEST(FieldBackendKat, BatchInverseWorksForFr)
 {
-    // The Fr specialization of the same Montgomery-trick body.
+    // Random operands with the zero mid-array rather than at index 1.
     Rng rng(77);
     std::vector<Fr> x(9);
     for (auto &v : x)

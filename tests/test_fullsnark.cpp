@@ -24,7 +24,7 @@ class R1csT : public ::testing::Test
 {
 };
 
-using Fields = ::testing::Types<Fr, Gl64>;
+using Fields = ::testing::Types<Fr>;
 TYPED_TEST_SUITE(R1csT, Fields);
 
 template <typename F>

@@ -21,7 +21,7 @@ class GkrT : public ::testing::Test
 {
 };
 
-using Fields = ::testing::Types<Fr, Gl64>;
+using Fields = ::testing::Types<Fr>;
 TYPED_TEST_SUITE(GkrT, Fields);
 
 /** ((a+b) * (c+d)) style two-layer circuit on four inputs. */
@@ -327,7 +327,7 @@ TEST_F(GpuGkrTest, DeeperCircuitsBenefitMore)
 
 TEST(LayeredCircuit, RejectsOutOfRangeWire)
 {
-    LayeredCircuit<Gl64> c(2);
+    LayeredCircuit<Fr> c(2);
     EXPECT_DEATH(
         { c.addLayer({{LayeredGate::Kind::Add, 0, 9}}); },
         "out of range");

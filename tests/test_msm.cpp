@@ -3,7 +3,7 @@
  * Equivalence fuzz for the MSM paths: msmNaive (double-and-add
  * reference), msmPippengerJacobian (scalar bucket loop), and
  * msmPippenger (vectorized batch-affine bucket accumulation), across
- * every Fr/Fq kernel table this host can run. The batch-affine pass
+ * every lane-kernel backend this host can run. The batch-affine pass
  * leans on bucket-internal doublings and P + (-P) cancellations, so
  * the fuzz deliberately feeds duplicate points, negated pairs, zero
  * and boundary scalars.
@@ -31,8 +31,7 @@ std::vector<ff::Backend>
 availableBackends()
 {
     std::vector<ff::Backend> backends;
-    for (ff::Backend b : {ff::Backend::kScalar, ff::Backend::kAvx2,
-                          ff::Backend::kIfma})
+    for (ff::Backend b : {ff::Backend::kScalar, ff::Backend::kIfma})
         if (ff::backendAvailable(b))
             backends.push_back(b);
     return backends;

@@ -19,7 +19,7 @@ class PcsT : public ::testing::Test
 {
 };
 
-using Fields = ::testing::Types<Fr, Gl64>;
+using Fields = ::testing::Types<Fr>;
 TYPED_TEST_SUITE(PcsT, Fields);
 
 template <typename F>

@@ -17,7 +17,7 @@ class MultilinearTest : public ::testing::Test
 {
 };
 
-using Fields = ::testing::Types<Fr, Gl64>;
+using Fields = ::testing::Types<Fr>;
 TYPED_TEST_SUITE(MultilinearTest, Fields);
 
 TYPED_TEST(MultilinearTest, EvaluateAtHypercubePointsMatchesTable)

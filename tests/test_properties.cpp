@@ -91,12 +91,12 @@ TEST_P(EncoderSizeSweep, LinearAndSystematicAtEverySize)
 {
     size_t k = size_t{1} << GetParam();
     Rng rng(3000 + GetParam());
-    SpielmanCode<Gl64> code(k, 7);
-    std::vector<Gl64> x(k), y(k), combo(k);
-    Gl64 a = Gl64::random(rng), b = Gl64::random(rng);
+    SpielmanCode<Fr> code(k, 7);
+    std::vector<Fr> x(k), y(k), combo(k);
+    Fr a = Fr::random(rng), b = Fr::random(rng);
     for (size_t i = 0; i < k; ++i) {
-        x[i] = Gl64::random(rng);
-        y[i] = Gl64::random(rng);
+        x[i] = Fr::random(rng);
+        y[i] = Fr::random(rng);
         combo[i] = a * x[i] + b * y[i];
     }
     auto ex = code.encode(x);

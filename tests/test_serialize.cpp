@@ -229,26 +229,6 @@ TEST(Serialize, NonCanonicalFrElementRejected)
     EXPECT_FALSE(deserializeProof<Fr>(bytes).has_value());
 }
 
-TEST(Serialize, NonCanonicalGl64ElementRejected)
-{
-    // All-zero tables satisfy a * b - c = 0 and give va = 0, whose
-    // alias 0 + p still fits Goldilocks' 8 bytes.
-    ConstraintTables<Gl64> tables;
-    tables.n_vars = 8;
-    tables.a.assign(size_t{1} << 8, Gl64::zero());
-    tables.b = tables.a;
-    tables.c = tables.a;
-    Snark<Gl64> snark(8, 99);
-    auto proof = snark.prove(tables, {});
-    ASSERT_TRUE(snark.verify(proof, {}));
-    ASSERT_EQ(proof.va, Gl64::zero());
-    auto bytes = serializeProof(proof);
-    ASSERT_TRUE(deserializeProof<Gl64>(bytes).has_value());
-    uint64_t alias = Gl64::kModulus;
-    std::memcpy(bytes.data() + vaOffset(proof), &alias, 8);
-    EXPECT_FALSE(deserializeProof<Gl64>(bytes).has_value());
-}
-
 /** Peak resident set of this process, KiB (Linux ru_maxrss). */
 long
 peakRssKiB()

@@ -41,8 +41,7 @@ struct Case
     using Gate = GateT;
 };
 
-using Cases = ::testing::Types<Case<Fr, MulGate>, Case<Gl64, MulGate>,
-                               Case<Fr, Pow4Gate>, Case<Gl64, Pow4Gate>>;
+using Cases = ::testing::Types<Case<Fr, MulGate>, Case<Fr, Pow4Gate>>;
 
 struct CaseNames
 {
@@ -50,9 +49,7 @@ struct CaseNames
     static std::string
     GetName(int)
     {
-        std::string field = std::is_same_v<typename C::F, Fr> ? "Fr" : "Gl64";
-        return field +
-               (std::is_same_v<typename C::Gate, MulGate> ? "Mul" : "Pow4");
+        return std::is_same_v<typename C::Gate, MulGate> ? "FrMul" : "FrPow4";
     }
 };
 

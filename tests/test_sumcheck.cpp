@@ -28,7 +28,7 @@ class SumcheckT : public ::testing::Test
 {
 };
 
-using Fields = ::testing::Types<Fr, Gl64>;
+using Fields = ::testing::Types<Fr>;
 TYPED_TEST_SUITE(SumcheckT, Fields);
 
 TYPED_TEST(SumcheckT, CompletenessInteractive)
@@ -353,8 +353,7 @@ struct GateCase
 };
 
 using GateCases =
-    ::testing::Types<GateCase<Fr, MulGate>, GateCase<Gl64, MulGate>,
-                     GateCase<Fr, Pow4Gate>, GateCase<Gl64, Pow4Gate>>;
+    ::testing::Types<GateCase<Fr, MulGate>, GateCase<Fr, Pow4Gate>>;
 
 struct GateCaseNames
 {
@@ -362,9 +361,7 @@ struct GateCaseNames
     static std::string
     GetName(int)
     {
-        std::string field = std::is_same_v<typename C::F, Fr> ? "Fr" : "Gl64";
-        return field +
-               (std::is_same_v<typename C::Gate, MulGate> ? "Mul" : "Pow4");
+        return std::is_same_v<typename C::Gate, MulGate> ? "FrMul" : "FrPow4";
     }
 };
 
