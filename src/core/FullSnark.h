@@ -120,11 +120,8 @@ class FullSnark
         std::vector<F> bz = r1cs_.apply(r1cs_.b, z);
         std::vector<F> cz = r1cs_.apply(r1cs_.c, z);
         std::vector<F> rx;
-        {
-            std::vector<F> eq = eqTable(tau);
-            proof.phase1 = proveGateSumcheck<MulGate>(
-                eq, az, bz, cz, kPhase1Labels, transcript, &rx);
-        }
+        proof.phase1 = proveGateSumcheck<MulGate>(
+            tau, az, bz, cz, kPhase1Labels, transcript, &rx);
         proof.va = az[0];
         proof.vb = bz[0];
         proof.vc = cz[0];
@@ -146,7 +143,8 @@ class FullSnark
 
         std::vector<F> ry = proveRounds<3>(
             std::array{&m, &z},
-            [](const std::array<const F *, 2> &at, F *, size_t n) {
+            [](const std::array<const F *, 2> &at, const F *, F *,
+               size_t n) {
                 return ff::dotLanes(at[0], at[1], n);
             },
             kPhase2Labels.absorber<F>(transcript), proof.phase2.rounds);

@@ -185,12 +185,11 @@ class GateSnark
         // which are the openings.
         std::vector<F> point;
         {
-            std::vector<F> eq = eqTable(tau);
             std::vector<F> a = tables.a;
             std::vector<F> b = tables.b;
             std::vector<F> c = tables.c;
             proof.gate_sc = proveGateSumcheck<Gate>(
-                eq, a, b, c, Gate::kLabels, transcript, &point, exec_);
+                tau, a, b, c, Gate::kLabels, transcript, &point, exec_);
             proof.va = a[0];
             proof.vb = b[0];
             proof.vc = c[0];

@@ -276,7 +276,7 @@ class Gkr
 
     /** Combine step of h(b) = V(b) * C(b) + D(b) over a chunk. */
     static F
-    vcd(const std::array<const F *, 3> &at, F *, size_t m)
+    vcd(const std::array<const F *, 3> &at, const F *, F *, size_t m)
     {
         return ff::dotLanes(at[0], at[1], m) + ff::sumLanes(at[2], m);
     }

@@ -11,6 +11,7 @@
 
 #include "../tools/BatchzkCli.h"
 #include "circuit/Circuit.h"
+#include "core/Snark.h"
 #include "encoder/SpielmanCode.h"
 #include "ff/FieldBackend.h"
 #include "ff/Fields.h"
@@ -53,6 +54,22 @@ TEST(DeathTest, SumcheckRejectsWrongChallengeCount)
     auto p = Multilinear<Fr>::random(3, rng);
     std::vector<Fr> challenges(2);
     EXPECT_DEATH({ (void)proveSumcheck(p, challenges); }, "challenges");
+}
+
+TEST(DeathTest, GateSumcheckRejectsWrongTauLength)
+{
+    std::vector<Fr> a(8), b(8), c(8);
+    Transcript transcript("death");
+    for (size_t n : {size_t{2}, size_t{4}}) {
+        std::vector<Fr> tau(n);
+        EXPECT_DEATH(
+            {
+                (void)proveGateSumcheck<MulGate>(tau, a, b, c,
+                                                 MulGate::kLabels,
+                                                 transcript);
+            },
+            "tau entries");
+    }
 }
 
 TEST(DeathTest, MerklePathOutOfRange)

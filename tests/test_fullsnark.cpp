@@ -276,10 +276,9 @@ proveWithCubicPhase2(const R1cs<F> &r1cs, std::span<const F> inputs,
     std::vector<F> az = r1cs.apply(r1cs.a, z);
     std::vector<F> bz = r1cs.apply(r1cs.b, z);
     std::vector<F> cz = r1cs.apply(r1cs.c, z);
-    std::vector<F> eq = eqTable(tau);
     std::vector<F> rx;
     proof.phase1 = proveGateSumcheck<MulGate>(
-        eq, az, bz, cz, RoundLabels{"p1.g", "p1.r"}, transcript, &rx);
+        tau, az, bz, cz, RoundLabels{"p1.g", "p1.r"}, transcript, &rx);
     proof.va = az[0];
     proof.vb = bz[0];
     proof.vc = cz[0];
@@ -299,7 +298,7 @@ proveWithCubicPhase2(const R1cs<F> &r1cs, std::span<const F> inputs,
     std::vector<F> ones(z.size(), F::one());
     std::vector<F> ry = proveRounds<4>(
         std::array{&m, &z, &ones},
-        [](const std::array<const F *, 3> &at, F *mz, size_t n) {
+        [](const std::array<const F *, 3> &at, const F *, F *mz, size_t n) {
             ff::mulLanes(at[0], at[1], mz, n);
             return ff::dotLanes(mz, at[2], n);
         },
