@@ -63,12 +63,14 @@ butterflyCycles()
 
 } // namespace
 
-OldProtocolResult
-LibsnarkLikeCpu::run(size_t batch, unsigned log_gates, Rng &rng)
+const LibsnarkLikeCpu::UnitCosts &
+LibsnarkLikeCpu::unitCosts(unsigned log_size, Rng &rng)
 {
-    size_t s = size_t{1} << log_gates;
-    unsigned nm = std::min(log_gates, cap_log_);
-    size_t sm = size_t{1} << nm;
+    auto it = unit_costs_.find(log_size);
+    if (it != unit_costs_.end())
+        return it->second;
+    size_t sm = size_t{1} << log_size;
+    UnitCosts unit;
 
     // Witness assignment (synthesis stand-in): field ops per gate.
     Timer synth_timer;
@@ -78,23 +80,20 @@ LibsnarkLikeCpu::run(size_t batch, unsigned log_gates, Rng &rng)
         acc = acc * acc + Fr::one();
         w = acc;
     }
-    double synth_ms = synth_timer.milliseconds() *
-                      static_cast<double>(s) / static_cast<double>(sm);
+    unit.gate_ms = synth_timer.milliseconds() / static_cast<double>(sm);
 
-    // Real NTTs at the capped size, extrapolated by butterfly count.
+    // Real NTTs at the measured size. They cover 2 transforms of
+    // n = 2*sm, i.e. 2 * (n/2) * log n = 2*sm*log(2sm) butterflies.
     std::vector<Fr> poly(2 * sm);
     for (auto &p : poly)
         p = Fr::random(rng);
     Timer ntt_timer;
     ntt(poly);
     intt(poly);
-    // two_ntts_ms covers 2 transforms of n = 2*sm, i.e.
-    // 2 * (n/2) * log n = 2*sm*log(2sm) butterflies.
-    double two_ntts_ms = ntt_timer.milliseconds();
-    double per_butterfly = two_ntts_ms / (2.0 * sm * std::log2(2.0 * sm));
-    double ntt_ms = per_butterfly * nttButterflies(s);
+    unit.butterfly_ms =
+        ntt_timer.milliseconds() / (2.0 * sm * std::log2(2.0 * sm));
 
-    // Real Pippenger at a capped size, extrapolated by point-add count.
+    // Real Pippenger at the measured size, capped at 2^12 points.
     size_t msm_n = std::min<size_t>(sm, size_t{1} << 12);
     auto points = randomPoints(msm_n, rng);
     std::vector<Fr> scalars(msm_n);
@@ -103,16 +102,23 @@ LibsnarkLikeCpu::run(size_t batch, unsigned log_gates, Rng &rng)
     Timer msm_timer;
     G1Point r = msmPippenger(points, scalars);
     (void)r;
-    double msm_sample_ms = msm_timer.milliseconds();
     double sample_adds = msmPointAdds(msm_n) / 5.0; // one G1 MSM
-    double per_add = msm_sample_ms / sample_adds;
-    double msm_ms = per_add * msmPointAdds(s);
+    unit.point_add_ms = msm_timer.milliseconds() / sample_adds;
+    return unit_costs_.emplace(log_size, unit).first->second;
+}
+
+OldProtocolResult
+LibsnarkLikeCpu::run(size_t batch, unsigned log_gates, Rng &rng)
+{
+    size_t s = size_t{1} << log_gates;
+    // Measured at the capped size, extrapolated by operation count.
+    const UnitCosts &unit = unitCosts(std::min(log_gates, cap_log_), rng);
 
     OldProtocolResult out;
-    out.synthesis_ms = synth_ms;
-    out.ntt_ms = ntt_ms;
-    out.msm_ms = msm_ms;
-    out.proof_ms = synth_ms + ntt_ms + msm_ms;
+    out.synthesis_ms = unit.gate_ms * static_cast<double>(s);
+    out.ntt_ms = unit.butterfly_ms * nttButterflies(s);
+    out.msm_ms = unit.point_add_ms * msmPointAdds(s);
+    out.proof_ms = out.synthesis_ms + out.ntt_ms + out.msm_ms;
     out.stats.batch = batch;
     out.stats.total_ms = out.proof_ms * static_cast<double>(batch);
     out.stats.first_latency_ms = out.proof_ms;

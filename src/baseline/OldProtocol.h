@@ -13,7 +13,10 @@
  *  - 3 G1 MSMs of size S plus one G2-weight MSM (~2x a G1 MSM).
  *
  * The CPU prover measures our real NTT and Pippenger implementations at
- * a capped size and extrapolates by operation count (documented). The
+ * a capped size and extrapolates by operation count (documented). It
+ * measures each capped size once per object and reuses those unit
+ * costs, so two runs that share a measured size differ by the operation
+ * counts alone, not by timing noise. The
  * GPU prover charges the simulated device with the intuitive
  * one-proof-at-a-time kernels Bellperson uses; its host-side synthesis
  * cost is the documented calibration constant that reproduces
@@ -21,6 +24,7 @@
  */
 
 #include <cstddef>
+#include <map>
 
 #include "gpusim/BatchStats.h"
 #include "gpusim/Device.h"
@@ -56,7 +60,22 @@ class LibsnarkLikeCpu
     OldProtocolResult run(size_t batch, unsigned log_gates, Rng &rng);
 
   private:
+    /** Measured host cost of one unit of each stage, ms. */
+    struct UnitCosts
+    {
+        double gate_ms = 0.0;
+        double butterfly_ms = 0.0;
+        double point_add_ms = 0.0;
+    };
+
+    /**
+     * The unit costs at measured log-size @p log_size: timed on the
+     * first call for that size, then reused.
+     */
+    const UnitCosts &unitCosts(unsigned log_size, Rng &rng);
+
     unsigned cap_log_;
+    std::map<unsigned, UnitCosts> unit_costs_;
 };
 
 /** Bellperson-style GPU Groth16 prover on the simulated device. */
