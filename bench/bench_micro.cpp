@@ -307,8 +307,10 @@ BM_PcsCommit(benchmark::State &state)
     std::vector<Fr> poly(size_t{1} << n);
     for (auto &p : poly)
         p = Fr::random(rng);
+    // One state across iterations, as a prover keeps it across proofs.
+    PcsProverState<Fr> st;
     for (auto _ : state) {
-        auto st = pcs.commit(poly);
+        pcs.commit(poly, st);
         benchmark::DoNotOptimize(st.commitment.root);
     }
 }

@@ -106,7 +106,10 @@ class FullSnark
         std::vector<F> z = r1cs_.extendWitness(inputs, assignment);
 
         FullSnarkProof<F> proof;
-        auto st_w = pcs_.commit(r1cs_.privateHalf(assignment));
+        // st_w borrows w until the opening below.
+        std::vector<F> w = r1cs_.privateHalf(assignment);
+        PcsProverState<F> st_w;
+        pcs_.commit(w, st_w);
         proof.commit_w = st_w.commitment;
         transcript.absorbDigest("com.w", proof.commit_w.root);
 
@@ -119,9 +122,10 @@ class FullSnark
         std::vector<F> az = r1cs_.apply(r1cs_.a, z);
         std::vector<F> bz = r1cs_.apply(r1cs_.b, z);
         std::vector<F> cz = r1cs_.apply(r1cs_.c, z);
-        std::vector<F> rx;
+        std::vector<F> rx, weights;
         proof.phase1 = proveGateSumcheck<MulGate>(
-            tau, az, bz, cz, kPhase1Labels, transcript, &rx);
+            tau, {az, bz, cz}, {&az, &bz, &cz}, weights, kPhase1Labels,
+            transcript, &rx);
         proof.va = az[0];
         proof.vb = bz[0];
         proof.vc = cz[0];
@@ -142,7 +146,7 @@ class FullSnark
             m[e.col] += a2 * e.coeff * eq_rx[e.row];
 
         std::vector<F> ry = proveRounds<3>(
-            std::array{&m, &z},
+            {m, z}, std::array{&m, &z},
             [](const std::array<const F *, 2> &at, const F *, F *,
                size_t n) {
                 return ff::dotLanes(at[0], at[1], n);

@@ -36,6 +36,7 @@
  * and soundness parameters are test-sized by default).
  */
 
+#include <array>
 #include <functional>
 #include <optional>
 #include <span>
@@ -110,7 +111,20 @@ struct GateProof
     }
 };
 
-/** Prover + verifier for gate @p Gate and a fixed circuit-size class. */
+/**
+ * Prover + verifier for gate @p Gate and a fixed circuit-size class.
+ *
+ * The prover keeps its working set across proofs: the three tables'
+ * commitment states with their codeword matrices, the sum-check's
+ * folded tables and its suffix weights. The first prove allocates
+ * them and every later prove reuses them, so a prover that proves
+ * repeatedly allocates nothing large after its first proof. The
+ * committed tables themselves are borrowed, never copied. A GateSnark
+ * therefore runs one prove at a time: prove() and proveInterruptible()
+ * are non-const because they write that working set, and two threads
+ * must not call them on one object at once. verify() reads none of it
+ * and may run concurrently with anything.
+ */
 template <typename F, typename Gate>
 class GateSnark
 {
@@ -137,7 +151,7 @@ class GateSnark
     /** Prove that the tables satisfy G(a, b, c) = 0 row-wise. */
     GateProof<F, Gate>
     prove(const ConstraintTables<F> &tables,
-          std::span<const F> public_inputs) const
+          std::span<const F> public_inputs)
     {
         return *proveInterruptible(tables, public_inputs, {});
     }
@@ -152,23 +166,27 @@ class GateSnark
     std::optional<GateProof<F, Gate>>
     proveInterruptible(const ConstraintTables<F> &tables,
                        std::span<const F> public_inputs,
-                       const ProveStageHook &keep_going) const
+                       const ProveStageHook &keep_going)
     {
         if (tables.n_vars != n_vars_)
             panic("GateSnark::prove: tables have %u vars, system built "
                   "for %u",
                   tables.n_vars, n_vars_);
+        if (!work_)
+            work_.emplace();
+        auto &[st_a, st_b, st_c] = work_->committed;
+        auto &[fa, fb, fc] = work_->folded;
 
         Transcript transcript(Gate::kDomain);
         absorbStatement(transcript, public_inputs);
 
         // 1. Commit (encoder + Merkle modules).
         GateProof<F, Gate> proof;
-        auto st_a = pcs_.commit(tables.a, exec_);
+        pcs_.commit(tables.a, st_a, exec_);
         if (keep_going && !keep_going(ProveStage::Encode))
             return std::nullopt;
-        auto st_b = pcs_.commit(tables.b, exec_);
-        auto st_c = pcs_.commit(tables.c, exec_);
+        pcs_.commit(tables.b, st_b, exec_);
+        pcs_.commit(tables.c, st_c, exec_);
         if (keep_going && !keep_going(ProveStage::Merkle))
             return std::nullopt;
         proof.commit_a = st_a.commitment;
@@ -180,20 +198,16 @@ class GateSnark
         if (keep_going && !keep_going(ProveStage::FiatShamir))
             return std::nullopt;
 
-        // 3. Gate sum-check over eq * G(a, b, c), folding copies. The
-        // folded copies end as the tables' values at the final point,
-        // which are the openings.
+        // 3. Gate sum-check over eq * G(a, b, c). Round 0 reads the
+        // tables; the folded halves end as the tables' values at the
+        // final point, which are the openings.
         std::vector<F> point;
-        {
-            std::vector<F> a = tables.a;
-            std::vector<F> b = tables.b;
-            std::vector<F> c = tables.c;
-            proof.gate_sc = proveGateSumcheck<Gate>(
-                tau, a, b, c, Gate::kLabels, transcript, &point, exec_);
-            proof.va = a[0];
-            proof.vb = b[0];
-            proof.vc = c[0];
-        }
+        proof.gate_sc = proveGateSumcheck<Gate>(
+            tau, {tables.a, tables.b, tables.c}, {&fa, &fb, &fc},
+            work_->weights, Gate::kLabels, transcript, &point, exec_);
+        proof.va = fa[0];
+        proof.vb = fb[0];
+        proof.vc = fc[0];
         if (keep_going && !keep_going(ProveStage::Sumcheck))
             return std::nullopt;
 
@@ -269,9 +283,19 @@ class GateSnark
         transcript.absorbField("open.vc", proof.vc);
     }
 
+    /** The prover's working set, reused by every prove (see above). */
+    struct Workspace
+    {
+        std::array<PcsProverState<F>, 3> committed;
+        std::array<std::vector<F>, 3> folded;
+        std::vector<F> weights;
+    };
+
     unsigned n_vars_;
     TensorPcs<F> pcs_;
     const exec::ExecContext *exec_ = nullptr;
+    /** Built by the first prove, so construction does no work. */
+    std::optional<Workspace> work_;
 };
 
 } // namespace bzk

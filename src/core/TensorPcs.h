@@ -74,13 +74,20 @@ struct PcsCommitment
     unsigned n_vars = 0;
 };
 
-/** Prover-side state retained between commit and open. */
+/**
+ * Prover-side state retained between commit and open. A commit refills
+ * it; a state kept across commits reuses its codeword matrix.
+ */
 template <typename F>
 struct PcsProverState
 {
     PcsCommitment commitment;
-    /** The committed evaluation table (k*m entries). */
-    std::vector<F> poly;
+    /**
+     * The committed evaluation table (k*m entries), borrowed: the
+     * caller keeps it alive and unchanged until its last open or
+     * evaluate.
+     */
+    std::span<const F> poly;
     /**
      * Row codewords as one row-major k x 2m matrix: row r's codeword
      * is codewords[r*2m, (r+1)*2m).
@@ -137,14 +144,17 @@ class TensorPcs
     const SpielmanCode<F> &code() const { return code_; }
 
     /**
-     * Commit to a 2^n_vars evaluation table. With a non-null @p exec
-     * the k row encodings, the 2m column hashes, and every Merkle
-     * layer run across host threads; the commitment is bit-identical
-     * for any thread count.
+     * Commit to a 2^n_vars evaluation table into @p state. The state
+     * borrows @p poly (PcsProverState::poly) and reuses its codeword
+     * matrix when that already has k x 2m entries: every entry is
+     * rewritten, so nothing is cleared. With a non-null @p exec the k
+     * row encodings, the 2m column hashes, and every Merkle layer run
+     * across host threads; the commitment is bit-identical for any
+     * thread count.
      */
-    PcsProverState<F>
-    commit(std::vector<F> poly, const exec::ExecContext *exec = nullptr)
-        const
+    void
+    commit(std::span<const F> poly, PcsProverState<F> &state,
+           const exec::ExecContext *exec = nullptr) const
     {
         size_t k = size_t{1} << row_vars_;
         size_t m = size_t{1} << col_vars_;
@@ -157,14 +167,13 @@ class TensorPcs
         // nested parallel encode would only add scheduling overhead).
         // Each row encodes in place into its slice of one flat buffer,
         // so workers allocate nothing per row.
-        PcsProverState<F> state;
         state.codewords.resize(k * 2 * m);
         if (exec)
             exec->setRegion("encoder");
         auto encode_rows = [&](size_t begin, size_t end) {
             for (size_t row = begin; row < end; ++row)
                 code_.encodeInto(
-                    std::span<const F>(poly.data() + row * m, m),
+                    poly.subspan(row * m, m),
                     std::span<F>(state.codewords.data() + row * 2 * m,
                                  2 * m));
         };
@@ -192,9 +201,12 @@ class TensorPcs
         state.tree = MerkleTree::buildFromLeaves(std::move(leaves), exec);
         state.commitment.root = state.tree.root();
         state.commitment.n_vars = n_vars_;
-        state.poly = std::move(poly);
-        return state;
+        state.poly = poly;
     }
+
+    /** A temporary table would dangle in the state: keep it named. */
+    void commit(std::vector<F> &&poly, PcsProverState<F> &state,
+                const exec::ExecContext *exec = nullptr) const = delete;
 
     /**
      * Evaluate the committed polynomial at @p point (n_vars entries,
@@ -204,14 +216,16 @@ class TensorPcs
     evaluate(const PcsProverState<F> &state,
              const std::vector<F> &point) const
     {
-        return evaluateTable(state.poly, point);
+        return evaluateTable(
+            std::vector<F>(state.poly.begin(), state.poly.end()), point);
     }
 
     /**
-     * Produce an opening proof for @p point. @p exec parallelizes the
-     * two row-combination passes across columns; each output column
-     * accumulates its rows in the same ascending order as the serial
-     * pass, so the proof is bit-identical.
+     * Produce an opening proof for @p point. Both row combinations come
+     * from one pass over the table; @p exec parallelizes it across
+     * columns. Each output column accumulates its rows in the same
+     * ascending order as the serial pass, so the proof is
+     * bit-identical.
      */
     PcsEvalProof<F>
     open(const PcsProverState<F> &state, const std::vector<F> &point,
@@ -226,28 +240,9 @@ class TensorPcs
 
         std::vector<F> r_row(point.begin(), point.begin() + row_vars_);
         auto eq_row = eqTable(r_row);
-        if (exec)
-            exec->setRegion("open");
-
-        PcsEvalProof<F> proof;
-        proof.eval_row.assign(m, F::zero());
-        // Row-outer axpy over each column chunk: the contiguous poly
-        // rows feed the packed kernels, and every column still
-        // accumulates its rows in the same ascending order as the
-        // serial column-major pass, so the proof is bit-identical.
-        auto eval_cols = [&](size_t begin, size_t end) {
-            for (size_t row = 0; row < k; ++row)
-                ff::axpyLanes(proof.eval_row.data() + begin,
-                              state.poly.data() + row * m + begin,
-                              eq_row[row], end - begin);
-        };
-        if (exec)
-            exec->parallelFor(m, /*serial_cutoff=*/8, eval_cols);
-        else
-            eval_cols(0, m);
-
         // Proximity combination with gamma powers, gamma derived after
-        // the commitment was absorbed by the caller.
+        // the commitment was absorbed by the caller. Building the rows
+        // touches no transcript, so gamma can come first.
         F gamma = transcript.template challengeField<F>("pcs.gamma");
         std::vector<F> gamma_pow(k);
         F g = F::one();
@@ -255,17 +250,30 @@ class TensorPcs
             gamma_pow[row] = g;
             g *= gamma;
         }
+        if (exec)
+            exec->setRegion("open");
+
+        PcsEvalProof<F> proof;
+        proof.eval_row.assign(m, F::zero());
         proof.proximity_row.assign(m, F::zero());
-        auto prox_cols = [&](size_t begin, size_t end) {
-            for (size_t row = 0; row < k; ++row)
-                ff::axpyLanes(proof.proximity_row.data() + begin,
-                              state.poly.data() + row * m + begin,
+        // Row-outer axpys over each column chunk: the contiguous poly
+        // rows feed the packed kernels, each row chunk is read once for
+        // both combinations, and every column still accumulates its
+        // rows in the same ascending order as the serial column-major
+        // pass, so the proof is bit-identical.
+        auto combine_cols = [&](size_t begin, size_t end) {
+            for (size_t row = 0; row < k; ++row) {
+                const F *x = state.poly.data() + row * m + begin;
+                ff::axpyLanes(proof.eval_row.data() + begin, x, eq_row[row],
+                              end - begin);
+                ff::axpyLanes(proof.proximity_row.data() + begin, x,
                               gamma_pow[row], end - begin);
+            }
         };
         if (exec)
-            exec->parallelFor(m, /*serial_cutoff=*/8, prox_cols);
+            exec->parallelFor(m, /*serial_cutoff=*/8, combine_cols);
         else
-            prox_cols(0, m);
+            combine_cols(0, m);
 
         for (const F &v : proof.eval_row)
             transcript.absorbField("pcs.eval_row", v);

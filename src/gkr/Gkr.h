@@ -129,9 +129,9 @@ class Gkr
                     a3[gate.in0] += eqz[g] * below[gate.in1];
                 }
             }
-            std::vector<F> vx_table = below;
+            std::vector<F> vx_table;
             std::vector<F> rx = proveRounds<3>(
-                std::array{&vx_table, &a12, &a3}, vcd,
+                {below, a12, a3}, std::array{&vx_table, &a12, &a3}, vcd,
                 kLabels.absorber<F>(transcript), layer.rounds);
             layer.vx = vx_table[0];
 
@@ -150,9 +150,9 @@ class Gkr
                     d[gate.in1] += coeff * layer.vx;
                 }
             }
-            std::vector<F> vy_table = below;
+            std::vector<F> vy_table;
             std::vector<F> ry = proveRounds<3>(
-                std::array{&vy_table, &c, &d}, vcd,
+                {below, c, d}, std::array{&vy_table, &c, &d}, vcd,
                 kLabels.absorber<F>(transcript), layer.rounds);
             layer.vy = vy_table[0];
 

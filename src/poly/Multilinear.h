@@ -11,6 +11,7 @@
  * b = sum b_i 2^{i-1}, i.e. variable x_1 is the least-significant bit.
  */
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -163,25 +164,29 @@ eqTable(const std::vector<F> &r)
 }
 
 /**
- * The suffix tables eq(tau_>i, .) of every sum-check round i, in one
- * buffer of 2^n entries for n = tau.size(). The 2^k-entry table,
- * eqTable of tau's last k entries, sits at [2^k, 2^(k+1)); entry 0 is
- * unused. These are eqTable(tau)'s intermediate stages, built by the
- * same one-multiply doubling step, each kept in its own slot.
+ * The suffix tables eq(tau_>i, .) of every sum-check round i, written
+ * into @p weights, resized to 2^n entries for n = tau.size(). The
+ * 2^k-entry table, eqTable of tau's last k entries, sits at
+ * [2^k, 2^(k+1)); entry 0 is unused. These are eqTable(tau)'s
+ * intermediate stages, built by the same one-multiply doubling step,
+ * each kept in its own slot. Every slot is rewritten, so a buffer
+ * reused from an earlier call needs no clearing.
  */
 template <typename F>
-std::vector<F>
-eqSuffixWeights(const std::vector<F> &tau)
+void
+eqSuffixWeights(const std::vector<F> &tau, std::vector<F> &weights)
 {
-    std::vector<F> weights(size_t{1} << tau.size());
+    weights.resize(size_t{1} << tau.size());
     if (tau.empty())
-        return weights;
+        return;
     weights[1] = F::one();
     size_t half = 1;
-    for (auto it = tau.rbegin(); it + 1 != tau.rend(); ++it, half *= 2)
+    for (auto it = tau.rbegin(); it + 1 != tau.rend(); ++it, half *= 2) {
+        // eqDouble accumulates into the upper half of its output.
+        std::fill_n(weights.data() + 3 * half, half, F::zero());
         detail::eqDouble(weights.data() + half, weights.data() + 2 * half,
                          *it, half);
-    return weights;
+    }
 }
 
 /**

@@ -13,10 +13,12 @@
  *
  * Every Fiat-Shamir sum-check runs on one prover round loop,
  * proveRounds(), and one verifier loop, verifyRounds(). A caller
- * supplies the tables, a combine step that sums its round polynomial
- * over a chunk of rows, and the absorb step that binds each round
- * message into its transcript. The loop steps each table across the
- * round's points by addition and folds it once, after the challenge.
+ * supplies the tables, the buffers they fold into, a combine step that
+ * sums its round polynomial over a chunk of rows, and the absorb step
+ * that binds each round message into its transcript. The loop steps
+ * each table across the round's points by addition and folds it once,
+ * after the challenge; it never writes the tables, so a prover need
+ * not copy what it also commits to.
  * The four callers: proveSumcheckFs (Algorithm 1), the gate sum-check
  * (eq times a custom gate G(a, b, c), core/GateSnark.h), FullSnark's
  * phase 2 (M times z) and GKR's layer rounds (V times C plus D). The
@@ -169,9 +171,17 @@ struct SendSums
  * kernel per round, then a tree reduction of the round sums). It proves
  * sum_x w(x) * P(T_0(x), ..., T_{N-1}(x)) for @p tables of one
  * power-of-two size and a polynomial P of degree kPoints - 1 in each
- * variable; the weight w is 1 unless the caller passes @p weights. The
- * tables are folded in place; on return each holds one entry, its
- * value at the sum-check point.
+ * variable; the weight w is 1 unless the caller passes @p weights.
+ *
+ * The loop reads the tables and writes only the buffers: table j
+ * folds into @p folded[j]. Round 0 reads the tables themselves, each
+ * buffer takes its table's low half and folds it against the table's
+ * high half, and every later round folds the buffers in place. A
+ * caller that owns a table and needs it no more passes the same
+ * vector as both, and it folds in place from round 0; a caller that
+ * keeps its buffers across proofs reuses their storage. Any other
+ * buffer must not overlap a table. On return each buffer holds one
+ * entry, its table's value at the sum-check point.
  *
  * Round i reduces sums at t = 0 .. kPoints - 1. Each table restricted
  * to the round variable is affine, so its value at t is
@@ -209,22 +219,34 @@ struct SendSums
 template <size_t kPoints, typename F, size_t N, typename Combine,
           typename Absorb, typename Finish = SendSums>
 std::vector<F>
-proveRounds(const std::array<std::vector<F> *, N> &tables, Combine combine,
+proveRounds(const std::array<std::span<const F>, N> &tables,
+            const std::array<std::vector<F> *, N> &folded, Combine combine,
             Absorb absorb, std::vector<std::vector<F>> &rounds,
             const exec::ExecContext *exec = nullptr,
             std::span<const std::type_identity_t<F>> weights = {},
             Finish finish = {})
 {
     static_assert(kPoints >= 2, "a round sums at least g(0) and g(1)");
-    size_t size = tables[0]->size();
+    size_t size = tables[0].size();
     if (size == 0 || (size & (size - 1)) != 0)
         panic("proveRounds: table size %zu not a power of two", size);
-    for (const std::vector<F> *table : tables)
-        if (table->size() != size)
+    for (std::span<const F> table : tables)
+        if (table.size() != size)
             panic("proveRounds: mismatched table sizes");
     if (!weights.empty() && weights.size() != size)
         panic("proveRounds: %zu weights for tables of %zu", weights.size(),
               size);
+
+    // Each round reads lo from src[j][0, half) and hi from
+    // src[j][half, 2 * half): the tables in round 0, the buffers after.
+    // A buffer that is not its table's storage takes the low half (the
+    // one entry when no round runs) and folds it against the table.
+    std::array<const F *, N> src{};
+    for (size_t j = 0; j < N; ++j) {
+        src[j] = tables[j].data();
+        if (folded[j]->data() != src[j])
+            folded[j]->assign(src[j], src[j] + (size > 1 ? size / 2 : 1));
+    }
 
     using Sums = std::array<F, kPoints>;
     if (exec)
@@ -232,8 +254,8 @@ proveRounds(const std::array<std::vector<F> *, N> &tables, Combine combine,
     std::vector<F> point;
     for (size_t half = size / 2; half > 0; half /= 2) {
         const F *w = weights.empty() ? nullptr : weights.data() + half;
-        auto chunk_sums = [&tables, &combine, w, half](size_t begin,
-                                                       size_t end) {
+        auto chunk_sums = [&src, &combine, w, half](size_t begin,
+                                                    size_t end) {
             size_t m = end - begin;
             // Scratch: each table's slope hi - lo, then its value at the
             // current t >= 2, then the combine step's.
@@ -243,7 +265,7 @@ proveRounds(const std::array<std::vector<F> *, N> &tables, Combine combine,
             std::array<const F *, N> at{};
             for (size_t t = 0; t < kPoints; ++t) {
                 for (size_t j = 0; j < N; ++j) {
-                    const F *lo = tables[j]->data() + begin;
+                    const F *lo = src[j] + begin;
                     F *slope = scratch.data() + j * m;
                     F *step = scratch.data() + (N + j) * m;
                     if (t == 0) {
@@ -271,18 +293,19 @@ proveRounds(const std::array<std::vector<F> *, N> &tables, Combine combine,
             });
         std::vector<F> message = finish(sums, std::span<const F>(point));
         F r = absorb(std::span<const F>(message));
-        auto fold = [&tables, half, &r](size_t begin, size_t end) {
-            for (std::vector<F> *table : tables)
-                ff::foldLanes(table->data() + begin,
-                              table->data() + half + begin, r,
-                              end - begin);
+        auto fold = [&src, &folded, half, &r](size_t begin, size_t end) {
+            for (size_t j = 0; j < N; ++j)
+                ff::foldLanes(folded[j]->data() + begin,
+                              src[j] + half + begin, r, end - begin);
         };
         if (exec)
             exec->parallelFor(half, fold);
         else
             fold(0, half);
-        for (std::vector<F> *table : tables)
-            table->resize(half);
+        for (size_t j = 0; j < N; ++j) {
+            folded[j]->resize(half);
+            src[j] = folded[j]->data();
+        }
         point.push_back(r);
         rounds.push_back(std::move(message));
     }
@@ -358,11 +381,11 @@ FsSumcheck<F>
 proveSumcheckFs(const Multilinear<F> &poly, Transcript &transcript,
                 const exec::ExecContext *exec = nullptr)
 {
-    std::vector<F> table = poly.evals();
+    std::vector<F> folded;
     std::vector<std::vector<F>> rounds;
     FsSumcheck<F> out;
     out.challenges = proveRounds<2>(
-        std::array{&table},
+        {poly.evals()}, std::array{&folded},
         [](const std::array<const F *, 1> &at, const F *, F *, size_t m) {
             return ff::sumLanes(at[0], m);
         },
@@ -402,21 +425,26 @@ verifySumcheckFs(const F &claimed_sum, const SumcheckProof<F> &proof,
  * any input. h_i(1) is summed, not derived from the running claim:
  * g(0) + g(1) equals the claim only on a satisfied instance, and a
  * prover that assumed it would send passing rounds for an unsatisfied
- * one. @p tau has one entry per variable. Only a, b and c are
- * folded, in place, so on return a[0], b[0], c[0] are the tables'
- * values at the sum-check point. Challenges come from @p transcript
- * under @p labels; @p point_out accumulates them.
+ * one. @p tau has one entry per variable. The tables a, b, c fold
+ * into @p folded as proveRounds describes, so on return folded[0][0],
+ * folded[1][0], folded[2][0] are their values at the sum-check point.
+ * @p weights receives the suffix weights. A prover that keeps
+ * @p folded and @p weights across proofs allocates neither again.
+ * Challenges come from @p transcript under @p labels; @p point_out
+ * accumulates them.
  */
 template <typename Gate, typename F>
 RoundsProof<F>
-proveGateSumcheck(const std::vector<F> &tau, std::vector<F> &a,
-                  std::vector<F> &b, std::vector<F> &c, RoundLabels labels,
+proveGateSumcheck(const std::vector<F> &tau,
+                  const std::array<std::span<const F>, 3> &tables,
+                  const std::array<std::vector<F> *, 3> &folded,
+                  std::vector<F> &weights, RoundLabels labels,
                   Transcript &transcript, std::vector<F> *point_out = nullptr,
                   const exec::ExecContext *exec = nullptr)
 {
-    if (tau.size() >= 64 || a.size() != size_t{1} << tau.size())
+    if (tau.size() >= 64 || tables[0].size() != size_t{1} << tau.size())
         panic("proveGateSumcheck: %zu tau entries for tables of %zu",
-              tau.size(), a.size());
+              tau.size(), tables[0].size());
     // h_i has degree deg G = Gate::kEvals - 2, so deg G + 1 sums fix it.
     constexpr size_t kPoints = Gate::kEvals - 1;
     constexpr size_t kDeg = kPoints - 1;
@@ -441,10 +469,10 @@ proveGateSumcheck(const std::vector<F> &tau, std::vector<F> &a,
                    (t < kPoints ? h[t] : next);
         return g;
     };
-    std::vector<F> weights = eqSuffixWeights(tau);
+    eqSuffixWeights(tau, weights);
     RoundsProof<F> proof;
     std::vector<F> point = proveRounds<kPoints>(
-        std::array{&a, &b, &c},
+        tables, folded,
         [](const std::array<const F *, 3> &at, const F *w, F *gate,
            size_t m) {
             Gate::eval(at[0], at[1], at[2], gate, m);

@@ -58,14 +58,14 @@ TEST(DeathTest, SumcheckRejectsWrongChallengeCount)
 
 TEST(DeathTest, GateSumcheckRejectsWrongTauLength)
 {
-    std::vector<Fr> a(8), b(8), c(8);
+    std::vector<Fr> a(8), b(8), c(8), weights;
     Transcript transcript("death");
     for (size_t n : {size_t{2}, size_t{4}}) {
         std::vector<Fr> tau(n);
         EXPECT_DEATH(
             {
-                (void)proveGateSumcheck<MulGate>(tau, a, b, c,
-                                                 MulGate::kLabels,
+                (void)proveGateSumcheck<MulGate>(tau, {a, b, c}, {&a, &b, &c},
+                                                 weights, MulGate::kLabels,
                                                  transcript);
             },
             "tau entries");

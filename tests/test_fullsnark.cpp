@@ -266,7 +266,9 @@ proveWithCubicPhase2(const R1cs<F> &r1cs, std::span<const F> inputs,
 
     FullSnarkProof<F> proof;
     std::vector<F> z = r1cs.extendWitness(inputs, assignment);
-    auto st_w = pcs.commit(r1cs.privateHalf(assignment));
+    std::vector<F> w = r1cs.privateHalf(assignment);
+    PcsProverState<F> st_w;
+    pcs.commit(w, st_w);
     proof.commit_w = st_w.commitment;
     transcript.absorbDigest("com.w", proof.commit_w.root);
     std::vector<F> tau(r1cs.row_vars);
@@ -276,9 +278,10 @@ proveWithCubicPhase2(const R1cs<F> &r1cs, std::span<const F> inputs,
     std::vector<F> az = r1cs.apply(r1cs.a, z);
     std::vector<F> bz = r1cs.apply(r1cs.b, z);
     std::vector<F> cz = r1cs.apply(r1cs.c, z);
-    std::vector<F> rx;
+    std::vector<F> rx, weights;
     proof.phase1 = proveGateSumcheck<MulGate>(
-        tau, az, bz, cz, RoundLabels{"p1.g", "p1.r"}, transcript, &rx);
+        tau, {az, bz, cz}, {&az, &bz, &cz}, weights,
+        RoundLabels{"p1.g", "p1.r"}, transcript, &rx);
     proof.va = az[0];
     proof.vb = bz[0];
     proof.vc = cz[0];
@@ -297,7 +300,7 @@ proveWithCubicPhase2(const R1cs<F> &r1cs, std::span<const F> inputs,
         m[e.col] += alpha * alpha * e.coeff * eq_rx[e.row];
     std::vector<F> ones(z.size(), F::one());
     std::vector<F> ry = proveRounds<4>(
-        std::array{&m, &z, &ones},
+        {m, z, ones}, std::array{&m, &z, &ones},
         [](const std::array<const F *, 3> &at, const F *, F *mz, size_t n) {
             ff::mulLanes(at[0], at[1], mz, n);
             return ff::dotLanes(mz, at[2], n);

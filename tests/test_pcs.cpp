@@ -48,7 +48,9 @@ TYPED_TEST(PcsT, OpenVerifyRoundTrip)
     Rng rng(1);
     for (unsigned n : {6u, 8u, 11u}) {
         TensorPcs<F> pcs(n, 42);
-        auto state = pcs.commit(randomPoly<F>(n, rng));
+        auto poly = randomPoly<F>(n, rng);
+        PcsProverState<F> state;
+        pcs.commit(poly, state);
         auto point = randomPoint<F>(n, rng);
         F value = pcs.evaluate(state, point);
 
@@ -71,7 +73,8 @@ TYPED_TEST(PcsT, ValueMatchesMultilinearEvaluate)
     unsigned n = 8;
     TensorPcs<F> pcs(n, 7);
     auto poly = randomPoly<F>(n, rng);
-    auto state = pcs.commit(poly);
+    PcsProverState<F> state;
+    pcs.commit(poly, state);
     auto point = randomPoint<F>(n, rng);
     EXPECT_EQ(pcs.evaluate(state, point),
               Multilinear<F>(poly).evaluate(point));
@@ -83,7 +86,9 @@ TYPED_TEST(PcsT, RejectsWrongValue)
     Rng rng(3);
     unsigned n = 8;
     TensorPcs<F> pcs(n, 7);
-    auto state = pcs.commit(randomPoly<F>(n, rng));
+    auto poly = randomPoly<F>(n, rng);
+    PcsProverState<F> state;
+    pcs.commit(poly, state);
     auto point = randomPoint<F>(n, rng);
     F value = pcs.evaluate(state, point);
 
@@ -103,7 +108,9 @@ TYPED_TEST(PcsT, RejectsTamperedEvalRow)
     Rng rng(4);
     unsigned n = 8;
     TensorPcs<F> pcs(n, 7, /*column_openings=*/12);
-    auto state = pcs.commit(randomPoly<F>(n, rng));
+    auto poly = randomPoly<F>(n, rng);
+    PcsProverState<F> state;
+    pcs.commit(poly, state);
     auto point = randomPoint<F>(n, rng);
     F value = pcs.evaluate(state, point);
 
@@ -123,7 +130,9 @@ TYPED_TEST(PcsT, RejectsTamperedColumn)
     Rng rng(5);
     unsigned n = 8;
     TensorPcs<F> pcs(n, 7);
-    auto state = pcs.commit(randomPoly<F>(n, rng));
+    auto poly = randomPoly<F>(n, rng);
+    PcsProverState<F> state;
+    pcs.commit(poly, state);
     auto point = randomPoint<F>(n, rng);
     F value = pcs.evaluate(state, point);
 
@@ -143,7 +152,9 @@ TYPED_TEST(PcsT, RejectsWrongRoot)
     Rng rng(6);
     unsigned n = 8;
     TensorPcs<F> pcs(n, 7);
-    auto state = pcs.commit(randomPoly<F>(n, rng));
+    auto poly = randomPoly<F>(n, rng);
+    PcsProverState<F> state;
+    pcs.commit(poly, state);
     auto point = randomPoint<F>(n, rng);
     F value = pcs.evaluate(state, point);
 
@@ -164,8 +175,11 @@ TYPED_TEST(PcsT, RejectsProofForDifferentPolynomial)
     Rng rng(7);
     unsigned n = 8;
     TensorPcs<F> pcs(n, 7, /*column_openings=*/12);
-    auto state1 = pcs.commit(randomPoly<F>(n, rng));
-    auto state2 = pcs.commit(randomPoly<F>(n, rng));
+    auto poly1 = randomPoly<F>(n, rng);
+    auto poly2 = randomPoly<F>(n, rng);
+    PcsProverState<F> state1, state2;
+    pcs.commit(poly1, state1);
+    pcs.commit(poly2, state2);
     auto point = randomPoint<F>(n, rng);
     F value1 = pcs.evaluate(state1, point);
 
@@ -187,8 +201,9 @@ TYPED_TEST(PcsT, CommitmentDeterministic)
     unsigned n = 7;
     TensorPcs<F> pcs(n, 9);
     auto poly = randomPoly<F>(n, rng);
-    auto s1 = pcs.commit(poly);
-    auto s2 = pcs.commit(poly);
+    PcsProverState<F> s1, s2;
+    pcs.commit(poly, s1);
+    pcs.commit(poly, s2);
     EXPECT_EQ(s1.commitment.root, s2.commitment.root);
 }
 
@@ -199,9 +214,10 @@ TYPED_TEST(PcsT, DistinctPolynomialsDistinctRoots)
     unsigned n = 7;
     TensorPcs<F> pcs(n, 9);
     auto poly = randomPoly<F>(n, rng);
-    auto s1 = pcs.commit(poly);
+    PcsProverState<F> s1, s2;
+    pcs.commit(poly, s1);
     poly[0] += F::one();
-    auto s2 = pcs.commit(poly);
+    pcs.commit(poly, s2);
     EXPECT_NE(s1.commitment.root, s2.commitment.root);
 }
 
@@ -219,7 +235,8 @@ TYPED_TEST(PcsT, CommitStoresRowCodewordsRowMajor)
     exec::ExecConfig cfg;
     cfg.threads = 2;
     exec::ExecContext exec(cfg);
-    auto state = pcs.commit(poly, &exec);
+    PcsProverState<F> state, serial;
+    pcs.commit(poly, state, &exec);
     ASSERT_EQ(state.codewords.size(), k * 2 * m);
     for (size_t row = 0; row < k; ++row) {
         auto cw = pcs.code().encode(
@@ -228,7 +245,8 @@ TYPED_TEST(PcsT, CommitStoresRowCodewordsRowMajor)
                                state.codewords.begin() + row * 2 * m))
             << "row " << row;
     }
-    EXPECT_EQ(state.commitment.root, pcs.commit(poly).commitment.root);
+    pcs.commit(poly, serial);
+    EXPECT_EQ(state.commitment.root, serial.commitment.root);
 }
 
 TYPED_TEST(PcsT, CommitRootMatchesPerColumnLeaves)
@@ -260,7 +278,9 @@ TYPED_TEST(PcsT, CommitRootMatchesPerColumnLeaves)
             exec::ExecConfig cfg;
             cfg.threads = threads;
             exec::ExecContext exec(cfg);
-            EXPECT_EQ(pcs.commit(poly, &exec).commitment.root, want)
+            PcsProverState<F> state;
+            pcs.commit(poly, state, &exec);
+            EXPECT_EQ(state.commitment.root, want)
                 << "n=" << n << " threads=" << threads;
         }
     }
@@ -268,8 +288,9 @@ TYPED_TEST(PcsT, CommitRootMatchesPerColumnLeaves)
 
 TYPED_TEST(PcsT, OpenAccountsUnderItsOwnRegion)
 {
-    // open()'s two row combinations are PCS opening work; tagging them
+    // open()'s row combinations are PCS opening work; tagging them
     // "sumcheck" would fold opening time into bzk_host_sumcheck_ms.
+    // Both combinations come from one pass over the table.
     using F = TypeParam;
     Rng rng(11);
     unsigned n = 8;
@@ -277,12 +298,61 @@ TYPED_TEST(PcsT, OpenAccountsUnderItsOwnRegion)
     exec::ExecConfig cfg;
     cfg.threads = 2;
     exec::ExecContext exec(cfg);
-    auto state = pcs.commit(randomPoly<F>(n, rng), &exec);
+    auto poly = randomPoly<F>(n, rng);
+    PcsProverState<F> state;
+    pcs.commit(poly, state, &exec);
     Transcript t("pcs-region");
     t.absorbDigest("root", state.commitment.root);
     (void)pcs.open(state, randomPoint<F>(n, rng), t, &exec);
     EXPECT_EQ(exec.stats("sumcheck").calls, 0u);
-    EXPECT_EQ(exec.stats("open").calls, 2u);
+    EXPECT_EQ(exec.stats("open").calls, 1u);
+}
+
+TYPED_TEST(PcsT, CommitBorrowsOnlyANamedTable)
+{
+    // The state keeps a view of the table, so a temporary would dangle
+    // in it: commit takes a named table and rejects a std::vector
+    // rvalue at compile time.
+    using F = TypeParam;
+    using Pcs = TensorPcs<F>;
+    using State = PcsProverState<F>;
+    static_assert(requires(const Pcs &pcs, State &st, std::vector<F> &t) {
+        pcs.commit(t, st);
+    });
+    static_assert(!requires(const Pcs &pcs, State &st) {
+        pcs.commit(std::vector<F>{}, st);
+    });
+}
+
+TYPED_TEST(PcsT, RecommitReusesTheStateAndMatchesAFreshOne)
+{
+    // A state committed again keeps its codeword matrix, and the new
+    // commitment, codewords and openings equal a fresh state's.
+    using F = TypeParam;
+    Rng rng(13);
+    unsigned n = 9;
+    TensorPcs<F> pcs(n, 9);
+    exec::ExecConfig cfg;
+    cfg.threads = 2;
+    exec::ExecContext exec(cfg);
+    auto first = randomPoly<F>(n, rng);
+    auto second = randomPoly<F>(n, rng);
+    auto point = randomPoint<F>(n, rng);
+    PcsProverState<F> reused, fresh;
+    pcs.commit(first, reused, &exec);
+    const F *matrix = reused.codewords.data();
+    pcs.commit(second, reused, &exec);
+    pcs.commit(second, fresh);
+    EXPECT_EQ(reused.codewords.data(), matrix);
+    EXPECT_EQ(reused.codewords, fresh.codewords);
+    EXPECT_EQ(reused.commitment.root, fresh.commitment.root);
+    EXPECT_EQ(pcs.evaluate(reused, point), pcs.evaluate(fresh, point));
+    Transcript t1("pcs-reuse"), t2("pcs-reuse");
+    auto p1 = pcs.open(reused, point, t1, &exec);
+    auto p2 = pcs.open(fresh, point, t2);
+    EXPECT_EQ(p1.eval_row, p2.eval_row);
+    EXPECT_EQ(p1.proximity_row, p2.proximity_row);
+    EXPECT_EQ(p1.columns, p2.columns);
 }
 
 TYPED_TEST(PcsT, ShapeSplitsVariables)

@@ -156,14 +156,19 @@ TYPED_TEST(MultilinearTest, EqTableMatchesTwoMultiplyDefinition)
 TYPED_TEST(MultilinearTest, EqSuffixWeightsHoldEverySuffixTable)
 {
     // Round i of a gate sum-check reads eq(tau_>i, .), the table of
-    // 2^(n-1-i) entries at [2^(n-1-i), 2^(n-i)).
+    // 2^(n-1-i) entries at [2^(n-1-i), 2^(n-i)). The buffer is filled
+    // twice, so the tables checked are those of a reused buffer.
     using F = TypeParam;
     Rng rng(10);
     for (unsigned n : {1u, 2u, 5u}) {
-        std::vector<F> tau(n);
+        std::vector<F> tau(n), other(n);
         for (auto &x : tau)
             x = F::random(rng);
-        auto weights = eqSuffixWeights(tau);
+        for (auto &x : other)
+            x = F::random(rng);
+        std::vector<F> weights;
+        eqSuffixWeights(other, weights);
+        eqSuffixWeights(tau, weights);
         ASSERT_EQ(weights.size(), size_t{1} << n);
         for (unsigned i = 0; i < n; ++i) {
             std::vector<F> suffix(tau.begin() + i + 1, tau.end());

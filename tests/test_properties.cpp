@@ -65,7 +65,8 @@ TEST_P(PcsSizeSweep, OpenVerifyAtEverySize)
     std::vector<Fr> poly(size_t{1} << n);
     for (auto &p : poly)
         p = Fr::random(rng);
-    auto state = pcs.commit(poly);
+    PcsProverState<Fr> state;
+    pcs.commit(poly, state);
     std::vector<Fr> point(n);
     for (auto &p : point)
         p = Fr::random(rng);

@@ -251,7 +251,7 @@ proveProduct(std::vector<F> &p, std::vector<F> &q, Transcript &transcript,
 {
     RoundsProof<F> proof;
     std::vector<F> r = proveRounds<3>(
-        std::array{&p, &q},
+        {p, q}, std::array{&p, &q},
         [](const std::array<const F *, 2> &at, const F *, F *, size_t m) {
             return ff::dotLanes(at[0], at[1], m);
         },
@@ -425,7 +425,9 @@ proveGate(GateInstance<F> &inst, Transcript &transcript,
           std::vector<F> *point = nullptr,
           const exec::ExecContext *exec = nullptr)
 {
-    return proveGateSumcheck<Gate>(inst.tau, inst.a, inst.b, inst.c,
+    std::vector<F> weights;
+    return proveGateSumcheck<Gate>(inst.tau, {inst.a, inst.b, inst.c},
+                                   {&inst.a, &inst.b, &inst.c}, weights,
                                    kTestLabels, transcript, point, exec);
 }
 
@@ -709,6 +711,44 @@ TYPED_TEST(GateSumcheckT, ProofBitIdenticalAcrossThreadCounts)
         ASSERT_EQ(proof.rounds, serial_proof.rounds)
             << "threads=" << threads;
         EXPECT_EQ(point, serial_point);
+    }
+}
+
+TYPED_TEST(GateSumcheckT, BorrowedTablesFoldIntoReusedBuffers)
+{
+    // A prover that keeps its buffers passes its tables read-only (here
+    // const) and folds into buffers that still hold another proof's
+    // leftovers. Rounds, point and final values must equal the
+    // in-place proof's.
+    using F = typename TypeParam::F;
+    using Gate = typename TypeParam::Gate;
+    Rng rng(77);
+    const auto x = randomGateInstance<Gate, F>(12, rng);
+    const auto y = randomGateInstance<Gate, F>(12, rng);
+    exec::ExecConfig cfg;
+    cfg.threads = 2;
+    exec::ExecContext exec(cfg);
+    const exec::ExecContext *contexts[] = {nullptr, &exec};
+    for (const exec::ExecContext *ctx : contexts) {
+        std::vector<F> fa, fb, fc, weights;
+        for (const GateInstance<F> *inst : {&y, &x, &y}) {
+            auto in_place = *inst;
+            Transcript rt("gate-borrow");
+            std::vector<F> want_point;
+            auto want = proveGate<Gate>(in_place, rt, &want_point, ctx);
+
+            Transcript bt("gate-borrow");
+            std::vector<F> point;
+            auto proof = proveGateSumcheck<Gate>(
+                inst->tau, {inst->a, inst->b, inst->c}, {&fa, &fb, &fc},
+                weights, kTestLabels, bt, &point, ctx);
+            ASSERT_EQ(proof.rounds, want.rounds)
+                << (ctx ? "with exec" : "serial");
+            EXPECT_EQ(point, want_point);
+            EXPECT_EQ(fa, in_place.a);
+            EXPECT_EQ(fb, in_place.b);
+            EXPECT_EQ(fc, in_place.c);
+        }
     }
 }
 
