@@ -559,11 +559,15 @@ runShaSweep(bench::JsonBench &json)
 }
 
 /**
- * The scalar-path rows. eq_table: eqTable at 2^16 (one lane multiply
+ * The commit-path rows. eq_table: eqTable at 2^16 (one lane multiply
  * per entry) against the two-multiply loop it replaced. column_leaves:
- * the shared column-leaf function over a 256 x 512 Fr codeword matrix
- * (TensorPcs::commit's shape at n_vars = 16) against the strided
- * per-column loop. Each pair must agree exactly or the run dies.
+ * hashColumns over a 256 x 512 canonical codeword matrix
+ * (TensorPcs::commit's shape at n_vars = 16), hashed in place, against
+ * the loop it replaced, which serialized each 16-column block of the
+ * Fr matrix into per-column runs and then digested them. encode_rows:
+ * SpielmanCode::encodeRows on 256 rows of 256 (8 rows per batch under
+ * ifma) against one canonical encodeInto per row, the path that runs
+ * under forced scalar. Each pair must agree exactly or the run dies.
  * Reported only, like sha256_compress: no baseline pins these rows.
  */
 void
@@ -599,46 +603,82 @@ runScalarPathSweep(bench::JsonBench &json)
     std::vector<Fr> matrix(kRows * kCols);
     for (auto &x : matrix)
         x = Fr::random(rng);
-    std::vector<Digest> strided(kCols), blocked(kCols);
-    double strided_ms = medianMs([&] {
-        std::vector<uint8_t> buf(kRows * Fr::kNumBytes);
-        for (size_t col = 0; col < kCols; ++col) {
+    std::vector<U256> canonical(matrix.size());
+    for (size_t i = 0; i < matrix.size(); ++i)
+        canonical[i] = matrix[i].toU256();
+    std::vector<Digest> serialized(kCols), in_place(kCols);
+    double serialize_ms = medianMs([&] {
+        constexpr size_t kLeafBytes = kRows * Fr::kNumBytes;
+        std::vector<uint8_t> runs(kLeafBlock * kLeafBytes);
+        for (size_t col = 0; col < kCols; col += kLeafBlock) {
             for (size_t row = 0; row < kRows; ++row)
-                matrix[row * kCols + col].toBytes(buf.data() +
-                                                  row * Fr::kNumBytes);
-            strided[col] = Sha256::digest(buf);
+                for (size_t j = 0; j < kLeafBlock; ++j)
+                    matrix[row * kCols + col + j].toBytes(
+                        runs.data() + j * kLeafBytes + row * Fr::kNumBytes);
+            for (size_t j = 0; j < kLeafBlock; ++j)
+                serialized[col + j] = Sha256::digest(std::span<const uint8_t>(
+                    runs.data() + j * kLeafBytes, kLeafBytes));
         }
     });
-    double blocked_ms = medianMs([&] {
-        std::vector<uint8_t> scratch;
+    double in_place_ms = medianMs([&] {
         for (size_t col = 0; col < kCols; col += kLeafBlock)
-            columnLeaves(matrix.data() + col, kRows, kCols, kLeafBlock,
-                         scratch, blocked.data() + col);
+            hashColumns(canonical.data() + col, kRows, kCols, kLeafBlock,
+                        in_place.data() + col);
     });
-    if (strided != blocked)
-        fatal("bench_micro: column-blocked leaves diverged from the "
-              "strided loop");
+    if (serialized != in_place)
+        fatal("bench_micro: in-place column leaves diverged from the "
+              "serialize-then-digest loop");
 
-    TablePrinter table({"Row", "reference ms", "fast ms", "speedup"});
-    table.addRow({"eq_table", formatSig(two_mul_ms, 4),
-                  formatSig(lane_ms, 4),
-                  bench::fmtSpeedup(two_mul_ms / lane_ms)});
+    constexpr size_t kMessage = kCols / 2;
+    SpielmanCode<Fr> code(kMessage, 0xe2c0de);
+    std::vector<Fr> table(kRows * kMessage);
+    for (auto &x : table)
+        x = Fr::random(rng);
+    std::vector<U256> per_row(kRows * kCols), batched(kRows * kCols);
+    double per_row_ms = medianMs([&] {
+        for (size_t row = 0; row < kRows; ++row)
+            code.encodeInto(
+                std::span<const Fr>(table.data() + row * kMessage, kMessage),
+                std::span<U256>(per_row.data() + row * kCols, kCols));
+    });
+    double batched_ms = medianMs([&] { code.encodeRows(table, batched); });
+    if (batched != per_row)
+        fatal("bench_micro: encodeRows diverged from the per-row encoder");
+    json.meta("encode_rows_backend",
+              ff::rowBatchActive() ? "ifma" : "scalar");
+
+    TablePrinter out({"Row", "reference ms", "fast ms", "speedup"});
+    out.addRow({"eq_table", formatSig(two_mul_ms, 4), formatSig(lane_ms, 4),
+                bench::fmtSpeedup(two_mul_ms / lane_ms)});
     json.addRow("eq_table", {{"two_multiply_ms", two_mul_ms},
                              {"lane_ms", lane_ms},
                              {"lane_speedup", two_mul_ms / lane_ms}});
-    table.addRow({"column_leaves", formatSig(strided_ms, 4),
-                  formatSig(blocked_ms, 4),
-                  bench::fmtSpeedup(strided_ms / blocked_ms)});
-    json.addRow("column_leaves", {{"strided_ms", strided_ms},
-                                  {"blocked_ms", blocked_ms},
-                                  {"leaf_speedup", strided_ms / blocked_ms}});
+    out.addRow({"column_leaves", formatSig(serialize_ms, 4),
+                formatSig(in_place_ms, 4),
+                bench::fmtSpeedup(serialize_ms / in_place_ms)});
+    json.addRow("column_leaves",
+                {{"serialize_ms", serialize_ms},
+                 {"in_place_ms", in_place_ms},
+                 {"leaf_speedup", serialize_ms / in_place_ms}});
+    out.addRow({"encode_rows", formatSig(per_row_ms, 4),
+                formatSig(batched_ms, 4),
+                bench::fmtSpeedup(per_row_ms / batched_ms)});
+    json.addRow("encode_rows", {{"per_row_ms", per_row_ms},
+                                {"batched_ms", batched_ms},
+                                {"batch_speedup", per_row_ms / batched_ms}});
     bench::printTable(
-        "Scalar BN254 path (reference vs fast)", table,
-        "Single-threaded. eq_table: eqTable over 16 variables, one lane "
-        "multiply per entry vs two scalar multiplies. column_leaves: "
-        "SHA-256 leaves of a 256 x 512 Fr matrix's columns, 16-column "
-        "blocks read in row order vs one strided column at a time. "
-        "Outputs verified identical. Not gated.");
+        "Commit path (reference vs fast)", out,
+        std::string("Single-threaded. eq_table: eqTable over 16 variables, "
+                    "one lane multiply per entry vs two scalar multiplies. "
+                    "column_leaves: SHA-256 leaves of a 256 x 512 "
+                    "codeword matrix's columns, hashed in place from "
+                    "canonical residues vs serialized from Fr per "
+                    "16-column block. encode_rows: 256 rows of 256 into "
+                    "canonical codewords, ") +
+            (ff::rowBatchActive() ? "8 rows per IFMA batch"
+                                  : "per row (no IFMA: both sides alike)") +
+            " vs one row at a time. Outputs verified identical. Not "
+            "gated.");
 }
 
 } // namespace

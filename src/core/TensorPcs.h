@@ -21,7 +21,9 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -36,35 +38,53 @@
 
 namespace bzk {
 
-/** Codeword columns per columnLeaves block in TensorPcs::commit. */
+/** Codeword columns per hashColumns block in TensorPcs::commit. */
 inline constexpr size_t kLeafBlock = 16;
 
 /**
- * The Merkle leaves of @p width adjacent codeword columns, each the
- * SHA-256 of its @p rows canonical elements in row order. Column j's
- * element in row r is block[r * stride + j]. One pass over the rows
- * copies the whole block into per-column runs of @p scratch (resized
- * as needed), so a row-major matrix is read in row order, not down a
- * column; then each run is hashed into out[j]. TensorPcs::commit
- * passes blocks of kLeafBlock columns of its k x 2m matrix, verify
- * each opened column as a block of one.
+ * The Merkle leaves of @p width (at most kLeafBlock) adjacent columns
+ * of a row-major matrix of canonical residues: leaf j is the SHA-256 of
+ * column j's @p rows values as 32 little-endian bytes each, in row
+ * order. Column j's value in row r is block[r * stride + j]. Each
+ * column keeps a running hash that takes two rows at a time as one
+ * 64-byte block, so the matrix is read in row order and hashed where
+ * it lies, with no conversion and no scratch. TensorPcs::commit passes
+ * blocks of kLeafBlock columns of its k x 2m matrix, verify each opened
+ * column as a block of one.
  */
-template <typename F>
-void
-columnLeaves(const F *block, size_t rows, size_t stride, size_t width,
-             std::vector<uint8_t> &scratch, Digest *out)
+inline void
+hashColumns(const U256 *block, size_t rows, size_t stride, size_t width,
+            Digest *out)
 {
-    const size_t leaf_bytes = rows * F::kNumBytes;
-    scratch.resize(width * leaf_bytes);
-    for (size_t row = 0; row < rows; ++row) {
-        const F *src = block + row * stride;
-        uint8_t *dst = scratch.data() + row * F::kNumBytes;
-        for (size_t j = 0; j < width; ++j)
-            src[j].toBytes(dst + j * leaf_bytes);
+    if (width > kLeafBlock)
+        panic("hashColumns: %zu columns in one block (at most %zu)", width,
+              kLeafBlock);
+    auto put = [](const U256 &v, uint8_t *dst) {
+        if constexpr (std::endian::native == std::endian::little)
+            std::memcpy(dst, v.limb.data(), sizeof(v.limb));
+        else
+            u256ToBytes(v, std::span<uint8_t, 32>(dst, 32));
+    };
+    Sha256 hashers[kLeafBlock];
+    uint8_t pair[64] = {};
+    size_t row = 0;
+    for (; row + 1 < rows; row += 2) {
+        const U256 *top = block + row * stride;
+        const U256 *bottom = top + stride;
+        for (size_t j = 0; j < width; ++j) {
+            put(top[j], pair);
+            put(bottom[j], pair + 32);
+            hashers[j].update(pair);
+        }
+    }
+    if (row < rows) {
+        for (size_t j = 0; j < width; ++j) {
+            put(block[row * stride + j], pair);
+            hashers[j].update(std::span<const uint8_t>(pair, 32));
+        }
     }
     for (size_t j = 0; j < width; ++j)
-        out[j] = Sha256::digest(std::span<const uint8_t>(
-            scratch.data() + j * leaf_bytes, leaf_bytes));
+        out[j] = hashers[j].finalize();
 }
 
 /** Verifier-side commitment: just the Merkle root. */
@@ -89,10 +109,11 @@ struct PcsProverState
      */
     std::span<const F> poly;
     /**
-     * Row codewords as one row-major k x 2m matrix: row r's codeword
-     * is codewords[r*2m, (r+1)*2m).
+     * Row codewords as one row-major k x 2m matrix of canonical
+     * residues, the integers in [0, p) whose 32 little-endian bytes the
+     * leaves hash: row r's codeword is codewords[r*2m, (r+1)*2m).
      */
-    std::vector<F> codewords;
+    std::vector<U256> codewords;
     /** Merkle tree over the 2m column hashes. */
     MerkleTree tree = MerkleTree::buildFromLeaves({Digest{}});
 };
@@ -162,25 +183,10 @@ class TensorPcs
             panic("TensorPcs::commit: table size %zu != 2^%u", poly.size(),
                   n_vars_);
 
-        // Rows are independent messages: parallelize across rows with
-        // serial per-row encodes (the outer loop has enough slots; a
-        // nested parallel encode would only add scheduling overhead).
-        // Each row encodes in place into its slice of one flat buffer,
-        // so workers allocate nothing per row.
+        // Every row encodes into its slice of one flat canonical matrix,
+        // 8 rows at a time under IFMA (SpielmanCode::encodeRows).
         state.codewords.resize(k * 2 * m);
-        if (exec)
-            exec->setRegion("encoder");
-        auto encode_rows = [&](size_t begin, size_t end) {
-            for (size_t row = begin; row < end; ++row)
-                code_.encodeInto(
-                    poly.subspan(row * m, m),
-                    std::span<F>(state.codewords.data() + row * 2 * m,
-                                 2 * m));
-        };
-        if (exec)
-            exec->parallelFor(k, /*serial_cutoff=*/2, encode_rows);
-        else
-            encode_rows(0, k);
+        code_.encodeRows(poly, state.codewords, exec);
 
         // Hash each of the 2m codeword columns into a leaf, one block
         // of kLeafBlock columns per pass over the rows.
@@ -188,11 +194,10 @@ class TensorPcs
         if (exec)
             exec->setRegion("merkle");
         auto hash_cols = [&](size_t begin, size_t end) {
-            std::vector<uint8_t> scratch;
             for (size_t col = begin; col < end; col += kLeafBlock)
-                columnLeaves(state.codewords.data() + col, k, 2 * m,
-                             std::min(kLeafBlock, end - col), scratch,
-                             leaves.data() + col);
+                hashColumns(state.codewords.data() + col, k, 2 * m,
+                            std::min(kLeafBlock, end - col),
+                            leaves.data() + col);
         };
         if (exec)
             exec->parallelFor(2 * m, /*serial_cutoff=*/2, hash_cols);
@@ -280,12 +285,15 @@ class TensorPcs
         for (const F &v : proof.proximity_row)
             transcript.absorbField("pcs.prox_row", v);
 
+        // The opened columns go back to Montgomery form.
         auto cols = transcript.challengeDistinctIndices(
             "pcs.cols", column_openings_, 2 * m);
+        std::vector<U256> canonical(k);
         for (uint64_t col : cols) {
-            std::vector<F> column(k);
             for (size_t row = 0; row < k; ++row)
-                column[row] = state.codewords[row * 2 * m + col];
+                canonical[row] = state.codewords[row * 2 * m + col];
+            std::vector<F> column(k);
+            ff::fromCanonicalLanes(canonical.data(), column.data(), k);
             proof.columns.push_back(std::move(column));
             proof.paths.push_back(state.tree.path(col));
         }
@@ -337,15 +345,17 @@ class TensorPcs
             g *= gamma;
         }
 
-        std::vector<uint8_t> scratch;
+        std::vector<U256> canonical(k);
         for (size_t i = 0; i < cols.size(); ++i) {
             uint64_t col = cols[i];
             const auto &column = proof.columns[i];
             if (column.size() != k)
                 return false;
             // Merkle membership.
+            for (size_t row = 0; row < k; ++row)
+                canonical[row] = column[row].toU256();
             Digest leaf;
-            columnLeaves(column.data(), k, 1, 1, scratch, &leaf);
+            hashColumns(canonical.data(), k, 1, 1, &leaf);
             if (proof.paths[i].leaf_index != col)
                 return false;
             if (!MerkleTree::verifyPath(commitment.root, leaf,

@@ -14,14 +14,21 @@
  * which equals the sum over fromUint-lifted coefficients bit for bit.
  * The 32-bit storage keeps a 2^22-size encoder's matrices in hundreds
  * of megabytes instead of gigabytes.
+ *
+ * A product runs on one vector, of Montgomery-form elements or of
+ * canonical residues (mulVec), or on an 8-row batch of canonical
+ * residues in IFMA lanes (mulBatch). The code is linear with integer
+ * coefficients, so every form computes the same residues.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "exec/ExecContext.h"
+#include "ff/FieldBackend.h"
 #include "util/Log.h"
 #include "util/Rng.h"
 
@@ -49,16 +56,34 @@ class SparseMatrix
         entries_.reserve(nnz);
         for (uint8_t d : degrees) {
             for (uint8_t e = 0; e < d; ++e) {
-                Entry entry;
+                ff::RowTerm entry;
                 entry.col = static_cast<uint32_t>(rng.nextBounded(cols));
-                // Coefficient in [1, 2^32): never zero, so every edge is
-                // a real edge.
-                entry.coeff =
-                    static_cast<uint32_t>(rng.nextBounded(0xffffffffULL)) + 1;
+                entry.coeff = randomCoeff(rng);
                 entries_.push_back(entry);
             }
             offsets_.push_back(entries_.size());
         }
+    }
+
+    /**
+     * A dense @p rows x @p cols matrix: row r holds every column in
+     * order, with coefficients drawn from @p rng row by row.
+     */
+    static SparseMatrix
+    dense(size_t rows, size_t cols, Rng &rng)
+    {
+        SparseMatrix m;
+        m.cols_ = cols;
+        m.offsets_.reserve(rows + 1);
+        m.offsets_.push_back(0);
+        m.entries_.reserve(rows * cols);
+        for (size_t r = 0; r < rows; ++r) {
+            for (size_t c = 0; c < cols; ++c)
+                m.entries_.push_back(
+                    {static_cast<uint32_t>(c), randomCoeff(rng)});
+            m.offsets_.push_back(m.entries_.size());
+        }
+        return m;
     }
 
     /** Number of rows. */
@@ -70,24 +95,56 @@ class SparseMatrix
     /** Non-zero count. */
     size_t nnz() const { return entries_.size(); }
 
-    /** out[r] = sum_e coeff_e * x[col_e] over row r's entries. */
-    void
-    mulVec(std::span<const F> x, std::span<F> out) const
-    {
-        mulVec(x, out, nullptr);
-    }
-
     /**
-     * mulVec with optional host parallelism: rows are partitioned into
-     * groups of roughly equal non-zero count (the host analogue of the
-     * GPU's bucket-sorted warps — workers finish together instead of
+     * out[r] = sum_e coeff_e * x[col_e] over row r's entries. With a
+     * non-null @p exec, rows are partitioned into groups of roughly
+     * equal non-zero count (the host analogue of the GPU's
+     * bucket-sorted warps — workers finish together instead of
      * straggling on a run of long rows) and the groups run across the
      * pool. Rows write disjoint outputs, so the result is bit-identical
      * to the serial pass.
      */
     void
     mulVec(std::span<const F> x, std::span<F> out,
-           const exec::ExecContext *exec) const
+           const exec::ExecContext *exec = nullptr) const
+    {
+        mulRows(x, out, exec);
+    }
+
+    /**
+     * mulVec over canonical residues: out[r] is the canonical residue
+     * of row r's integer sum.
+     */
+    void
+    mulVec(std::span<const U256> x, std::span<U256> out,
+           const exec::ExecContext *exec = nullptr) const
+    {
+        mulRows(x, out, exec);
+    }
+
+    /**
+     * mulVec on a row batch (ff::mulRowBatch): @p in holds cols()
+     * positions, @p out receives rows(). Under kIfma only.
+     */
+    void
+    mulBatch(const ff::RowLanes *in, ff::RowLanes *out) const
+    {
+        ff::mulRowBatch<F>(offsets_.data(), entries_.data(), rows(), in,
+                           out);
+    }
+
+  private:
+    /** A coefficient in [1, 2^32): never zero, so every edge is real. */
+    static uint32_t
+    randomCoeff(Rng &rng)
+    {
+        return static_cast<uint32_t>(rng.nextBounded(0xffffffffULL)) + 1;
+    }
+
+    template <typename T>
+    void
+    mulRows(std::span<const T> x, std::span<T> out,
+            const exec::ExecContext *exec) const
     {
         if (x.size() != cols_ || out.size() != rows())
             panic("SparseMatrix::mulVec: shape mismatch "
@@ -98,7 +155,10 @@ class SparseMatrix
                 typename F::SmallDot acc;
                 for (size_t e = offsets_[r]; e < offsets_[r + 1]; ++e)
                     acc.add(x[entries_[e].col], entries_[e].coeff);
-                out[r] = acc.result();
+                if constexpr (std::is_same_v<T, U256>)
+                    out[r] = acc.residue();
+                else
+                    out[r] = acc.result();
             }
         };
         if (!exec || exec->threads() <= 1 ||
@@ -125,15 +185,8 @@ class SparseMatrix
                           });
     }
 
-  private:
-    struct Entry
-    {
-        uint32_t col = 0;
-        uint32_t coeff = 0;
-    };
-
     std::vector<size_t> offsets_;
-    std::vector<Entry> entries_;
+    std::vector<ff::RowTerm> entries_;
     size_t cols_ = 0;
 };
 

@@ -5,19 +5,25 @@
  * @file
  * Functional Spielman-style linear-time encoder (paper Sec. 2.4 / 3.3).
  *
- * encode() is implemented exactly as the paper's pipelined formulation
- * (Figure 6): a forward pass of first-multiplications (A matrices), the
- * dense base case, then a reverse pass of second-multiplications
- * (B matrices) — no recursion, so the same code path maps one-to-one
- * onto the stage kernels the GPU drivers charge for.
+ * Every encode runs the paper's pipelined formulation (Figure 6): a
+ * forward pass of first-multiplications (A matrices), the dense base
+ * case, then a reverse pass of second-multiplications (B matrices) — no
+ * recursion, so the same code path maps one-to-one onto the stage
+ * kernels the GPU drivers charge for. runStages() is that sequence,
+ * written once; it drives a stage on one row (Montgomery elements or
+ * canonical residues) or on an 8-row IFMA batch.
  */
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "encoder/SparseMatrix.h"
 #include "encoder/Topology.h"
+#include "ff/FieldBackend.h"
 #include "util/Log.h"
 
 namespace bzk {
@@ -39,10 +45,8 @@ class SpielmanCode
         }
         // Dense base matrix M (base_k x base_k).
         Rng rng(topo_.seedBase());
-        size_t bk = topo_.baseSize();
-        base_.resize(bk * bk);
-        for (auto &c : base_)
-            c = static_cast<uint32_t>(rng.nextBounded(0xffffffffULL)) + 1;
+        base_ = SparseMatrix<F>::dense(topo_.baseSize(), topo_.baseSize(),
+                                       rng);
     }
 
     /** Message length k. */
@@ -57,8 +61,8 @@ class SpielmanCode
     /**
      * Encode @p message (length k) into a codeword of length 2k.
      * Linear in the message by construction. With a non-null @p exec
-     * every sparse stage (and the dense base case) splits its rows
-     * across host threads; codewords are bit-identical either way.
+     * every stage splits its rows across host threads; codewords are
+     * bit-identical either way.
      */
     std::vector<F>
     encode(std::span<const F> message,
@@ -69,18 +73,183 @@ class SpielmanCode
         return out;
     }
 
-    /**
-     * encode() straight into @p out (exactly 2k elements), with no
-     * temporaries. The codeword nests, z_l = [x_l | z_{l+1} |
-     * B_l z_{l+1}], so every level lives at a fixed offset of the
-     * output: level l's message x_l starts at o_l = k_0 + ... +
-     * k_{l-1}, A_l x_l = x_{l+1} goes right after it at o_l + k_l,
-     * B_l z_{l+1} at o_l + 3k_l/2, and the base product M x_d at
-     * o_d + k_d. Every stage reads and writes disjoint ranges.
-     */
+    /** encode() straight into @p out (exactly 2k elements). */
     void
     encodeInto(std::span<const F> message, std::span<F> out,
                const exec::ExecContext *exec = nullptr) const
+    {
+        encodeRow(message, out, exec);
+    }
+
+    /**
+     * The canonical form of encode(): out[i] is the canonical residue
+     * (the integer in [0, p)) of encode(message)[i]. The code is
+     * linear with integer coefficients and REDC is linear, so encoding
+     * the message's canonical values gives exactly that.
+     */
+    void
+    encodeInto(std::span<const F> message, std::span<U256> out) const
+    {
+        encodeRow(message, out, nullptr);
+    }
+
+    /**
+     * Encode every row of the row-major table @p rows (rows of k) into
+     * the matrix @p out (rows of 2k): out's row r is the canonical form
+     * of encode(row r). Under kIfma, whole batches of ff::kRowBatch
+     * rows run through each stage at once, one row per lane, with the
+     * message's REDC fused into the batch's load; otherwise, and when
+     * the row count is not a multiple of the batch, every row runs on
+     * its own. With a non-null @p exec, rows or batches run across the
+     * pool: one slot per thread, each taking the next row or batch
+     * until none are left, with one batch buffer per slot
+     * (BatchBuffers). Both paths store the same residues.
+     */
+    void
+    encodeRows(std::span<const F> rows, std::span<U256> out,
+               const exec::ExecContext *exec = nullptr) const
+    {
+        const size_t m = messageLength();
+        const size_t n = codewordLength();
+        const size_t k = rows.size() / m;
+        if (rows.size() != k * m || out.size() != k * n)
+            panic("SpielmanCode::encodeRows: %zu message and %zu codeword "
+                  "elements for rows of %zu",
+                  rows.size(), out.size(), m);
+        if (exec)
+            exec->setRegion("encoder");
+        const size_t batch =
+            ff::rowBatchActive() && k % ff::kRowBatch == 0 ? ff::kRowBatch
+                                                           : 1;
+        const size_t items = k / batch;
+        const size_t slots =
+            std::min(items, exec ? exec->threads() : size_t{1});
+        BatchBuffers buffers(batch > 1 ? slots : 0, n);
+        std::atomic<size_t> next{0};
+        auto run_slots = [&](size_t begin, size_t end) {
+            for (size_t slot = begin; slot < end; ++slot) {
+                for (size_t item; (item = next.fetch_add(1)) < items;) {
+                    const F *in = rows.data() + item * batch * m;
+                    U256 *cw = out.data() + item * batch * n;
+                    if (batch == 1)
+                        encodeRow(std::span<const F>(in, m),
+                                  std::span<U256>(cw, n), nullptr);
+                    else
+                        encodeBatch(in, cw, buffers[slot]);
+                }
+            }
+        };
+        if (exec)
+            exec->parallelFor(slots, /*serial_cutoff=*/2, run_slots);
+        else
+            run_slots(0, slots);
+    }
+
+  private:
+    /**
+     * Row-batch buffers for encodeRows, one per slot, taken from a
+     * process-wide free list and given back on destruction. The
+     * buffers are sized on the calling thread before any slot runs, so
+     * a process that encodes again at the same size and thread count
+     * allocates nothing, whichever pool thread runs which slot.
+     */
+    class BatchBuffers
+    {
+      public:
+        /** Take @p count buffers of at least @p positions positions. */
+        BatchBuffers(size_t count, size_t positions)
+        {
+            {
+                std::lock_guard<std::mutex> lock(mutex());
+                auto &idle = idleBuffers();
+                while (taken_.size() < count && !idle.empty()) {
+                    taken_.push_back(std::move(idle.back()));
+                    idle.pop_back();
+                }
+            }
+            taken_.resize(count);
+            for (auto &buffer : taken_)
+                if (buffer.size() < positions)
+                    buffer.resize(positions);
+        }
+
+        ~BatchBuffers()
+        {
+            std::lock_guard<std::mutex> lock(mutex());
+            auto &idle = idleBuffers();
+            for (auto &buffer : taken_)
+                idle.push_back(std::move(buffer));
+        }
+
+        BatchBuffers(const BatchBuffers &) = delete;
+        BatchBuffers &operator=(const BatchBuffers &) = delete;
+
+        /** Slot @p slot's buffer. */
+        ff::RowLanes *operator[](size_t slot) { return taken_[slot].data(); }
+
+      private:
+        using Buffer = std::vector<ff::RowLanes>;
+
+        static std::mutex &
+        mutex()
+        {
+            static std::mutex m;
+            return m;
+        }
+
+        static std::vector<Buffer> &
+        idleBuffers()
+        {
+            static std::vector<Buffer> idle;
+            return idle;
+        }
+
+        std::vector<Buffer> taken_;
+    };
+
+    /**
+     * The stage sequence, in place in one codeword. The codeword nests,
+     * z_l = [x_l | z_{l+1} | B_l z_{l+1}], so every level lives at a
+     * fixed offset: level l's message x_l starts at o_l = k_0 + ... +
+     * k_{l-1}, A_l x_l = x_{l+1} goes right after it at o_l + k_l,
+     * B_l z_{l+1} at o_l + 3k_l/2, and the base product M x_d at
+     * o_d + k_d. @p stage(matrix, in, out) multiplies matrix by the
+     * matrix.cols() values at offset in and writes matrix.rows()
+     * values at offset out; every stage reads and writes disjoint
+     * ranges.
+     */
+    template <typename Stage>
+    void
+    runStages(const Stage &stage) const
+    {
+        // Forward pass: x_{l+1} = A_l x_l (first multiplications).
+        size_t depth = a_.size();
+        size_t o = 0;
+        for (size_t l = 0; l < depth; ++l) {
+            size_t k_l = topo_.levels()[l].k;
+            stage(a_[l], o, o + k_l);
+            o += k_l;
+        }
+        // Base case: z_d = [x_d | M x_d].
+        stage(base_, o, o + base_.cols());
+        // Reverse pass: z_l = [x_l | z_{l+1} | B_l z_{l+1}] (second
+        // multiplications, smallest stage first — Figure 6).
+        for (size_t l = depth; l-- > 0;) {
+            size_t k_l = topo_.levels()[l].k;
+            o -= k_l;
+            stage(b_[l], o + k_l, o + 3 * k_l / 2);
+        }
+    }
+
+    /**
+     * One message through the stages on one row of T: F keeps
+     * Montgomery form, U256 takes the message's canonical values and
+     * yields canonical residues.
+     */
+    template <typename T>
+    void
+    encodeRow(std::span<const F> message, std::span<T> out,
+              const exec::ExecContext *exec) const
     {
         if (message.size() != messageLength())
             panic("SpielmanCode::encode: message length %zu != %zu",
@@ -90,50 +259,37 @@ class SpielmanCode
                   out.size(), codewordLength());
         if (exec)
             exec->setRegion("encoder");
-
-        // Forward pass: x_{l+1} = A_l x_l (first multiplications).
-        std::copy(message.begin(), message.end(), out.begin());
-        size_t depth = a_.size();
-        size_t o = 0;
-        for (size_t l = 0; l < depth; ++l) {
-            size_t k_l = topo_.levels()[l].k;
-            a_[l].mulVec(out.subspan(o, k_l),
-                         out.subspan(o + k_l, a_[l].rows()), exec);
-            o += k_l;
-        }
-
-        // Base case: z_d = [x_d | M x_d], straight off the 32-bit rows.
-        size_t bk = topo_.baseSize();
-        const F *x_d = out.data() + o;
-        F *m_x = out.data() + o + bk;
-        auto base_rows = [&](size_t begin, size_t end) {
-            for (size_t r = begin; r < end; ++r) {
-                typename F::SmallDot acc;
-                for (size_t c = 0; c < bk; ++c)
-                    acc.add(x_d[c], base_[r * bk + c]);
-                m_x[r] = acc.result();
-            }
-        };
-        if (exec)
-            exec->parallelFor(bk, /*serial_cutoff=*/64, base_rows);
+        if constexpr (std::is_same_v<T, F>)
+            std::copy(message.begin(), message.end(), out.begin());
         else
-            base_rows(0, bk);
-
-        // Reverse pass: z_l = [x_l | z_{l+1} | B_l z_{l+1}] (second
-        // multiplications, smallest stage first — Figure 6).
-        for (size_t l = depth; l-- > 0;) {
-            size_t k_l = topo_.levels()[l].k;
-            o -= k_l;
-            b_[l].mulVec(out.subspan(o + k_l, k_l / 2),
-                         out.subspan(o + 3 * k_l / 2, k_l / 2), exec);
-        }
+            for (size_t i = 0; i < message.size(); ++i)
+                out[i] = message[i].toU256();
+        runStages([&](const SparseMatrix<F> &matrix, size_t in, size_t at) {
+            matrix.mulVec(std::span<const T>(out.data() + in, matrix.cols()),
+                          out.subspan(at, matrix.rows()), exec);
+        });
     }
 
-  private:
+    /**
+     * ff::kRowBatch rows at @p in (k apart) through the stages in the
+     * lanes of @p buffer (2k positions), stored canonical at @p out
+     * (2k apart).
+     */
+    void
+    encodeBatch(const F *in, U256 *out, ff::RowLanes *buffer) const
+    {
+        ff::loadRowBatch(in, messageLength(), messageLength(), buffer);
+        runStages([&](const SparseMatrix<F> &matrix, size_t from,
+                      size_t at) {
+            matrix.mulBatch(buffer + from, buffer + at);
+        });
+        ff::storeRowBatch(buffer, codewordLength(), out, codewordLength());
+    }
+
     EncoderTopology topo_;
     std::vector<SparseMatrix<F>> a_;
     std::vector<SparseMatrix<F>> b_;
-    std::vector<uint32_t> base_;
+    SparseMatrix<F> base_;
 };
 
 } // namespace bzk

@@ -8,6 +8,7 @@
 
 #include "ff/FieldBackend.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -101,11 +102,10 @@ limbs(Fp<P> *p)
 }
 
 /** The per-field runtime constants the IFMA kernels consume. */
-template <typename P>
+template <typename F>
 const detail::WideFieldConstants &
 wideConstants()
 {
-    using F = Fp<P>;
     static constexpr detail::WideFieldConstants c =
         detail::makeWideConstants(
             F::kModulus.limb[0], F::kModulus.limb[1],
@@ -238,8 +238,8 @@ addLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
     size_t i = ifmaElements(n);
     if constexpr (kIfmaBuilt)
         if (i)
-            detail::ifmaAdd(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
-                            i);
+            detail::ifmaAdd(wideConstants<Fp<P>>(), limbs(a), limbs(b),
+                            limbs(out), i);
     for (; i < n; ++i)
         out[i] = a[i] + b[i];
 }
@@ -252,8 +252,8 @@ subLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
     size_t i = ifmaElements(n);
     if constexpr (kIfmaBuilt)
         if (i)
-            detail::ifmaSub(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
-                            i);
+            detail::ifmaSub(wideConstants<Fp<P>>(), limbs(a), limbs(b),
+                            limbs(out), i);
     for (; i < n; ++i)
         out[i] = a[i] - b[i];
 }
@@ -266,8 +266,8 @@ mulLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
     size_t i = ifmaElements(n);
     if constexpr (kIfmaBuilt)
         if (i)
-            detail::ifmaMul(wideConstants<P>(), limbs(a), limbs(b), limbs(out),
-                            i);
+            detail::ifmaMul(wideConstants<Fp<P>>(), limbs(a), limbs(b),
+                            limbs(out), i);
     for (; i < n; ++i)
         out[i] = a[i] * b[i];
 }
@@ -280,7 +280,7 @@ foldLanes(Fp<P> *lo, const Fp<P> *hi, const Fp<P> &r, size_t n)
     size_t i = ifmaElements(n);
     if constexpr (kIfmaBuilt)
         if (i)
-            detail::ifmaFold(wideConstants<P>(), limbs(lo), limbs(hi),
+            detail::ifmaFold(wideConstants<Fp<P>>(), limbs(lo), limbs(hi),
                              limbs(&r), i);
     for (; i < n; ++i)
         lo[i] = lo[i] + r * (hi[i] - lo[i]);
@@ -294,7 +294,7 @@ axpyLanes(Fp<P> *acc, const Fp<P> *x, const Fp<P> &s, size_t n)
     size_t i = ifmaElements(n);
     if constexpr (kIfmaBuilt)
         if (i)
-            detail::ifmaAxpy(wideConstants<P>(), limbs(acc), limbs(x),
+            detail::ifmaAxpy(wideConstants<Fp<P>>(), limbs(acc), limbs(x),
                              limbs(&s), i);
     for (; i < n; ++i)
         acc[i] += s * x[i];
@@ -310,7 +310,8 @@ sumLanes(const Fp<P> *a, size_t n)
     if constexpr (kIfmaBuilt) {
         if (i) {
             Fp<P> partial[detail::kIfmaLanes];
-            detail::ifmaSum(wideConstants<P>(), limbs(a), i, limbs(partial));
+            detail::ifmaSum(wideConstants<Fp<P>>(), limbs(a), i,
+                            limbs(partial));
             for (const Fp<P> &p : partial)
                 acc += p;
         }
@@ -330,7 +331,7 @@ dotLanes(const Fp<P> *a, const Fp<P> *b, size_t n)
     if constexpr (kIfmaBuilt) {
         if (i) {
             Fp<P> partial[detail::kIfmaLanes];
-            detail::ifmaDot(wideConstants<P>(), limbs(a), limbs(b), i,
+            detail::ifmaDot(wideConstants<Fp<P>>(), limbs(a), limbs(b), i,
                             limbs(partial));
             for (const Fp<P> &p : partial)
                 acc += p;
@@ -339,6 +340,75 @@ dotLanes(const Fp<P> *a, const Fp<P> *b, size_t n)
     for (; i < n; ++i)
         acc += a[i] * b[i];
     return acc;
+}
+
+template <typename P>
+void
+fromCanonicalLanes(const U256 *in, Fp<P> *out, size_t n)
+{
+    countKernel(Kernel::kMul);
+    size_t i = ifmaElements(n);
+    if constexpr (kIfmaBuilt) {
+        if (i) {
+            // out = 0 + s * in with s's Montgomery limbs R^2 (the
+            // element R): in * R^2 * R^-1 = in * R, whose value is in.
+            static const Fp<P> r = Fp<P>::fromU256(Fp<P>::one().montRaw());
+            std::fill(out, out + i, Fp<P>::zero());
+            detail::ifmaAxpy(wideConstants<Fp<P>>(), limbs(out),
+                             reinterpret_cast<const uint64_t *>(in),
+                             limbs(&r), i);
+        }
+    }
+    for (; i < n; ++i)
+        out[i] = Fp<P>::fromU256(in[i]);
+}
+
+bool
+rowBatchActive()
+{
+    return kIfmaBuilt && activeBackend() == Backend::kIfma;
+}
+
+static_assert(kRowBatch == detail::kIfmaLanes &&
+                  sizeof(RowLanes) == detail::kRowLimbs * detail::kIfmaLanes *
+                                          sizeof(uint64_t),
+              "RowLanes is one batch position of the IFMA row kernels");
+
+template <typename F>
+void
+loadRowBatch(const F *rows, size_t row_stride, size_t n, RowLanes *batch)
+{
+    if (!rowBatchActive())
+        fatal("loadRowBatch: the row-batch kernels need the ifma backend");
+    if constexpr (kIfmaBuilt)
+        detail::ifmaLoadRows(wideConstants<F>(), limbs(rows), 4 * row_stride,
+                             n, &batch->limb[0][0]);
+}
+
+template <typename F>
+void
+mulRowBatch(const size_t *offsets, const RowTerm *terms, size_t n_rows,
+            const RowLanes *in, RowLanes *out)
+{
+    static_assert(sizeof(RowTerm) == 2 * sizeof(uint32_t));
+    if (!rowBatchActive())
+        fatal("mulRowBatch: the row-batch kernels need the ifma backend");
+    if constexpr (kIfmaBuilt)
+        detail::ifmaMulRows(wideConstants<F>(), offsets,
+                            reinterpret_cast<const uint32_t *>(terms), n_rows,
+                            &in->limb[0][0], &out->limb[0][0]);
+}
+
+void
+storeRowBatch(const RowLanes *batch, size_t n, U256 *rows, size_t row_stride)
+{
+    static_assert(sizeof(U256) == 4 * sizeof(uint64_t));
+    if (!rowBatchActive())
+        fatal("storeRowBatch: the row-batch kernels need the ifma backend");
+    if constexpr (kIfmaBuilt)
+        detail::ifmaStoreRows(&batch->limb[0][0], n,
+                              reinterpret_cast<uint64_t *>(rows),
+                              4 * row_stride);
 }
 
 template <typename P>
@@ -380,6 +450,10 @@ template void axpyLanes(Fr *, const Fr *, const Fr &, size_t);
 template Fr sumLanes(const Fr *, size_t);
 template Fr dotLanes(const Fr *, const Fr *, size_t);
 template size_t batchInverse(Fr *, size_t);
+template void fromCanonicalLanes(const U256 *, Fr *, size_t);
+template void loadRowBatch(const Fr *, size_t, size_t, RowLanes *);
+template void mulRowBatch<Fr>(const size_t *, const RowTerm *, size_t,
+                              const RowLanes *, RowLanes *);
 
 template void addLanes(const Fq *, const Fq *, Fq *, size_t);
 template void subLanes(const Fq *, const Fq *, Fq *, size_t);

@@ -146,6 +146,64 @@ Fp<P> dotLanes(const Fp<P> *a, const Fp<P> *b, size_t n);
 template <typename P>
 size_t batchInverse(Fp<P> *x, size_t n);
 
+/**
+ * out[i] = the element whose canonical value is in[i] (each below p):
+ * one Montgomery multiply by R^2 per element, on the multiply kernel.
+ * Counts as a mulLanes call.
+ */
+template <typename P>
+void fromCanonicalLanes(const U256 *in, Fp<P> *out, size_t n);
+
+// ---- The Spielman encoder's row batch: kRowBatch rows of a table run
+// ---- through the same sparse row sums at once, one row per IFMA lane
+// ---- (SpielmanCode::encodeRows). The kernels run under kIfma only;
+// ---- rowBatchActive() says whether they do.
+
+/** Rows per encoder batch: one per 64-bit lane of an IFMA register. */
+inline constexpr size_t kRowBatch = 8;
+
+/**
+ * One codeword position of a row batch: each row's canonical residue
+ * in five radix-2^52 limbs, limb j of row l at limb[j][l].
+ */
+struct alignas(64) RowLanes
+{
+    uint64_t limb[5][kRowBatch];
+};
+
+/** One term of a sparse row sum: coeff * x[col]. */
+struct RowTerm
+{
+    uint32_t col = 0;
+    uint32_t coeff = 0;
+};
+
+/** True when the active backend runs the row-batch kernels (kIfma). */
+bool rowBatchActive();
+
+/**
+ * batch[i] = the canonical values of rows[l * row_stride + i] for
+ * l < kRowBatch and i < n.
+ */
+template <typename F>
+void loadRowBatch(const F *rows, size_t row_stride, size_t n,
+                  RowLanes *batch);
+
+/**
+ * out[r] = the canonical residue of the sum of terms[e].coeff *
+ * in[terms[e].col] over e in [offsets[r], offsets[r + 1]), for
+ * r < n_rows and in every lane: the lanes' SmallDot::residue(). At
+ * most 255 terms per row; in and out must not overlap. The modulus is
+ * the field F's.
+ */
+template <typename F>
+void mulRowBatch(const size_t *offsets, const RowTerm *terms, size_t n_rows,
+                 const RowLanes *in, RowLanes *out);
+
+/** rows[l * row_stride + i] = row l of batch[i], for i < n. */
+void storeRowBatch(const RowLanes *batch, size_t n, U256 *rows,
+                   size_t row_stride);
+
 } // namespace bzk::ff
 
 #endif // BZK_FF_FIELDBACKEND_H_

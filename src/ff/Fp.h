@@ -299,39 +299,49 @@ class Fp
     /**
      * Lazily reduced sum of x_i * c_i over 32-bit integer coefficients
      * c_i — the Spielman encoder's row sums. Each add() multiplies the
-     * four Montgomery limbs of x by the raw c into four independent
-     * 128-bit column sums (no carries between limbs, no reduction);
-     * result() propagates the carries and reduces once.
+     * four limbs of x by the raw c into four independent 128-bit
+     * column sums (no carries between limbs, no reduction); result()
+     * or residue() propagates the carries and reduces once.
      *
-     * Bit-identical to sum_i x_i * fromUint(c_i): the Montgomery form
-     * of that product is x_i.mont * c_i mod p, mont() is linear, and
-     * the canonical residue is unique. Each limb product is below
-     * 2^64 * 2^32 = 2^96 and each term below 2^254 * 2^32 = 2^286, so
-     * a sum of fewer than 2^24 terms stays below 2^310 (result()'s
-     * bound); encoder rows have at most 255 terms.
+     * The limbs may be an element's Montgomery form (add(Fp)) or any
+     * value below p, such as a canonical residue (add(U256)).
+     * residue() is the canonical residue of the integer sum, so over
+     * Montgomery limbs result() is bit-identical to
+     * sum_i x_i * fromUint(c_i): the Montgomery form of that product is
+     * x_i.mont * c_i mod p, mont() is linear, and the canonical residue
+     * is unique. Over canonical limbs residue() is, by the same
+     * argument, the canonical value of that sum. Each limb product is
+     * below 2^64 * 2^32 = 2^96 and each term below 2^254 * 2^32 =
+     * 2^286, so a sum of fewer than 2^24 terms stays below 2^310
+     * (residue()'s bound); encoder rows have at most 255 terms.
      */
     class SmallDot
     {
       public:
-        /** acc += x * c. */
+        /** acc += x * c over the limbs of @p x (a value below p). */
         constexpr void
-        add(const Fp &x, uint32_t c)
+        add(const U256 &x, uint32_t c)
         {
 #pragma GCC unroll 4
             for (int j = 0; j < 4; ++j)
-                acc_[j] += static_cast<__uint128_t>(x.mont_.limb[j]) * c;
+                acc_[j] += static_cast<__uint128_t>(x.limb[j]) * c;
         }
 
+        /** acc += x * c over the Montgomery limbs of @p x. */
+        constexpr void add(const Fp &x, uint32_t c) { add(x.mont_, c); }
+
+        /** The field element whose Montgomery form is acc mod p. */
+        constexpr Fp result() const { return fromU256Raw(residue()); }
+
         /**
-         * The field element whose Montgomery form is acc mod p, by one
-         * quotient estimate. With h = acc >> 192 (below 2^118) and
-         * p3 = p >> 192, q = h / (p3 + 1) satisfies
+         * acc mod p, by one quotient estimate. With h = acc >> 192
+         * (below 2^118) and p3 = p >> 192, q = h / (p3 + 1) satisfies
          * q <= acc / p < q + 1 + h / p3^2 + 1 / p3, and h / p3^2 < 1/16
          * for p >= 2^253; so acc - q * p lies in [0, 2p) and one
          * conditional subtraction leaves the canonical residue.
          */
-        constexpr Fp
-        result() const
+        constexpr U256
+        residue() const
         {
             static_assert(kModulus.limb[3] >= (uint64_t{1} << 61),
                           "the quotient estimate needs p >= 2^253");
@@ -361,7 +371,7 @@ class Fp
             }
             if (cmp(r, kModulus) >= 0)
                 r = subBorrow(r, kModulus, borrow);
-            return fromU256Raw(r);
+            return r;
         }
 
       private:

@@ -4,26 +4,29 @@
 /**
  * @file
  * Internal contract between the FieldBackend dispatcher and the
- * AVX-512 IFMA kernels (WideKernelsIfma.cpp): packed Montgomery
- * arithmetic for 4x64-limb prime fields (BN254 Fr and Fq).
+ * AVX-512 IFMA kernels: packed Montgomery arithmetic for 4x64-limb
+ * prime fields (BN254 Fr and Fq) in WideKernelsIfma.cpp, and the
+ * Spielman encoder's 8-row kernels in RowKernelsIfma.cpp.
  *
- * Kernels operate on contiguous arrays of Montgomery-form elements in
- * the same memory layout as Fp<> (four little-endian 64-bit limbs per
- * element, canonical `< p`). FieldBackend.cpp is the only caller: it
- * handles the Fp <-> limb view, hands the kernels whole blocks only,
- * and runs each call's remaining elements (and every call under
- * Backend::kScalar) with Fp's own operators. Field constants travel by
- * reference in a WideFieldConstants so one set of kernels serves every
- * 4x64 field.
+ * The lane kernels operate on contiguous arrays of Montgomery-form
+ * elements in the same memory layout as Fp<> (four little-endian
+ * 64-bit limbs per element, canonical `< p`). FieldBackend.cpp is the
+ * only caller outside test_ff_kat: it handles the Fp <-> limb view,
+ * hands the kernels whole blocks only, and runs each call's remaining
+ * elements (and every call under Backend::kScalar) with Fp's own
+ * operators. Field constants travel by reference in a
+ * WideFieldConstants so one set of kernels serves every 4x64 field.
  *
- * Every kernel must store bit-for-bit what Fp's operators compute.
- * That holds even though the radix-52 IFMA product differs from Fp's
- * radix-64 CIOS because each element result is fully canonicalized:
- * the Montgomery product a*b*2^-256 mod p is a unique value < p, so
- * any correct algorithm stores identical limbs. Where a result folds
- * lanes into one value (sum, dot) the lane-major order is invisible
- * because field addition is exactly associative. test_ff_kat holds the
- * kernels to this and the proof goldens depend on it.
+ * Every lane kernel must store bit-for-bit what Fp's operators
+ * compute, and every row kernel what Fp::SmallDot::residue() computes.
+ * That holds even though the radix-52 IFMA arithmetic differs from
+ * Fp's radix-64 code because each result is fully canonicalized: the
+ * Montgomery product a*b*2^-256 mod p, or the residue of an integer
+ * sum, is a unique value < p, so any correct algorithm stores
+ * identical limbs. Where a result folds lanes into one value (sum,
+ * dot) the lane-major order is invisible because field addition is
+ * exactly associative. test_ff_kat holds the kernels to this and the
+ * proof goldens depend on it.
  */
 
 #include <cstddef>
@@ -45,7 +48,45 @@ struct WideFieldConstants
     uint64_t modulus52[5];
     /** -p^{-1} mod 2^52. */
     uint64_t inv52;
+    /**
+     * floor(2^302 / p), below 2^50 for 2^253 <= p < 2^255: the row
+     * kernels' quotient estimate.
+     */
+    uint64_t mu52;
 };
+
+/** floor(2^302 / p) for 2^253 <= p < 2^255, by binary long division. */
+constexpr uint64_t
+quotientMu52(const uint64_t p[4])
+{
+    // Invariant: 2^(253 + i) = q * p + r with r < p; r < 2^255 keeps
+    // 2r in four limbs.
+    uint64_t r[4] = {0, 0, 0, uint64_t{1} << 61};
+    uint64_t q = 0;
+    for (int i = 0; i < 302 - 253; ++i) {
+        for (int j = 3; j > 0; --j)
+            r[j] = (r[j] << 1) | (r[j - 1] >> 63);
+        r[0] <<= 1;
+        bool ge = true;
+        for (int j = 3; j >= 0; --j) {
+            if (r[j] != p[j]) {
+                ge = r[j] > p[j];
+                break;
+            }
+        }
+        q <<= 1;
+        if (ge) {
+            uint64_t borrow = 0;
+            for (int j = 0; j < 4; ++j) {
+                uint64_t d = r[j] - p[j] - borrow;
+                borrow = (r[j] < p[j] || (r[j] == p[j] && borrow)) ? 1 : 0;
+                r[j] = d;
+            }
+            q |= 1;
+        }
+    }
+    return q;
+}
 
 /** Build the constants from p and inv = -p^{-1} mod 2^64. */
 constexpr WideFieldConstants
@@ -63,6 +104,7 @@ makeWideConstants(uint64_t p0, uint64_t p1, uint64_t p2, uint64_t p3,
     c.modulus52[2] = ((p1 >> 40) | (p2 << 24)) & kMask52;
     c.modulus52[3] = ((p2 >> 28) | (p3 << 36)) & kMask52;
     c.modulus52[4] = p3 >> 16;
+    c.mu52 = quotientMu52(c.modulus);
     return c;
 }
 
@@ -95,6 +137,43 @@ void ifmaSum(const WideFieldConstants &c, const uint64_t *a, size_t n,
 /** out_lanes[l] = sum of a[i] * b[i] over the i in lane l. */
 void ifmaDot(const WideFieldConstants &c, const uint64_t *a, const uint64_t *b,
              size_t n, uint64_t *out_lanes);
+
+// The 8-row encoder kernels (RowKernelsIfma.cpp, same flags and
+// dispatch rule). They work on a batch: one codeword position of
+// kIfmaLanes rows per kRowLimbs * kIfmaLanes limbs, radix-2^52 limb j
+// of row l at batch[kRowLimbs * kIfmaLanes * i + kIfmaLanes * j + l],
+// each row's value canonical (< p). Row l of a row-major array starts
+// l * row_stride limbs after row 0. The moduli must satisfy
+// 2^253 <= p < 2^255 (mu52's bound).
+
+/** Radix-2^52 limbs per value in a batch. */
+inline constexpr size_t kRowLimbs = 5;
+
+/**
+ * Batch position i (i < n) = the canonical values x * 2^-256 mod p of
+ * the 8 Montgomery-form elements at rows + l * row_stride + 4 * i:
+ * REDC fused into the transpose.
+ */
+void ifmaLoadRows(const WideFieldConstants &c, const uint64_t *rows,
+                  size_t row_stride, size_t n, uint64_t *batch);
+
+/**
+ * Sparse row sums over a batch: out position r (r < n_rows) = the
+ * canonical residue of the sum of coeff * (in position col) over row
+ * r's terms. @p terms holds (col, coeff) pairs of 32-bit words; row
+ * r's are pairs [offsets[r], offsets[r + 1]), at most 255 of them. in
+ * and out must not overlap.
+ */
+void ifmaMulRows(const WideFieldConstants &c, const size_t *offsets,
+                 const uint32_t *terms, size_t n_rows, const uint64_t *in,
+                 uint64_t *out);
+
+/**
+ * The 8 rows' values at batch positions [0, n) as four radix-2^64
+ * limbs each: position i of row l goes to rows + l * row_stride + 4 * i.
+ */
+void ifmaStoreRows(const uint64_t *batch, size_t n, uint64_t *rows,
+                   size_t row_stride);
 
 } // namespace bzk::ff::detail
 

@@ -35,153 +35,27 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 
-#include <immintrin.h>
-
-#include "ff/WideKernels.h"
+#include "ff/Ifma52.h"
 
 namespace bzk::ff::detail {
 namespace {
-
-using V = __m512i;
-static_assert(kIfmaLanes * sizeof(uint64_t) == sizeof(V),
-              "one element per 64-bit lane");
-
-// Broadcast constants come from per-call setup, not file-scope
-// globals: a global __m512i initializer would execute AVX-512
-// instructions during static init on hosts that must never reach this
-// TU's code.
-
-/** Per-call vector view of one field's constants. */
-struct ConstsV
-{
-    V p64[4];  // modulus, radix-64 limbs
-    V p52[5];  // modulus, radix-52 limbs
-    V inv52;   // -p^{-1} mod 2^52
-    V mask52;
-    V zero;
-    V one;
-};
-
-inline ConstsV
-makeConstsV(const WideFieldConstants &c)
-{
-    ConstsV k;
-    for (int j = 0; j < 4; ++j)
-        k.p64[j] = _mm512_set1_epi64(
-            static_cast<long long>(c.modulus[j]));
-    for (int j = 0; j < 5; ++j)
-        k.p52[j] = _mm512_set1_epi64(
-            static_cast<long long>(c.modulus52[j]));
-    k.inv52 = _mm512_set1_epi64(static_cast<long long>(c.inv52));
-    k.mask52 = _mm512_set1_epi64(static_cast<long long>(kMask52));
-    k.zero = _mm512_setzero_si512();
-    k.one = _mm512_set1_epi64(1);
-    return k;
-}
 
 /** AoS block of 8 elements (32 limbs) -> limb-major L[0..3]. */
 inline void
 loadSoA(const uint64_t *p, V L[4])
 {
-    V a = _mm512_loadu_si512(p);      // e0, e1
-    V b = _mm512_loadu_si512(p + 8);  // e2, e3
-    V c = _mm512_loadu_si512(p + 16); // e4, e5
-    V d = _mm512_loadu_si512(p + 24); // e6, e7
-    const V idx01 = _mm512_setr_epi64(0, 4, 8, 12, 1, 5, 9, 13);
-    const V idx23 = _mm512_setr_epi64(2, 6, 10, 14, 3, 7, 11, 15);
-    V ab01 = _mm512_permutex2var_epi64(a, idx01, b);
-    V cd01 = _mm512_permutex2var_epi64(c, idx01, d);
-    V ab23 = _mm512_permutex2var_epi64(a, idx23, b);
-    V cd23 = _mm512_permutex2var_epi64(c, idx23, d);
-    const V lo_half = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
-    const V hi_half = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
-    L[0] = _mm512_permutex2var_epi64(ab01, lo_half, cd01);
-    L[1] = _mm512_permutex2var_epi64(ab01, hi_half, cd01);
-    L[2] = _mm512_permutex2var_epi64(ab23, lo_half, cd23);
-    L[3] = _mm512_permutex2var_epi64(ab23, hi_half, cd23);
+    toSoA(_mm512_loadu_si512(p), _mm512_loadu_si512(p + 8),
+          _mm512_loadu_si512(p + 16), _mm512_loadu_si512(p + 24), L);
 }
 
 /** Limb-major L[0..3] -> AoS block of 8 elements at @p p. */
 inline void
 storeAoS(uint64_t *p, const V L[4])
 {
-    const V pair_lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
-    const V pair_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
-    V l01_lo = _mm512_permutex2var_epi64(L[0], pair_lo, L[1]);
-    V l01_hi = _mm512_permutex2var_epi64(L[0], pair_hi, L[1]);
-    V l23_lo = _mm512_permutex2var_epi64(L[2], pair_lo, L[3]);
-    V l23_hi = _mm512_permutex2var_epi64(L[2], pair_hi, L[3]);
-    const V quad_lo = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
-    const V quad_hi = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
-    _mm512_storeu_si512(p,
-                        _mm512_permutex2var_epi64(l01_lo, quad_lo,
-                                                  l23_lo));
-    _mm512_storeu_si512(p + 8,
-                        _mm512_permutex2var_epi64(l01_lo, quad_hi,
-                                                  l23_lo));
-    _mm512_storeu_si512(p + 16,
-                        _mm512_permutex2var_epi64(l01_hi, quad_lo,
-                                                  l23_hi));
-    _mm512_storeu_si512(p + 24,
-                        _mm512_permutex2var_epi64(l01_hi, quad_hi,
-                                                  l23_hi));
-}
-
-/**
- * Re-slice radix-64 limbs into radix-52, multiplying by 2^Shift
- * (Shift = 0, or 4 for the Montgomery-domain fix-up operand).
- * Requires the value < 2^(256-Shift) + headroom; canonical inputs are
- * < p < 2^255 so both variants fit five 52-bit limbs.
- */
-template <int Shift>
-inline void
-to52(const ConstsV &k, const V L[4], V t[5])
-{
-    static_assert(Shift == 0 || Shift == 4, "supported pre-shifts");
-    if constexpr (Shift == 0) {
-        t[0] = _mm512_and_si512(L[0], k.mask52);
-        t[1] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[0], 52),
-                            _mm512_slli_epi64(L[1], 12)),
-            k.mask52);
-        t[2] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[1], 40),
-                            _mm512_slli_epi64(L[2], 24)),
-            k.mask52);
-        t[3] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[2], 28),
-                            _mm512_slli_epi64(L[3], 36)),
-            k.mask52);
-        t[4] = _mm512_srli_epi64(L[3], 16);
-    } else {
-        t[0] = _mm512_and_si512(_mm512_slli_epi64(L[0], 4), k.mask52);
-        t[1] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[0], 48),
-                            _mm512_slli_epi64(L[1], 16)),
-            k.mask52);
-        t[2] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[1], 36),
-                            _mm512_slli_epi64(L[2], 28)),
-            k.mask52);
-        t[3] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[2], 24),
-                            _mm512_slli_epi64(L[3], 40)),
-            k.mask52);
-        t[4] = _mm512_srli_epi64(L[3], 12);
-    }
-}
-
-/** Canonical radix-52 limbs (< 2^52 each) back to radix-64. */
-inline void
-from52(const V t[5], V L[4])
-{
-    L[0] = _mm512_or_si512(t[0], _mm512_slli_epi64(t[1], 52));
-    L[1] = _mm512_or_si512(_mm512_srli_epi64(t[1], 12),
-                           _mm512_slli_epi64(t[2], 40));
-    L[2] = _mm512_or_si512(_mm512_srli_epi64(t[2], 24),
-                           _mm512_slli_epi64(t[3], 28));
-    L[3] = _mm512_or_si512(_mm512_srli_epi64(t[3], 36),
-                           _mm512_slli_epi64(t[4], 16));
+    V e[4];
+    fromSoA(L, e);
+    for (int q = 0; q < 4; ++q)
+        _mm512_storeu_si512(p + 8 * q, e[q]);
 }
 
 /**

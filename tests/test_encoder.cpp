@@ -9,10 +9,12 @@
 
 #include <thread>
 
+#include "core/TensorPcs.h"
 #include "encoder/GpuEncoder.h"
 #include "encoder/SparseMatrix.h"
 #include "encoder/SpielmanCode.h"
 #include "encoder/Topology.h"
+#include "ff/FieldBackend.h"
 #include "ff/Fields.h"
 #include "gpusim/Device.h"
 #include "hash/Sha256.h"
@@ -266,6 +268,117 @@ TYPED_TEST(SpielmanT, EncodeIntoWritesExactlyTheCodeword)
         EXPECT_EQ(std::vector<F>(buf.begin() + 1, buf.end() - 1),
                   code.encode(msg))
             << "k=" << k;
+    }
+}
+
+/**
+ * A k x m table whose rows exercise the canonical load: random rows,
+ * and rows of the values 0, 1, p - 1, 2^256 - 1 mod p and values just
+ * below p, of the element whose Montgomery limbs are p - 1 and of the
+ * one whose limbs are 1.
+ */
+std::vector<Fr>
+edgeRowTable(size_t k, size_t m, Rng &rng)
+{
+    const U256 p = Fr::kModulus;
+    uint64_t borrow = 0;
+    const U256 p_minus_1 = subBorrow(p, U256{1}, borrow);
+    // fromU256(R mod p) is R; its inverse has Montgomery limbs 1.
+    const Fr limbs_one = Fr::fromU256(Fr::one().montRaw()).inverse();
+    const Fr edges[] = {
+        Fr::zero(),
+        Fr::one(),
+        Fr::fromU256(p_minus_1),
+        Fr::fromU256(U256{~0ULL, ~0ULL, ~0ULL, ~0ULL}),
+        -limbs_one,
+        limbs_one,
+    };
+    constexpr size_t kEdges = sizeof(edges) / sizeof(edges[0]);
+    std::vector<Fr> table(k * m);
+    for (size_t row = 0; row < k; ++row) {
+        for (size_t i = 0; i < m; ++i) {
+            Fr &x = table[row * m + i];
+            switch (row % (kEdges + 2)) {
+              case kEdges:
+                x = Fr::random(rng);
+                break;
+              case kEdges + 1: // p - 1 - i: just below p
+                x = Fr::fromU256(subBorrow(p_minus_1, U256{i}, borrow));
+                break;
+              default:
+                x = edges[row % (kEdges + 2)];
+            }
+        }
+    }
+    // With k < kEdges + 2 the random row may be missing: add noise.
+    if (k < kEdges + 2)
+        table[0] = Fr::random(rng);
+    return table;
+}
+
+/**
+ * encodeRows under @p backend equals the canonical form of encode() on
+ * every row, for the PCS's table shapes at n_vars 6 to 16 (k = 2 to
+ * 256 rows, so k < 8 runs per row under either backend).
+ */
+void
+expectEncodeRowsIsRedcOfEncode(ff::Backend backend)
+{
+    ff::forceBackend(backend);
+    Rng rng(0xb47c4);
+    for (unsigned n_vars = 6; n_vars <= 16; ++n_vars) {
+        const size_t m = size_t{1} << TensorPcs<Fr>::colVarsFor(n_vars);
+        const size_t k = (size_t{1} << n_vars) / m;
+        for (uint64_t seed : {3u, 0xc0ffeeu}) {
+            SpielmanCode<Fr> code(m, seed);
+            auto table = edgeRowTable(k, m, rng);
+            std::vector<U256> matrix(k * 2 * m);
+            code.encodeRows(table, matrix);
+            size_t mismatches = 0;
+            for (size_t row = 0; row < k; ++row) {
+                auto cw = code.encode(
+                    std::span<const Fr>(table.data() + row * m, m));
+                for (size_t i = 0; i < 2 * m; ++i)
+                    mismatches += cw[i].toU256() != matrix[row * 2 * m + i];
+            }
+            EXPECT_EQ(mismatches, 0u) << ff::backendName(backend)
+                                      << " n_vars=" << n_vars
+                                      << " seed=" << seed;
+        }
+    }
+    ff::clearForcedBackend();
+}
+
+TEST(EncodeRows, PerRowPathIsRedcOfEncode)
+{
+    expectEncodeRowsIsRedcOfEncode(ff::Backend::kScalar);
+}
+
+TEST(EncodeRows, IfmaBatchIsRedcOfEncode)
+{
+    if (!ff::backendAvailable(ff::Backend::kIfma))
+        GTEST_SKIP() << "this host has no AVX-512 IFMA";
+    expectEncodeRowsIsRedcOfEncode(ff::Backend::kIfma);
+}
+
+TEST(EncodeRows, SlotsOnAPoolMatchSerial)
+{
+    // One slot per thread, each taking the next batch: any split of
+    // the batches stores the same matrix, on either backend.
+    Rng rng(0x5107);
+    const size_t m = 64, k = 72; // 9 batches over 2, 3 and 4 slots
+    SpielmanCode<Fr> code(m, 17);
+    auto table = edgeRowTable(k, m, rng);
+    std::vector<U256> serial(k * 2 * m);
+    code.encodeRows(table, serial);
+    for (size_t threads : {size_t{2}, size_t{3}, size_t{4}}) {
+        exec::ExecConfig cfg;
+        cfg.threads = threads;
+        exec::ExecContext exec(cfg);
+        std::vector<U256> pooled(k * 2 * m);
+        code.encodeRows(table, pooled, &exec);
+        EXPECT_EQ(pooled, serial) << "threads=" << threads;
+        EXPECT_EQ(exec.stats("encoder").calls, 1u) << "threads=" << threads;
     }
 }
 

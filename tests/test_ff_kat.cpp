@@ -14,6 +14,7 @@
 
 #include "ff/FieldBackend.h"
 #include "ff/Fields.h"
+#include "ff/WideKernels.h"
 #include "util/Hex.h"
 #include "util/Rng.h"
 
@@ -406,6 +407,129 @@ TEST(FieldBackendKat, BatchInverseWorksForFr)
         }
     }
 }
+
+TEST(WideFieldKat, FromCanonicalLanesMatchesFromU256)
+{
+    // Every backend, whole blocks and tails, edge values included.
+    uint64_t borrow = 0;
+    const U256 p_minus_1 = subBorrow(Fr::kModulus, U256{1}, borrow);
+    Rng rng(78);
+    for (ff::Backend backend : {ff::Backend::kScalar, ff::Backend::kIfma}) {
+        if (!ff::backendAvailable(backend))
+            continue;
+        ff::forceBackend(backend);
+        for (size_t n = 0; n <= 19; ++n) {
+            std::vector<U256> in(n);
+            for (size_t i = 0; i < n; ++i)
+                in[i] = i % 3 == 0   ? p_minus_1
+                        : i % 3 == 1 ? U256{i}
+                                     : Fr::random(rng).toU256();
+            std::vector<Fr> got(n);
+            ff::fromCanonicalLanes(in.data(), got.data(), n);
+            for (size_t i = 0; i < n; ++i)
+                EXPECT_EQ(got[i], Fr::fromU256(in[i]))
+                    << ff::backendName(backend) << " n=" << n << " i=" << i;
+        }
+    }
+    ff::clearForcedBackend();
+}
+
+#if defined(__x86_64__) || defined(_M_X64)
+
+/** Lane @p lane of a row-kernel position: five radix-2^52 limbs. */
+void
+putLane(uint64_t *position, size_t lane, const U256 &v)
+{
+    for (size_t j = 0; j < ff::detail::kRowLimbs; ++j) {
+        size_t bit = 52 * j, word = bit / 64, shift = bit % 64;
+        uint64_t x = v.limb[word] >> shift;
+        if (shift > 12 && word < 3)
+            x |= v.limb[word + 1] << (64 - shift);
+        position[ff::detail::kIfmaLanes * j + lane] = x & ff::detail::kMask52;
+    }
+}
+
+U256
+getLane(const uint64_t *position, size_t lane)
+{
+    U256 v;
+    for (size_t j = 0; j < ff::detail::kRowLimbs; ++j) {
+        uint64_t x = position[ff::detail::kIfmaLanes * j + lane];
+        size_t bit = 52 * j, word = bit / 64, shift = bit % 64;
+        v.limb[word] |= x << shift;
+        if (shift > 12 && word < 3)
+            v.limb[word + 1] |= x >> (64 - shift);
+    }
+    return v;
+}
+
+TEST(RowKernelKat, ReductionAtItsBoundsMatchesSmallDot)
+{
+    // ifmaMulRows reduces each row sum once, by one quotient estimate.
+    // Row 0 takes 255 terms with coefficient 2^32 - 1. Its lanes hold
+    // the bound, every value p - 1; an exact multiple of p, values
+    // alternating p - 1 and 1 with a final 0 (127 p (2^32 - 1)); an
+    // all-zero sum; and random values. Row 1 takes 255 random terms
+    // over the same positions. Every lane must equal
+    // SmallDot::residue() of the same terms.
+    if (!ff::backendAvailable(ff::Backend::kIfma))
+        GTEST_SKIP() << "this host has no AVX-512 IFMA";
+    namespace d = ff::detail;
+    constexpr size_t kTerms = 255;
+    constexpr size_t kPos = d::kRowLimbs * d::kIfmaLanes;
+    const auto consts = d::makeWideConstants(
+        Fr::kModulus.limb[0], Fr::kModulus.limb[1], Fr::kModulus.limb[2],
+        Fr::kModulus.limb[3], Fr::kInv);
+    uint64_t borrow = 0;
+    const U256 p_minus_1 = subBorrow(Fr::kModulus, U256{1}, borrow);
+    Rng rng(79);
+
+    std::vector<U256> values(kTerms * d::kIfmaLanes);
+    auto value = [&](size_t pos, size_t lane) -> U256 & {
+        return values[pos * d::kIfmaLanes + lane];
+    };
+    for (size_t pos = 0; pos < kTerms; ++pos) {
+        value(pos, 0) = p_minus_1;
+        value(pos, 1) = pos + 1 == kTerms ? U256{}
+                        : pos % 2 == 0    ? p_minus_1
+                                          : U256{1};
+        value(pos, 2) = U256{};
+        for (size_t lane = 3; lane < d::kIfmaLanes; ++lane)
+            value(pos, lane) = Fr::random(rng).toU256();
+    }
+    std::vector<uint64_t> in(kTerms * kPos);
+    for (size_t pos = 0; pos < kTerms; ++pos)
+        for (size_t lane = 0; lane < d::kIfmaLanes; ++lane)
+            putLane(in.data() + pos * kPos, lane, value(pos, lane));
+
+    std::vector<uint32_t> terms; // (col, coeff) pairs
+    for (size_t e = 0; e < kTerms; ++e) {
+        terms.push_back(static_cast<uint32_t>(e));
+        terms.push_back(0xffffffffu);
+    }
+    for (size_t e = 0; e < kTerms; ++e) {
+        terms.push_back(static_cast<uint32_t>(rng.nextBounded(kTerms)));
+        terms.push_back(static_cast<uint32_t>(rng.next()));
+    }
+    const size_t offsets[] = {0, kTerms, 2 * kTerms};
+    std::vector<uint64_t> out(2 * kPos);
+    d::ifmaMulRows(consts, offsets, terms.data(), 2, in.data(), out.data());
+
+    for (size_t row = 0; row < 2; ++row) {
+        for (size_t lane = 0; lane < d::kIfmaLanes; ++lane) {
+            Fr::SmallDot want;
+            for (size_t e = offsets[row]; e < offsets[row + 1]; ++e)
+                want.add(value(terms[2 * e], lane), terms[2 * e + 1]);
+            EXPECT_EQ(getLane(out.data() + row * kPos, lane),
+                      want.residue())
+                << "row " << row << " lane " << lane;
+        }
+    }
+    EXPECT_EQ(getLane(out.data(), 1), U256{}) << "an exact multiple of p";
+    EXPECT_EQ(getLane(out.data(), 2), U256{}) << "the all-zero sum";
+}
+
+#endif // __x86_64__
 
 } // namespace
 } // namespace bzk

@@ -223,8 +223,9 @@ TYPED_TEST(PcsT, DistinctPolynomialsDistinctRoots)
 
 TYPED_TEST(PcsT, CommitStoresRowCodewordsRowMajor)
 {
-    // The prover state keeps one flat k x 2m matrix: row r's slice is
-    // the codeword of the table's row r, for any thread count.
+    // The prover state keeps one flat k x 2m matrix of canonical
+    // residues: row r's slice is the codeword of the table's row r, for
+    // any thread count.
     using F = TypeParam;
     Rng rng(10);
     unsigned n = 9;
@@ -242,7 +243,10 @@ TYPED_TEST(PcsT, CommitStoresRowCodewordsRowMajor)
         auto cw = pcs.code().encode(
             std::span<const F>(poly.data() + row * m, m));
         EXPECT_TRUE(std::equal(cw.begin(), cw.end(),
-                               state.codewords.begin() + row * 2 * m))
+                               state.codewords.begin() + row * 2 * m,
+                               [](const F &x, const U256 &canonical) {
+                                   return x.toU256() == canonical;
+                               }))
             << "row " << row;
     }
     pcs.commit(poly, serial);
@@ -281,6 +285,36 @@ TYPED_TEST(PcsT, CommitRootMatchesPerColumnLeaves)
             PcsProverState<F> state;
             pcs.commit(poly, state, &exec);
             EXPECT_EQ(state.commitment.root, want)
+                << "n=" << n << " threads=" << threads;
+        }
+    }
+}
+
+TYPED_TEST(PcsT, CommitMatchesAcrossBackends)
+{
+    // The 8-row IFMA encoder and the per-row path store the same
+    // canonical matrix and commit to the same root, on 1 and 3
+    // threads. n_vars 6 has k = 2 rows, so IFMA runs it per row too.
+    using F = TypeParam;
+    if (!ff::backendAvailable(ff::Backend::kIfma))
+        GTEST_SKIP() << "this host has no AVX-512 IFMA";
+    Rng rng(14);
+    for (unsigned n : {6u, 9u, 12u, 14u}) {
+        TensorPcs<F> pcs(n, 9);
+        auto poly = randomPoly<F>(n, rng);
+        for (size_t threads : {1u, 3u}) {
+            exec::ExecConfig cfg;
+            cfg.threads = threads;
+            exec::ExecContext exec(cfg);
+            PcsProverState<F> scalar, ifma;
+            ff::forceBackend(ff::Backend::kScalar);
+            pcs.commit(poly, scalar, &exec);
+            ff::forceBackend(ff::Backend::kIfma);
+            pcs.commit(poly, ifma, &exec);
+            ff::clearForcedBackend();
+            EXPECT_EQ(ifma.codewords, scalar.codewords)
+                << "n=" << n << " threads=" << threads;
+            EXPECT_EQ(ifma.commitment.root, scalar.commitment.root)
                 << "n=" << n << " threads=" << threads;
         }
     }
@@ -340,7 +374,7 @@ TYPED_TEST(PcsT, RecommitReusesTheStateAndMatchesAFreshOne)
     auto point = randomPoint<F>(n, rng);
     PcsProverState<F> reused, fresh;
     pcs.commit(first, reused, &exec);
-    const F *matrix = reused.codewords.data();
+    const U256 *matrix = reused.codewords.data();
     pcs.commit(second, reused, &exec);
     pcs.commit(second, fresh);
     EXPECT_EQ(reused.codewords.data(), matrix);

@@ -3,7 +3,9 @@
  * A gate prover that proves repeatedly allocates nothing as large as a
  * table after its first proof: the codeword matrices, folded sum-check
  * tables and suffix weights are its own buffers, reused, and the
- * committed tables are borrowed.
+ * committed tables are borrowed. A repeat commit allocates nothing as
+ * large as the encoder's row-batch buffer, which is kept per slot
+ * across commits, never per chunk.
  *
  * This binary replaces every form of the global operator new and
  * delete with malloc-backed ones. While a LargeAllocations is alive
@@ -20,6 +22,8 @@
 
 #include "core/HighDegreeSnark.h"
 #include "core/Snark.h"
+#include "core/TensorPcs.h"
+#include "ff/FieldBackend.h"
 #include "ff/Fields.h"
 
 namespace {
@@ -242,6 +246,55 @@ class ProverAllocT : public ::testing::Test
         }
     }
 };
+
+/**
+ * Commit one table three times into one state on @p exec. The first
+ * commit sizes the codeword matrix and, under IFMA, one row-batch
+ * buffer per slot; the second and third must allocate nothing as large
+ * as one batch buffer, whichever pool thread runs which slot. (A whole
+ * repeat prove cannot be held to this size: proveRounds allocates its
+ * chunk scratch, 448 KiB at kReduceChunk, per chunk and round.)
+ */
+void
+repeatCommitsAllocateNoBatchBuffer(const exec::ExecContext *exec)
+{
+    // At n = 14 a row-batch buffer holds 2m = 256 codeword positions
+    // of 8 rows: 80 KiB. The leaves and the Merkle tree stay below.
+    constexpr unsigned kNVars = 14;
+    constexpr size_t kBatchBytes = 256 * sizeof(ff::RowLanes);
+    static_assert(kBatchBytes == 80 * 1024);
+    Rng rng(15);
+    std::vector<Fr> table(size_t{1} << kNVars);
+    for (auto &x : table)
+        x = Fr::random(rng);
+    TensorPcs<Fr> pcs(kNVars, 99);
+    PcsProverState<Fr> state;
+    for (int commit = 1; commit <= 3; ++commit) {
+        size_t large = 0;
+        {
+            LargeAllocations counter(kBatchBytes);
+            pcs.commit(table, state, exec);
+            large = counter.count();
+        }
+        if (commit == 1)
+            EXPECT_GT(large, 0u) << "the first commit sizes the matrix";
+        else
+            EXPECT_EQ(large, 0u) << "commit " << commit;
+    }
+}
+
+TEST(CommitAlloc, RepeatCommitsAllocateNoBatchBufferSerially)
+{
+    repeatCommitsAllocateNoBatchBuffer(nullptr);
+}
+
+TEST(CommitAlloc, RepeatCommitsAllocateNoBatchBufferOnAPool)
+{
+    exec::ExecConfig cfg;
+    cfg.threads = 3;
+    exec::ExecContext exec(cfg);
+    repeatCommitsAllocateNoBatchBuffer(&exec);
+}
 
 using Gates = ::testing::Types<MulGate, Pow4Gate>;
 TYPED_TEST_SUITE(ProverAllocT, Gates);
