@@ -6,13 +6,14 @@
  *
  * Before the google-benchmark suite runs, a scalar-vs-SIMD sweep of
  * the wide BN254 Fr kernels (plus the 2^14-point MSM acceptance
- * sweep), the portable-vs-dispatched SHA-256 block kernels, and the
+ * sweep), the portable-vs-dispatched SHA-256 block kernels, the
  * scalar-path rows (eqTable and the column-leaf function against their
- * reference loops) are measured and printed; with `--json <path>` they
+ * reference loops) and the gate sum-check's fused chunk step against
+ * the stepped one are measured and printed; with `--json <path>` they
  * are dumped in the JsonBench schema that tools/check_bench.py gates in
  * the perf-smoke CI job (the checked-in baseline pins the
  * packed-vs-scalar Fr mul speedup and the vectorized MSM speedup; the
- * SHA-256 and scalar-path rows are reported, not pinned).
+ * SHA-256, scalar-path and gate_sums rows are reported, not pinned).
  */
 
 #include <benchmark/benchmark.h>
@@ -681,6 +682,64 @@ runScalarPathSweep(bench::JsonBench &json)
             "gated.");
 }
 
+/**
+ * The gate_sums row: ff::gateSumsLanes<4>, the gate sum-check's chunk
+ * step, over one kReduceChunk chunk of 2,048 Pow4Gate pairs, against
+ * the chunk step it replaced, steppedSums with a lane-kernel combine
+ * (a^4 by two mulLanes, times b, minus c, dotted with the weights).
+ * The six sums must agree exactly or the run dies. Reported only; meta
+ * gate_sums_backend names the backend both sides dispatched to.
+ */
+void
+runGateSumsSweep(bench::JsonBench &json)
+{
+    constexpr size_t kPairs = exec::kReduceChunk;
+    constexpr size_t kIters = 16;
+    Rng rng(0x6a7e);
+    std::vector<Fr> a(2 * kPairs), b(2 * kPairs), c(2 * kPairs), w(kPairs);
+    for (std::vector<Fr> *v : {&a, &b, &c, &w})
+        for (Fr &x : *v)
+            x = Fr::random(rng);
+    auto stepped = steppedSums<6>([](const std::array<const Fr *, 3> &at,
+                                     const Fr *wt, Fr *g, size_t m) {
+        ff::mulLanes(at[0], at[0], g, m);
+        ff::mulLanes(g, g, g, m);
+        ff::mulLanes(g, at[1], g, m);
+        ff::subLanes(g, at[2], g, m);
+        return ff::dotLanes(wt, g, m);
+    });
+    const std::array<const Fr *, 3> lo{a.data(), b.data(), c.data()};
+    std::array<Fr, 6> want{}, got{};
+    double stepped_ms = medianMs([&] {
+        for (size_t it = 0; it < kIters; ++it)
+            want = stepped(lo, kPairs, w.data(), kPairs);
+    });
+    double fused_ms = medianMs([&] {
+        for (size_t it = 0; it < kIters; ++it)
+            got = ff::gateSumsLanes<4>(a.data(), b.data(), c.data(), kPairs,
+                                       w.data(), kPairs);
+    });
+    if (got != want)
+        fatal("bench_micro: gateSumsLanes diverged from the stepped sums");
+    const char *backend = ff::backendName(ff::activeBackend());
+    json.meta("gate_sums_backend", backend);
+
+    TablePrinter out({"Row", "reference ms", "fast ms", "speedup"});
+    out.addRow({"gate_sums", formatSig(stepped_ms / kIters, 4),
+                formatSig(fused_ms / kIters, 4),
+                bench::fmtSpeedup(stepped_ms / fused_ms)});
+    json.addRow("gate_sums", {{"stepped_ms", stepped_ms / kIters},
+                              {"fused_ms", fused_ms / kIters},
+                              {"fused_speedup", stepped_ms / fused_ms}});
+    bench::printTable(
+        "Sum-check path (reference vs fast)", out,
+        std::string("Single-threaded, ") + backend +
+            " backend. gate_sums: the six round sums of a^4 * b - c "
+            "over 2,048 table pairs, one fused pass vs tables stepped by "
+            "addition and five lane kernels per point; ms per chunk. "
+            "Sums verified identical. Not gated.");
+}
+
 } // namespace
 } // namespace bzk
 
@@ -695,6 +754,7 @@ main(int argc, char **argv)
     bzk::runWideFieldSweep(json);
     bzk::runShaSweep(json);
     bzk::runScalarPathSweep(json);
+    bzk::runGateSumsSweep(json);
     json.write();
 
     std::vector<std::string> opts;

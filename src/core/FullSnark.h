@@ -145,19 +145,20 @@ class FullSnark
         for (const auto &e : r1cs_.c)
             m[e.col] += a2 * e.coeff * eq_rx[e.row];
 
-        std::vector<F> ry = proveRounds<3>(
+        std::vector<F> ry = proveRounds(
             {m, z}, std::array{&m, &z},
-            [](const std::array<const F *, 2> &at, const F *, F *,
-               size_t n) {
+            steppedSums<3>([](const std::array<const F *, 2> &at, const F *,
+                              F *, size_t n) {
                 return ff::dotLanes(at[0], at[1], n);
-            },
+            }),
             kPhase2Labels.absorber<F>(transcript), proof.phase2.rounds);
 
         // Open the private half at ry's tail.
         std::vector<F> ry_tail(ry.begin() + 1, ry.end());
         proof.vw = pcs_.evaluate(st_w, ry_tail);
         transcript.absorbField("p2.vw", proof.vw);
-        proof.open_w = pcs_.open(st_w, ry_tail, transcript);
+        proof.open_w =
+            pcs_.open(st_w, pcs_.evalRow(st_w, ry_tail), transcript);
         return proof;
     }
 
@@ -184,9 +185,9 @@ class FullSnark
         if (!p1.ok)
             return false;
         const std::vector<F> &rx = p1.point;
-        F gate{};
-        MulGate::eval(&proof.va, &proof.vb, &proof.vc, &gate, 1);
-        if (eqEval(tau, rx) * gate != p1.final_claim)
+        if (eqEval(tau, rx) * ff::gateValue<MulGate::kPower>(
+                                  proof.va, proof.vb, proof.vc) !=
+            p1.final_claim)
             return false;
         transcript.absorbField("p1.va", proof.va);
         transcript.absorbField("p1.vb", proof.vb);

@@ -11,17 +11,19 @@
  *      (linear-time encoder -> column Merkle trees -> roots);
  *   2. derive the gate challenge tau from the roots (Fiat-Shamir);
  *   3. run the gate sum-check  sum_x eq(tau,x) * G(a(x), b(x), c(x)) = 0;
- *   4. open a, b, c at the sum-check's final point through the PCS;
+ *   4. open a, b, c at the sum-check's final point through the PCS,
+ *      with the evaluation rows the sum-check's folded tables became;
  *   5. the verifier replays the transcript, checks the sum-check,
  *      checks the three openings, and checks
  *      eq(tau,r) * G(va, vb, vc) == final sum-check claim.
  *
- * The gate G is a type parameter. A gate definition supplies:
+ * The gate G = a^K * b - c is a type parameter. A gate definition
+ * supplies:
  *
- *   - kEvals: evaluations per round polynomial, deg(eq * G) + 1;
- *   - eval(a, b, c, out, n): out[i] = G(a[i], b[i], c[i]) on the ff
- *     lane kernels (the prover runs it over sum-check chunks, the
- *     verifier's final check with n = 1);
+ *   - kPower: K; the prover's chunk step (ff::gateSumsLanes) and the
+ *     verifier's final check (ff::gateValue) compute G from it;
+ *   - kEvals: evaluations per round polynomial, deg(eq * G) + 1 =
+ *     K + 3;
  *   - kDomain and kLabels: its transcript domain and round labels, so
  *     a proof under one gate never replays as another;
  *   - kProofTag: the leading byte of its wire encoding.
@@ -116,7 +118,8 @@ struct GateProof
  *
  * The prover keeps its working set across proofs: the three tables'
  * commitment states with their codeword matrices, the sum-check's
- * folded tables and its suffix weights. The first prove allocates
+ * folded tables, its suffix weights and the three evaluation rows it
+ * hands the openings. The first prove allocates
  * them and every later prove reuses them, so a prover that proves
  * repeatedly allocates nothing large after its first proof. The
  * committed tables themselves are borrowed, never copied. A GateSnark
@@ -172,10 +175,14 @@ class GateSnark
             panic("GateSnark::prove: tables have %u vars, system built "
                   "for %u",
                   tables.n_vars, n_vars_);
-        if (!work_)
+        if (!work_) {
             work_.emplace();
+            for (std::vector<F> &row : work_->rows)
+                row.resize(size_t{1} << pcs_.colVars());
+        }
         auto &[st_a, st_b, st_c] = work_->committed;
         auto &[fa, fb, fc] = work_->folded;
+        auto &[row_a, row_b, row_c] = work_->rows;
 
         Transcript transcript(Gate::kDomain);
         absorbStatement(transcript, public_inputs);
@@ -200,11 +207,12 @@ class GateSnark
 
         // 3. Gate sum-check over eq * G(a, b, c). Round 0 reads the
         // tables; the folded halves end as the tables' values at the
-        // final point, which are the openings.
-        std::vector<F> point;
+        // final point, which are the openings. After rowVars rounds the
+        // folded tables are the evaluation rows, which it copies out.
         proof.gate_sc = proveGateSumcheck<Gate>(
             tau, {tables.a, tables.b, tables.c}, {&fa, &fb, &fc},
-            work_->weights, Gate::kLabels, transcript, &point, exec_);
+            work_->weights, Gate::kLabels, transcript, nullptr, exec_,
+            {row_a, row_b, row_c});
         proof.va = fa[0];
         proof.vb = fb[0];
         proof.vc = fc[0];
@@ -213,9 +221,9 @@ class GateSnark
 
         // 4. Open the tables at the final point.
         absorbOpenings(transcript, proof);
-        proof.open_a = pcs_.open(st_a, point, transcript, exec_);
-        proof.open_b = pcs_.open(st_b, point, transcript, exec_);
-        proof.open_c = pcs_.open(st_c, point, transcript, exec_);
+        proof.open_a = pcs_.open(st_a, row_a, transcript, exec_);
+        proof.open_b = pcs_.open(st_b, row_b, transcript, exec_);
+        proof.open_c = pcs_.open(st_c, row_c, transcript, exec_);
         return proof;
     }
 
@@ -236,9 +244,9 @@ class GateSnark
         const std::vector<F> &point = verdict.point;
 
         // Final algebraic check against the claimed openings.
-        F gate{};
-        Gate::eval(&proof.va, &proof.vb, &proof.vc, &gate, 1);
-        if (eqEval(tau, point) * gate != verdict.final_claim)
+        if (eqEval(tau, point) *
+                ff::gateValue<Gate::kPower>(proof.va, proof.vb, proof.vc) !=
+            verdict.final_claim)
             return false;
 
         absorbOpenings(transcript, proof);
@@ -289,6 +297,8 @@ class GateSnark
         std::array<PcsProverState<F>, 3> committed;
         std::array<std::vector<F>, 3> folded;
         std::vector<F> weights;
+        /** The evaluation rows, 2^colVars entries each. */
+        std::array<std::vector<F>, 3> rows;
     };
 
     unsigned n_vars_;

@@ -9,8 +9,8 @@
  *
  *   sum_x eq(tau,x) * (a(x)^4 * b(x) - c(x)) = 0
  *
- * with degree-6 round polynomials. Each evaluation point costs three
- * more multiplications than the multiplicative gate, which shifts the
+ * with degree-6 round polynomials. Each evaluation point costs two
+ * more squarings than the multiplicative gate, which shifts the
  * module cost mix toward the sum-check stage: the workload shape
  * zkSpeed/zkPHIRE report for HyperPlonk, and the stress case for the
  * scheduler's measured-cost lane policy.
@@ -26,34 +26,16 @@
 
 namespace bzk {
 
-/** x^4 via two squarings. */
-template <typename F>
-inline F
-pow4(const F &x)
-{
-    F sq = x * x;
-    return sq * sq;
-}
-
 /** The degree-5 custom gate a^4 * b - c. */
 struct Pow4Gate
 {
+    /** a's exponent K in a^K * b - c. */
+    static constexpr size_t kPower = 4;
     /** eq * (a^4 b - c) has degree 6 in each variable. */
-    static constexpr size_t kEvals = 7;
+    static constexpr size_t kEvals = kPower + 3;
     static constexpr const char *kDomain = "batchzk.hdg.v1";
     static constexpr RoundLabels kLabels{"hdg.g", "hdg.r"};
     static constexpr uint8_t kProofTag = 0x04;
-
-    /** out[i] = a[i]^4 * b[i] - c[i], a^4 via two squarings. */
-    template <typename F>
-    static void
-    eval(const F *a, const F *b, const F *c, F *out, size_t n)
-    {
-        ff::mulLanes(a, a, out, n);
-        ff::mulLanes(out, out, out, n);
-        ff::mulLanes(out, b, out, n);
-        ff::subLanes(out, c, out, n);
-    }
 };
 
 template <typename F>
@@ -81,7 +63,9 @@ highDegreeInstance(unsigned n_vars, Rng &rng)
     for (size_t i = 0; i < size; ++i) {
         tables.a[i] = F::random(rng);
         tables.b[i] = F::random(rng);
-        tables.c[i] = pow4(tables.a[i]) * tables.b[i];
+        tables.c[i] =
+            ff::gateValue<Pow4Gate::kPower>(tables.a[i], tables.b[i],
+                                            F::zero());
     }
     return tables;
 }

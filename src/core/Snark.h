@@ -17,7 +17,6 @@
 
 #include "circuit/Circuit.h"
 #include "core/GateSnark.h"
-#include "ff/FieldBackend.h"
 #include "ff/Fields.h"
 #include "util/Rng.h"
 
@@ -26,20 +25,13 @@ namespace bzk {
 /** The multiplicative gate a*b - c. */
 struct MulGate
 {
+    /** a's exponent K in a^K * b - c. */
+    static constexpr size_t kPower = 1;
     /** eq * (a*b - c) is cubic in each variable. */
-    static constexpr size_t kEvals = 4;
+    static constexpr size_t kEvals = kPower + 3;
     static constexpr const char *kDomain = "batchzk.snark.v1";
     static constexpr RoundLabels kLabels{"csc.g", "csc.r"};
     static constexpr uint8_t kProofTag = 0x01;
-
-    /** out[i] = a[i] * b[i] - c[i]. */
-    template <typename F>
-    static void
-    eval(const F *a, const F *b, const F *c, F *out, size_t n)
-    {
-        ff::mulLanes(a, b, out, n);
-        ff::subLanes(out, c, out, n);
-    }
 };
 
 template <typename F>

@@ -11,6 +11,8 @@
  *
  * Opening at a point r = (r_row, r_col) sends
  *  - the eq(r_row)-combination of the rows (the "evaluation row"),
+ *    which the caller supplies: the gate sum-check's folded tables
+ *    already are it, and evalRow() builds it otherwise;
  *  - a gamma-powers combination of the rows (the "proximity row"),
  *  - a few spot-checked codeword columns with Merkle paths.
  * The verifier re-encodes both combined rows and checks them against the
@@ -226,28 +228,71 @@ class TensorPcs
     }
 
     /**
-     * Produce an opening proof for @p point. Both row combinations come
-     * from one pass over the table; @p exec parallelizes it across
-     * columns. Each output column accumulates its rows in the same
-     * ascending order as the serial pass, so the proof is
-     * bit-identical.
+     * The row combination sum_row coeffs[row] * (row of the committed
+     * table), m entries: the one routine behind both opened rows.
+     * @p exec parallelizes it across columns; each column accumulates
+     * its rows in ascending order whatever the split, with row-outer
+     * axpys over each column chunk, so the contiguous table rows feed
+     * the packed kernels.
+     */
+    std::vector<F>
+    combineRows(const PcsProverState<F> &state, std::span<const F> coeffs,
+                const exec::ExecContext *exec = nullptr) const
+    {
+        size_t k = size_t{1} << row_vars_;
+        size_t m = size_t{1} << col_vars_;
+        if (coeffs.size() != k)
+            panic("TensorPcs::combineRows: %zu coefficients for %zu rows",
+                  coeffs.size(), k);
+        std::vector<F> out(m, F::zero());
+        auto combine_cols = [&](size_t begin, size_t end) {
+            for (size_t row = 0; row < k; ++row)
+                ff::axpyLanes(out.data() + begin,
+                              state.poly.data() + row * m + begin,
+                              coeffs[row], end - begin);
+        };
+        if (exec)
+            exec->parallelFor(m, /*serial_cutoff=*/8, combine_cols);
+        else
+            combine_cols(0, m);
+        return out;
+    }
+
+    /**
+     * The evaluation row for @p point (n_vars entries, the first
+     * row_vars select the row): combineRows with eq(r_row), for a
+     * caller that has no sum-check to take it from.
+     */
+    std::vector<F>
+    evalRow(const PcsProverState<F> &state, const std::vector<F> &point,
+            const exec::ExecContext *exec = nullptr) const
+    {
+        if (point.size() != n_vars_)
+            panic("TensorPcs::evalRow: point size %zu != %u", point.size(),
+                  n_vars_);
+        std::vector<F> r_row(point.begin(), point.begin() + row_vars_);
+        return combineRows(state, eqTable(r_row), exec);
+    }
+
+    /**
+     * Produce an opening proof with the caller's @p eval_row, the
+     * eq(r_row)-combination of the committed rows for the opened point
+     * (m entries): the proof sends it, and open() builds only the
+     * proximity row (combineRows) and the column openings.
      */
     PcsEvalProof<F>
-    open(const PcsProverState<F> &state, const std::vector<F> &point,
+    open(const PcsProverState<F> &state, std::span<const F> eval_row,
          Transcript &transcript,
          const exec::ExecContext *exec = nullptr) const
     {
-        if (point.size() != n_vars_)
-            panic("TensorPcs::open: point size %zu != %u", point.size(),
-                  n_vars_);
         size_t k = size_t{1} << row_vars_;
         size_t m = size_t{1} << col_vars_;
+        if (eval_row.size() != m)
+            panic("TensorPcs::open: evaluation row of %zu, want %zu",
+                  eval_row.size(), m);
 
-        std::vector<F> r_row(point.begin(), point.begin() + row_vars_);
-        auto eq_row = eqTable(r_row);
         // Proximity combination with gamma powers, gamma derived after
-        // the commitment was absorbed by the caller. Building the rows
-        // touches no transcript, so gamma can come first.
+        // the commitment was absorbed by the caller.
         F gamma = transcript.template challengeField<F>("pcs.gamma");
         std::vector<F> gamma_pow(k);
         F g = F::one();
@@ -259,26 +304,8 @@ class TensorPcs
             exec->setRegion("open");
 
         PcsEvalProof<F> proof;
-        proof.eval_row.assign(m, F::zero());
-        proof.proximity_row.assign(m, F::zero());
-        // Row-outer axpys over each column chunk: the contiguous poly
-        // rows feed the packed kernels, each row chunk is read once for
-        // both combinations, and every column still accumulates its
-        // rows in the same ascending order as the serial column-major
-        // pass, so the proof is bit-identical.
-        auto combine_cols = [&](size_t begin, size_t end) {
-            for (size_t row = 0; row < k; ++row) {
-                const F *x = state.poly.data() + row * m + begin;
-                ff::axpyLanes(proof.eval_row.data() + begin, x, eq_row[row],
-                              end - begin);
-                ff::axpyLanes(proof.proximity_row.data() + begin, x,
-                              gamma_pow[row], end - begin);
-            }
-        };
-        if (exec)
-            exec->parallelFor(m, /*serial_cutoff=*/8, combine_cols);
-        else
-            combine_cols(0, m);
+        proof.eval_row.assign(eval_row.begin(), eval_row.end());
+        proof.proximity_row = combineRows(state, gamma_pow, exec);
 
         for (const F &v : proof.eval_row)
             transcript.absorbField("pcs.eval_row", v);

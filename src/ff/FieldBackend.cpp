@@ -342,6 +342,59 @@ dotLanes(const Fp<P> *a, const Fp<P> *b, size_t n)
     return acc;
 }
 
+template <size_t K, typename P>
+std::array<Fp<P>, K + 2>
+gateSumsLanes(const Fp<P> *a, const Fp<P> *b, const Fp<P> *c, size_t half,
+              const Fp<P> *w, size_t n)
+{
+    using F = Fp<P>;
+    constexpr size_t kPoints = K + 2;
+    std::array<F, kPoints> sums{};
+    size_t i = ifmaElements(n);
+    if constexpr (kIfmaBuilt) {
+        if (i) {
+            static_assert(K == 1 || K == 4, "ifmaGateSums serves K = 1, 4");
+            static_assert(F::kModulus.limb[3] >> 62 == 0,
+                          "ifmaGateSums' reduction bound needs p < 2^254");
+            // Groups 0 .. K + 1 sum w a_t^K b_t, then w c_lo and w c_hi.
+            F lanes[kPoints + 2][detail::kIfmaLanes];
+            std::array<F, kPoints + 2> group{};
+            for (size_t at = 0; at < i; at += detail::kGateSumsSpan) {
+                size_t m = std::min(detail::kGateSumsSpan, i - at);
+                detail::ifmaGateSums<K>(wideConstants<F>(), limbs(a + at),
+                                        limbs(b + at), limbs(c + at), half,
+                                        limbs(w + at), m, limbs(&lanes[0][0]));
+                for (size_t g = 0; g < group.size(); ++g)
+                    for (const F &lane : lanes[g])
+                        group[g] += lane;
+            }
+            const F scale = F::fromUint(uint64_t{1}
+                                        << detail::gateSumsShift(K));
+            const F c_scale = F::fromUint(uint64_t{1}
+                                          << detail::kGateSumsCShift);
+            // sum w c_t is affine in t.
+            F wc = group[kPoints] * c_scale;
+            const F wc_step = group[kPoints + 1] * c_scale - wc;
+            for (size_t t = 0; t < kPoints; ++t, wc += wc_step)
+                sums[t] = group[t] * scale - wc;
+        }
+    }
+    for (; i < n; ++i) {
+        F at = a[i], bt = b[i], ct = c[i];
+        const F da = a[half + i] - at, db = b[half + i] - bt,
+                dc = c[half + i] - ct;
+        for (size_t t = 0; t < kPoints; ++t) {
+            if (t > 0) {
+                at += da;
+                bt += db;
+                ct += dc;
+            }
+            sums[t] += w[i] * gateValue<K>(at, bt, ct);
+        }
+    }
+    return sums;
+}
+
 template <typename P>
 void
 fromCanonicalLanes(const U256 *in, Fp<P> *out, size_t n)
@@ -451,6 +504,12 @@ template Fr sumLanes(const Fr *, size_t);
 template Fr dotLanes(const Fr *, const Fr *, size_t);
 template size_t batchInverse(Fr *, size_t);
 template void fromCanonicalLanes(const U256 *, Fr *, size_t);
+template std::array<Fr, 3> gateSumsLanes<1>(const Fr *, const Fr *,
+                                            const Fr *, size_t, const Fr *,
+                                            size_t);
+template std::array<Fr, 6> gateSumsLanes<4>(const Fr *, const Fr *,
+                                            const Fr *, size_t, const Fr *,
+                                            size_t);
 template void loadRowBatch(const Fr *, size_t, size_t, RowLanes *);
 template void mulRowBatch<Fr>(const size_t *, const RowTerm *, size_t,
                               const RowLanes *, RowLanes *);

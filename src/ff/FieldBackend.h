@@ -9,7 +9,8 @@
  * encoder SpMV, tensor-PCS row combines) all reduce to long chains of
  * field mul/add over contiguous element arrays. This header is the one
  * place those loops go: add, sub, mul, fold and dot/sum/axpy kernels
- * over lanes, plus Montgomery batch inversion.
+ * over lanes, Montgomery batch inversion, the encoder's row batch and
+ * the gate sum-check's fused round sums (gateSumsLanes).
  *
  * Every kernel computes exactly the same field elements as the obvious
  * Fp loop: lane packing only reorders independent lane work, and where
@@ -29,6 +30,7 @@
  * with forceBackend(). See docs/PERFORMANCE.md.
  */
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -145,6 +147,52 @@ Fp<P> dotLanes(const Fp<P> *a, const Fp<P> *b, size_t n);
  */
 template <typename P>
 size_t batchInverse(Fp<P> *x, size_t n);
+
+/** x^K by repeated squaring. */
+template <size_t K, typename F>
+F
+powConst(const F &x)
+{
+    static_assert(K >= 1);
+    if constexpr (K == 1) {
+        return x;
+    } else if constexpr (K % 2 == 1) {
+        return powConst<K - 1>(x) * x;
+    } else {
+        F half = powConst<K / 2>(x);
+        return half * half;
+    }
+}
+
+/**
+ * The custom gate G(a, b, c) = a^K * b - c (core/GateSnark.h) at one
+ * point: gateSumsLanes' Fp path and the verifiers' final checks.
+ */
+template <size_t K, typename F>
+F
+gateValue(const F &a, const F &b, const F &c)
+{
+    return powConst<K>(a) * b - c;
+}
+
+/**
+ * The gate sum-check's chunk step: every round sum of G = a^K * b - c
+ * over n table pairs in one call,
+ *
+ *   sums[t] = sum_{i < n} w[i] * G(a_t[i], b_t[i], c_t[i]),
+ *   x_t[i] = x[i] + t * (x[half + i] - x[i]),
+ *
+ * for t = 0 .. K + 1: pair i is element i (lo) and element half + i
+ * (hi) of each table. Under kIfma, ifmaGateSums (K = 1 or 4) runs the
+ * whole 8-pair blocks in one radix-2^52 pass and Fp scales its sums
+ * back; Fp runs each call's tail, and every pair under kScalar, as the
+ * plain formula with the tables stepped by addition. Allocates
+ * nothing. Instantiated for Fr with K = 1 and K = 4.
+ */
+template <size_t K, typename P>
+std::array<Fp<P>, K + 2> gateSumsLanes(const Fp<P> *a, const Fp<P> *b,
+                                       const Fp<P> *c, size_t half,
+                                       const Fp<P> *w, size_t n);
 
 /**
  * out[i] = the element whose canonical value is in[i] (each below p):

@@ -4,9 +4,9 @@
 /**
  * @file
  * Radix-2^52 helpers shared by the AVX-512 IFMA translation units
- * (WideKernelsIfma.cpp, RowKernelsIfma.cpp). Include it only from a TU
- * compiled with -mavx512f -mavx512ifma: everything here is AVX-512
- * code.
+ * (WideKernelsIfma.cpp, RowKernelsIfma.cpp, GateKernelsIfma.cpp).
+ * Include it only from a TU compiled with -mavx512f -mavx512ifma:
+ * everything here is AVX-512 code.
  *
  * One __m512i holds the same limb of 8 values, one per 64-bit lane.
  * A 4x64 value re-slices into five 52-bit limbs, the operand width of
@@ -151,6 +151,72 @@ from52(const V t[5], V L[4])
                            _mm512_slli_epi64(t[3], 28));
     L[3] = _mm512_or_si512(_mm512_srli_epi64(t[3], 36),
                            _mm512_slli_epi64(t[4], 16));
+}
+
+/** Carry every slot of @p a[0..N-1] into 52-bit limbs, the rest up. */
+template <int N>
+inline void
+carry52(const ConstsV &k, V a[N])
+{
+#pragma GCC unroll 16
+    for (int j = 0; j + 1 < N; ++j) {
+        a[j + 1] = _mm512_add_epi64(a[j + 1], _mm512_srli_epi64(a[j], 52));
+        a[j] = _mm512_and_si512(a[j], k.mask52);
+    }
+}
+
+/**
+ * x - p where that does not borrow, else x: canonical for x < 2p.
+ * Limbs are below 2^52, so the sign bit of each 64-bit difference is
+ * the borrow.
+ */
+inline void
+subPIfAbove(const ConstsV &k, V x[5])
+{
+    V d[5];
+    V bw = k.zero;
+#pragma GCC unroll 16
+    for (int j = 0; j < 5; ++j) {
+        V s = _mm512_sub_epi64(_mm512_sub_epi64(x[j], k.p52[j]), bw);
+        bw = _mm512_srli_epi64(s, 63);
+        d[j] = _mm512_and_si512(s, k.mask52);
+    }
+    __mmask8 ge = _mm512_cmpeq_epi64_mask(bw, k.zero);
+#pragma GCC unroll 16
+    for (int j = 0; j < 5; ++j)
+        x[j] = _mm512_mask_blend_epi64(ge, x[j], d[j]);
+}
+
+/** (x + y) mod p on canonical radix-52 values; out may be x or y. */
+inline void
+addMod52(const ConstsV &k, const V x[5], const V y[5], V out[5])
+{
+#pragma GCC unroll 16
+    for (int j = 0; j < 5; ++j)
+        out[j] = _mm512_add_epi64(x[j], y[j]);
+    carry52<5>(k, out);
+    subPIfAbove(k, out);
+}
+
+/** (x - y) mod p on canonical radix-52 values; out may be x or y. */
+inline void
+subMod52(const ConstsV &k, const V x[5], const V y[5], V out[5])
+{
+    V bw = k.zero;
+#pragma GCC unroll 16
+    for (int j = 0; j < 5; ++j) {
+        V s = _mm512_sub_epi64(_mm512_sub_epi64(x[j], y[j]), bw);
+        bw = _mm512_srli_epi64(s, 63);
+        out[j] = _mm512_and_si512(s, k.mask52);
+    }
+    // A final borrow leaves x - y + 2^260: adding p and dropping the
+    // carry out of the top limb gives x - y + p.
+    __mmask8 neg = _mm512_cmpneq_epi64_mask(bw, k.zero);
+#pragma GCC unroll 16
+    for (int j = 0; j < 5; ++j)
+        out[j] = _mm512_mask_add_epi64(out[j], neg, out[j], k.p52[j]);
+    carry52<5>(k, out);
+    out[4] = _mm512_and_si512(out[4], k.mask52);
 }
 
 } // namespace bzk::ff::detail

@@ -48,17 +48,6 @@ namespace {
 /** Limbs per batch position. */
 constexpr size_t kPosLimbs = kRowLimbs * kIfmaLanes;
 
-/** Carry every slot of @p a[0..n-1] into 52-bit limbs, the rest up. */
-template <int N>
-inline void
-carry52(const ConstsV &k, V a[N])
-{
-    for (int j = 0; j + 1 < N; ++j) {
-        a[j + 1] = _mm512_add_epi64(a[j + 1], _mm512_srli_epi64(a[j], 52));
-        a[j] = _mm512_and_si512(a[j], k.mask52);
-    }
-}
-
 /**
  * t[p] = x[p] * 2^-260 mod p for N five-limb values below 2^259 (limbs
  * below 2^52): the Montgomery folding rounds without partial products,
@@ -133,18 +122,10 @@ reduceSum(const ConstsV &k, V mu, V s[6], V t[5])
         r[j] = _mm512_and_si512(r[j], k.mask52);
     }
     r[4] = _mm512_and_si512(r[4], k.mask52);
-    // r < 2p: subtract p where that does not borrow. Limbs are below
-    // 2^52, so the sign bit of each 64-bit difference is the borrow.
-    V d[5];
-    V bw = k.zero;
-    for (int j = 0; j < 5; ++j) {
-        V diff = _mm512_sub_epi64(_mm512_sub_epi64(r[j], k.p52[j]), bw);
-        bw = _mm512_srli_epi64(diff, 63);
-        d[j] = _mm512_and_si512(diff, k.mask52);
-    }
-    __mmask8 ge = _mm512_cmpeq_epi64_mask(bw, k.zero);
+    // r < 2p: one conditional subtraction.
+    subPIfAbove(k, r);
     for (int j = 0; j < 5; ++j)
-        t[j] = _mm512_mask_blend_epi64(ge, r[j], d[j]);
+        t[j] = r[j];
 }
 
 /**

@@ -5,8 +5,9 @@
  * @file
  * Internal contract between the FieldBackend dispatcher and the
  * AVX-512 IFMA kernels: packed Montgomery arithmetic for 4x64-limb
- * prime fields (BN254 Fr and Fq) in WideKernelsIfma.cpp, and the
- * Spielman encoder's 8-row kernels in RowKernelsIfma.cpp.
+ * prime fields (BN254 Fr and Fq) in WideKernelsIfma.cpp, the
+ * Spielman encoder's 8-row kernels in RowKernelsIfma.cpp, and the gate
+ * sum-check's round sums in GateKernelsIfma.cpp.
  *
  * The lane kernels operate on contiguous arrays of Montgomery-form
  * elements in the same memory layout as Fp<> (four little-endian
@@ -18,7 +19,8 @@
  * WideFieldConstants so one set of kernels serves every 4x64 field.
  *
  * Every lane kernel must store bit-for-bit what Fp's operators
- * compute, and every row kernel what Fp::SmallDot::residue() computes.
+ * compute, every row kernel what Fp::SmallDot::residue() computes,
+ * and the gate kernel, once scaled, what Fp's sums compute.
  * That holds even though the radix-52 IFMA arithmetic differs from
  * Fp's radix-64 code because each result is fully canonicalized: the
  * Montgomery product a*b*2^-256 mod p, or the residue of an integer
@@ -174,6 +176,41 @@ void ifmaMulRows(const WideFieldConstants &c, const size_t *offsets,
  */
 void ifmaStoreRows(const uint64_t *batch, size_t n, uint64_t *rows,
                    size_t row_stride);
+
+// The gate sum-check's chunk kernel (GateKernelsIfma.cpp, same flags
+// and dispatch rule). It needs p < 2^254 (its reduction bound).
+
+/** Most pairs per ifmaGateSums call: at most 256 products per lane. */
+inline constexpr size_t kGateSumsSpan = 2048;
+
+/**
+ * log2 of the power of two each a^K * w * b sum of ifmaGateSums<K> is
+ * short by: its products divide by 2^260 where Fp's divide by 2^256.
+ */
+constexpr unsigned
+gateSumsShift(unsigned power)
+{
+    return power == 1 ? 8 : 20;
+}
+
+/** The same for its w * c sums. */
+inline constexpr unsigned kGateSumsCShift = 4;
+
+/**
+ * The round sums of the gate a^K * b - c (K = 1 or 4) over pairs
+ * i < n, n a whole number of blocks and at most kGateSumsSpan: pair i
+ * is element i (lo) and element half + i (hi) of @p a, @p b and @p c,
+ * and x_t = x_lo + t * (x_hi - x_lo). Writes K + 4 groups of
+ * kIfmaLanes elements to @p out_lanes, each canonical in Montgomery
+ * form, lane l of a group summing the i with i % 8 == l: group
+ * t < K + 2 sums w[i] * a_t^K * b_t times 2^-gateSumsShift(K), group
+ * K + 2 sums w[i] * c_lo and group K + 3 w[i] * c_hi, both times
+ * 2^-kGateSumsCShift.
+ */
+template <unsigned K>
+void ifmaGateSums(const WideFieldConstants &c, const uint64_t *a,
+                  const uint64_t *b, const uint64_t *cc, size_t half,
+                  const uint64_t *w, size_t n, uint64_t *out_lanes);
 
 } // namespace bzk::ff::detail
 

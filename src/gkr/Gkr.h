@@ -130,9 +130,10 @@ class Gkr
                 }
             }
             std::vector<F> vx_table;
-            std::vector<F> rx = proveRounds<3>(
-                {below, a12, a3}, std::array{&vx_table, &a12, &a3}, vcd,
-                kLabels.absorber<F>(transcript), layer.rounds);
+            std::vector<F> rx = proveRounds(
+                {below, a12, a3}, std::array{&vx_table, &a12, &a3},
+                steppedSums<3>(vcd), kLabels.absorber<F>(transcript),
+                layer.rounds);
             layer.vx = vx_table[0];
 
             // Phase 2 bookkeeping (scatter by in1, rx fixed):
@@ -151,9 +152,10 @@ class Gkr
                 }
             }
             std::vector<F> vy_table;
-            std::vector<F> ry = proveRounds<3>(
-                {below, c, d}, std::array{&vy_table, &c, &d}, vcd,
-                kLabels.absorber<F>(transcript), layer.rounds);
+            std::vector<F> ry = proveRounds(
+                {below, c, d}, std::array{&vy_table, &c, &d},
+                steppedSums<3>(vcd), kLabels.absorber<F>(transcript),
+                layer.rounds);
             layer.vy = vy_table[0];
 
             transcript.absorbField("gkr.vx", layer.vx);

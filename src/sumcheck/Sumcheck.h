@@ -13,24 +13,29 @@
  *
  * Every Fiat-Shamir sum-check runs on one prover round loop,
  * proveRounds(), and one verifier loop, verifyRounds(). A caller
- * supplies the tables, the buffers they fold into, a combine step that
- * sums its round polynomial over a chunk of rows, and the absorb step
- * that binds each round message into its transcript. The loop steps
- * each table across the round's points by addition and folds it once,
- * after the challenge; it never writes the tables, so a prover need
- * not copy what it also commits to.
- * The four callers: proveSumcheckFs (Algorithm 1), the gate sum-check
- * (eq times a custom gate G(a, b, c), core/GateSnark.h), FullSnark's
- * phase 2 (M times z) and GKR's layer rounds (V times C plus D). The
- * gate sum-check also passes the unfolded suffix weights eq(tau_>i, .)
- * and a finish step that scales its weighted sums into the round
- * message, so eq(tau, x) is never folded (Gruen, ePrint 2024/108).
+ * supplies the tables, the buffers they fold into, a chunk step that
+ * returns every round sum of a chunk of rows in one call, and the
+ * absorb step that binds each round message into its transcript. The
+ * loop folds each table once per round, after the challenge; it never
+ * writes the tables, so a prover need not copy what it also commits
+ * to. The four callers: proveSumcheckFs (Algorithm 1), the gate
+ * sum-check (eq times a custom gate G(a, b, c), core/GateSnark.h),
+ * FullSnark's phase 2 (M times z) and GKR's layer rounds (V times C
+ * plus D). The gate sum-check's chunk step is one fused kernel pass
+ * (ff::gateSumsLanes); the others build theirs with steppedSums(),
+ * which steps each table across the round's points by addition and
+ * sums each point with a combine step on the lane kernels. The gate
+ * sum-check also passes the unfolded suffix weights eq(tau_>i, .) and
+ * a finish step that scales its weighted sums into the round message,
+ * so eq(tau, x) is never folded (Gruen, ePrint 2024/108).
  */
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -167,6 +172,60 @@ struct SendSums
 };
 
 /**
+ * proveRounds' chunk step built from a combine step that sums one
+ * point, for the callers without a fused kernel. Each table restricted
+ * to the round variable is affine, so its value at t is
+ * lo + t * (hi - lo): at t = 0 and t = 1 the table halves themselves;
+ * per chunk the slope hi - lo is taken once, t = 2 is hi plus the
+ * slope, and each later t adds the slope in place, all in chunk
+ * scratch. @p combine maps those values to the chunk's sum at t on the
+ * lane kernels,
+ *
+ *   F combine(const std::array<const F *, N> &at, const F *w,
+ *             F *scratch, size_t m)
+ *
+ * over rows at[j][0 .. m), where @p w is the chunk's slice of the
+ * round's weights (nullptr without weights) and @p scratch holds m
+ * values it may overwrite (none when kPoints == 2).
+ */
+template <size_t kPoints, typename Combine>
+auto
+steppedSums(Combine combine)
+{
+    static_assert(kPoints >= 2, "a round sums at least g(0) and g(1)");
+    return [combine]<typename F, size_t N>(
+               const std::array<const F *, N> &lo, size_t half, const F *w,
+               size_t m) {
+        // Scratch: each table's slope hi - lo, then its value at the
+        // current t >= 2, then the combine step's.
+        std::vector<F> scratch(kPoints > 2 ? (2 * N + 1) * m : 0);
+        F *spare = kPoints > 2 ? scratch.data() + 2 * N * m : nullptr;
+        std::array<F, kPoints> g{};
+        std::array<const F *, N> at{};
+        for (size_t t = 0; t < kPoints; ++t) {
+            for (size_t j = 0; j < N; ++j) {
+                const F *hi = lo[j] + half;
+                F *slope = scratch.data() + j * m;
+                F *step = scratch.data() + (N + j) * m;
+                if (t == 0) {
+                    at[j] = lo[j];
+                } else if (t == 1) {
+                    at[j] = hi;
+                } else if (t == 2) {
+                    ff::subLanes(hi, lo[j], slope, m);
+                    ff::addLanes(hi, slope, step, m);
+                    at[j] = step;
+                } else {
+                    ff::addLanes(step, slope, step, m);
+                }
+            }
+            g[t] = combine(at, w, spare, m);
+        }
+        return g;
+    };
+}
+
+/**
  * The one Fiat-Shamir sum-check prover round loop (Algorithm 1: one
  * kernel per round, then a tree reduction of the round sums). It proves
  * sum_x w(x) * P(T_0(x), ..., T_{N-1}(x)) for @p tables of one
@@ -183,20 +242,17 @@ struct SendSums
  * buffer must not overlap a table. On return each buffer holds one
  * entry, its table's value at the sum-check point.
  *
- * Round i reduces sums at t = 0 .. kPoints - 1. Each table restricted
- * to the round variable is affine, so its value at t is
- * lo + t * (hi - lo): at t = 0 and t = 1 the table halves themselves;
- * per chunk the slope hi - lo is taken once, t = 2 is hi plus the
- * slope, and each later t adds the slope in place, all in chunk
- * scratch. No table is folded until the challenge is drawn. @p combine
- * maps those values to the chunk's sum on the lane kernels,
+ * Round i reduces sums at t = 0 .. kPoints - 1 over fixed-shape
+ * chunks of rows. No table is folded until the challenge is drawn.
+ * @p step returns one chunk's sums in one call,
  *
- *   F combine(const std::array<const F *, N> &at, const F *w,
- *             F *scratch, size_t m)
+ *   std::array<F, kPoints> step(const std::array<const F *, N> &lo,
+ *                               size_t half, const F *w, size_t m),
  *
- * over rows at[j][0 .. m), where @p w is the chunk's slice of the
- * round's weights (nullptr without @p weights) and @p scratch holds m
- * values it may overwrite (none when kPoints == 2).
+ * for rows x < m whose table j is lo[j][x] at t = 0 and
+ * lo[j][half + x] at t = 1, and whose weight is w[x] (@p w is nullptr
+ * without @p weights); kPoints is the size of that array.
+ * steppedSums() builds a step from a per-point combine step.
  *
  * @p weights, when not empty, holds one unfolded weight table per
  * round in the eqSuffixWeights layout: round i, whose tables have
@@ -216,16 +272,19 @@ struct SendSums
  * proof bytes, identical for any thread count and kernel backend.
  * Appends each round's message to @p rounds; returns the challenges.
  */
-template <size_t kPoints, typename F, size_t N, typename Combine,
-          typename Absorb, typename Finish = SendSums>
+template <typename F, size_t N, typename Step, typename Absorb,
+          typename Finish = SendSums>
 std::vector<F>
 proveRounds(const std::array<std::span<const F>, N> &tables,
-            const std::array<std::vector<F> *, N> &folded, Combine combine,
+            const std::array<std::vector<F> *, N> &folded, Step step,
             Absorb absorb, std::vector<std::vector<F>> &rounds,
             const exec::ExecContext *exec = nullptr,
             std::span<const std::type_identity_t<F>> weights = {},
             Finish finish = {})
 {
+    using Sums = std::invoke_result_t<Step &, const std::array<const F *, N> &,
+                                      size_t, const F *, size_t>;
+    constexpr size_t kPoints = std::tuple_size_v<Sums>;
     static_assert(kPoints >= 2, "a round sums at least g(0) and g(1)");
     size_t size = tables[0].size();
     if (size == 0 || (size & (size - 1)) != 0)
@@ -248,41 +307,16 @@ proveRounds(const std::array<std::span<const F>, N> &tables,
             folded[j]->assign(src[j], src[j] + (size > 1 ? size / 2 : 1));
     }
 
-    using Sums = std::array<F, kPoints>;
     if (exec)
         exec->setRegion("sumcheck");
     std::vector<F> point;
     for (size_t half = size / 2; half > 0; half /= 2) {
         const F *w = weights.empty() ? nullptr : weights.data() + half;
-        auto chunk_sums = [&src, &combine, w, half](size_t begin,
-                                                    size_t end) {
-            size_t m = end - begin;
-            // Scratch: each table's slope hi - lo, then its value at the
-            // current t >= 2, then the combine step's.
-            std::vector<F> scratch(kPoints > 2 ? (2 * N + 1) * m : 0);
-            F *spare = kPoints > 2 ? scratch.data() + 2 * N * m : nullptr;
-            Sums g{};
-            std::array<const F *, N> at{};
-            for (size_t t = 0; t < kPoints; ++t) {
-                for (size_t j = 0; j < N; ++j) {
-                    const F *lo = src[j] + begin;
-                    F *slope = scratch.data() + j * m;
-                    F *step = scratch.data() + (N + j) * m;
-                    if (t == 0) {
-                        at[j] = lo;
-                    } else if (t == 1) {
-                        at[j] = lo + half;
-                    } else if (t == 2) {
-                        ff::subLanes(lo + half, lo, slope, m);
-                        ff::addLanes(lo + half, slope, step, m);
-                        at[j] = step;
-                    } else {
-                        ff::addLanes(step, slope, step, m);
-                    }
-                }
-                g[t] = combine(at, w ? w + begin : nullptr, spare, m);
-            }
-            return g;
+        auto chunk_sums = [&src, &step, w, half](size_t begin, size_t end) {
+            std::array<const F *, N> lo{};
+            for (size_t j = 0; j < N; ++j)
+                lo[j] = src[j] + begin;
+            return step(lo, half, w ? w + begin : nullptr, end - begin);
         };
         Sums sums = exec::reduceChunked<Sums>(
             exec, half, Sums{}, chunk_sums, [](const Sums &x, const Sums &y) {
@@ -384,11 +418,10 @@ proveSumcheckFs(const Multilinear<F> &poly, Transcript &transcript,
     std::vector<F> folded;
     std::vector<std::vector<F>> rounds;
     FsSumcheck<F> out;
-    out.challenges = proveRounds<2>(
+    out.challenges = proveRounds(
         {poly.evals()}, std::array{&folded},
-        [](const std::array<const F *, 1> &at, const F *, F *, size_t m) {
-            return ff::sumLanes(at[0], m);
-        },
+        steppedSums<2>([](const std::array<const F *, 1> &at, const F *, F *,
+                          size_t m) { return ff::sumLanes(at[0], m); }),
         detail::piAbsorber<F>(transcript), rounds, exec);
     for (const auto &pi : rounds)
         out.proof.rounds.push_back({pi[0], pi[1]});
@@ -409,18 +442,19 @@ verifySumcheckFs(const F &claimed_sum, const SumcheckProof<F> &proof,
 }
 
 /**
- * Prove sum_x eq(tau, x) * G(a(x), b(x), c(x)) == 0 for a custom gate G
- * (see core/GateSnark.h) on the shared round loop, with eq(tau, x)
- * split (Gruen, ePrint 2024/108) and never folded. In round i,
+ * Prove sum_x eq(tau, x) * G(a(x), b(x), c(x)) == 0 for the custom
+ * gate G = a^K * b - c, K = Gate::kPower (see core/GateSnark.h), on
+ * the shared round loop, with eq(tau, x) split (Gruen, ePrint
+ * 2024/108) and never folded. In round i,
  *
  *   g_i(t) = s_i * eq(tau_i, t) * h_i(t),
  *   h_i(t) = sum_x' eq(tau_>i, x') * G(a, b, c)(t, x'),
  *
  * with s_i = prod_{j<i} eq(tau_j, r_j). The loop sums h_i at
  * t = 0 .. deg G against the unfolded suffix weights (eqSuffixWeights):
- * the combine step runs Gate::eval into scratch, then dotLanes against
- * the weights. The finish step extrapolates h_i(deg G + 1) and
- * multiplies each h_i(t) by s_i * eq(tau_i, t), so round i sends
+ * the chunk step is ff::gateSumsLanes, every point of a chunk in one
+ * pass with no scratch. The finish step extrapolates h_i(deg G + 1)
+ * and multiplies each h_i(t) by s_i * eq(tau_i, t), so round i sends
  * g_i(0), ..., g_i(Gate::kEvals - 1) as the exact sums over eq * G, on
  * any input. h_i(1) is summed, not derived from the running claim:
  * g(0) + g(1) equals the claim only on a satisfied instance, and a
@@ -430,8 +464,15 @@ verifySumcheckFs(const F &claimed_sum, const SumcheckProof<F> &proof,
  * folded[1][0], folded[2][0] are their values at the sum-check point.
  * @p weights receives the suffix weights. A prover that keeps
  * @p folded and @p weights across proofs allocates neither again.
- * Challenges come from @p transcript under @p labels; @p point_out
- * accumulates them.
+ *
+ * @p rows, when not empty, are three buffers of one power-of-two
+ * length m, 1 < m < 2^n: when the folded tables reach m entries,
+ * after log2(2^n / m) rounds with challenges r_row, each is copied
+ * into its buffer. The rounds fold the most significant index bit
+ * first, so each copy is sum_row eq(r_row)[row] * table[row * m + .]
+ * in eqTable's bit order: the tensor PCS's evaluation row of a table
+ * laid out as rows of m (TensorPcs::open). Challenges come from
+ * @p transcript under @p labels; @p point_out accumulates them.
  */
 template <typename Gate, typename F>
 RoundsProof<F>
@@ -439,19 +480,32 @@ proveGateSumcheck(const std::vector<F> &tau,
                   const std::array<std::span<const F>, 3> &tables,
                   const std::array<std::vector<F> *, 3> &folded,
                   std::vector<F> &weights, RoundLabels labels,
-                  Transcript &transcript, std::vector<F> *point_out = nullptr,
-                  const exec::ExecContext *exec = nullptr)
+                  Transcript &transcript,
+                  std::vector<std::type_identity_t<F>> *point_out = nullptr,
+                  const exec::ExecContext *exec = nullptr,
+                  const std::array<std::span<F>, 3> &rows = {})
 {
-    if (tau.size() >= 64 || tables[0].size() != size_t{1} << tau.size())
+    size_t size = tables[0].size();
+    if (tau.size() >= 64 || size != size_t{1} << tau.size())
         panic("proveGateSumcheck: %zu tau entries for tables of %zu",
-              tau.size(), tables[0].size());
+              tau.size(), size);
+    size_t m = rows[0].size();
+    if (m != 0 && (m < 2 || 2 * m > size || (m & (m - 1)) != 0 ||
+                   rows[1].size() != m || rows[2].size() != m))
+        panic("proveGateSumcheck: rows of %zu for tables of %zu", m, size);
     // h_i has degree deg G = Gate::kEvals - 2, so deg G + 1 sums fix it.
     constexpr size_t kPoints = Gate::kEvals - 1;
     constexpr size_t kDeg = kPoints - 1;
+    static_assert(kPoints == Gate::kPower + 2, "deg G = K + 1");
     F s = F::one();
-    auto finish = [&tau, &s](const std::array<F, kPoints> &h,
-                             std::span<const F> point) {
+    auto finish = [&](const std::array<F, kPoints> &h,
+                      std::span<const F> point) {
         size_t i = point.size();
+        // Round i >= 1 starts from buffers of size >> i entries.
+        if (m != 0 && size >> i == m)
+            for (size_t j = 0; j < 3; ++j)
+                std::copy(folded[j]->begin(), folded[j]->end(),
+                          rows[j].begin());
         if (i > 0)
             s *= eqLinear(tau[i - 1], point[i - 1]);
         // The (deg G + 1)-th finite difference of h vanishes:
@@ -471,12 +525,12 @@ proveGateSumcheck(const std::vector<F> &tau,
     };
     eqSuffixWeights(tau, weights);
     RoundsProof<F> proof;
-    std::vector<F> point = proveRounds<kPoints>(
+    std::vector<F> point = proveRounds(
         tables, folded,
-        [](const std::array<const F *, 3> &at, const F *w, F *gate,
-           size_t m) {
-            Gate::eval(at[0], at[1], at[2], gate, m);
-            return ff::dotLanes(w, gate, m);
+        [](const std::array<const F *, 3> &lo, size_t half, const F *w,
+           size_t n) {
+            return ff::gateSumsLanes<Gate::kPower>(lo[0], lo[1], lo[2], half,
+                                                   w, n);
         },
         labels.absorber<F>(transcript), proof.rounds, exec, weights, finish);
     if (point_out)

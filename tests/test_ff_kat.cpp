@@ -434,6 +434,122 @@ TEST(WideFieldKat, FromCanonicalLanesMatchesFromU256)
     ff::clearForcedBackend();
 }
 
+/**
+ * R^-1: the element whose Montgomery integer is 1. Its multiples reach
+ * Montgomery integers just below p, the largest products.
+ */
+Fr
+rInverse()
+{
+    Fr r = Fr::one();
+    for (int bit = 0; bit < 256; ++bit)
+        r = r.dbl();
+    return r.inverse();
+}
+
+/**
+ * gateSumsLanes' sums in plain Fp, apart from every kernel: each x_t
+ * interpolated as lo + t * (hi - lo), a^K as K - 1 multiplies.
+ */
+template <size_t K>
+std::array<Fr, K + 2>
+referenceGateSums(const std::vector<Fr> &a, const std::vector<Fr> &b,
+                  const std::vector<Fr> &c, size_t half,
+                  const std::vector<Fr> &w, size_t n)
+{
+    std::array<Fr, K + 2> sums{};
+    for (size_t t = 0; t < K + 2; ++t) {
+        Fr tf = Fr::fromUint(t);
+        for (size_t i = 0; i < n; ++i) {
+            auto at = [&](const std::vector<Fr> &x) {
+                return x[i] + tf * (x[half + i] - x[i]);
+            };
+            Fr power = at(a);
+            for (size_t k = 1; k < K; ++k)
+                power *= at(a);
+            sums[t] += w[i] * (power * at(b) - at(c));
+        }
+    }
+    return sums;
+}
+
+/**
+ * gateSumsLanes<K> under @p backend against referenceGateSums, at
+ * lengths around the IFMA block, one call's span and more than one
+ * carry interval, on edge and random unsatisfied inputs.
+ */
+template <size_t K>
+void
+checkGateSums(ff::Backend backend)
+{
+    BackendGuard guard;
+    ff::forceBackend(backend);
+    const Fr r_inv = rInverse();
+    uint64_t borrow = 0;
+    const U256 p_minus_1 = subBorrow(Fr::kModulus, U256{1}, borrow);
+    ASSERT_EQ((-r_inv).montRaw(), p_minus_1);
+
+    Rng rng(0x9a7e + K);
+    const char *inputs[] = {"zero",    "one",     "p-1",
+                            "raw p-1", "below p", "random"};
+    for (size_t n : {0, 1, 7, 8, 9, 2048, 2049}) {
+        // hi sits half = n + 3 entries after lo.
+        size_t half = n + 3;
+        for (const char *input : inputs) {
+            SCOPED_TRACE(std::string(ff::backendName(backend)) + " n=" +
+                         std::to_string(n) + " " + input);
+            std::string kind = input;
+            std::vector<Fr> tables[4]; // a, b, c, w
+            for (std::vector<Fr> &x : tables) {
+                x.resize(2 * half);
+                for (size_t i = 0; i < x.size(); ++i) {
+                    if (kind == "zero")
+                        x[i] = Fr::zero();
+                    else if (kind == "one")
+                        x[i] = Fr::one();
+                    else if (kind == "p-1")
+                        x[i] = -Fr::one();
+                    else if (kind == "raw p-1")
+                        x[i] = -r_inv;
+                    else if (kind == "below p")
+                        x[i] = -Fr::fromUint(1 + rng.nextBounded(4)) * r_inv;
+                    else
+                        x[i] = Fr::random(rng);
+                }
+            }
+            auto &[a, b, c, w] = tables;
+            auto want = referenceGateSums<K>(a, b, c, half, w, n);
+            EXPECT_EQ((ff::gateSumsLanes<K>(a.data(), b.data(), c.data(),
+                                            half, w.data(), n)),
+                      want);
+        }
+    }
+}
+
+TEST(GateSumsKat, MulGateMatchesPlainFpUnderScalar)
+{
+    checkGateSums<1>(ff::Backend::kScalar);
+}
+
+TEST(GateSumsKat, Pow4GateMatchesPlainFpUnderScalar)
+{
+    checkGateSums<4>(ff::Backend::kScalar);
+}
+
+TEST(GateSumsKat, MulGateMatchesPlainFpUnderIfma)
+{
+    if (!ff::backendAvailable(ff::Backend::kIfma))
+        GTEST_SKIP() << "this host has no AVX-512 IFMA";
+    checkGateSums<1>(ff::Backend::kIfma);
+}
+
+TEST(GateSumsKat, Pow4GateMatchesPlainFpUnderIfma)
+{
+    if (!ff::backendAvailable(ff::Backend::kIfma))
+        GTEST_SKIP() << "this host has no AVX-512 IFMA";
+    checkGateSums<4>(ff::Backend::kIfma);
+}
+
 #if defined(__x86_64__) || defined(_M_X64)
 
 /** Lane @p lane of a row-kernel position: five radix-2^52 limbs. */
@@ -527,6 +643,39 @@ TEST(RowKernelKat, ReductionAtItsBoundsMatchesSmallDot)
     }
     EXPECT_EQ(getLane(out.data(), 1), U256{}) << "an exact multiple of p";
     EXPECT_EQ(getLane(out.data(), 2), U256{}) << "the all-zero sum";
+}
+
+TEST(GateSumsKat, IfmaLanesAreCanonicalAtTheReductionBound)
+{
+    // One full call, every Montgomery integer p - 1 but c[0]'s, p - 6:
+    // lane 0's w * c_lo sum then reduces to 4.01 p before the kernel's
+    // four conditional subtractions (found by search; all p - 1
+    // reduces to 3.25 p). The lanes are read before FieldBackend.cpp
+    // adds them, whose Fp additions could mask a non-canonical lane.
+    if (!ff::backendAvailable(ff::Backend::kIfma))
+        GTEST_SKIP() << "this host has no AVX-512 IFMA";
+    namespace d = ff::detail;
+    constexpr size_t kN = d::kGateSumsSpan;
+    const Fr r_inv = rInverse();
+    std::vector<Fr> a(2 * kN, -r_inv), b = a, c = a, w(kN, -r_inv);
+    c[0] = -Fr::fromUint(6) * r_inv;
+    const auto consts = d::makeWideConstants(
+        Fr::kModulus.limb[0], Fr::kModulus.limb[1], Fr::kModulus.limb[2],
+        Fr::kModulus.limb[3], Fr::kInv);
+    auto limbs = [](const std::vector<Fr> &v) {
+        return reinterpret_cast<const uint64_t *>(v.data());
+    };
+    // K = 1: groups t = 0, 1, 2, then w c_lo and w c_hi.
+    std::vector<Fr> lanes(5 * d::kIfmaLanes);
+    d::ifmaGateSums<1>(consts, limbs(a), limbs(b), limbs(c), kN, limbs(w),
+                       kN, reinterpret_cast<uint64_t *>(lanes.data()));
+    for (const Fr &lane : lanes)
+        EXPECT_LT(cmp(lane.montRaw(), Fr::kModulus), 0);
+    Fr want = Fr::zero();
+    for (size_t i = 0; i < kN; i += d::kIfmaLanes)
+        want += w[i] * c[i];
+    want *= Fr::fromUint(uint64_t{1} << d::kGateSumsCShift).inverse();
+    EXPECT_EQ(lanes[3 * d::kIfmaLanes], want);
 }
 
 #endif // __x86_64__

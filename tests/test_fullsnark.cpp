@@ -299,19 +299,20 @@ proveWithCubicPhase2(const R1cs<F> &r1cs, std::span<const F> inputs,
     for (const auto &e : r1cs.c)
         m[e.col] += alpha * alpha * e.coeff * eq_rx[e.row];
     std::vector<F> ones(z.size(), F::one());
-    std::vector<F> ry = proveRounds<4>(
+    std::vector<F> ry = proveRounds(
         {m, z, ones}, std::array{&m, &z, &ones},
-        [](const std::array<const F *, 3> &at, const F *, F *mz, size_t n) {
+        steppedSums<4>([](const std::array<const F *, 3> &at, const F *,
+                          F *mz, size_t n) {
             ff::mulLanes(at[0], at[1], mz, n);
             return ff::dotLanes(mz, at[2], n);
-        },
+        }),
         RoundLabels{"psc.g", "psc.r"}.absorber<F>(transcript),
         proof.phase2.rounds);
 
     std::vector<F> ry_tail(ry.begin() + 1, ry.end());
     proof.vw = pcs.evaluate(st_w, ry_tail);
     transcript.absorbField("p2.vw", proof.vw);
-    proof.open_w = pcs.open(st_w, ry_tail, transcript);
+    proof.open_w = pcs.open(st_w, pcs.evalRow(st_w, ry_tail), transcript);
     return proof;
 }
 

@@ -56,7 +56,7 @@ TYPED_TEST(PcsT, OpenVerifyRoundTrip)
 
         Transcript pt("pcs-test");
         pt.absorbDigest("root", state.commitment.root);
-        auto proof = pcs.open(state, point, pt);
+        auto proof = pcs.open(state, pcs.evalRow(state, point), pt);
 
         Transcript vt("pcs-test");
         vt.absorbDigest("root", state.commitment.root);
@@ -94,7 +94,7 @@ TYPED_TEST(PcsT, RejectsWrongValue)
 
     Transcript pt("pcs-test");
     pt.absorbDigest("root", state.commitment.root);
-    auto proof = pcs.open(state, point, pt);
+    auto proof = pcs.open(state, pcs.evalRow(state, point), pt);
 
     Transcript vt("pcs-test");
     vt.absorbDigest("root", state.commitment.root);
@@ -116,7 +116,7 @@ TYPED_TEST(PcsT, RejectsTamperedEvalRow)
 
     Transcript pt("pcs-test");
     pt.absorbDigest("root", state.commitment.root);
-    auto proof = pcs.open(state, point, pt);
+    auto proof = pcs.open(state, pcs.evalRow(state, point), pt);
     proof.eval_row[3] += F::one();
 
     Transcript vt("pcs-test");
@@ -138,7 +138,7 @@ TYPED_TEST(PcsT, RejectsTamperedColumn)
 
     Transcript pt("pcs-test");
     pt.absorbDigest("root", state.commitment.root);
-    auto proof = pcs.open(state, point, pt);
+    auto proof = pcs.open(state, pcs.evalRow(state, point), pt);
     proof.columns[0][0] += F::one();
 
     Transcript vt("pcs-test");
@@ -160,7 +160,7 @@ TYPED_TEST(PcsT, RejectsWrongRoot)
 
     Transcript pt("pcs-test");
     pt.absorbDigest("root", state.commitment.root);
-    auto proof = pcs.open(state, point, pt);
+    auto proof = pcs.open(state, pcs.evalRow(state, point), pt);
 
     PcsCommitment bad = state.commitment;
     bad.root.bytes[0] ^= 1;
@@ -185,7 +185,7 @@ TYPED_TEST(PcsT, RejectsProofForDifferentPolynomial)
 
     Transcript pt("pcs-test");
     pt.absorbDigest("root", state1.commitment.root);
-    auto proof = pcs.open(state1, point, pt);
+    auto proof = pcs.open(state1, pcs.evalRow(state1, point), pt);
 
     // Same proof against the other commitment must fail.
     Transcript vt("pcs-test");
@@ -337,7 +337,8 @@ TYPED_TEST(PcsT, OpenAccountsUnderItsOwnRegion)
     pcs.commit(poly, state, &exec);
     Transcript t("pcs-region");
     t.absorbDigest("root", state.commitment.root);
-    (void)pcs.open(state, randomPoint<F>(n, rng), t, &exec);
+    (void)pcs.open(state, pcs.evalRow(state, randomPoint<F>(n, rng)), t,
+                   &exec);
     EXPECT_EQ(exec.stats("sumcheck").calls, 0u);
     EXPECT_EQ(exec.stats("open").calls, 1u);
 }
@@ -382,8 +383,8 @@ TYPED_TEST(PcsT, RecommitReusesTheStateAndMatchesAFreshOne)
     EXPECT_EQ(reused.commitment.root, fresh.commitment.root);
     EXPECT_EQ(pcs.evaluate(reused, point), pcs.evaluate(fresh, point));
     Transcript t1("pcs-reuse"), t2("pcs-reuse");
-    auto p1 = pcs.open(reused, point, t1, &exec);
-    auto p2 = pcs.open(fresh, point, t2);
+    auto p1 = pcs.open(reused, pcs.evalRow(reused, point, &exec), t1, &exec);
+    auto p2 = pcs.open(fresh, pcs.evalRow(fresh, point), t2);
     EXPECT_EQ(p1.eval_row, p2.eval_row);
     EXPECT_EQ(p1.proximity_row, p2.proximity_row);
     EXPECT_EQ(p1.columns, p2.columns);

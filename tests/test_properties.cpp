@@ -74,7 +74,7 @@ TEST_P(PcsSizeSweep, OpenVerifyAtEverySize)
 
     Transcript pt("sweep");
     pt.absorbDigest("root", state.commitment.root);
-    auto proof = pcs.open(state, point, pt);
+    auto proof = pcs.open(state, pcs.evalRow(state, point), pt);
     Transcript vt("sweep");
     vt.absorbDigest("root", state.commitment.root);
     EXPECT_TRUE(pcs.verify(state.commitment, point, value, proof, vt));

@@ -1,11 +1,12 @@
 /**
  * @file
- * A gate prover that proves repeatedly allocates nothing as large as a
- * table after its first proof: the codeword matrices, folded sum-check
- * tables and suffix weights are its own buffers, reused, and the
- * committed tables are borrowed. A repeat commit allocates nothing as
- * large as the encoder's row-batch buffer, which is kept per slot
- * across commits, never per chunk.
+ * A gate prover that proves repeatedly allocates nothing as large as
+ * one of the encoder's row-batch buffers after its first proof: the
+ * codeword matrices, folded sum-check tables, suffix weights and
+ * evaluation rows are its own buffers, reused, the committed tables
+ * are borrowed, the gate sum-check's chunk step needs no scratch, and
+ * the encoder keeps its row-batch buffers per slot across commits,
+ * never per chunk. A repeat commit alone is held to the same size.
  *
  * This binary replaces every form of the global operator new and
  * delete with malloc-backed ones. While a LargeAllocations is alive
@@ -215,17 +216,17 @@ class ProverAllocT : public ::testing::Test
     /**
      * Prove one instance three times with one prover on @p exec. The
      * first prove builds the working set, so it must make allocations
-     * of a table's size (that also checks the counter); the second and
-     * third must make none.
+     * of at least a row-batch buffer's size (that also checks the
+     * counter); the second and third must make none.
      */
     static void
     repeatProvesAllocateNoTable(const exec::ExecContext *exec)
     {
-        // At n = 14 a table is 512 KiB. proveRounds' chunk scratch,
-        // 2 * 3 + 1 chunks of kReduceChunk elements, stays below.
+        // At n = 14 a table is 512 KiB and a row-batch buffer, 2m = 256
+        // codeword positions of 8 rows, 80 KiB.
         constexpr unsigned kNVars = 14;
-        constexpr size_t kTableBytes = (size_t{1} << kNVars) * sizeof(Fr);
-        static_assert(7 * exec::kReduceChunk * sizeof(Fr) < kTableBytes);
+        constexpr size_t kBatchBytes = 256 * sizeof(ff::RowLanes);
+        static_assert(kBatchBytes == 80 * 1024);
         Rng rng(14);
         const auto tables = satisfied<Gate>(kNVars, rng);
         GateSnark<Fr, Gate> snark(kNVars, 99);
@@ -234,7 +235,7 @@ class ProverAllocT : public ::testing::Test
             GateProof<Fr, Gate> proof;
             size_t large = 0;
             {
-                LargeAllocations counter(kTableBytes);
+                LargeAllocations counter(kBatchBytes);
                 proof = snark.prove(tables, {});
                 large = counter.count();
             }
@@ -251,9 +252,7 @@ class ProverAllocT : public ::testing::Test
  * Commit one table three times into one state on @p exec. The first
  * commit sizes the codeword matrix and, under IFMA, one row-batch
  * buffer per slot; the second and third must allocate nothing as large
- * as one batch buffer, whichever pool thread runs which slot. (A whole
- * repeat prove cannot be held to this size: proveRounds allocates its
- * chunk scratch, 448 KiB at kReduceChunk, per chunk and round.)
+ * as one batch buffer, whichever pool thread runs which slot.
  */
 void
 repeatCommitsAllocateNoBatchBuffer(const exec::ExecContext *exec)

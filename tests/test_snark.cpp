@@ -2,8 +2,9 @@
  * @file
  * End-to-end tests of the gate SNARK under both gates (the table-commit
  * MulGate and the high-degree Pow4Gate) over both fields: prove/verify
- * round trips, rejection of tampered proofs and unsatisfied tables, and
- * a prover reused across complete and abandoned proofs.
+ * round trips, rejection of tampered proofs and unsatisfied tables, a
+ * prover reused across complete and abandoned proofs, and the
+ * evaluation rows the sum-check hands the openings.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,10 @@
 #include "core/HighDegreeSnark.h"
 #include "core/Serialize.h"
 #include "core/Snark.h"
+#include "core/TensorPcs.h"
 #include "ff/Fields.h"
+#include "hash/Transcript.h"
+#include "sumcheck/Sumcheck.h"
 
 namespace bzk {
 namespace {
@@ -279,6 +283,50 @@ TYPED_TEST(SnarkT, ReusedProverMatchesAFreshOne)
             EXPECT_EQ(serializeProof(prover.prove(y, {})), want_y)
                 << where << ", after abandoning at stage "
                 << static_cast<int>(stop);
+        }
+    }
+}
+
+TYPED_TEST(SnarkT, EvaluationRowsAreTheTablesRowCombinations)
+{
+    // The prover hands each opening the folded table its sum-check
+    // reached after rowVars rounds. That row must be the PCS's own
+    // eq(r_row) combination of the table's rows (TensorPcs::evalRow)
+    // at the proof's point, for every row count from 2 to 256.
+    using F = typename TestFixture::F;
+    using Gate = typename TypeParam::Gate;
+    Rng rng(12);
+    for (unsigned n_vars = 6; n_vars <= 16; ++n_vars) {
+        SCOPED_TRACE("n_vars " + std::to_string(n_vars));
+        const auto tables = TestFixture::satisfied(n_vars, rng);
+        typename TestFixture::Prover snark(n_vars, 99);
+        const auto proof = snark.prove(tables, {});
+        ASSERT_TRUE(snark.verify(proof, {}));
+
+        // The verifier's transcript up to the sum-check gives the point.
+        Transcript transcript(Gate::kDomain);
+        uint8_t n = static_cast<uint8_t>(n_vars);
+        transcript.absorb("n_vars", std::span<const uint8_t>(&n, 1));
+        transcript.absorbDigest("com.a", proof.commit_a.root);
+        transcript.absorbDigest("com.b", proof.commit_b.root);
+        transcript.absorbDigest("com.c", proof.commit_c.root);
+        std::vector<F> tau(n_vars);
+        for (auto &t : tau)
+            t = transcript.template challengeField<F>("tau");
+        auto verdict = verifyGateSumcheck<Gate>(F::zero(), proof.gate_sc,
+                                                Gate::kLabels, transcript);
+        ASSERT_TRUE(verdict.ok);
+
+        const TensorPcs<F> &pcs = snark.pcs();
+        EXPECT_EQ(pcs.rowVars(), n_vars - TensorPcs<F>::colVarsFor(n_vars));
+        const std::vector<F> *table[] = {&tables.a, &tables.b, &tables.c};
+        const PcsEvalProof<F> *open[] = {&proof.open_a, &proof.open_b,
+                                         &proof.open_c};
+        for (size_t j = 0; j < 3; ++j) {
+            PcsProverState<F> state;
+            pcs.commit(*table[j], state);
+            EXPECT_EQ(open[j]->eval_row, pcs.evalRow(state, verdict.point))
+                << "table " << "abc"[j];
         }
     }
 }

@@ -250,11 +250,10 @@ proveProduct(std::vector<F> &p, std::vector<F> &q, Transcript &transcript,
              const exec::ExecContext *exec = nullptr)
 {
     RoundsProof<F> proof;
-    std::vector<F> r = proveRounds<3>(
+    std::vector<F> r = proveRounds(
         {p, q}, std::array{&p, &q},
-        [](const std::array<const F *, 2> &at, const F *, F *, size_t m) {
-            return ff::dotLanes(at[0], at[1], m);
-        },
+        steppedSums<3>([](const std::array<const F *, 2> &at, const F *, F *,
+                          size_t m) { return ff::dotLanes(at[0], at[1], m); }),
         kProductLabels.absorber<F>(transcript), proof.rounds, exec);
     if (point)
         *point = r;
@@ -389,7 +388,7 @@ F
 scalarGate(const F &a, const F &b, const F &c)
 {
     if constexpr (std::is_same_v<Gate, Pow4Gate>)
-        return pow4(a) * b - c;
+        return a * a * a * a * b - c;
     else
         return a * b - c;
 }
