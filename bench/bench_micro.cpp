@@ -69,35 +69,24 @@ BM_Sha256CompressPortable(benchmark::State &state)
 BENCHMARK(BM_Sha256CompressPortable);
 
 void
-BM_Sha256Compress4(benchmark::State &state)
+BM_Sha256Compress16(benchmark::State &state)
 {
-    uint8_t blocks[4 * 64] = {1, 2, 3};
-    Digest out[4];
+    // Sixteen independent blocks: one 16-lane AVX-512 compression where
+    // the CPU has it, else 16 dispatched single-block compressions.
+    uint8_t blocks[16 * 64] = {1, 2, 3};
+    Digest out[16];
     for (auto _ : state) {
-        Sha256::compressBlocks4(blocks, out);
+        Sha256::compressBlocks(blocks, 16, out);
         benchmark::DoNotOptimize(out);
     }
-    state.SetItemsProcessed(state.iterations() * 4);
+    state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_Sha256Compress4);
-
-void
-BM_Sha256Compress8(benchmark::State &state)
-{
-    uint8_t blocks[8 * 64] = {1, 2, 3};
-    Digest out[8];
-    for (auto _ : state) {
-        Sha256::compressBlocks8(blocks, out);
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(BM_Sha256Compress8);
+BENCHMARK(BM_Sha256Compress16);
 
 /**
  * One Merkle layer via hashPair (per-node schedule setup + digest
- * staging copies) vs. hashPairs (in-place multi-way compression) —
- * the hot-loop hoisting this layer's build path now uses.
+ * staging copies) vs. hashPairs (in-place, 16 pairs per AVX-512
+ * compression where the CPU has it) — the layer build path.
  */
 void
 BM_MerkleLayerHashPair(benchmark::State &state)
@@ -510,8 +499,9 @@ runWideFieldSweep(bench::JsonBench &json)
  * every Sha256 entry point dispatches to on this host (SHA-NI when the
  * CPU has it), over one 8 KiB column leaf's worth of blocks. The two
  * chaining states must agree or the run dies; the selected path goes
- * to meta. Reported only: some CI runners lack SHA-NI, so no baseline
- * pins this row.
+ * to meta, and so does the multi-message kernel (sha256_lanes: "avx512"
+ * or "none"). Reported only: some CI runners lack SHA-NI, so no
+ * baseline pins this row.
  */
 void
 runShaSweep(bench::JsonBench &json)
@@ -524,6 +514,8 @@ runShaSweep(bench::JsonBench &json)
         b = static_cast<uint8_t>(rng.next());
     const char *path = hash::detail::activeCompressName();
     json.meta("sha256_path", path);
+    json.meta("sha256_lanes",
+              hash::detail::avx512Supported() ? "avx512" : "none");
 
     auto sweep = [&](hash::detail::CompressFn kernel,
                      std::array<uint32_t, 8> &words) {
@@ -563,9 +555,9 @@ runShaSweep(bench::JsonBench &json)
  * The commit-path rows. eq_table: eqTable at 2^16 (one lane multiply
  * per entry) against the two-multiply loop it replaced. column_leaves:
  * hashColumns over a 256 x 512 canonical codeword matrix
- * (TensorPcs::commit's shape at n_vars = 16), hashed in place, against
- * the loop it replaced, which serialized each 16-column block of the
- * Fr matrix into per-column runs and then digested them. encode_rows:
+ * (TensorPcs::commit's shape at n_vars = 16), 16 columns per AVX-512
+ * compression where the CPU has it, against the per-column path
+ * (hashColumnRuns, one running hash per column). encode_rows:
  * SpielmanCode::encodeRows on 256 rows of 256 (8 rows per batch under
  * ifma) against one canonical encodeInto per row, the path that runs
  * under forced scalar. Each pair must agree exactly or the run dies.
@@ -601,34 +593,20 @@ runScalarPathSweep(bench::JsonBench &json)
 
     constexpr size_t kRows = 256;
     constexpr size_t kCols = 512;
-    std::vector<Fr> matrix(kRows * kCols);
-    for (auto &x : matrix)
-        x = Fr::random(rng);
-    std::vector<U256> canonical(matrix.size());
-    for (size_t i = 0; i < matrix.size(); ++i)
-        canonical[i] = matrix[i].toU256();
-    std::vector<Digest> serialized(kCols), in_place(kCols);
-    double serialize_ms = medianMs([&] {
-        constexpr size_t kLeafBytes = kRows * Fr::kNumBytes;
-        std::vector<uint8_t> runs(kLeafBlock * kLeafBytes);
-        for (size_t col = 0; col < kCols; col += kLeafBlock) {
-            for (size_t row = 0; row < kRows; ++row)
-                for (size_t j = 0; j < kLeafBlock; ++j)
-                    matrix[row * kCols + col + j].toBytes(
-                        runs.data() + j * kLeafBytes + row * Fr::kNumBytes);
-            for (size_t j = 0; j < kLeafBlock; ++j)
-                serialized[col + j] = Sha256::digest(std::span<const uint8_t>(
-                    runs.data() + j * kLeafBytes, kLeafBytes));
-        }
+    std::vector<U256> canonical(kRows * kCols);
+    for (auto &x : canonical)
+        x = Fr::random(rng).toU256();
+    std::vector<Digest> per_column(kCols), lanes(kCols);
+    double per_column_ms = medianMs([&] {
+        hashColumnRuns(canonical.data(), kRows, kCols, kCols,
+                       per_column.data());
     });
-    double in_place_ms = medianMs([&] {
-        for (size_t col = 0; col < kCols; col += kLeafBlock)
-            hashColumns(canonical.data() + col, kRows, kCols, kLeafBlock,
-                        in_place.data() + col);
+    double lanes_ms = medianMs([&] {
+        hashColumns(canonical.data(), kRows, kCols, kCols, lanes.data());
     });
-    if (serialized != in_place)
-        fatal("bench_micro: in-place column leaves diverged from the "
-              "serialize-then-digest loop");
+    if (lanes != per_column)
+        fatal("bench_micro: hashColumns diverged from the per-column "
+              "leaf path");
 
     constexpr size_t kMessage = kCols / 2;
     SpielmanCode<Fr> code(kMessage, 0xe2c0de);
@@ -654,13 +632,13 @@ runScalarPathSweep(bench::JsonBench &json)
     json.addRow("eq_table", {{"two_multiply_ms", two_mul_ms},
                              {"lane_ms", lane_ms},
                              {"lane_speedup", two_mul_ms / lane_ms}});
-    out.addRow({"column_leaves", formatSig(serialize_ms, 4),
-                formatSig(in_place_ms, 4),
-                bench::fmtSpeedup(serialize_ms / in_place_ms)});
+    out.addRow({"column_leaves", formatSig(per_column_ms, 4),
+                formatSig(lanes_ms, 4),
+                bench::fmtSpeedup(per_column_ms / lanes_ms)});
     json.addRow("column_leaves",
-                {{"serialize_ms", serialize_ms},
-                 {"in_place_ms", in_place_ms},
-                 {"leaf_speedup", serialize_ms / in_place_ms}});
+                {{"per_column_ms", per_column_ms},
+                 {"lanes_ms", lanes_ms},
+                 {"leaf_speedup", per_column_ms / lanes_ms}});
     out.addRow({"encode_rows", formatSig(per_row_ms, 4),
                 formatSig(batched_ms, 4),
                 bench::fmtSpeedup(per_row_ms / batched_ms)});
@@ -672,10 +650,12 @@ runScalarPathSweep(bench::JsonBench &json)
         std::string("Single-threaded. eq_table: eqTable over 16 variables, "
                     "one lane multiply per entry vs two scalar multiplies. "
                     "column_leaves: SHA-256 leaves of a 256 x 512 "
-                    "codeword matrix's columns, hashed in place from "
-                    "canonical residues vs serialized from Fr per "
-                    "16-column block. encode_rows: 256 rows of 256 into "
-                    "canonical codewords, ") +
+                    "canonical codeword matrix's columns, hashColumns ") +
+            (hash::detail::avx512Supported()
+                 ? "(16 columns per AVX-512 compression)"
+                 : "(no AVX-512: both sides alike)") +
+            " vs one running hash per column. encode_rows: 256 rows of "
+            "256 into canonical codewords, " +
             (ff::rowBatchActive() ? "8 rows per IFMA batch"
                                   : "per row (no IFMA: both sides alike)") +
             " vs one row at a time. Outputs verified identical. Not "

@@ -33,6 +33,7 @@
 #include "exec/ExecContext.h"
 #include "ff/FieldBackend.h"
 #include "hash/Sha256.h"
+#include "hash/Sha256Kernels.h"
 #include "hash/Transcript.h"
 #include "merkle/MerkleTree.h"
 #include "poly/Multilinear.h"
@@ -40,53 +41,133 @@
 
 namespace bzk {
 
-/** Codeword columns per hashColumns block in TensorPcs::commit. */
-inline constexpr size_t kLeafBlock = 16;
+/** Codeword columns per column group: one per SHA-256 lane. */
+inline constexpr size_t kLeafBlock = hash::detail::kShaLanes;
 
 /**
- * The Merkle leaves of @p width (at most kLeafBlock) adjacent columns
- * of a row-major matrix of canonical residues: leaf j is the SHA-256 of
- * column j's @p rows values as 32 little-endian bytes each, in row
- * order. Column j's value in row r is block[r * stride + j]. Each
- * column keeps a running hash that takes two rows at a time as one
- * 64-byte block, so the matrix is read in row order and hashed where
- * it lies, with no conversion and no scratch. TensorPcs::commit passes
- * blocks of kLeafBlock columns of its k x 2m matrix, verify each opened
- * column as a block of one.
+ * Column groups per stripe of hashColumns' 16-lane path: their states,
+ * 512 bytes each, stay on the stack while the stripe walks the rows.
+ */
+inline constexpr size_t kLeafStripe = 32;
+
+/**
+ * The per-column path of hashColumns, for any @p width: one running
+ * SHA-256 per column, kLeafBlock columns per pass over the rows, each
+ * taking two rows at a time as one 64-byte block through the
+ * dispatched single-message kernel. It serves the tails, the
+ * verifier's one-column leaves and CPUs without AVX-512.
  */
 inline void
-hashColumns(const U256 *block, size_t rows, size_t stride, size_t width,
-            Digest *out)
+hashColumnRuns(const U256 *block, size_t rows, size_t stride, size_t width,
+               Digest *out)
 {
-    if (width > kLeafBlock)
-        panic("hashColumns: %zu columns in one block (at most %zu)", width,
-              kLeafBlock);
     auto put = [](const U256 &v, uint8_t *dst) {
         if constexpr (std::endian::native == std::endian::little)
             std::memcpy(dst, v.limb.data(), sizeof(v.limb));
         else
             u256ToBytes(v, std::span<uint8_t, 32>(dst, 32));
     };
-    Sha256 hashers[kLeafBlock];
-    uint8_t pair[64] = {};
+    for (size_t col = 0; col < width; col += kLeafBlock) {
+        size_t n = std::min(kLeafBlock, width - col);
+        Sha256 hashers[kLeafBlock];
+        uint8_t pair[64] = {};
+        size_t row = 0;
+        for (; row + 1 < rows; row += 2) {
+            const U256 *top = block + row * stride + col;
+            const U256 *bottom = top + stride;
+            for (size_t j = 0; j < n; ++j) {
+                put(top[j], pair);
+                put(bottom[j], pair + 32);
+                hashers[j].update(pair);
+            }
+        }
+        if (row < rows) {
+            for (size_t j = 0; j < n; ++j) {
+                put(block[row * stride + col + j], pair);
+                hashers[j].update(std::span<const uint8_t>(pair, 32));
+            }
+        }
+        for (size_t j = 0; j < n; ++j)
+            out[col + j] = hashers[j].finalize();
+    }
+}
+
+/**
+ * hashColumns' 16-lane path over @p groups (at most kLeafStripe)
+ * adjacent groups of kLeafBlock columns. Every group advances one row
+ * pair at a time, so the stripe reads the matrix in address order and
+ * the hardware prefetcher keeps up; lane j of a group hashes its
+ * column j, a row pair per block. Call only when
+ * hash::detail::avx512Supported() on a little-endian host.
+ */
+inline void
+hashColumnStripe(const U256 *block, size_t rows, size_t stride,
+                 size_t groups, Digest *out)
+{
+    using namespace hash::detail;
+    constexpr size_t kGroupBytes = kLeafBlock * sizeof(U256);
+    const auto *base = reinterpret_cast<const uint8_t *>(block);
+    const size_t row_bytes = stride * sizeof(U256);
+    Lanes16 states[kLeafStripe];
+    for (size_t g = 0; g < groups; ++g)
+        initLanes16(states[g]);
     size_t row = 0;
     for (; row + 1 < rows; row += 2) {
-        const U256 *top = block + row * stride;
-        const U256 *bottom = top + stride;
-        for (size_t j = 0; j < width; ++j) {
-            put(top[j], pair);
-            put(bottom[j], pair + 32);
-            hashers[j].update(pair);
-        }
+        const uint8_t *top = base + row * row_bytes;
+        for (size_t g = 0; g < groups; ++g)
+            compress16Cells(states[g], top + g * kGroupBytes,
+                            top + row_bytes + g * kGroupBytes);
     }
-    if (row < rows) {
-        for (size_t j = 0; j < width; ++j) {
-            put(block[row * stride + j], pair);
-            hashers[j].update(std::span<const uint8_t>(pair, 32));
-        }
+    // The padded last block, as Sha256::finalize builds it for a
+    // message of 32 * rows bytes: an odd row's cell, or a 0x80 cell,
+    // then a cell that ends in the 64-bit big-endian bit length.
+    const bool odd = row < rows;
+    uint8_t mark[kGroupBytes] = {};
+    uint8_t length[kGroupBytes] = {};
+    const uint64_t bits = uint64_t{256} * rows;
+    for (size_t j = 0; j < kLeafBlock; ++j) {
+        uint8_t *cell = length + j * sizeof(U256);
+        if (odd)
+            cell[0] = 0x80;
+        else
+            mark[j * sizeof(U256)] = 0x80;
+        for (int b = 0; b < 8; ++b)
+            cell[24 + b] = static_cast<uint8_t>(bits >> (56 - 8 * b));
     }
-    for (size_t j = 0; j < width; ++j)
-        out[j] = hashers[j].finalize();
+    for (size_t g = 0; g < groups; ++g) {
+        compress16Cells(states[g],
+                        odd ? base + row * row_bytes + g * kGroupBytes
+                            : mark,
+                        length);
+        lanes16Digests(states[g], out + g * kLeafBlock);
+    }
+}
+
+/**
+ * The Merkle leaves of @p width adjacent columns of a row-major matrix
+ * of canonical residues: leaf j is the SHA-256 of column j's @p rows
+ * values as 32 little-endian bytes each, in row order. Column j's value
+ * in row r is block[r * stride + j]. The matrix is hashed where it
+ * lies, with no conversion and no scratch. Where the CPU has AVX-512,
+ * whole groups of kLeafBlock columns run 16 lanes at a time in stripes
+ * of kLeafStripe groups (hashColumnStripe); the other columns, and all
+ * of them elsewhere, take hashColumnRuns. TensorPcs::commit passes
+ * whole groups of its k x 2m matrix, verify each opened column alone.
+ */
+inline void
+hashColumns(const U256 *block, size_t rows, size_t stride, size_t width,
+            Digest *out)
+{
+    size_t groups = 0;
+    if constexpr (std::endian::native == std::endian::little)
+        if (hash::detail::avx512Supported())
+            groups = width / kLeafBlock;
+    for (size_t g = 0; g < groups; g += kLeafStripe)
+        hashColumnStripe(block + g * kLeafBlock, rows, stride,
+                         std::min(kLeafStripe, groups - g),
+                         out + g * kLeafBlock);
+    size_t done = groups * kLeafBlock;
+    hashColumnRuns(block + done, rows, stride, width - done, out + done);
 }
 
 /** Verifier-side commitment: just the Merkle root. */
@@ -190,21 +271,22 @@ class TensorPcs
         state.codewords.resize(k * 2 * m);
         code_.encodeRows(poly, state.codewords, exec);
 
-        // Hash each of the 2m codeword columns into a leaf, one block
-        // of kLeafBlock columns per pass over the rows.
+        // Hash each of the 2m codeword columns into a leaf. Threads
+        // split whole groups of kLeafBlock columns (2m >= 64 is a
+        // multiple of 16), one hashColumns call per chunk.
         std::vector<Digest> leaves(2 * m);
         if (exec)
             exec->setRegion("merkle");
-        auto hash_cols = [&](size_t begin, size_t end) {
-            for (size_t col = begin; col < end; col += kLeafBlock)
-                hashColumns(state.codewords.data() + col, k, 2 * m,
-                            std::min(kLeafBlock, end - col),
-                            leaves.data() + col);
+        auto hash_groups = [&](size_t begin, size_t end) {
+            hashColumns(state.codewords.data() + begin * kLeafBlock, k,
+                        2 * m, (end - begin) * kLeafBlock,
+                        leaves.data() + begin * kLeafBlock);
         };
+        size_t groups = 2 * m / kLeafBlock;
         if (exec)
-            exec->parallelFor(2 * m, /*serial_cutoff=*/2, hash_cols);
+            exec->parallelFor(groups, /*serial_cutoff=*/2, hash_groups);
         else
-            hash_cols(0, 2 * m);
+            hash_groups(0, groups);
         state.tree = MerkleTree::buildFromLeaves(std::move(leaves), exec);
         state.commitment.root = state.tree.root();
         state.commitment.n_vars = n_vars_;

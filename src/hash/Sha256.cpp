@@ -1,6 +1,8 @@
 #include "hash/Sha256.h"
 
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -60,104 +62,9 @@ compress(uint32_t state[8], const uint8_t *blocks, size_t n_blocks)
 static_assert(sizeof(Digest) == 32,
               "hashPairs reads adjacent digests as one 64-byte block");
 
-/**
- * N independent compressions with interleaved message schedules: every
- * per-round value is an N-lane array with the lane index innermost, so
- * the rotate/add/select chains vectorize across the independent blocks
- * instead of serializing on one block's dependency chain.
- */
-template <int N>
-void
-compressNBlocks(const uint8_t *blocks, Digest *out)
-{
-    uint32_t w[64][N];
-    for (int i = 0; i < 16; ++i) {
-        for (int lane = 0; lane < N; ++lane) {
-            const uint8_t *b = blocks + 64 * lane + 4 * i;
-            w[i][lane] = (static_cast<uint32_t>(b[0]) << 24) |
-                         (static_cast<uint32_t>(b[1]) << 16) |
-                         (static_cast<uint32_t>(b[2]) << 8) |
-                         static_cast<uint32_t>(b[3]);
-        }
-    }
-    for (int i = 16; i < 64; ++i) {
-        for (int lane = 0; lane < N; ++lane) {
-            uint32_t x = w[i - 15][lane];
-            uint32_t y = w[i - 2][lane];
-            uint32_t s0 = rotr(x, 7) ^ rotr(x, 18) ^ (x >> 3);
-            uint32_t s1 = rotr(y, 17) ^ rotr(y, 19) ^ (y >> 10);
-            w[i][lane] = w[i - 16][lane] + s0 + w[i - 7][lane] + s1;
-        }
-    }
-
-    uint32_t v[8][N];
-    for (int i = 0; i < 8; ++i)
-        for (int lane = 0; lane < N; ++lane)
-            v[i][lane] = kInit[i];
-    for (int i = 0; i < 64; ++i) {
-        for (int lane = 0; lane < N; ++lane) {
-            uint32_t e = v[4][lane];
-            uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-            uint32_t ch = (e & v[5][lane]) ^ (~e & v[6][lane]);
-            uint32_t t1 =
-                v[7][lane] + s1 + ch + kRound[i] + w[i][lane];
-            uint32_t a = v[0][lane];
-            uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-            uint32_t maj = (a & v[1][lane]) ^ (a & v[2][lane]) ^
-                           (v[1][lane] & v[2][lane]);
-            uint32_t t2 = s0 + maj;
-            v[7][lane] = v[6][lane];
-            v[6][lane] = v[5][lane];
-            v[5][lane] = v[4][lane];
-            v[4][lane] = v[3][lane] + t1;
-            v[3][lane] = v[2][lane];
-            v[2][lane] = v[1][lane];
-            v[1][lane] = v[0][lane];
-            v[0][lane] = t1 + t2;
-        }
-    }
-    for (int lane = 0; lane < N; ++lane) {
-        uint32_t state[8];
-        for (int i = 0; i < 8; ++i)
-            state[i] = kInit[i] + v[i][lane];
-        out[lane] = stateDigest(state);
-    }
-}
-
-/**
- * N independent single-block compressions: one SHA-NI block at a time
- * when the CPU has the extensions (each is already several times
- * faster than a portable lane), the interleaved portable kernel
- * otherwise.
- */
-template <int N>
-void
-compressLanes(const uint8_t *blocks, Digest *out)
-{
-    if (!hash::detail::shaNiSupported()) {
-        compressNBlocks<N>(blocks, out);
-        return;
-    }
-    for (int lane = 0; lane < N; ++lane)
-        out[lane] = Sha256::compressBlock(
-            std::span<const uint8_t, 64>(blocks + 64 * lane, 64));
-}
-
 } // namespace
 
 namespace hash::detail {
-
-void
-compressBlocks4Portable(const uint8_t *blocks, Digest *out)
-{
-    compressNBlocks<4>(blocks, out);
-}
-
-void
-compressBlocks8Portable(const uint8_t *blocks, Digest *out)
-{
-    compressNBlocks<8>(blocks, out);
-}
 
 void
 compressPortable(uint32_t state[8], const uint8_t *blocks,
@@ -276,6 +183,174 @@ compressShaNi(uint32_t state[8], const uint8_t *blocks, size_t n_blocks)
                      _mm_alignr_epi8(dchg, feba, 8));
 }
 
+bool
+avx512Supported()
+{
+    static const bool supported = __builtin_cpu_supports("avx512f") &&
+                                  __builtin_cpu_supports("avx512bw");
+    return supported;
+}
+
+/*
+ * The 16-lane kernel. A zmm register holds one SHA-256 word of 16
+ * independent messages, one per 32-bit lane, so a round is the FIPS
+ * 180-4 round on whole registers: Sigma0, Sigma1, sigma0 and sigma1
+ * are three vprord/vpsrld terms joined by one three-way-XOR
+ * vpternlogd, and Ch and Maj are one vpternlogd each. A loader gathers
+ * word t of all 16 blocks with one vpgatherdd and byte-swaps it with
+ * vpshufb. Rounds, schedule and loads expand from index sequences
+ * (unrolled<N>), so each loader is one straight-line function at -O2
+ * with no unroll pragma and no branch: 64 x 6 + 48 x 4 = 576 rotates
+ * per compression (GCC writes some as vprold by 32 - n).
+ * The eight working variables change roles by index instead of moving:
+ * round t reads A from v[-t mod 8] and writes only D (the next E) and
+ * H (the next A).
+ */
+#define BZK_AVX512 __attribute__((target("avx512f,avx512bw")))
+#define BZK_AVX512_INLINE \
+    __attribute__((target("avx512f,avx512bw"), always_inline))
+
+namespace {
+
+using V16 = __m512i;
+
+template <int... I, typename F>
+BZK_AVX512_INLINE inline void
+unrolledSeq(std::integer_sequence<int, I...>, F f)
+{
+    (f(std::integral_constant<int, I>{}), ...);
+}
+
+/** f(std::integral_constant<int, i>{}) for i = 0 .. N-1, in order. */
+template <int N, typename F>
+BZK_AVX512_INLINE inline void
+unrolled(F f)
+{
+    unrolledSeq(std::make_integer_sequence<int, N>{}, f);
+}
+
+BZK_AVX512_INLINE inline V16
+add(V16 x, V16 y)
+{
+    return _mm512_add_epi32(x, y);
+}
+
+// Rotate and shift, spelled with an all-ones zeroing mask: the plain
+// intrinsics pass an undefined source that GCC 12 warns on. The
+// compiler emits the unmasked instruction.
+template <int N>
+BZK_AVX512_INLINE inline V16
+ror(V16 x)
+{
+    return _mm512_maskz_ror_epi32(0xFFFF, x, N);
+}
+
+template <int N>
+BZK_AVX512_INLINE inline V16
+shr(V16 x)
+{
+    return _mm512_maskz_srli_epi32(0xFFFF, x, N);
+}
+
+BZK_AVX512_INLINE inline V16
+xor3(V16 x, V16 y, V16 z)
+{
+    return _mm512_ternarylogic_epi32(x, y, z, 0x96);
+}
+
+/**
+ * Lane j's big-endian word at @p base + offsets[j] (bytes), for all 16
+ * lanes.
+ */
+BZK_AVX512_INLINE inline V16
+gatherWord(V16 offsets, const uint8_t *base)
+{
+    // Byte order 3 2 1 0 within each word. The gather takes a zero
+    // source for the same reason as ror.
+    const V16 bswap = _mm512_set4_epi32(0x0c0d0e0f, 0x08090a0b, 0x04050607,
+                                        0x00010203);
+    return _mm512_shuffle_epi8(
+        _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), 0xFFFF, offsets,
+                                    base, 1),
+        bswap);
+}
+
+/**
+ * The core: compress one block per lane into @p lanes, given the
+ * blocks' 16 message words (w[t] holds word t of every lane). w is
+ * the schedule's rolling window afterwards.
+ */
+BZK_AVX512_INLINE inline void
+compress16(Lanes16 &lanes, V16 w[16])
+{
+    V16 v[8];
+    unrolled<8>([&](auto i) BZK_AVX512_INLINE {
+        v[i] = _mm512_load_si512(lanes.word[i]);
+    });
+    unrolled<64>([&](auto round) BZK_AVX512_INLINE {
+        constexpr int t = decltype(round)::value;
+        if constexpr (t >= 16) {
+            // W[t] = sigma1(W[t-2]) + W[t-7] + sigma0(W[t-15]) + W[t-16].
+            V16 x = w[(t + 1) & 15];
+            V16 y = w[(t + 14) & 15];
+            V16 s0 = xor3(ror<7>(x), ror<18>(x), shr<3>(x));
+            V16 s1 = xor3(ror<17>(y), ror<19>(y), shr<10>(y));
+            w[t & 15] = add(add(w[t & 15], s0), add(w[(t + 9) & 15], s1));
+        }
+        constexpr int o = 8 - t % 8; // role r (A = 0) is v[(o + r) % 8]
+        V16 &a = v[o % 8], &b = v[(o + 1) % 8], &c = v[(o + 2) % 8];
+        V16 &d = v[(o + 3) % 8], &e = v[(o + 4) % 8];
+        V16 &f = v[(o + 5) % 8], &g = v[(o + 6) % 8], &h = v[(o + 7) % 8];
+        const V16 k = _mm512_set1_epi32(static_cast<int>(kRound[t]));
+        V16 s1 = xor3(ror<6>(e), ror<11>(e), ror<25>(e));
+        V16 ch = _mm512_ternarylogic_epi32(e, f, g, 0xCA);
+        V16 t1 = add(add(h, s1), add(ch, add(w[t & 15], k)));
+        V16 s0 = xor3(ror<2>(a), ror<13>(a), ror<22>(a));
+        V16 maj = _mm512_ternarylogic_epi32(a, b, c, 0xE8);
+        d = add(d, t1);
+        h = add(t1, add(s0, maj));
+    });
+    unrolled<8>([&](auto i) BZK_AVX512_INLINE {
+        _mm512_store_si512(lanes.word[i],
+                           add(v[i], _mm512_load_si512(lanes.word[i])));
+    });
+}
+
+BZK_AVX512_INLINE inline V16
+laneIndex()
+{
+    return _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                             14, 15);
+}
+
+} // namespace
+
+BZK_AVX512 void
+compress16Blocks(Lanes16 &lanes, const uint8_t *blocks)
+{
+    const V16 offsets = _mm512_slli_epi32(laneIndex(), 6); // 64 j
+    V16 w[16];
+    unrolled<16>([&](auto t) BZK_AVX512_INLINE {
+        w[t] = gatherWord(offsets, blocks + 4 * t);
+    });
+    compress16(lanes, w);
+}
+
+BZK_AVX512 void
+compress16Cells(Lanes16 &lanes, const uint8_t *top, const uint8_t *bottom)
+{
+    const V16 offsets = _mm512_slli_epi32(laneIndex(), 5); // 32 j
+    V16 w[16];
+    unrolled<8>([&](auto t) BZK_AVX512_INLINE {
+        w[t] = gatherWord(offsets, top + 4 * t);
+        w[8 + t] = gatherWord(offsets, bottom + 4 * t);
+    });
+    compress16(lanes, w);
+}
+
+#undef BZK_AVX512
+#undef BZK_AVX512_INLINE
+
 #else
 
 bool
@@ -290,7 +365,44 @@ compressShaNi(uint32_t *, const uint8_t *, size_t)
     panic("Sha256: SHA-NI kernel called on a non-x86 build");
 }
 
+bool
+avx512Supported()
+{
+    return false;
+}
+
+void
+compress16Blocks(Lanes16 &, const uint8_t *)
+{
+    panic("Sha256: AVX-512 kernel called on a non-x86 build");
+}
+
+void
+compress16Cells(Lanes16 &, const uint8_t *, const uint8_t *)
+{
+    panic("Sha256: AVX-512 kernel called on a non-x86 build");
+}
+
 #endif
+
+void
+initLanes16(Lanes16 &lanes)
+{
+    for (int i = 0; i < 8; ++i)
+        for (size_t j = 0; j < kShaLanes; ++j)
+            lanes.word[i][j] = kInit[i];
+}
+
+void
+lanes16Digests(const Lanes16 &lanes, Digest *out)
+{
+    uint32_t state[8];
+    for (size_t j = 0; j < kShaLanes; ++j) {
+        for (int i = 0; i < 8; ++i)
+            state[i] = lanes.word[i][j];
+        out[j] = stateDigest(state);
+    }
+}
 
 CompressFn
 activeCompress()
@@ -392,31 +504,28 @@ Sha256::hashPair(const Digest &left, const Digest &right)
 }
 
 void
-Sha256::compressBlocks4(const uint8_t *blocks, Digest *out)
+Sha256::compressBlocks(const uint8_t *blocks, size_t n_blocks, Digest *out)
 {
-    compressLanes<4>(blocks, out);
-}
-
-void
-Sha256::compressBlocks8(const uint8_t *blocks, Digest *out)
-{
-    compressLanes<8>(blocks, out);
+    using hash::detail::kShaLanes;
+    size_t i = 0;
+    if (hash::detail::avx512Supported()) {
+        hash::detail::Lanes16 lanes;
+        for (; i + kShaLanes <= n_blocks; i += kShaLanes) {
+            hash::detail::initLanes16(lanes);
+            hash::detail::compress16Blocks(lanes, blocks + 64 * i);
+            hash::detail::lanes16Digests(lanes, out + i);
+        }
+    }
+    for (; i < n_blocks; ++i)
+        out[i] = compressBlock(
+            std::span<const uint8_t, 64>(blocks + 64 * i, 64));
 }
 
 void
 Sha256::hashPairs(const Digest *children, size_t n_pairs, Digest *out)
 {
-    const uint8_t *blocks = reinterpret_cast<const uint8_t *>(children);
-    size_t i = 0;
-    for (; i + 8 <= n_pairs; i += 8)
-        compressBlocks8(blocks + 64 * i, out + i);
-    if (i + 4 <= n_pairs) {
-        compressBlocks4(blocks + 64 * i, out + i);
-        i += 4;
-    }
-    for (; i < n_pairs; ++i)
-        out[i] = compressBlock(
-            std::span<const uint8_t, 64>(blocks + 64 * i, 64));
+    compressBlocks(reinterpret_cast<const uint8_t *>(children), n_pairs,
+                   out);
 }
 
 } // namespace bzk

@@ -9,9 +9,10 @@
  * block compression. The Merkle-tree modules use the raw compression —
  * exactly the "hash a 512-bit block into a 256-bit value" primitive of the
  * paper's Figure 2 — so the cost model can charge precisely one compression
- * per tree node. Every entry point compresses through one block kernel
- * picked once per process (SHA-NI when the CPU has it, portable code
- * otherwise; see hash/Sha256Kernels.h).
+ * per tree node. Every single-message entry point compresses through
+ * one block kernel picked once per process (SHA-NI when the CPU has it,
+ * portable code otherwise); compressBlocks runs 16 messages per AVX-512
+ * compression where the CPU has it (see hash/Sha256Kernels.h).
  */
 
 #include <array>
@@ -63,25 +64,22 @@ class Sha256
     static Digest hashPair(const Digest &left, const Digest &right);
 
     /**
-     * Compress 4 independent 512-bit blocks — the scalar analogue of
-     * the paper's one-thread-per-node Merkle kernel. On CPUs with the
-     * SHA extensions each lane is one SHA-NI compression; elsewhere the
-     * portable kernel interleaves the message schedules so the
-     * compiler can vectorize across the lanes. Bit-identical to 4
-     * compressBlock calls. @p blocks holds 4 consecutive 64-byte
-     * blocks.
+     * out[i] = compressBlock(block i) for @p n_blocks consecutive
+     * 64-byte blocks — the scalar analogue of the paper's
+     * one-thread-per-node Merkle kernel. Where the CPU has AVX-512,
+     * whole groups of 16 blocks run as the 16 lanes of one compression
+     * (hash/Sha256Kernels.h); the rest, and every block on other CPUs,
+     * take one dispatched compressBlock each.
      */
-    static void compressBlocks4(const uint8_t *blocks, Digest *out);
-
-    /** compressBlocks4, 8 lanes wide. */
-    static void compressBlocks8(const uint8_t *blocks, Digest *out);
+    static void compressBlocks(const uint8_t *blocks, size_t n_blocks,
+                               Digest *out);
 
     /**
      * Hash @p n_pairs sibling pairs: out[i] = hashPair(children[2i],
      * children[2i+1]). Adjacent digests are read in place as one
-     * 64-byte block (no per-node staging copies) and compressed with
-     * the widest multi-way kernel that fits — the Merkle layer hot
-     * loop. @p out may not alias @p children.
+     * 64-byte block (no per-node staging copies) and go through
+     * compressBlocks — the Merkle layer hot loop. @p out may not alias
+     * @p children.
      */
     static void hashPairs(const Digest *children, size_t n_pairs,
                           Digest *out);

@@ -1,5 +1,6 @@
 #include "merkle/MerkleTree.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/Log.h"
@@ -35,8 +36,9 @@ MerkleTree::MerkleTree(std::vector<Digest> leaves, size_t data_compressions,
         const auto &below = layers_.back();
         std::vector<Digest> above(below.size() / 2);
         // The layer hot loop: sibling pairs are read in place and
-        // compressed with the multi-way kernel; layers split across
-        // host threads when an ExecContext is supplied.
+        // compressed 16 per AVX-512 compression where the CPU has it;
+        // layers split across host threads when an ExecContext is
+        // supplied.
         auto hash_range = [&](size_t begin, size_t end) {
             Sha256::hashPairs(below.data() + 2 * begin, end - begin,
                               above.data() + begin);
@@ -61,16 +63,10 @@ MerkleTree::build(std::span<const uint8_t> data,
         exec->setRegion("merkle");
     std::vector<Digest> leaves(blocks);
     auto leaf_range = [&](size_t begin, size_t end) {
-        size_t i = begin;
-        // Whole blocks compress straight out of the input buffer,
-        // 8 interleaved schedules at a time.
-        size_t full = std::min(end, data.size() / 64);
-        for (; i + 8 <= full; i += 8)
-            Sha256::compressBlocks8(data.data() + 64 * i,
-                                    leaves.data() + i);
-        for (; i < full; ++i)
-            leaves[i] = Sha256::compressBlock(
-                std::span<const uint8_t, 64>(data.data() + 64 * i, 64));
+        // Whole blocks compress straight out of the input buffer.
+        size_t i = std::max(begin, std::min(end, data.size() / 64));
+        Sha256::compressBlocks(data.data() + 64 * begin, i - begin,
+                               leaves.data() + begin);
         // A ragged tail block is zero-padded into a stack staging
         // buffer (at most one per build).
         for (; i < end; ++i) {

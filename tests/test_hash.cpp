@@ -105,75 +105,161 @@ TEST(Sha256, HashPairDeterministicAndOrderSensitive)
     EXPECT_NE(Sha256::hashPair(a, b), Sha256::hashPair(b, a));
 }
 
-// The dispatched entry point and, on every host, the portable
-// interleaved kernel it falls back to without SHA-NI.
-TEST(Sha256, CompressBlocks4MatchesScalar)
-{
-    uint8_t blocks[4 * 64];
-    for (size_t i = 0; i < sizeof(blocks); ++i)
-        blocks[i] = static_cast<uint8_t>(i * 31 + 7);
-    for (auto kernel :
-         {&Sha256::compressBlocks4, &hash::detail::compressBlocks4Portable}) {
-        Digest out[4];
-        kernel(blocks, out);
-        for (size_t lane = 0; lane < 4; ++lane) {
-            Digest ref = Sha256::compressBlock(
-                std::span<const uint8_t, 64>(blocks + 64 * lane, 64));
-            EXPECT_EQ(out[lane], ref) << "lane " << lane;
-        }
-    }
-}
-
-TEST(Sha256, CompressBlocks8MatchesScalar)
-{
-    uint8_t blocks[8 * 64];
-    for (size_t i = 0; i < sizeof(blocks); ++i)
-        blocks[i] = static_cast<uint8_t>(i * 131 + 17);
-    for (auto kernel :
-         {&Sha256::compressBlocks8, &hash::detail::compressBlocks8Portable}) {
-        Digest out[8];
-        kernel(blocks, out);
-        for (size_t lane = 0; lane < 8; ++lane) {
-            Digest ref = Sha256::compressBlock(
-                std::span<const uint8_t, 64>(blocks + 64 * lane, 64));
-            EXPECT_EQ(out[lane], ref) << "lane " << lane;
-        }
-    }
-}
-
-TEST(Sha256, CompressBlocks4KnownAnswer)
-{
-    // Lane 0 carries the FIPS 180-4 one-block padded message for "abc";
-    // the multi-way path must reproduce the canonical digest exactly.
-    uint8_t blocks[4 * 64] = {0};
-    blocks[0] = 'a';
-    blocks[1] = 'b';
-    blocks[2] = 'c';
-    blocks[3] = 0x80;
-    blocks[63] = 24; // bit length
-    for (auto kernel :
-         {&Sha256::compressBlocks4, &hash::detail::compressBlocks4Portable}) {
-        Digest out[4];
-        kernel(blocks, out);
-        EXPECT_EQ(out[0].toHex(),
-                  "ba7816bf8f01cfea414140de5dae2223"
-                  "b00361a396177a9cb410ff61f20015ad");
-    }
-}
-
 TEST(Sha256, HashPairsMatchesHashPairForAllLaneWidths)
 {
-    // 21 pairs = two 8-wide groups, one 4-wide group, one scalar pair:
-    // every code path in the multi-way layer hasher.
-    std::vector<Digest> children(42);
+    // 37 pairs = two 16-lane groups and a tail of 5 single compressions:
+    // every code path in the layer hasher.
+    std::vector<Digest> children(74);
     for (size_t i = 0; i < children.size(); ++i)
         children[i] = digestOfString("child" + std::to_string(i));
-    std::vector<Digest> out(21);
+    std::vector<Digest> out(37);
     Sha256::hashPairs(children.data(), out.size(), out.data());
     for (size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], Sha256::hashPair(children[2 * i],
                                            children[2 * i + 1]))
             << "pair " << i;
+}
+
+/**
+ * @p kernel over @p n_blocks blocks from SHA-256's IV, as a digest
+ * (compressPortable unless given).
+ */
+Digest
+digestFromIv(const uint8_t *blocks, size_t n_blocks,
+             hash::detail::CompressFn kernel = hash::detail::compressPortable)
+{
+    uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    kernel(state, blocks, n_blocks);
+    Digest d;
+    for (int i = 0; i < 8; ++i)
+        for (int j = 0; j < 4; ++j)
+            d.bytes[4 * i + j] =
+                static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    return d;
+}
+
+TEST(Sha256, CompressBlocksMatchesPortableAtEverySize)
+{
+    // Below, at and around the 16-lane group: no group, one tail block,
+    // groups with and without a tail. The slot after the last block must
+    // stay untouched.
+    Rng rng(0xb10c5);
+    for (size_t n : {0u, 1u, 15u, 16u, 17u, 33u}) {
+        std::vector<uint8_t> blocks(64 * n);
+        for (auto &b : blocks)
+            b = static_cast<uint8_t>(rng.next());
+        std::vector<Digest> out(n + 1);
+        Digest sentinel = digestOfString("sentinel");
+        out[n] = sentinel;
+        Sha256::compressBlocks(blocks.data(), n, out.data());
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_EQ(out[i], digestFromIv(blocks.data() + 64 * i, 1))
+                << "n=" << n << " block " << i;
+        EXPECT_EQ(out[n], sentinel) << "n=" << n;
+    }
+}
+
+/**
+ * The 16-lane kernel against compressPortable, lane by lane, through
+ * both loaders. Skipped where the CPU lacks AVX-512F/BW: the
+ * dispatcher never selects the kernel there.
+ */
+class Sha256Lanes16Test : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!hash::detail::avx512Supported())
+            GTEST_SKIP() << "CPU lacks AVX-512F/BW";
+    }
+
+    /** Lane @p lane's state words equal @p want. */
+    static void
+    expectLane(const hash::detail::Lanes16 &lanes, size_t lane,
+               const uint32_t want[8], const std::string &what)
+    {
+        for (int i = 0; i < 8; ++i)
+            EXPECT_EQ(lanes.word[i][lane], want[i])
+                << what << " lane " << lane << " word " << i;
+    }
+};
+
+TEST_F(Sha256Lanes16Test, AbcBlockInEachLane)
+{
+    // The FIPS 180-4 one-block padded "abc" in each lane in turn, the
+    // other lanes holding filler that must hash as the portable code
+    // hashes it.
+    for (size_t lane = 0; lane < hash::detail::kShaLanes; ++lane) {
+        std::vector<uint8_t> blocks(64 * hash::detail::kShaLanes);
+        for (size_t i = 0; i < blocks.size(); ++i)
+            blocks[i] = static_cast<uint8_t>(i * 37 + 11);
+        uint8_t *abc = blocks.data() + 64 * lane;
+        std::memset(abc, 0, 64);
+        abc[0] = 'a';
+        abc[1] = 'b';
+        abc[2] = 'c';
+        abc[3] = 0x80;
+        abc[63] = 24; // bit length
+        hash::detail::Lanes16 lanes;
+        hash::detail::initLanes16(lanes);
+        hash::detail::compress16Blocks(lanes, blocks.data());
+        Digest out[hash::detail::kShaLanes];
+        hash::detail::lanes16Digests(lanes, out);
+        EXPECT_EQ(out[lane].toHex(), "ba7816bf8f01cfea414140de5dae2223"
+                                     "b00361a396177a9cb410ff61f20015ad")
+            << "lane " << lane;
+        for (size_t j = 0; j < hash::detail::kShaLanes; ++j)
+            EXPECT_EQ(out[j], digestFromIv(blocks.data() + 64 * j, 1))
+                << "abc in lane " << lane << ", lane " << j;
+    }
+}
+
+TEST_F(Sha256Lanes16Test, MatchesPortableOnRandomChainedStates)
+{
+    // 1,600 (state, block) pairs: random states in every lane, not
+    // just the IV, chained over 1..4 blocks, through both loaders. The
+    // cell loader reads lane j's block as 32 bytes of one row and 32
+    // of another, the rows a stride apart.
+    Rng rng(0x16a5e);
+    constexpr size_t kLanes = hash::detail::kShaLanes;
+    for (int trial = 0; trial < 40; ++trial) {
+        bool cells = trial % 2;
+        size_t n_blocks = 1 + trial % 4;
+        hash::detail::Lanes16 lanes;
+        uint32_t ref[kLanes][8];
+        for (size_t j = 0; j < kLanes; ++j)
+            for (int i = 0; i < 8; ++i)
+                ref[j][i] = lanes.word[i][j] =
+                    static_cast<uint32_t>(rng.next());
+        for (size_t step = 0; step < n_blocks; ++step) {
+            std::vector<uint8_t> bytes(64 * kLanes + 96);
+            for (auto &b : bytes)
+                b = static_cast<uint8_t>(rng.next());
+            uint8_t block[64];
+            if (cells) {
+                const uint8_t *top = bytes.data();
+                const uint8_t *bottom = top + 32 * kLanes + 96;
+                hash::detail::compress16Cells(lanes, top, bottom);
+                for (size_t j = 0; j < kLanes; ++j) {
+                    std::memcpy(block, top + 32 * j, 32);
+                    std::memcpy(block + 32, bottom + 32 * j, 32);
+                    hash::detail::compressPortable(ref[j], block, 1);
+                }
+            } else {
+                hash::detail::compress16Blocks(lanes, bytes.data());
+                for (size_t j = 0; j < kLanes; ++j)
+                    hash::detail::compressPortable(
+                        ref[j], bytes.data() + 64 * j, 1);
+            }
+        }
+        for (size_t j = 0; j < kLanes; ++j)
+            expectLane(lanes, j, ref[j],
+                       "trial " + std::to_string(trial));
+        if (HasFailure())
+            return;
+    }
 }
 
 /**
@@ -204,16 +290,7 @@ class Sha256KernelTest : public ::testing::TestWithParam<bool>
             buf.push_back(0);
         for (int i = 7; i >= 0; --i)
             buf.push_back(static_cast<uint8_t>(bits >> (8 * i)));
-        uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                             0xa54ff53a, 0x510e527f, 0x9b05688c,
-                             0x1f83d9ab, 0x5be0cd19};
-        kernel_(state, buf.data(), buf.size() / 64);
-        Digest d;
-        for (int i = 0; i < 8; ++i)
-            for (int j = 0; j < 4; ++j)
-                d.bytes[4 * i + j] =
-                    static_cast<uint8_t>(state[i] >> (24 - 8 * j));
-        return d.toHex();
+        return digestFromIv(buf.data(), buf.size() / 64, kernel_).toHex();
     }
 
     hash::detail::CompressFn kernel_ = nullptr;

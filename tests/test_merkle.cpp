@@ -139,7 +139,7 @@ TEST(MerkleTree, BuildFromLeaves)
 TEST(MerkleTree, RootBitIdenticalAcrossThreadCounts)
 {
     // 1000 blocks: not a power of two, so the build path exercises
-    // padding, the multi-way leaf hasher's ragged tail, and every
+    // padding, the 16-lane leaf hasher's ragged tail, and every
     // parallel layer. The root must not depend on the thread count.
     std::vector<uint8_t> data(1000 * 64);
     for (size_t i = 0; i < data.size(); ++i)
@@ -156,6 +156,32 @@ TEST(MerkleTree, RootBitIdenticalAcrossThreadCounts)
         EXPECT_EQ(t.compressions(), MerkleTree::build(data).compressions())
             << "threads=" << threads;
     }
+}
+
+TEST(MerkleTree, RootMatchesOneCompressionPerNode)
+{
+    // The leaves and layers run 16 blocks per compression where the CPU
+    // has AVX-512; the root must equal a tree built one compressBlock
+    // per leaf and one hashPair per node. 1000 blocks leave a tail of 8
+    // leaves and give layers of 512 down to 1 pairs.
+    std::vector<uint8_t> data(1000 * 64);
+    for (size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<uint8_t>(i * 29 + 5);
+    std::vector<Digest> layer(1024);
+    for (size_t i = 0; i < 1000; ++i)
+        layer[i] = Sha256::compressBlock(
+            std::span<const uint8_t, 64>(data.data() + 64 * i, 64));
+    while (layer.size() > 1) {
+        std::vector<Digest> above(layer.size() / 2);
+        for (size_t i = 0; i < above.size(); ++i)
+            above[i] = Sha256::hashPair(layer[2 * i], layer[2 * i + 1]);
+        layer = std::move(above);
+    }
+    EXPECT_EQ(MerkleTree::build(data).root(), layer[0]);
+    exec::ExecConfig cfg;
+    cfg.threads = 4;
+    exec::ExecContext exec(cfg);
+    EXPECT_EQ(MerkleTree::build(data, &exec).root(), layer[0]);
 }
 
 TEST(MerkleTree, PathsVerifyOnParallelBuild)

@@ -255,13 +255,14 @@ TYPED_TEST(PcsT, CommitStoresRowCodewordsRowMajor)
 
 TYPED_TEST(PcsT, CommitRootMatchesPerColumnLeaves)
 {
-    // The commit hashes columns in blocks of kLeafBlock, cut short
-    // where a thread chunk ends (3 and 5 threads split 2m = 64 and 128
-    // columns off block boundaries). The root must equal a tree over
-    // leaves built one column at a time from the row codewords.
+    // The commit splits whole groups of kLeafBlock columns across
+    // threads (3, 4 and 5 threads split 2m / 16 = 4 to 32 groups into
+    // uneven chunks), and each chunk hashes its groups as one stripe.
+    // The root must equal a tree over leaves built one column at a time
+    // from the row codewords, up to the benchmark's n = 16.
     using F = TypeParam;
     Rng rng(12);
-    for (unsigned n : {6u, 9u, 12u}) {
+    for (unsigned n : {6u, 9u, 12u, 16u}) {
         TensorPcs<F> pcs(n, 9);
         size_t m = size_t{1} << pcs.colVars();
         size_t k = size_t{1} << pcs.rowVars();
@@ -278,7 +279,7 @@ TYPED_TEST(PcsT, CommitRootMatchesPerColumnLeaves)
             leaves[col] = Sha256::digest(bytes);
         }
         Digest want = MerkleTree::buildFromLeaves(leaves).root();
-        for (size_t threads : {1u, 3u, 5u}) {
+        for (size_t threads : {1u, 3u, 4u, 5u}) {
             exec::ExecConfig cfg;
             cfg.threads = threads;
             exec::ExecContext exec(cfg);
@@ -286,6 +287,43 @@ TYPED_TEST(PcsT, CommitRootMatchesPerColumnLeaves)
             pcs.commit(poly, state, &exec);
             EXPECT_EQ(state.commitment.root, want)
                 << "n=" << n << " threads=" << threads;
+        }
+    }
+}
+
+TEST(ColumnLeaves, MatchPerColumnDigestsOnBothPaths)
+{
+    // hashColumns (16 lanes per group where the CPU has AVX-512, the
+    // per-column path for the rest) and hashColumnRuns alone must both
+    // give each column's SHA-256: widths below, at and around one group
+    // and one stripe, odd and even row counts, and rows wider than the
+    // hashed block.
+    Rng rng(0xc01);
+    for (size_t width : {1u, 15u, 16u, 17u, 48u, 512u, 560u}) {
+        for (size_t rows : {1u, 2u, 3u, 256u}) {
+            for (size_t stride : {width, width + 9}) {
+                std::vector<U256> matrix(rows * stride);
+                for (auto &v : matrix)
+                    for (auto &limb : v.limb)
+                        limb = rng.next();
+                std::vector<Digest> want(width);
+                std::vector<uint8_t> bytes(rows * 32);
+                for (size_t col = 0; col < width; ++col) {
+                    for (size_t row = 0; row < rows; ++row)
+                        u256ToBytes(matrix[row * stride + col],
+                                    std::span<uint8_t, 32>(
+                                        bytes.data() + row * 32, 32));
+                    want[col] = Sha256::digest(bytes);
+                }
+                std::vector<Digest> fast(width), runs(width);
+                hashColumns(matrix.data(), rows, stride, width, fast.data());
+                hashColumnRuns(matrix.data(), rows, stride, width,
+                               runs.data());
+                EXPECT_EQ(fast, want) << "width=" << width << " rows="
+                                      << rows << " stride=" << stride;
+                EXPECT_EQ(runs, want) << "width=" << width << " rows="
+                                      << rows << " stride=" << stride;
+            }
         }
     }
 }
