@@ -345,7 +345,9 @@ medianMs(Fn &&fn)
 
 /**
  * Scalar-vs-packed sweep of the wide 4x64-limb Montgomery kernels on
- * BN254 Fr, plus the 2^14-point MSM acceptance sweep: the vectorized
+ * BN254 Fr (mul, add, dot, and the prover's fold and axpy: every
+ * sum-check round folds, every PCS row combination runs axpys), plus
+ * the 2^14-point MSM acceptance sweep: the vectorized
  * batch-affine bucket pass must beat the scalar Jacobian bucket loop
  * and produce a bit-identical point. Outputs under the forced scalar
  * backend (Fp's element loop) and the host's best backend
@@ -404,6 +406,21 @@ runWideFieldSweep(bench::JsonBench &json)
             std::vector<Fr> &o) {
              for (size_t it = 0; it < kIters; ++it)
                  o[0] = ff::dotLanes(x.data(), y.data(), x.size());
+         }},
+        // fold and axpy update o in place, so each run starts it over.
+        {"wide_field_fold",
+         [](std::vector<Fr> &x, std::vector<Fr> &y,
+            std::vector<Fr> &o) {
+             o = x;
+             for (size_t it = 0; it < kIters; ++it)
+                 ff::foldLanes(o.data(), y.data(), x[0], o.size());
+         }},
+        {"wide_field_axpy",
+         [](std::vector<Fr> &x, std::vector<Fr> &y,
+            std::vector<Fr> &o) {
+             o = y;
+             for (size_t it = 0; it < kIters; ++it)
+                 ff::axpyLanes(o.data(), x.data(), y[0], o.size());
          }},
     };
     for (const Kernel &k : kernels) {

@@ -162,7 +162,7 @@ class SparseMatrix
             }
         };
         if (!exec || exec->threads() <= 1 ||
-            nnz() < exec->serialCutoff()) {
+            nnz() < exec::kSerialCutoff) {
             run_rows(0, rows());
             return;
         }

@@ -76,9 +76,9 @@ resolveThreads(size_t requested)
     return hw > 0 ? hw : 1;
 }
 
-ExecContext::ExecContext(ExecConfig cfg) : cfg_(cfg)
+ExecContext::ExecContext(ExecConfig cfg)
+    : threads_(resolveThreads(cfg.threads))
 {
-    threads_ = resolveThreads(cfg_.threads);
     if (threads_ > 1)
         pool_ = sharedPool(threads_);
 }
@@ -87,7 +87,7 @@ void
 ExecContext::parallelFor(
     size_t n, const std::function<void(size_t, size_t)> &body) const
 {
-    parallelFor(n, cfg_.serial_cutoff, body);
+    parallelFor(n, kSerialCutoff, body);
 }
 
 void

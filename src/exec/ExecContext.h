@@ -46,12 +46,13 @@ struct ExecConfig
      * BZK_THREADS environment variable, then hardware concurrency.
      */
     size_t threads = 0;
-    /**
-     * parallelFor runs inline on the caller below this many items —
-     * fine-grained loops are not worth a pool round-trip.
-     */
-    size_t serial_cutoff = 1024;
 };
+
+/**
+ * parallelFor runs inline on the caller below this many items —
+ * fine-grained loops are not worth a pool round-trip.
+ */
+inline constexpr size_t kSerialCutoff = 1024;
 
 /**
  * Set the process-wide default thread count used when
@@ -91,14 +92,11 @@ class ExecContext
     /** Resolved worker count (>= 1). */
     size_t threads() const { return threads_; }
 
-    /** The configured serial cutoff. */
-    size_t serialCutoff() const { return cfg_.serial_cutoff; }
-
     /**
      * Split [0, n) into contiguous chunks and run @p body(begin, end)
      * across the pool, blocking until all chunks finish. Runs inline
-     * when the context is single-threaded, when n is below the serial
-     * cutoff, or when called from inside another parallelFor body
+     * when the context is single-threaded, when n is below
+     * kSerialCutoff, or when called from inside another parallelFor body
      * (nested parallelism degrades to serial instead of deadlocking
      * the shared pool). Exceptions from chunks propagate to the
      * caller (first one wins).
@@ -142,7 +140,6 @@ class ExecContext
                    const std::function<void(size_t, size_t)> &body) const;
     void account(double wall_ms, double busy_ms) const;
 
-    ExecConfig cfg_;
     size_t threads_ = 1;
     std::shared_ptr<ThreadPool> pool_;
     mutable std::mutex stats_mutex_;

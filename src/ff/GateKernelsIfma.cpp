@@ -10,9 +10,9 @@
  * For pair i, x_t = x_lo + t * (x_hi - x_lo) for each table x, and
  * the round needs sum_i w * (a_t^K * b_t - c_t) at t = 0 .. K + 1.
  *
- * Loads: the seven operands are transposed and re-sliced with no
- * pre-shift (to52<0>), so they are the Montgomery integers X = x * R,
- * R = 2^256. A reduced product of two of them divides by 2^260, not
+ * Loads: the seven operands are loaded with no pre-shift (load52<0>),
+ * so they are the Montgomery integers X = x * R, R = 2^256. A reduced
+ * product of two of them (Ifma52.h's montReduce) divides by 2^260, not
  * R, so it is short by 2^4 against Fp's product; the stepping below is
  * linear, so it keeps that factor, and FieldBackend.cpp multiplies
  * each sum by the power of two it is short by (gateSumsShift).
@@ -26,21 +26,19 @@
  *
  * Unreduced products: the last product of every term, a_t^K * (w b_t),
  * and w * c_lo, w * c_hi, are not reduced. Their 25 partial products
- * go into ten 64-bit slots per lane, low halves to slot i + j and high
- * halves to slot i + j + 1: 50 vpmadd52 instead of a reduced
- * product's 105. One slot takes at most 9 halves of one product, each
- * below 2^52, and a lane takes at most kGateSumsSpan / 8 = 256
- * products per call, so a slot stays below 2304 * 2^52 < 2^64 with no
- * carry until the call's one carry pass.
+ * accumulate in ten 64-bit slots per lane (Ifma52.h's mulAcc): 50
+ * vpmadd52 instead of a reduced product's 105. One slot takes at most
+ * 9 halves of one product, each below 2^52, and a lane takes at most
+ * kGateSumsSpan / 8 = 256 products per call, so a slot stays below
+ * 2304 * 2^52 < 2^64 with no carry until the call's one carry pass.
  *
  * Reduction, once per call: the lane's sum S of at most 256 products
- * of canonical values is below 256 p^2. After the carry pass, five
- * Montgomery rounds leave (S + M p) / 2^260 with
- * M < 2^260, below 256 p^2 / 2^260 + p = p (1 + p / 2^252) < 5p for
- * p < 2^254. So four conditional subtractions of p leave the
- * canonical residue. Each residue is unique, so the lanes store bit
- * for bit what Fp computes for the same sums; FieldBackend.cpp adds
- * the lanes.
+ * of canonical values is below 256 p^2. After the carry pass,
+ * redcSlots leaves a value below S / 2^260 + p (Ifma52.h), here below
+ * 256 p^2 / 2^260 + p = p (1 + p / 2^252) < 5p for p < 2^254. So four
+ * conditional subtractions of p leave the canonical residue. Each
+ * residue is unique, so the lanes store bit for bit what Fp computes
+ * for the same sums; FieldBackend.cpp adds the lanes.
  *
  * Counts per block of 8 pairs: 2 reduced products (210 vpmadd52),
  * 3 + (K + 2) squarings (85 each) and K + 4 unreduced products (50
@@ -48,10 +46,10 @@
  * 460, for K = 1.
  *
  * Scheduling: a block's partial products go to slots first and their
- * Montgomery rounds run batched (redcSlots<N>), so the N reductions'
+ * Montgomery rounds run batched (montReduce<N>), so the N reductions'
  * dependency chains overlap. Every fixed-count loop carries an unroll
- * pragma: at -O2 GCC leaves these loops rolled, which keeps the limbs
- * on the stack and ran the kernel about 3x slower.
+ * pragma, as in Ifma52.h: at -O2 GCC leaves these loops rolled, which
+ * keeps the limbs on the stack and ran the kernel about 3x slower.
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -60,133 +58,6 @@
 
 namespace bzk::ff::detail {
 namespace {
-
-/** Radix-2^52 slots of an unreduced product of two five-limb values. */
-constexpr int kSlots = 10;
-
-/** The 8 elements at @p p (4 limbs each) as five radix-52 limbs. */
-inline void
-load52(const ConstsV &k, const uint64_t *p, V x[5])
-{
-    V L[4];
-    toSoA(_mm512_loadu_si512(p), _mm512_loadu_si512(p + 8),
-          _mm512_loadu_si512(p + 16), _mm512_loadu_si512(p + 24), L);
-    to52<0>(k, L, x);
-}
-
-/** acc += x * y as integers, unreduced (file comment). */
-inline void
-mulAcc(V acc[kSlots], const V x[5], const V y[5])
-{
-#pragma GCC unroll 16
-    for (int i = 0; i < 5; ++i) {
-#pragma GCC unroll 16
-        for (int j = 0; j < 5; ++j) {
-            acc[i + j] = _mm512_madd52lo_epu64(acc[i + j], x[i], y[j]);
-            acc[i + j + 1] =
-                _mm512_madd52hi_epu64(acc[i + j + 1], x[i], y[j]);
-        }
-    }
-}
-
-/** s = x * y as integers in ten slots. */
-inline void
-mulSlots(const ConstsV &k, const V x[5], const V y[5], V s[kSlots])
-{
-#pragma GCC unroll 16
-    for (int j = 0; j < kSlots; ++j)
-        s[j] = k.zero;
-    mulAcc(s, x, y);
-}
-
-/**
- * s = x^2 as integers in ten slots: the 10 cross products once,
- * doubled, then the 5 squares, 15 partial products in all.
- */
-inline void
-sqrSlots(const ConstsV &k, const V x[5], V s[kSlots])
-{
-#pragma GCC unroll 16
-    for (int j = 0; j < kSlots; ++j)
-        s[j] = k.zero;
-#pragma GCC unroll 16
-    for (int i = 0; i < 5; ++i) {
-#pragma GCC unroll 16
-        for (int j = i + 1; j < 5; ++j) {
-            s[i + j] = _mm512_madd52lo_epu64(s[i + j], x[i], x[j]);
-            s[i + j + 1] = _mm512_madd52hi_epu64(s[i + j + 1], x[i], x[j]);
-        }
-    }
-#pragma GCC unroll 16
-    for (int j = 1; j < kSlots - 1; ++j)
-        s[j] = _mm512_add_epi64(s[j], s[j]);
-#pragma GCC unroll 16
-    for (int i = 0; i < 5; ++i) {
-        s[2 * i] = _mm512_madd52lo_epu64(s[2 * i], x[i], x[i]);
-        s[2 * i + 1] = _mm512_madd52hi_epu64(s[2 * i + 1], x[i], x[i]);
-    }
-}
-
-/**
- * t[v] = s[v] * 2^-260 mod p plus a multiple of p, for v < N: five
- * Montgomery rounds over each value's ten slots, which they
- * overwrite, the N values' steps interleaved so their dependency
- * chains overlap. Each result is below s[v] / 2^260 + p, with limbs
- * below 2^52 but the top one, which takes the rest.
- */
-template <int N>
-inline void
-redcSlots(const ConstsV &k, V (*s)[kSlots], V (*t)[5])
-{
-#pragma GCC unroll 16
-    for (int i = 0; i < 5; ++i) {
-        // m clears the low 52 bits of slot i; its exact carry and the
-        // rest of m * p then leave the value in the slots above.
-        V m[N];
-#pragma GCC unroll 16
-        for (int v = 0; v < N; ++v)
-            m[v] = _mm512_madd52lo_epu64(k.zero, s[v][i], k.inv52);
-#pragma GCC unroll 16
-        for (int v = 0; v < N; ++v) {
-            s[v][i] = _mm512_madd52lo_epu64(s[v][i], m[v], k.p52[0]);
-            s[v][i + 1] = _mm512_add_epi64(s[v][i + 1],
-                                           _mm512_srli_epi64(s[v][i], 52));
-        }
-#pragma GCC unroll 16
-        for (int j = 1; j < 5; ++j)
-#pragma GCC unroll 16
-            for (int v = 0; v < N; ++v)
-                s[v][i + j] =
-                    _mm512_madd52lo_epu64(s[v][i + j], m[v], k.p52[j]);
-#pragma GCC unroll 16
-        for (int j = 0; j < 5; ++j)
-#pragma GCC unroll 16
-            for (int v = 0; v < N; ++v)
-                s[v][i + j + 1] =
-                    _mm512_madd52hi_epu64(s[v][i + j + 1], m[v], k.p52[j]);
-    }
-#pragma GCC unroll 16
-    for (int v = 0; v < N; ++v) {
-#pragma GCC unroll 16
-        for (int j = 0; j < 5; ++j)
-            t[v][j] = s[v][5 + j];
-        carry52<5>(k, t[v]);
-    }
-}
-
-/**
- * Canonical Montgomery reductions of N products of canonical values:
- * x y / 2^260 + p < 2p, so one conditional subtraction each.
- */
-template <int N>
-inline void
-montReduce(const ConstsV &k, V (*s)[kSlots], V (*t)[5])
-{
-    redcSlots<N>(k, s, t);
-#pragma GCC unroll 16
-    for (int v = 0; v < N; ++v)
-        subPIfAbove(k, t[v]);
-}
 
 template <unsigned K>
 void
@@ -205,21 +76,21 @@ gateSums(const ConstsV &k, const uint64_t *a, const uint64_t *b,
     const size_t hi = 4 * half;
     for (size_t i = 0; i < n; i += kIfmaLanes) {
         V wv[5], lo[5], up[5];
-        load52(k, w + 4 * i, wv);
-        load52(k, c + 4 * i, lo);
-        load52(k, c + 4 * i + hi, up);
+        load52<0>(k, w + 4 * i, wv);
+        load52<0>(k, c + 4 * i, lo);
+        load52<0>(k, c + 4 * i + hi, up);
         mulAcc(acc[kPoints], wv, lo);
         mulAcc(acc[kPoints + 1], wv, up);
 
         // The reduced products, their reductions batched: w b_lo and
         // w b_hi, then for K = 4 a_lo^2, a_hi^2 and (a_hi - a_lo)^2.
         V s[kPoints][kSlots], r[kPoints][5];
-        load52(k, b + 4 * i, lo);
-        load52(k, b + 4 * i + hi, up);
+        load52<0>(k, b + 4 * i, lo);
+        load52<0>(k, b + 4 * i + hi, up);
         mulSlots(k, wv, lo, s[0]);
         mulSlots(k, wv, up, s[1]);
-        load52(k, a + 4 * i, lo);
-        load52(k, a + 4 * i + hi, up);
+        load52<0>(k, a + 4 * i, lo);
+        load52<0>(k, a + 4 * i + hi, up);
         V d[5];
         subMod52(k, up, lo, d);
         if constexpr (K == 1) {
@@ -274,17 +145,12 @@ gateSums(const ConstsV &k, const uint64_t *a, const uint64_t *b,
             mulAcc(acc[t], x[t], wb[t]);
     }
     for (int g = 0; g < kPoints + 2; ++g) {
-        V t[1][5], L[4], e[4];
+        V t[1][5];
         carry52<kSlots>(k, acc[g]);
         redcSlots<1>(k, &acc[g], t);
         for (int sub = 0; sub < 4; ++sub)
             subPIfAbove(k, t[0]);
-        from52(t[0], L);
-        fromSoA(L, e);
-#pragma GCC unroll 16
-        for (int q = 0; q < 4; ++q)
-            _mm512_storeu_si512(out_lanes + 4 * kIfmaLanes * g + 8 * q,
-                                e[q]);
+        store52(t[0], out_lanes + 4 * kIfmaLanes * g);
     }
 }
 

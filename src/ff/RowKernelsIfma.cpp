@@ -11,11 +11,9 @@
  * the limbs are below 2^52 and the top limb below 2^46.
  *
  * Load: REDC fused into the transpose. The 8 rows' elements at one
- * position are loaded two rows per register and transposed to
- * limb-major registers (toSoA), re-sliced with the 2^4 pre-shift
- * (to52<4>), and five radix-2^52 Montgomery rounds divide by 2^260:
- * x * 2^4 * 2^-260 = x * 2^-256 mod p, the canonical value. For x < p
- * the result is below p + 1/4, hence canonical (x = 0 gives 0).
+ * position are loaded with the 2^4 pre-shift (load52<4>, one row per
+ * lane) and reduced by Ifma52.h's montReduce, which divides by 2^260:
+ * x * 2^4 * 2^-260 = x * 2^-256 mod p, the canonical value.
  *
  * A term: one broadcast of the 32-bit coefficient c, then for each
  * limb x_j, vpmadd52luq adds the low 52 bits of x_j * c to slot j and
@@ -32,10 +30,11 @@
  * p >= 2^253, so V - q * p lies in [0, 2p) and one conditional
  * subtraction of p leaves the canonical residue. The residue of an
  * integer sum is unique, so the lanes store bit for bit what
- * SmallDot::residue() computes.
+ * SmallDot::residue() computes. This is not a Montgomery reduction: V
+ * is an integer sum, not a product carrying a factor 2^-260.
  *
- * Store: each position is re-sliced to radix 2^64, transposed back to
- * one element per row (fromSoA) and written to the 8 rows.
+ * Store: each position goes back to four radix-2^64 limbs per row
+ * (store52, one row per lane).
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -49,83 +48,35 @@ namespace {
 constexpr size_t kPosLimbs = kRowLimbs * kIfmaLanes;
 
 /**
- * t[p] = x[p] * 2^-260 mod p for N five-limb values below 2^259 (limbs
- * below 2^52): the Montgomery folding rounds without partial products,
- * with the N values' steps interleaved so their dependency chains
- * overlap. Each result is below p + 1/2, so canonical unless
- * x = 0 mod p, where it is 0.
- */
-template <int N>
-inline void
-redc52(const ConstsV &k, const V x[N][5], V t[N][5])
-{
-    V a[N][6];
-    for (int v = 0; v < N; ++v) {
-        for (int j = 0; j < 5; ++j)
-            a[v][j] = x[v][j];
-        a[v][5] = k.zero;
-    }
-    for (int i = 0; i < 5; ++i) {
-        // m clears the low 52 bits of slot 0; its exact carry and the
-        // rest of m * p then shift the accumulator down one limb.
-        V m[N];
-        for (int v = 0; v < N; ++v)
-            m[v] = _mm512_madd52lo_epu64(k.zero, a[v][0], k.inv52);
-        for (int v = 0; v < N; ++v) {
-            a[v][0] = _mm512_madd52lo_epu64(a[v][0], m[v], k.p52[0]);
-            a[v][1] = _mm512_add_epi64(a[v][1],
-                                       _mm512_srli_epi64(a[v][0], 52));
-        }
-        for (int j = 1; j < 5; ++j) {
-            for (int v = 0; v < N; ++v) {
-                a[v][j] = _mm512_madd52lo_epu64(a[v][j], m[v], k.p52[j]);
-                a[v][j] = _mm512_madd52hi_epu64(a[v][j], m[v],
-                                                k.p52[j - 1]);
-            }
-        }
-        for (int v = 0; v < N; ++v) {
-            a[v][5] = _mm512_madd52hi_epu64(k.zero, m[v], k.p52[4]);
-            for (int j = 0; j < 5; ++j)
-                a[v][j] = a[v][j + 1];
-        }
-    }
-    for (int v = 0; v < N; ++v) {
-        carry52<5>(k, a[v]);
-        for (int j = 0; j < 5; ++j)
-            t[v][j] = a[v][j];
-    }
-}
-
-/**
  * The canonical residue of V = sum s[j] * 2^(52 j), V < 2^294, slots
  * below 2^62 (file comment: one quotient estimate, one conditional
  * subtraction).
  */
-inline void
+[[gnu::always_inline]] inline void
 reduceSum(const ConstsV &k, V mu, V s[6], V t[5])
 {
     carry52<6>(k, s);
     V top = _mm512_or_si512(_mm512_srli_epi64(s[4], 42),
                             _mm512_slli_epi64(s[5], 10));
     V q = _mm512_madd52hi_epu64(k.zero, top, mu);
-    // r = V - q * p in signed 64-bit limbs; r < 2^260, so limb 5 and
-    // the carry out of limb 4 cancel and are dropped.
-    V r[5];
+    // t = V - q * p in signed 64-bit limbs; it is below 2^260, so limb
+    // 5 and the carry out of limb 4 cancel and are dropped.
+#pragma GCC unroll 16
     for (int j = 0; j < 5; ++j)
-        r[j] = _mm512_sub_epi64(s[j],
+        t[j] = _mm512_sub_epi64(s[j],
                                 _mm512_madd52lo_epu64(k.zero, q, k.p52[j]));
+#pragma GCC unroll 16
     for (int j = 1; j < 5; ++j)
-        r[j] = _mm512_sub_epi64(
-            r[j], _mm512_madd52hi_epu64(k.zero, q, k.p52[j - 1]));
+        t[j] = _mm512_sub_epi64(
+            t[j], _mm512_madd52hi_epu64(k.zero, q, k.p52[j - 1]));
+#pragma GCC unroll 16
     for (int j = 0; j < 4; ++j) {
-        r[j + 1] = _mm512_add_epi64(r[j + 1], _mm512_srai_epi64(r[j], 52));
-        r[j] = _mm512_and_si512(r[j], k.mask52);
+        t[j + 1] = _mm512_add_epi64(t[j + 1], _mm512_srai_epi64(t[j], 52));
+        t[j] = _mm512_and_si512(t[j], k.mask52);
     }
-    r[4] = _mm512_and_si512(r[4], k.mask52);
-    // r < 2p: one conditional subtraction.
-    subPIfAbove(k, r);
-    for (int j = 0; j < 5; ++j)
-        t[j] = r[j];
+    t[4] = _mm512_and_si512(t[4], k.mask52);
+    // t < 2p: one conditional subtraction.
+    subPIfAbove(k, t);
 }
 
 /**
@@ -133,26 +84,22 @@ reduceSum(const ConstsV &k, V mu, V s[6], V t[5])
  * row_stride apart) into the batch at @p batch, canonical.
  */
 template <int N>
-inline void
+[[gnu::always_inline]] inline void
 loadPositions(const ConstsV &k, const uint64_t *at, size_t row_stride,
               uint64_t *batch)
 {
-    V x[N][5], t[N][5];
+    V s[N][kSlots], t[N][5];
+#pragma GCC unroll 16
     for (int v = 0; v < N; ++v) {
-        V e[4], l[4];
-        for (size_t q = 0; q < 4; ++q)
-            e[q] = _mm512_inserti64x4(
-                _mm512_castsi256_si512(_mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(
-                        at + 4 * v + 2 * q * row_stride))),
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    at + 4 * v + (2 * q + 1) * row_stride)),
-                1);
-        toSoA(e[0], e[1], e[2], e[3], l);
-        to52<4>(k, l, x[v]);
+        load52<4>(k, at + 4 * v, row_stride, s[v]);
+#pragma GCC unroll 16
+        for (int j = 5; j < kSlots; ++j)
+            s[v][j] = k.zero;
     }
-    redc52<N>(k, x, t);
+    montReduce<N>(k, s, t);
+#pragma GCC unroll 16
     for (int v = 0; v < N; ++v)
+#pragma GCC unroll 16
         for (int j = 0; j < 5; ++j)
             _mm512_storeu_si512(batch + kPosLimbs * v + kIfmaLanes * j,
                                 t[v][j]);
@@ -185,6 +132,7 @@ ifmaMulRows(const WideFieldConstants &c, const size_t *offsets,
         for (size_t e = offsets[r]; e < offsets[r + 1]; ++e) {
             const uint64_t *x = in + kPosLimbs * terms[2 * e];
             const V coeff = _mm512_set1_epi64(terms[2 * e + 1]);
+#pragma GCC unroll 16
             for (int j = 0; j < 5; ++j) {
                 V xj = _mm512_loadu_si512(x + kIfmaLanes * j);
                 lo[j] = _mm512_madd52lo_epu64(lo[j], xj, coeff);
@@ -200,6 +148,7 @@ ifmaMulRows(const WideFieldConstants &c, const size_t *offsets,
                   hi[4]};
         V t[5];
         reduceSum(k, mu, s, t);
+#pragma GCC unroll 16
         for (int j = 0; j < 5; ++j)
             _mm512_storeu_si512(out + kPosLimbs * r + kIfmaLanes * j, t[j]);
     }
@@ -210,20 +159,11 @@ ifmaStoreRows(const uint64_t *batch, size_t n, uint64_t *rows,
               size_t row_stride)
 {
     for (size_t i = 0; i < n; ++i) {
-        V t[5], l[4], e[4];
+        V t[5];
+#pragma GCC unroll 16
         for (int j = 0; j < 5; ++j)
             t[j] = _mm512_loadu_si512(batch + kPosLimbs * i + kIfmaLanes * j);
-        from52(t, l);
-        fromSoA(l, e);
-        uint64_t *at = rows + 4 * i;
-        for (size_t q = 0; q < 4; ++q) {
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(at + 2 * q * row_stride),
-                _mm512_castsi512_si256(e[q]));
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(at + (2 * q + 1) * row_stride),
-                _mm512_extracti64x4_epi64(e[q], 1));
-        }
+        store52(t, rows + 4 * i, row_stride);
     }
 }
 

@@ -29,6 +29,10 @@
  * dot) the lane-major order is invisible because field addition is
  * exactly associative. test_ff_kat holds the kernels to this and the
  * proof goldens depend on it.
+ *
+ * The three kernel TUs share one radix-52 layer, Ifma52.h: load and
+ * store, modular add and sub, products and the one Montgomery
+ * reduction, whose header gives the bound each kernel relies on.
  */
 
 #include <cstddef>

@@ -197,8 +197,12 @@ steppedSums(Combine combine)
                const std::array<const F *, N> &lo, size_t half, const F *w,
                size_t m) {
         // Scratch: each table's slope hi - lo, then its value at the
-        // current t >= 2, then the combine step's.
-        std::vector<F> scratch(kPoints > 2 ? (2 * N + 1) * m : 0);
+        // current t >= 2, then the combine step's. One buffer per
+        // thread, grown to the largest chunk and kept: every entry is
+        // written before it is read.
+        thread_local std::vector<F> scratch;
+        if (kPoints > 2 && scratch.size() < (2 * N + 1) * m)
+            scratch.resize((2 * N + 1) * m);
         F *spare = kPoints > 2 ? scratch.data() + 2 * N * m : nullptr;
         std::array<F, kPoints> g{};
         std::array<const F *, N> at{};

@@ -224,9 +224,10 @@ TEST(SparseMatrix, MulVecParallelMatchesSerial)
     std::vector<Fr> serial(m.rows());
     m.mulVec(x, serial);
 
+    // Enough non-zeros for the grouped parallel path.
+    ASSERT_GE(m.nnz(), exec::kSerialCutoff);
     exec::ExecConfig cfg;
     cfg.threads = 4;
-    cfg.serial_cutoff = 1; // force the grouped parallel path
     exec::ExecContext exec(cfg);
     std::vector<Fr> parallel(m.rows());
     m.mulVec(x, parallel, &exec);

@@ -286,12 +286,30 @@ TEST(WideFieldKat, FqLaneMulPinned)
         "02e8455039a5b5310a0160a10c7c37c42cb902ac49fea3097699038d761055d6");
 }
 
+/**
+ * R^-1: the element whose Montgomery integer is 1. Its multiples reach
+ * Montgomery integers just below p, the largest products.
+ */
+template <typename F>
+F
+rInverse()
+{
+    F r = F::one();
+    for (int bit = 0; bit < 256; ++bit)
+        r = r.dbl();
+    return r.inverse();
+}
+
 template <typename F>
 void
 checkWideLaneKernels()
 {
     BackendGuard guard;
-    F r = F::fromU256(u256FromHexStr(kB));
+    // fold's and axpy's scalar enters the reduction pre-shifted, as
+    // 16 r: besides kB, p - 1, the element whose Montgomery integer is
+    // p - 1 (the largest input the reduction takes) and 0.
+    const F scalars[] = {F::fromU256(u256FromHexStr(kB)), -F::one(),
+                         -rInverse<F>(), F::zero()};
     // Sizes around the 8-wide IFMA block: empty, shorter than a block,
     // exact multiples, and one-past, so the SIMD blocks and the Fp
     // tail each run alone and together.
@@ -305,13 +323,10 @@ checkWideLaneKernels()
 
             ff::forceBackend(ff::Backend::kScalar);
             std::vector<F> want_add(n), want_sub(n), want_mul(n), want_sq(n);
-            std::vector<F> want_fold = a, want_axpy = a;
             ff::addLanes(a.data(), b.data(), want_add.data(), n);
             ff::subLanes(a.data(), b.data(), want_sub.data(), n);
             ff::mulLanes(a.data(), b.data(), want_mul.data(), n);
             ff::mulLanes(a.data(), a.data(), want_sq.data(), n);
-            ff::foldLanes(want_fold.data(), b.data(), r, n);
-            ff::axpyLanes(want_axpy.data(), b.data(), r, n);
             F want_sum = ff::sumLanes(a.data(), n);
             F want_dot = ff::dotLanes(a.data(), b.data(), n);
 
@@ -342,12 +357,6 @@ checkWideLaneKernels()
             ff::mulLanes(got.data(), got.data(), got.data(), n);
             EXPECT_EQ(got, want_sq);
 
-            got = a;
-            ff::foldLanes(got.data(), b.data(), r, n);
-            EXPECT_EQ(got, want_fold);
-            got = a;
-            ff::axpyLanes(got.data(), b.data(), r, n);
-            EXPECT_EQ(got, want_axpy);
             EXPECT_EQ(ff::sumLanes(a.data(), n), want_sum);
             EXPECT_EQ(ff::dotLanes(a.data(), b.data(), n), want_dot);
 
@@ -358,6 +367,24 @@ checkWideLaneKernels()
                 EXPECT_LT(cmp(v.montRaw(), F::kModulus), 0);
             for (const F &v : got)
                 EXPECT_LT(cmp(v.montRaw(), F::kModulus), 0);
+
+            for (const F &r : scalars) {
+                SCOPED_TRACE("r=" + r.toHexString());
+                ff::forceBackend(ff::Backend::kScalar);
+                std::vector<F> want_fold = a, want_axpy = a;
+                ff::foldLanes(want_fold.data(), b.data(), r, n);
+                ff::axpyLanes(want_axpy.data(), b.data(), r, n);
+                ff::forceBackend(backend);
+                std::vector<F> got_fold = a, got_axpy = a;
+                ff::foldLanes(got_fold.data(), b.data(), r, n);
+                ff::axpyLanes(got_axpy.data(), b.data(), r, n);
+                EXPECT_EQ(got_fold, want_fold);
+                EXPECT_EQ(got_axpy, want_axpy);
+                for (const F &v : got_fold)
+                    EXPECT_LT(cmp(v.montRaw(), F::kModulus), 0);
+                for (const F &v : got_axpy)
+                    EXPECT_LT(cmp(v.montRaw(), F::kModulus), 0);
+            }
         }
     }
 }
@@ -435,19 +462,6 @@ TEST(WideFieldKat, FromCanonicalLanesMatchesFromU256)
 }
 
 /**
- * R^-1: the element whose Montgomery integer is 1. Its multiples reach
- * Montgomery integers just below p, the largest products.
- */
-Fr
-rInverse()
-{
-    Fr r = Fr::one();
-    for (int bit = 0; bit < 256; ++bit)
-        r = r.dbl();
-    return r.inverse();
-}
-
-/**
  * gateSumsLanes' sums in plain Fp, apart from every kernel: each x_t
  * interpolated as lo + t * (hi - lo), a^K as K - 1 multiplies.
  */
@@ -484,7 +498,7 @@ checkGateSums(ff::Backend backend)
 {
     BackendGuard guard;
     ff::forceBackend(backend);
-    const Fr r_inv = rInverse();
+    const Fr r_inv = rInverse<Fr>();
     uint64_t borrow = 0;
     const U256 p_minus_1 = subBorrow(Fr::kModulus, U256{1}, borrow);
     ASSERT_EQ((-r_inv).montRaw(), p_minus_1);
@@ -656,7 +670,7 @@ TEST(GateSumsKat, IfmaLanesAreCanonicalAtTheReductionBound)
         GTEST_SKIP() << "this host has no AVX-512 IFMA";
     namespace d = ff::detail;
     constexpr size_t kN = d::kGateSumsSpan;
-    const Fr r_inv = rInverse();
+    const Fr r_inv = rInverse<Fr>();
     std::vector<Fr> a(2 * kN, -r_inv), b = a, c = a, w(kN, -r_inv);
     c[0] = -Fr::fromUint(6) * r_inv;
     const auto consts = d::makeWideConstants(

@@ -6,7 +6,9 @@
  * evaluation rows are its own buffers, reused, the committed tables
  * are borrowed, the gate sum-check's chunk step needs no scratch, and
  * the encoder keeps its row-batch buffers per slot across commits,
- * never per chunk. A repeat commit alone is held to the same size.
+ * never per chunk. A repeat commit alone is held to the same size, and
+ * a repeat proveRounds on steppedSums (FullSnark phase 2, GKR) makes
+ * no chunk scratch.
  *
  * This binary replaces every form of the global operator new and
  * delete with malloc-backed ones. While a LargeAllocations is alive
@@ -24,8 +26,10 @@
 #include "core/HighDegreeSnark.h"
 #include "core/Snark.h"
 #include "core/TensorPcs.h"
+#include "exec/ExecContext.h"
 #include "ff/FieldBackend.h"
 #include "ff/Fields.h"
+#include "sumcheck/Sumcheck.h"
 
 namespace {
 
@@ -293,6 +297,47 @@ TEST(CommitAlloc, RepeatCommitsAllocateNoBatchBufferOnAPool)
     cfg.threads = 3;
     exec::ExecContext exec(cfg);
     repeatCommitsAllocateNoBatchBuffer(&exec);
+}
+
+/**
+ * Two proveRounds over two owned 2^14 tables, FullSnark phase 2's
+ * shape: steppedSums<3> with a dot combine, tables folded in place.
+ * The first grows the thread's chunk scratch; the second must make no
+ * allocation as large as that scratch.
+ */
+TEST(SteppedSumsAlloc, RepeatProveRoundsAllocateNoChunkScratch)
+{
+    // A chunk's scratch holds 2N + 1 = 5 chunks of values: 320 KiB.
+    constexpr size_t kN = size_t{1} << 14;
+    constexpr size_t kScratchBytes = 256 * 1024;
+    static_assert(5 * exec::kReduceChunk * sizeof(Fr) >= kScratchBytes);
+    auto step = steppedSums<3>([](const std::array<const Fr *, 2> &at,
+                                  const Fr *, Fr *, size_t m) {
+        return ff::dotLanes(at[0], at[1], m);
+    });
+    auto absorb = [](std::span<const Fr> g) { return g[2] + Fr::one(); };
+    Rng rng(16);
+    std::vector<Fr> p, q;
+    for (int run = 1; run <= 2; ++run) {
+        p.resize(kN);
+        q.resize(kN);
+        for (size_t i = 0; i < kN; ++i) {
+            p[i] = Fr::random(rng);
+            q[i] = Fr::random(rng);
+        }
+        std::vector<std::vector<Fr>> rounds;
+        size_t large = 0;
+        {
+            LargeAllocations counter(kScratchBytes);
+            proveRounds({p, q}, std::array{&p, &q}, step, absorb, rounds);
+            large = counter.count();
+        }
+        EXPECT_EQ(rounds.size(), 14u);
+        if (run == 1)
+            EXPECT_GT(large, 0u) << "the first run grows the scratch";
+        else
+            EXPECT_EQ(large, 0u) << "run " << run;
+    }
 }
 
 using Gates = ::testing::Types<MulGate, Pow4Gate>;
