@@ -8,12 +8,14 @@
  * the wide BN254 Fr kernels (plus the 2^14-point MSM acceptance
  * sweep), the portable-vs-dispatched SHA-256 block kernels, the
  * scalar-path rows (eqTable and the column-leaf function against their
- * reference loops) and the gate sum-check's fused chunk step against
- * the stepped one are measured and printed; with `--json <path>` they
- * are dumped in the JsonBench schema that tools/check_bench.py gates in
- * the perf-smoke CI job (the checked-in baseline pins the
- * packed-vs-scalar Fr mul speedup and the vectorized MSM speedup; the
- * SHA-256, scalar-path and gate_sums rows are reported, not pinned).
+ * reference loops), the gate sum-check's fused chunk step against
+ * the stepped one and the PCS row combination against its axpy loop
+ * are measured and printed; with `--json <path>` they are dumped in
+ * the JsonBench schema that tools/check_bench.py gates in the
+ * perf-smoke CI job (the checked-in baseline pins the packed-vs-scalar
+ * Fr mul speedup and the vectorized MSM speedup; the SHA-256,
+ * scalar-path, gate_sums and combine_rows rows are reported, not
+ * pinned).
  */
 
 #include <benchmark/benchmark.h>
@@ -346,7 +348,7 @@ medianMs(Fn &&fn)
 /**
  * Scalar-vs-packed sweep of the wide 4x64-limb Montgomery kernels on
  * BN254 Fr (mul, add, dot, and the prover's fold and axpy: every
- * sum-check round folds, every PCS row combination runs axpys), plus
+ * sum-check round folds, and the eq tables double by axpys), plus
  * the 2^14-point MSM acceptance sweep: the vectorized
  * batch-affine bucket pass must beat the scalar Jacobian bucket loop
  * and produce a bit-identical point. Outputs under the forced scalar
@@ -413,7 +415,7 @@ runWideFieldSweep(bench::JsonBench &json)
             std::vector<Fr> &o) {
              o = x;
              for (size_t it = 0; it < kIters; ++it)
-                 ff::foldLanes(o.data(), y.data(), x[0], o.size());
+                 ff::foldLanes(o.data(), o.data(), y.data(), x[0], o.size());
          }},
         {"wide_field_axpy",
          [](std::vector<Fr> &x, std::vector<Fr> &y,
@@ -737,6 +739,55 @@ runGateSumsSweep(bench::JsonBench &json)
             "Sums verified identical. Not gated.");
 }
 
+/**
+ * The combine_rows row: TensorPcs::combineRows' shape at n_vars = 16,
+ * 256 coefficients against a 256 x 256 table, as the k row-outer
+ * axpyLanes calls it replaced and as one ff::combineRowsLanes call.
+ * The rows must agree exactly or the run dies. Reported only; meta
+ * combine_rows_backend names the backend both sides dispatched to.
+ */
+void
+runCombineRowsSweep(bench::JsonBench &json)
+{
+    constexpr size_t kRows = 256;
+    constexpr size_t kCols = 256;
+    Rng rng(0xc0b1);
+    std::vector<Fr> table(kRows * kCols), coeffs(kRows);
+    for (std::vector<Fr> *v : {&table, &coeffs})
+        for (Fr &x : *v)
+            x = Fr::random(rng);
+    std::vector<Fr> want(kCols), got(kCols);
+    double axpy_ms = medianMs([&] {
+        std::fill(want.begin(), want.end(), Fr::zero());
+        for (size_t row = 0; row < kRows; ++row)
+            ff::axpyLanes(want.data(), table.data() + row * kCols,
+                          coeffs[row], kCols);
+    });
+    double combine_ms = medianMs([&] {
+        ff::combineRowsLanes(table.data(), kCols, coeffs.data(), kRows,
+                             got.data(), kCols);
+    });
+    if (got != want)
+        fatal("bench_micro: combineRowsLanes diverged from the axpy loop");
+    const char *backend = ff::backendName(ff::activeBackend());
+    json.meta("combine_rows_backend", backend);
+
+    TablePrinter out({"Row", "reference ms", "fast ms", "speedup"});
+    out.addRow({"combine_rows", formatSig(axpy_ms, 4),
+                formatSig(combine_ms, 4),
+                bench::fmtSpeedup(axpy_ms / combine_ms)});
+    json.addRow("combine_rows", {{"axpy_ms", axpy_ms},
+                                 {"combine_ms", combine_ms},
+                                 {"combine_speedup", axpy_ms / combine_ms}});
+    bench::printTable(
+        "Open path (reference vs fast)", out,
+        std::string("Single-threaded, ") + backend +
+            " backend. combine_rows: 256 rows of 256 combined with 256 "
+            "coefficients (the PCS proximity row at n_vars = 16), one "
+            "axpy per row vs one reduction per column. Rows verified "
+            "identical. Not gated.");
+}
+
 } // namespace
 } // namespace bzk
 
@@ -752,6 +803,7 @@ main(int argc, char **argv)
     bzk::runShaSweep(json);
     bzk::runScalarPathSweep(json);
     bzk::runGateSumsSweep(json);
+    bzk::runCombineRowsSweep(json);
     json.write();
 
     std::vector<std::string> opts;

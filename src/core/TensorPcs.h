@@ -311,11 +311,13 @@ class TensorPcs
 
     /**
      * The row combination sum_row coeffs[row] * (row of the committed
-     * table), m entries: the one routine behind both opened rows.
-     * @p exec parallelizes it across columns; each column accumulates
-     * its rows in ascending order whatever the split, with row-outer
-     * axpys over each column chunk, so the contiguous table rows feed
-     * the packed kernels.
+     * table), m entries: the one routine behind both opened rows (the
+     * proximity row here, evalRow's for callers without a sum-check).
+     * @p exec parallelizes it across columns, one
+     * ff::combineRowsLanes call per column chunk, which under IFMA
+     * sums each column's k products unreduced and reduces them once.
+     * Field sums are exact, so the row is the same for any split and
+     * backend.
      */
     std::vector<F>
     combineRows(const PcsProverState<F> &state, std::span<const F> coeffs,
@@ -326,12 +328,10 @@ class TensorPcs
         if (coeffs.size() != k)
             panic("TensorPcs::combineRows: %zu coefficients for %zu rows",
                   coeffs.size(), k);
-        std::vector<F> out(m, F::zero());
+        std::vector<F> out(m);
         auto combine_cols = [&](size_t begin, size_t end) {
-            for (size_t row = 0; row < k; ++row)
-                ff::axpyLanes(out.data() + begin,
-                              state.poly.data() + row * m + begin,
-                              coeffs[row], end - begin);
+            ff::combineRowsLanes(state.poly.data() + begin, m, coeffs.data(),
+                                 k, out.data() + begin, end - begin);
         };
         if (exec)
             exec->parallelFor(m, /*serial_cutoff=*/8, combine_cols);

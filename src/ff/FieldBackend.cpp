@@ -274,16 +274,17 @@ mulLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n)
 
 template <typename P>
 void
-foldLanes(Fp<P> *lo, const Fp<P> *hi, const Fp<P> &r, size_t n)
+foldLanes(Fp<P> *out, const Fp<P> *lo, const Fp<P> *hi, const Fp<P> &r,
+          size_t n)
 {
     countKernel(Kernel::kFold);
     size_t i = ifmaElements(n);
     if constexpr (kIfmaBuilt)
         if (i)
-            detail::ifmaFold(wideConstants<Fp<P>>(), limbs(lo), limbs(hi),
-                             limbs(&r), i);
+            detail::ifmaFold(wideConstants<Fp<P>>(), limbs(out), limbs(lo),
+                             limbs(hi), limbs(&r), i);
     for (; i < n; ++i)
-        lo[i] = lo[i] + r * (hi[i] - lo[i]);
+        out[i] = lo[i] + r * (hi[i] - lo[i]);
 }
 
 template <typename P>
@@ -298,6 +299,28 @@ axpyLanes(Fp<P> *acc, const Fp<P> *x, const Fp<P> &s, size_t n)
                              limbs(&s), i);
     for (; i < n; ++i)
         acc[i] += s * x[i];
+}
+
+template <typename P>
+void
+combineRowsLanes(const Fp<P> *rows, size_t stride, const Fp<P> *coeffs,
+                 size_t k, Fp<P> *out, size_t n)
+{
+    countKernel(Kernel::kDot);
+    size_t i = k ? ifmaElements(n) : 0;
+    if constexpr (kIfmaBuilt) {
+        if (i) {
+            static_assert(Fp<P>::kModulus.limb[3] >> 62 == 0,
+                          "ifmaCombineRows' reduction bound needs p < 2^254");
+            detail::ifmaCombineRows(wideConstants<Fp<P>>(), limbs(rows),
+                                    4 * stride, limbs(coeffs), k, limbs(out),
+                                    i);
+        }
+    }
+    std::fill(out + i, out + n, Fp<P>::zero());
+    for (size_t row = 0; row < k; ++row)
+        for (size_t j = i; j < n; ++j)
+            out[j] += coeffs[row] * rows[row * stride + j];
 }
 
 template <typename P>
@@ -498,8 +521,10 @@ batchInverse(Fp<P> *x, size_t n)
 template void addLanes(const Fr *, const Fr *, Fr *, size_t);
 template void subLanes(const Fr *, const Fr *, Fr *, size_t);
 template void mulLanes(const Fr *, const Fr *, Fr *, size_t);
-template void foldLanes(Fr *, const Fr *, const Fr &, size_t);
+template void foldLanes(Fr *, const Fr *, const Fr *, const Fr &, size_t);
 template void axpyLanes(Fr *, const Fr *, const Fr &, size_t);
+template void combineRowsLanes(const Fr *, size_t, const Fr *, size_t, Fr *,
+                               size_t);
 template Fr sumLanes(const Fr *, size_t);
 template Fr dotLanes(const Fr *, const Fr *, size_t);
 template size_t batchInverse(Fr *, size_t);
@@ -517,8 +542,10 @@ template void mulRowBatch<Fr>(const size_t *, const RowTerm *, size_t,
 template void addLanes(const Fq *, const Fq *, Fq *, size_t);
 template void subLanes(const Fq *, const Fq *, Fq *, size_t);
 template void mulLanes(const Fq *, const Fq *, Fq *, size_t);
-template void foldLanes(Fq *, const Fq *, const Fq &, size_t);
+template void foldLanes(Fq *, const Fq *, const Fq *, const Fq &, size_t);
 template void axpyLanes(Fq *, const Fq *, const Fq &, size_t);
+template void combineRowsLanes(const Fq *, size_t, const Fq *, size_t, Fq *,
+                               size_t);
 template Fq sumLanes(const Fq *, size_t);
 template Fq dotLanes(const Fq *, const Fq *, size_t);
 template size_t batchInverse(Fq *, size_t);

@@ -9,8 +9,9 @@
  * encoder SpMV, tensor-PCS row combines) all reduce to long chains of
  * field mul/add over contiguous element arrays. This header is the one
  * place those loops go: add, sub, mul, fold and dot/sum/axpy kernels
- * over lanes, Montgomery batch inversion, the encoder's row batch and
- * the gate sum-check's fused round sums (gateSumsLanes).
+ * over lanes, the PCS's row combination (combineRowsLanes), Montgomery
+ * batch inversion, the encoder's row batch and the gate sum-check's
+ * fused round sums (gateSumsLanes).
  *
  * Every kernel computes exactly the same field elements as the obvious
  * Fp loop: lane packing only reorders independent lane work, and where
@@ -118,15 +119,29 @@ template <typename P>
 void mulLanes(const Fp<P> *a, const Fp<P> *b, Fp<P> *out, size_t n);
 
 /**
- * The sum-check fold: lo[i] = lo[i] + r * (hi[i] - lo[i]). The lo and
- * hi ranges must not overlap.
+ * The sum-check fold: out[i] = lo[i] + r * (hi[i] - lo[i]). @p out may
+ * be @p lo (a fold in place); no other two of the three ranges may
+ * overlap.
  */
 template <typename P>
-void foldLanes(Fp<P> *lo, const Fp<P> *hi, const Fp<P> &r, size_t n);
+void foldLanes(Fp<P> *out, const Fp<P> *lo, const Fp<P> *hi, const Fp<P> &r,
+               size_t n);
 
-/** acc[i] += s * x[i] (the row-combine primitive of the tensor PCS). */
+/** acc[i] += s * x[i]. */
 template <typename P>
 void axpyLanes(Fp<P> *acc, const Fp<P> *x, const Fp<P> &s, size_t n);
+
+/**
+ * The tensor PCS's row combination: out[j] = sum over row < k of
+ * coeffs[row] * rows[row * stride + j], for j < n. Under kIfma each
+ * whole block of 8 columns sums its k products unreduced and reduces
+ * once per 256 rows (ifmaCombineRows); Fp runs each call's tail
+ * columns, and every column under kScalar. @p out must overlap neither
+ * input. Counts as a dotLanes call: it is n dot products of length k.
+ */
+template <typename P>
+void combineRowsLanes(const Fp<P> *rows, size_t stride, const Fp<P> *coeffs,
+                      size_t k, Fp<P> *out, size_t n);
 
 /** sum_i a[i]; any summation order (field addition is associative). */
 template <typename P>

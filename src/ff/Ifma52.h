@@ -25,9 +25,10 @@
  * and montReduce's one conditional subtraction leaves the canonical
  * residue. Every reduced product in the three TUs is of that kind: two
  * canonical values (below p < 2^255), at most one of them pre-shifted
- * by 2^4, multiply to below 2^259 p. The gate kernel's per-call
- * reduction of a sum of products is the one other use; its file
- * comment bounds that S.
+ * by 2^4, multiply to below 2^259 p. The other uses reduce a sum of
+ * up to 256 unreduced products at once, the gate kernel's per call
+ * and the row combination's per span of rows (WideKernelsIfma.cpp);
+ * their file comments bound that S.
  *
  * The 2^4 pre-shift: Fp's Montgomery product divides by R = 2^256, the
  * reduction by 2^260. An operand loaded with Shift = 4 carries the
@@ -57,6 +58,59 @@ static_assert(kIfmaLanes * sizeof(uint64_t) == sizeof(V),
 
 /** Radix-2^52 slots of an unreduced product of two five-limb values. */
 inline constexpr int kSlots = 10;
+
+// Lane shifts and 256-bit halves as GCC vector extensions, which
+// compile to the same vpsrlq/vpsllq/vpsraq, vextracti64x4 and
+// vinserti64x4. The intrinsics (_mm512_srli_epi64,
+// _mm512_castsi512_si256, _mm512_inserti64x4, ...) pass an undefined
+// merge source, which GCC 12's -Wmaybe-uninitialized flags at every
+// inlined use.
+
+/** x >> N in every 64-bit lane, logical. */
+template <int N>
+[[gnu::always_inline]] inline V
+shiftRight(V x)
+{
+    static_assert(N >= 0 && N < 64);
+    return (V)((__v8du)x >> N);
+}
+
+/** x >> N in every 64-bit lane, arithmetic (sign-filling). */
+template <int N>
+[[gnu::always_inline]] inline V
+shiftRightSigned(V x)
+{
+    static_assert(N >= 0 && N < 64);
+    return (V)((__v8di)x >> N);
+}
+
+/** x << N in every 64-bit lane. */
+template <int N>
+[[gnu::always_inline]] inline V
+shiftLeft(V x)
+{
+    static_assert(N >= 0 && N < 64);
+    return (V)((__v8du)x << N);
+}
+
+/** Lanes 0-3 (Half = 0) or 4-7 (Half = 1) of @p x. */
+template <int Half>
+[[gnu::always_inline]] inline __m256i
+half256(V x)
+{
+    static_assert(Half == 0 || Half == 1);
+    return (__m256i)__builtin_shufflevector((__v8du)x, (__v8du)x, 4 * Half,
+                                            4 * Half + 1, 4 * Half + 2,
+                                            4 * Half + 3);
+}
+
+/** @p lo in lanes 0-3 and @p hi in lanes 4-7. */
+[[gnu::always_inline]] inline V
+join256(__m256i lo, __m256i hi)
+{
+    return (V)__builtin_shufflevector((__v4du)lo, (__v4du)hi, 0, 1, 2, 3, 4,
+                                      5, 6, 7);
+}
 
 // Broadcast constants come from per-call setup, not file-scope
 // globals: a global __m512i initializer would execute AVX-512
@@ -135,50 +189,29 @@ template <int Shift>
 to52(const ConstsV &k, const V L[4], V t[5])
 {
     static_assert(Shift == 0 || Shift == 4, "supported pre-shifts");
-    if constexpr (Shift == 0) {
-        t[0] = _mm512_and_si512(L[0], k.mask52);
-        t[1] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[0], 52),
-                            _mm512_slli_epi64(L[1], 12)),
-            k.mask52);
-        t[2] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[1], 40),
-                            _mm512_slli_epi64(L[2], 24)),
-            k.mask52);
-        t[3] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[2], 28),
-                            _mm512_slli_epi64(L[3], 36)),
-            k.mask52);
-        t[4] = _mm512_srli_epi64(L[3], 16);
-    } else {
-        t[0] = _mm512_and_si512(_mm512_slli_epi64(L[0], 4), k.mask52);
-        t[1] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[0], 48),
-                            _mm512_slli_epi64(L[1], 16)),
-            k.mask52);
-        t[2] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[1], 36),
-                            _mm512_slli_epi64(L[2], 28)),
-            k.mask52);
-        t[3] = _mm512_and_si512(
-            _mm512_or_si512(_mm512_srli_epi64(L[2], 24),
-                            _mm512_slli_epi64(L[3], 40)),
-            k.mask52);
-        t[4] = _mm512_srli_epi64(L[3], 12);
-    }
+    // Limb j takes bits [52 j - Shift, 52 j + 52 - Shift) of the value.
+    constexpr int s = Shift;
+    t[0] = _mm512_and_si512(shiftLeft<s>(L[0]), k.mask52);
+    t[1] = _mm512_and_si512(
+        _mm512_or_si512(shiftRight<52 - s>(L[0]), shiftLeft<12 + s>(L[1])),
+        k.mask52);
+    t[2] = _mm512_and_si512(
+        _mm512_or_si512(shiftRight<40 - s>(L[1]), shiftLeft<24 + s>(L[2])),
+        k.mask52);
+    t[3] = _mm512_and_si512(
+        _mm512_or_si512(shiftRight<28 - s>(L[2]), shiftLeft<36 + s>(L[3])),
+        k.mask52);
+    t[4] = shiftRight<16 - s>(L[3]);
 }
 
 /** Canonical radix-52 limbs (< 2^52 each) back to radix-64. */
 [[gnu::always_inline]] inline void
 from52(const V t[5], V L[4])
 {
-    L[0] = _mm512_or_si512(t[0], _mm512_slli_epi64(t[1], 52));
-    L[1] = _mm512_or_si512(_mm512_srli_epi64(t[1], 12),
-                           _mm512_slli_epi64(t[2], 40));
-    L[2] = _mm512_or_si512(_mm512_srli_epi64(t[2], 24),
-                           _mm512_slli_epi64(t[3], 28));
-    L[3] = _mm512_or_si512(_mm512_srli_epi64(t[3], 36),
-                           _mm512_slli_epi64(t[4], 16));
+    L[0] = _mm512_or_si512(t[0], shiftLeft<52>(t[1]));
+    L[1] = _mm512_or_si512(shiftRight<12>(t[1]), shiftLeft<40>(t[2]));
+    L[2] = _mm512_or_si512(shiftRight<24>(t[2]), shiftLeft<28>(t[3]));
+    L[3] = _mm512_or_si512(shiftRight<36>(t[3]), shiftLeft<16>(t[4]));
 }
 
 /** The 8 elements at @p p (4 limbs each), times 2^Shift, in radix 52. */
@@ -199,13 +232,12 @@ load52(const ConstsV &k, const uint64_t *p, size_t stride, V x[5])
 {
     V e[4], L[4];
 #pragma GCC unroll 4
-    for (size_t q = 0; q < 4; ++q)
-        e[q] = _mm512_inserti64x4(
-            _mm512_castsi256_si512(_mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p + 2 * q * stride))),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                p + (2 * q + 1) * stride)),
-            1);
+    for (size_t q = 0; q < 4; ++q) {
+        const uint64_t *lo = p + 2 * q * stride, *hi = lo + stride;
+        e[q] = join256(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(lo)),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(hi)));
+    }
     toSoA(e[0], e[1], e[2], e[3], L);
     to52<Shift>(k, L, x);
 }
@@ -244,10 +276,10 @@ store52(const V x[5], uint64_t *p, size_t stride)
 #pragma GCC unroll 4
     for (size_t q = 0; q < 4; ++q) {
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(p + 2 * q * stride),
-                            _mm512_castsi512_si256(e[q]));
+                            half256<0>(e[q]));
         _mm256_storeu_si256(
             reinterpret_cast<__m256i *>(p + (2 * q + 1) * stride),
-            _mm512_extracti64x4_epi64(e[q], 1));
+            half256<1>(e[q]));
     }
 }
 
@@ -258,7 +290,7 @@ carry52(const ConstsV &k, V a[N])
 {
 #pragma GCC unroll 16
     for (int j = 0; j + 1 < N; ++j) {
-        a[j + 1] = _mm512_add_epi64(a[j + 1], _mm512_srli_epi64(a[j], 52));
+        a[j + 1] = _mm512_add_epi64(a[j + 1], shiftRight<52>(a[j]));
         a[j] = _mm512_and_si512(a[j], k.mask52);
     }
 }
@@ -276,7 +308,7 @@ subPIfAbove(const ConstsV &k, V x[5])
 #pragma GCC unroll 16
     for (int j = 0; j < 5; ++j) {
         V s = _mm512_sub_epi64(_mm512_sub_epi64(x[j], k.p52[j]), bw);
-        bw = _mm512_srli_epi64(s, 63);
+        bw = shiftRight<63>(s);
         d[j] = _mm512_and_si512(s, k.mask52);
     }
     __mmask8 ge = _mm512_cmpeq_epi64_mask(bw, k.zero);
@@ -304,7 +336,7 @@ subMod52(const ConstsV &k, const V x[5], const V y[5], V out[5])
 #pragma GCC unroll 16
     for (int j = 0; j < 5; ++j) {
         V s = _mm512_sub_epi64(_mm512_sub_epi64(x[j], y[j]), bw);
-        bw = _mm512_srli_epi64(s, 63);
+        bw = shiftRight<63>(s);
         out[j] = _mm512_and_si512(s, k.mask52);
     }
     // A final borrow leaves x - y + 2^260: adding p and dropping the
@@ -393,7 +425,7 @@ redcSlots(const ConstsV &k, V (*s)[kSlots], V (*t)[5])
         for (int v = 0; v < N; ++v) {
             s[v][i] = _mm512_madd52lo_epu64(s[v][i], m[v], k.p52[0]);
             s[v][i + 1] = _mm512_add_epi64(s[v][i + 1],
-                                           _mm512_srli_epi64(s[v][i], 52));
+                                           shiftRight<52>(s[v][i]));
         }
 #pragma GCC unroll 16
         for (int j = 1; j < 5; ++j)

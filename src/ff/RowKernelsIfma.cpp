@@ -56,8 +56,7 @@ constexpr size_t kPosLimbs = kRowLimbs * kIfmaLanes;
 reduceSum(const ConstsV &k, V mu, V s[6], V t[5])
 {
     carry52<6>(k, s);
-    V top = _mm512_or_si512(_mm512_srli_epi64(s[4], 42),
-                            _mm512_slli_epi64(s[5], 10));
+    V top = _mm512_or_si512(shiftRight<42>(s[4]), shiftLeft<10>(s[5]));
     V q = _mm512_madd52hi_epu64(k.zero, top, mu);
     // t = V - q * p in signed 64-bit limbs; it is below 2^260, so limb
     // 5 and the carry out of limb 4 cancel and are dropped.
@@ -71,7 +70,7 @@ reduceSum(const ConstsV &k, V mu, V s[6], V t[5])
             t[j], _mm512_madd52hi_epu64(k.zero, q, k.p52[j - 1]));
 #pragma GCC unroll 16
     for (int j = 0; j < 4; ++j) {
-        t[j + 1] = _mm512_add_epi64(t[j + 1], _mm512_srai_epi64(t[j], 52));
+        t[j + 1] = _mm512_add_epi64(t[j + 1], shiftRightSigned<52>(t[j]));
         t[j] = _mm512_and_si512(t[j], k.mask52);
     }
     t[4] = _mm512_and_si512(t[4], k.mask52);

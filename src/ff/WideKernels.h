@@ -26,7 +26,8 @@
  * Montgomery product a*b*2^-256 mod p, or the residue of an integer
  * sum, is a unique value < p, so any correct algorithm stores
  * identical limbs. Where a result folds lanes into one value (sum,
- * dot) the lane-major order is invisible because field addition is
+ * dot), or reduces a sum of products once (the row combination, the
+ * gate sums), the order is invisible because field addition is
  * exactly associative. test_ff_kat holds the kernels to this and the
  * proof goldens depend on it.
  *
@@ -94,6 +95,17 @@ quotientMu52(const uint64_t p[4])
     return q;
 }
 
+/** A value below 2^260 in four 64-bit limbs re-sliced into five of 52. */
+constexpr void
+toRadix52(const uint64_t x[4], uint64_t out[5])
+{
+    out[0] = x[0] & kMask52;
+    out[1] = ((x[0] >> 52) | (x[1] << 12)) & kMask52;
+    out[2] = ((x[1] >> 40) | (x[2] << 24)) & kMask52;
+    out[3] = ((x[2] >> 28) | (x[3] << 36)) & kMask52;
+    out[4] = x[3] >> 16;
+}
+
 /** Build the constants from p and inv = -p^{-1} mod 2^64. */
 constexpr WideFieldConstants
 makeWideConstants(uint64_t p0, uint64_t p1, uint64_t p2, uint64_t p3,
@@ -105,11 +117,7 @@ makeWideConstants(uint64_t p0, uint64_t p1, uint64_t p2, uint64_t p3,
     c.modulus[2] = p2;
     c.modulus[3] = p3;
     c.inv52 = inv & kMask52;
-    c.modulus52[0] = p0 & kMask52;
-    c.modulus52[1] = ((p0 >> 52) | (p1 << 12)) & kMask52;
-    c.modulus52[2] = ((p1 >> 40) | (p2 << 24)) & kMask52;
-    c.modulus52[3] = ((p2 >> 28) | (p3 << 36)) & kMask52;
-    c.modulus52[4] = p3 >> 16;
+    toRadix52(c.modulus, c.modulus52);
     c.mu52 = quotientMu52(c.modulus);
     return c;
 }
@@ -123,7 +131,10 @@ inline constexpr size_t kIfmaLanes = 8;
 // kIfmaLanes blocks; array pointers hold 4*n limbs, `r` and `s` are a
 // single element, and `out_lanes` receives one partial per lane.
 // Pointers need only natural (8-byte) alignment. In add, sub and mul,
-// @p out may be @p a, @p b or both: each block is read before written.
+// @p out may be @p a, @p b or both, and fold's @p out may be @p lo:
+// mul, fold and axpy run four blocks at a time, and each kernel reads
+// the blocks it stores before it stores any of them. Any other
+// overlap is undefined.
 
 void ifmaAdd(const WideFieldConstants &c, const uint64_t *a, const uint64_t *b,
              uint64_t *out, size_t n);
@@ -131,9 +142,9 @@ void ifmaSub(const WideFieldConstants &c, const uint64_t *a, const uint64_t *b,
              uint64_t *out, size_t n);
 void ifmaMul(const WideFieldConstants &c, const uint64_t *a, const uint64_t *b,
              uint64_t *out, size_t n);
-/** lo[i] = lo[i] + r * (hi[i] - lo[i]); ranges must not overlap. */
-void ifmaFold(const WideFieldConstants &c, uint64_t *lo, const uint64_t *hi,
-              const uint64_t *r, size_t n);
+/** out[i] = lo[i] + r * (hi[i] - lo[i]). */
+void ifmaFold(const WideFieldConstants &c, uint64_t *out, const uint64_t *lo,
+              const uint64_t *hi, const uint64_t *r, size_t n);
 /** acc[i] += s * x[i]. */
 void ifmaAxpy(const WideFieldConstants &c, uint64_t *acc, const uint64_t *x,
               const uint64_t *s, size_t n);
@@ -143,6 +154,23 @@ void ifmaSum(const WideFieldConstants &c, const uint64_t *a, size_t n,
 /** out_lanes[l] = sum of a[i] * b[i] over the i in lane l. */
 void ifmaDot(const WideFieldConstants &c, const uint64_t *a, const uint64_t *b,
              size_t n, uint64_t *out_lanes);
+
+/**
+ * Most rows per reduction of ifmaCombineRows: at most 256 products per
+ * lane, the gate kernel's bound. It needs p < 2^254.
+ */
+inline constexpr size_t kCombineRowsSpan = 256;
+
+/**
+ * out[j] = sum over row < n_rows of coeffs[row] * rows[row][j], for
+ * j < n, where row r starts r * row_stride limbs after @p rows and
+ * @p coeffs holds n_rows elements; n_rows >= 1. Each span of up to
+ * kCombineRowsSpan rows is summed unreduced and reduced once per
+ * column. @p out must overlap neither input.
+ */
+void ifmaCombineRows(const WideFieldConstants &c, const uint64_t *rows,
+                     size_t row_stride, const uint64_t *coeffs,
+                     size_t n_rows, uint64_t *out, size_t n);
 
 // The 8-row encoder kernels (RowKernelsIfma.cpp, same flags and
 // dispatch rule). They work on a batch: one codeword position of

@@ -39,7 +39,8 @@ evaluateTable(std::vector<F> table, const std::vector<F> &point)
               table.size());
     size_t half = table.size() / 2;
     for (const F &r : point) {
-        ff::foldLanes(table.data(), table.data() + half, r, half);
+        ff::foldLanes(table.data(), table.data(), table.data() + half, r,
+                      half);
         half /= 2;
     }
     return table[0];
@@ -116,8 +117,9 @@ class Multilinear
     fixVariable(const F &r) const
     {
         size_t half = evals_.size() / 2;
-        std::vector<F> folded(evals_.begin(), evals_.begin() + half);
-        ff::foldLanes(folded.data(), evals_.data() + half, r, half);
+        std::vector<F> folded(half);
+        ff::foldLanes(folded.data(), evals_.data(), evals_.data() + half, r,
+                      half);
         return Multilinear(std::move(folded));
     }
 

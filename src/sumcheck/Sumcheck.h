@@ -86,8 +86,8 @@ proveSumcheck(const Multilinear<F> &poly, const std::vector<F> &challenges)
         size_t half = table.size() / 2;
         F pi1 = ff::sumLanes(table.data(), half);
         F pi2 = ff::sumLanes(table.data() + half, half);
-        ff::foldLanes(table.data(), table.data() + half, challenges[i],
-                      half);
+        ff::foldLanes(table.data(), table.data(), table.data() + half,
+                      challenges[i], half);
         table.resize(half);
         proof.rounds.push_back({pi1, pi2});
     }
@@ -237,14 +237,14 @@ steppedSums(Combine combine)
  * variable; the weight w is 1 unless the caller passes @p weights.
  *
  * The loop reads the tables and writes only the buffers: table j
- * folds into @p folded[j]. Round 0 reads the tables themselves, each
- * buffer takes its table's low half and folds it against the table's
- * high half, and every later round folds the buffers in place. A
- * caller that owns a table and needs it no more passes the same
- * vector as both, and it folds in place from round 0; a caller that
- * keeps its buffers across proofs reuses their storage. Any other
- * buffer must not overlap a table. On return each buffer holds one
- * entry, its table's value at the sum-check point.
+ * folds into @p folded[j]. Round 0 reads the tables themselves and
+ * folds each table's two halves straight into its buffer, and every
+ * later round folds the buffers in place. A caller that owns a table
+ * and needs it no more passes the same vector as both, and it folds in
+ * place from round 0; a caller that keeps its buffers across proofs
+ * reuses their storage. Any other buffer must not overlap a table. On
+ * return each buffer holds one entry, its table's value at the
+ * sum-check point.
  *
  * Round i reduces sums at t = 0 .. kPoints - 1 over fixed-shape
  * chunks of rows. No table is folded until the challenge is drawn.
@@ -302,13 +302,18 @@ proveRounds(const std::array<std::span<const F>, N> &tables,
 
     // Each round reads lo from src[j][0, half) and hi from
     // src[j][half, 2 * half): the tables in round 0, the buffers after.
-    // A buffer that is not its table's storage takes the low half (the
-    // one entry when no round runs) and folds it against the table.
+    // A buffer that is not its table's storage is sized for round 0,
+    // which folds the table into it, or takes the one entry when no
+    // round runs.
     std::array<const F *, N> src{};
     for (size_t j = 0; j < N; ++j) {
         src[j] = tables[j].data();
-        if (folded[j]->data() != src[j])
-            folded[j]->assign(src[j], src[j] + (size > 1 ? size / 2 : 1));
+        if (folded[j]->data() == src[j])
+            continue;
+        if (size == 1)
+            folded[j]->assign(src[j], src[j] + 1);
+        else
+            folded[j]->resize(size / 2);
     }
 
     if (exec)
@@ -333,7 +338,7 @@ proveRounds(const std::array<std::span<const F>, N> &tables,
         F r = absorb(std::span<const F>(message));
         auto fold = [&src, &folded, half, &r](size_t begin, size_t end) {
             for (size_t j = 0; j < N; ++j)
-                ff::foldLanes(folded[j]->data() + begin,
+                ff::foldLanes(folded[j]->data() + begin, src[j] + begin,
                               src[j] + half + begin, r, end - begin);
         };
         if (exec)

@@ -312,8 +312,11 @@ checkWideLaneKernels()
                          -rInverse<F>(), F::zero()};
     // Sizes around the 8-wide IFMA block: empty, shorter than a block,
     // exact multiples, and one-past, so the SIMD blocks and the Fp
-    // tail each run alone and together.
-    const size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 19, 67};
+    // tail each run alone and together. mul, fold and axpy take four
+    // blocks per iteration: 32 runs one batch alone, 40 and 56 add
+    // single blocks after it, and 97 three batches and an Fp tail.
+    const size_t sizes[] = {0, 1,  2,  3,  4,  5,  7,  8,
+                            9, 16, 19, 32, 40, 56, 67, 97};
     for (ff::Backend backend : availableBackends()) {
         for (size_t n : sizes) {
             SCOPED_TRACE(std::string(ff::backendName(backend)) +
@@ -371,14 +374,19 @@ checkWideLaneKernels()
             for (const F &r : scalars) {
                 SCOPED_TRACE("r=" + r.toHexString());
                 ff::forceBackend(ff::Backend::kScalar);
-                std::vector<F> want_fold = a, want_axpy = a;
-                ff::foldLanes(want_fold.data(), b.data(), r, n);
+                std::vector<F> want_fold(n), want_axpy = a;
+                ff::foldLanes(want_fold.data(), a.data(), b.data(), r, n);
                 ff::axpyLanes(want_axpy.data(), b.data(), r, n);
                 ff::forceBackend(backend);
-                std::vector<F> got_fold = a, got_axpy = a;
-                ff::foldLanes(got_fold.data(), b.data(), r, n);
-                ff::axpyLanes(got_axpy.data(), b.data(), r, n);
+                std::vector<F> got_fold(n), got_axpy = a;
+                ff::foldLanes(got_fold.data(), a.data(), b.data(), r, n);
                 EXPECT_EQ(got_fold, want_fold);
+                // In place: fold allows out == lo.
+                got_fold = a;
+                ff::foldLanes(got_fold.data(), got_fold.data(), b.data(), r,
+                              n);
+                EXPECT_EQ(got_fold, want_fold);
+                ff::axpyLanes(got_axpy.data(), b.data(), r, n);
                 EXPECT_EQ(got_axpy, want_axpy);
                 for (const F &v : got_fold)
                     EXPECT_LT(cmp(v.montRaw(), F::kModulus), 0);
@@ -409,11 +417,77 @@ TEST(WideFieldKat, WideCountersAdvance)
     (void)ff::sumLanes(a.data(), 16);
     std::vector<Fr> inv = a;
     ff::batchInverse(inv.data(), inv.size());
+    // A row combination counts as one dotLanes call.
+    ff::combineRowsLanes(a.data(), 8, a.data(), 2, out.data(), 8);
     ff::KernelCounters c = ff::kernelCounters();
     EXPECT_EQ(c.wide_mul_lanes, 2u);
     EXPECT_EQ(c.wide_sum_lanes, 1u);
     EXPECT_EQ(c.wide_batch_inverse, 1u);
+    EXPECT_EQ(c.wide_dot_lanes, 1u);
     EXPECT_EQ(c.wide_add_lanes, 0u);
+}
+
+/** The row combination in plain Fp, apart from every kernel. */
+template <typename F>
+std::vector<F>
+referenceCombineRows(const std::vector<F> &rows, size_t stride,
+                     const std::vector<F> &coeffs, size_t n)
+{
+    std::vector<F> out(n, F::zero());
+    for (size_t j = 0; j < n; ++j)
+        for (size_t row = 0; row < coeffs.size(); ++row)
+            out[j] += coeffs[row] * rows[row * stride + j];
+    return out;
+}
+
+template <typename F>
+void
+checkCombineRows()
+{
+    BackendGuard guard;
+    // 0, p - 1 and the element whose Montgomery integer is p - 1 (the
+    // largest product) among random values, in rows and coefficients.
+    const F edges[] = {F::zero(), -F::one(), -rInverse<F>()};
+    Rng rng(0xc0b1);
+    auto value = [&](size_t i) {
+        return i % 4 == 3 ? F::random(rng) : edges[i % 4];
+    };
+    // Row counts around the 256-row reduction span, widths around the
+    // 8-column block; rows are 3 elements wider than the combination.
+    for (size_t k : {1, 7, 255, 256, 257, 600}) {
+        for (size_t n : {8, 9, 256, 263}) {
+            const size_t stride = n + 3;
+            std::vector<F> rows(k * stride), coeffs(k);
+            for (size_t i = 0; i < rows.size(); ++i)
+                rows[i] = value(i);
+            for (size_t row = 0; row < k; ++row)
+                coeffs[row] = value(row + 2);
+            const std::vector<F> want =
+                referenceCombineRows(rows, stride, coeffs, n);
+            for (ff::Backend backend : availableBackends()) {
+                SCOPED_TRACE(std::string(ff::backendName(backend)) +
+                             " k=" + std::to_string(k) +
+                             " n=" + std::to_string(n));
+                ff::forceBackend(backend);
+                std::vector<F> got(n);
+                ff::combineRowsLanes(rows.data(), stride, coeffs.data(), k,
+                                     got.data(), n);
+                EXPECT_EQ(got, want);
+                for (const F &v : got)
+                    EXPECT_LT(cmp(v.montRaw(), F::kModulus), 0);
+            }
+        }
+    }
+}
+
+TEST(WideFieldKat, FrCombineRowsMatchesPlainFp)
+{
+    checkCombineRows<Fr>();
+}
+
+TEST(WideFieldKat, FqCombineRowsMatchesPlainFp)
+{
+    checkCombineRows<Fq>();
 }
 
 TEST(FieldBackendKat, BatchInverseWorksForFr)
@@ -690,6 +764,41 @@ TEST(GateSumsKat, IfmaLanesAreCanonicalAtTheReductionBound)
         want += w[i] * c[i];
     want *= Fr::fromUint(uint64_t{1} << d::kGateSumsCShift).inverse();
     EXPECT_EQ(lanes[3 * d::kIfmaLanes], want);
+}
+
+/**
+ * One reduction span, 256 rows of 8 columns, every Montgomery integer
+ * p - 1 but row 0's in column 0, p - 1 - @p d: column 0 then reduces
+ * to just over 4p before the kernel's four conditional subtractions.
+ */
+template <typename F>
+void
+checkCombineRowsAtTheReductionBound(uint64_t d)
+{
+    if (!ff::backendAvailable(ff::Backend::kIfma))
+        GTEST_SKIP() << "this host has no AVX-512 IFMA";
+    BackendGuard guard;
+    constexpr size_t kRows = ff::detail::kCombineRowsSpan;
+    constexpr size_t kCols = ff::detail::kIfmaLanes;
+    const F r_inv = rInverse<F>();
+    std::vector<F> rows(kRows * kCols, -r_inv), coeffs(kRows, -r_inv);
+    rows[0] = -F::fromUint(d + 1) * r_inv;
+    ff::forceBackend(ff::Backend::kIfma);
+    std::vector<F> got(kCols);
+    ff::combineRowsLanes(rows.data(), kCols, coeffs.data(), kRows,
+                         got.data(), kCols);
+    for (const F &v : got)
+        EXPECT_LT(cmp(v.montRaw(), F::kModulus), 0);
+    EXPECT_EQ(got, referenceCombineRows(rows, kCols, coeffs, kCols));
+}
+
+TEST(WideFieldKat, CombineRowsIsCanonicalAtTheReductionBound)
+{
+    // d found by search: column 0 reduces to 4.015 p (Fr) and 4.024 p
+    // (Fq); with every integer p - 1 it reduces to 3.25 p (Fr) and
+    // 3.34 p (Fq), which three subtractions would already leave below p.
+    checkCombineRowsAtTheReductionBound<Fr>(5);
+    checkCombineRowsAtTheReductionBound<Fq>(124);
 }
 
 #endif // __x86_64__

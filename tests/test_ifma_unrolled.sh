@@ -10,15 +10,17 @@
 #
 # LIBRARY is bzk_ff's library, which holds the three IFMA objects
 # (WideKernelsIfma, RowKernelsIfma, GateKernelsIfma). Each kernel below
-# must hold at least one block's straight-line count of
+# must hold at least one iteration's straight-line count of
 # vpmadd52luq/vpmadd52huq in its own body: a reduced product is 105
-# (50 partial-product halves, 55 in the Montgomery reduction), a row
-# term plus the row reduction 20, the row load's two positions 110 (55
-# per load-time reduction) and a gate block 1,375 (a^4) or 460 (a^1),
-# as counted in GateKernelsIfma.cpp. Where a kernel's body is a call
-# to a template (gateSums<K>), the larger of the two counts is the
-# kernel's. Exits 77 (ctest's SKIP_RETURN_CODE) off x86-64 or without
-# objdump.
+# (50 partial-product halves, 55 in the Montgomery reduction), and
+# mul, fold and axpy run four of them per iteration, 420; a row of the
+# row combination is 50 and its once-per-column reduction 55, 105; a
+# row term plus the row reduction 20, the row load's two positions 110
+# (55 per load-time reduction) and a gate block 1,375 (a^4) or 460
+# (a^1), as counted in GateKernelsIfma.cpp. Where a kernel's body is a
+# call to a template (gateSums<K>), the larger of the two counts is
+# the kernel's. Exits 77 (ctest's SKIP_RETURN_CODE) off x86-64 or
+# without objdump.
 
 set -u
 lib=${1:?usage: sh tests/test_ifma_unrolled.sh LIBRARY}
@@ -41,8 +43,9 @@ fi
 
 # name=minimum; a name matches a demangled function name that
 # contains it.
-kernels='ifmaMul(=105 ifmaFold(=105 ifmaAxpy(=105 ifmaDot(=105
-ifmaMulRows(=20 ifmaLoadRows(=110 gateSums<4u>(=1375 gateSums<1u>(=460'
+kernels='ifmaMul(=420 ifmaFold(=420 ifmaAxpy(=420 ifmaDot(=105
+ifmaCombineRows(=105 ifmaMulRows(=20 ifmaLoadRows(=110
+gateSums<4u>(=1375 gateSums<1u>(=460'
 
 objdump -d --no-show-raw-insn -C "$lib" | awk -v kernels="$(echo $kernels)" '
 /^[0-9a-f]+ <.*>:$/ { fn = $0; next }
@@ -59,7 +62,7 @@ END {
         status = best >= kv[2] + 0 ? "ok  " : "FAIL"
         if (best < kv[2] + 0)
             failed++
-        printf "%s %-14s %5d vpmadd52 (at least %d)\n", status, kv[1],
+        printf "%s %-16s %5d vpmadd52 (at least %d)\n", status, kv[1],
                best, kv[2]
     }
     if (failed) {
