@@ -153,12 +153,15 @@ class FullSnark
             }),
             kPhase2Labels.absorber<F>(transcript), proof.phase2.rounds);
 
-        // Open the private half at ry's tail.
+        // Open the private half at ry's tail. Its value is
+        // <eval_row, eq(r_col)>, the identity TensorPcs::verify checks.
         std::vector<F> ry_tail(ry.begin() + 1, ry.end());
-        proof.vw = pcs_.evaluate(st_w, ry_tail);
+        std::vector<F> eval_row = pcs_.evalRow(st_w, ry_tail);
+        std::vector<F> r_col(ry_tail.begin() + pcs_.rowVars(), ry_tail.end());
+        proof.vw = ff::dotLanes(eval_row.data(), eqTable(r_col).data(),
+                                eval_row.size());
         transcript.absorbField("p2.vw", proof.vw);
-        proof.open_w =
-            pcs_.open(st_w, pcs_.evalRow(st_w, ry_tail), transcript);
+        proof.open_w = pcs_.open(st_w, eval_row, transcript);
         return proof;
     }
 

@@ -187,8 +187,7 @@ struct PcsProverState
     PcsCommitment commitment;
     /**
      * The committed evaluation table (k*m entries), borrowed: the
-     * caller keeps it alive and unchanged until its last open or
-     * evaluate.
+     * caller keeps it alive and unchanged until its last open.
      */
     std::span<const F> poly;
     /**
@@ -273,7 +272,7 @@ class TensorPcs
 
         // Hash each of the 2m codeword columns into a leaf. Threads
         // split whole groups of kLeafBlock columns (2m >= 64 is a
-        // multiple of 16), one hashColumns call per chunk.
+        // multiple of 16), one hashColumns call per thread's share.
         std::vector<Digest> leaves(2 * m);
         if (exec)
             exec->setRegion("merkle");
@@ -298,23 +297,11 @@ class TensorPcs
                 const exec::ExecContext *exec = nullptr) const = delete;
 
     /**
-     * Evaluate the committed polynomial at @p point (n_vars entries,
-     * first row_vars select the row, the rest the column).
-     */
-    F
-    evaluate(const PcsProverState<F> &state,
-             const std::vector<F> &point) const
-    {
-        return evaluateTable(
-            std::vector<F>(state.poly.begin(), state.poly.end()), point);
-    }
-
-    /**
      * The row combination sum_row coeffs[row] * (row of the committed
      * table), m entries: the one routine behind both opened rows (the
      * proximity row here, evalRow's for callers without a sum-check).
      * @p exec parallelizes it across columns, one
-     * ff::combineRowsLanes call per column chunk, which under IFMA
+     * ff::combineRowsLanes call per thread's share, which under IFMA
      * sums each column's k products unreduced and reduces them once.
      * Field sums are exact, so the row is the same for any split and
      * backend.

@@ -15,8 +15,6 @@
  */
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -100,10 +98,9 @@ class SpielmanCode
      * rows run through each stage at once, one row per lane, with the
      * message's REDC fused into the batch's load; otherwise, and when
      * the row count is not a multiple of the batch, every row runs on
-     * its own. With a non-null @p exec, rows or batches run across the
-     * pool: one slot per thread, each taking the next row or batch
-     * until none are left, with one batch buffer per slot
-     * (BatchBuffers). Both paths store the same residues.
+     * its own. With a non-null @p exec, each thread encodes one
+     * contiguous share of the rows or batches. Both paths store the
+     * same residues.
      */
     void
     encodeRows(std::span<const F> rows, std::span<U256> out,
@@ -121,92 +118,24 @@ class SpielmanCode
         const size_t batch =
             ff::rowBatchActive() && k % ff::kRowBatch == 0 ? ff::kRowBatch
                                                            : 1;
-        const size_t items = k / batch;
-        const size_t slots =
-            std::min(items, exec ? exec->threads() : size_t{1});
-        BatchBuffers buffers(batch > 1 ? slots : 0, n);
-        std::atomic<size_t> next{0};
-        auto run_slots = [&](size_t begin, size_t end) {
-            for (size_t slot = begin; slot < end; ++slot) {
-                for (size_t item; (item = next.fetch_add(1)) < items;) {
-                    const F *in = rows.data() + item * batch * m;
-                    U256 *cw = out.data() + item * batch * n;
-                    if (batch == 1)
-                        encodeRow(std::span<const F>(in, m),
-                                  std::span<U256>(cw, n), nullptr);
-                    else
-                        encodeBatch(in, cw, buffers[slot]);
-                }
+        auto encode_items = [&](size_t begin, size_t end) {
+            for (size_t item = begin; item < end; ++item) {
+                const F *in = rows.data() + item * batch * m;
+                U256 *cw = out.data() + item * batch * n;
+                if (batch == 1)
+                    encodeRow(std::span<const F>(in, m),
+                              std::span<U256>(cw, n), nullptr);
+                else
+                    encodeBatch(in, cw);
             }
         };
         if (exec)
-            exec->parallelFor(slots, /*serial_cutoff=*/2, run_slots);
+            exec->parallelFor(k / batch, /*serial_cutoff=*/2, encode_items);
         else
-            run_slots(0, slots);
+            encode_items(0, k / batch);
     }
 
   private:
-    /**
-     * Row-batch buffers for encodeRows, one per slot, taken from a
-     * process-wide free list and given back on destruction. The
-     * buffers are sized on the calling thread before any slot runs, so
-     * a process that encodes again at the same size and thread count
-     * allocates nothing, whichever pool thread runs which slot.
-     */
-    class BatchBuffers
-    {
-      public:
-        /** Take @p count buffers of at least @p positions positions. */
-        BatchBuffers(size_t count, size_t positions)
-        {
-            {
-                std::lock_guard<std::mutex> lock(mutex());
-                auto &idle = idleBuffers();
-                while (taken_.size() < count && !idle.empty()) {
-                    taken_.push_back(std::move(idle.back()));
-                    idle.pop_back();
-                }
-            }
-            taken_.resize(count);
-            for (auto &buffer : taken_)
-                if (buffer.size() < positions)
-                    buffer.resize(positions);
-        }
-
-        ~BatchBuffers()
-        {
-            std::lock_guard<std::mutex> lock(mutex());
-            auto &idle = idleBuffers();
-            for (auto &buffer : taken_)
-                idle.push_back(std::move(buffer));
-        }
-
-        BatchBuffers(const BatchBuffers &) = delete;
-        BatchBuffers &operator=(const BatchBuffers &) = delete;
-
-        /** Slot @p slot's buffer. */
-        ff::RowLanes *operator[](size_t slot) { return taken_[slot].data(); }
-
-      private:
-        using Buffer = std::vector<ff::RowLanes>;
-
-        static std::mutex &
-        mutex()
-        {
-            static std::mutex m;
-            return m;
-        }
-
-        static std::vector<Buffer> &
-        idleBuffers()
-        {
-            static std::vector<Buffer> idle;
-            return idle;
-        }
-
-        std::vector<Buffer> taken_;
-    };
-
     /**
      * The stage sequence, in place in one codeword. The codeword nests,
      * z_l = [x_l | z_{l+1} | B_l z_{l+1}], so every level lives at a
@@ -272,12 +201,18 @@ class SpielmanCode
 
     /**
      * ff::kRowBatch rows at @p in (k apart) through the stages in the
-     * lanes of @p buffer (2k positions), stored canonical at @p out
-     * (2k apart).
+     * lanes of a 2k-position buffer, stored canonical at @p out (2k
+     * apart). The buffer is one per thread, grown to the longest
+     * codeword and kept: a pool runs each share on the same thread in
+     * every call, so a repeat encode at the same size allocates none.
      */
     void
-    encodeBatch(const F *in, U256 *out, ff::RowLanes *buffer) const
+    encodeBatch(const F *in, U256 *out) const
     {
+        thread_local std::vector<ff::RowLanes> lanes;
+        if (lanes.size() < codewordLength())
+            lanes.resize(codewordLength());
+        ff::RowLanes *buffer = lanes.data();
         ff::loadRowBatch(in, messageLength(), messageLength(), buffer);
         runStages([&](const SparseMatrix<F> &matrix, size_t from,
                       size_t at) {

@@ -15,7 +15,7 @@ namespace {
 std::atomic<size_t> g_default_threads{0};
 
 /**
- * True while the current thread is inside a parallelFor chunk: nested
+ * True while the current thread is inside a parallelFor share: nested
  * parallel regions run inline instead of re-entering the shared pool
  * (a worker waiting on its own pool would deadlock).
  */
@@ -106,16 +106,16 @@ ExecContext::parallelFor(
     }
     std::atomic<int64_t> busy_us{0};
     pool_->parallelFor(n, [&body, &busy_us](size_t begin, size_t end) {
-        // Exception-safe flag scope: the chunk may throw through
-        // ThreadPool's fence and the worker must not stay marked.
+        // Exception-safe flag scope: the share may throw through
+        // ThreadPool's fence and the thread must not stay marked.
         struct FlagScope
         {
             FlagScope() { tl_in_parallel_region = true; }
             ~FlagScope() { tl_in_parallel_region = false; }
         } scope;
-        Timer chunk;
+        Timer share;
         body(begin, end);
-        busy_us.fetch_add(static_cast<int64_t>(chunk.milliseconds() * 1e3),
+        busy_us.fetch_add(static_cast<int64_t>(share.milliseconds() * 1e3),
                           std::memory_order_relaxed);
     });
     account(wall.milliseconds(),

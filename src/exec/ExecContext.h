@@ -10,8 +10,9 @@
  * An ExecContext resolves a thread count (explicit config >
  * setDefaultThreads() override > BZK_THREADS env > hardware
  * concurrency), borrows a process-wide ThreadPool of that size, and
- * offers a chunked parallelFor with a serial cutoff plus deterministic
- * per-chunk reduction helpers (reduceChunked). The chunk shape of a
+ * offers a parallelFor that gives each thread one contiguous share of
+ * a range, with a serial cutoff, plus deterministic per-chunk
+ * reduction helpers (reduceChunked). The chunk shape of a
  * reduction depends only on the item count, never on the thread count,
  * so reduced field sums — and therefore proof bytes and Merkle roots —
  * are bit-identical for 1, 2, or N threads (pinned by test_exec and
@@ -42,8 +43,10 @@ namespace bzk::exec {
 struct ExecConfig
 {
     /**
-     * Worker threads; 0 resolves via setDefaultThreads(), then the
-     * BZK_THREADS environment variable, then hardware concurrency.
+     * Threads a parallel region runs on, the caller's included: the
+     * pool starts threads - 1 workers. 0 resolves via
+     * setDefaultThreads(), then the BZK_THREADS environment variable,
+     * then hardware concurrency.
      */
     size_t threads = 0;
 };
@@ -62,7 +65,7 @@ inline constexpr size_t kSerialCutoff = 1024;
 void setDefaultThreads(size_t threads);
 
 /**
- * Resolve @p requested to a concrete worker count: a non-zero request
+ * Resolve @p requested to a concrete thread count: a non-zero request
  * wins, then the setDefaultThreads() override, then BZK_THREADS, then
  * hardware concurrency (at least 1).
  */
@@ -73,7 +76,7 @@ struct RegionStats
 {
     /** Caller-side wall time spent inside parallelFor, ms. */
     double wall_ms = 0.0;
-    /** Summed per-chunk worker time, ms (== wall_ms when serial). */
+    /** Summed per-share thread time, ms (== wall_ms when serial). */
     double busy_ms = 0.0;
     /** parallelFor invocations accounted. */
     size_t calls = 0;
@@ -89,16 +92,17 @@ class ExecContext
   public:
     explicit ExecContext(ExecConfig cfg = {});
 
-    /** Resolved worker count (>= 1). */
+    /** Resolved thread count, the caller's included (>= 1). */
     size_t threads() const { return threads_; }
 
     /**
-     * Split [0, n) into contiguous chunks and run @p body(begin, end)
-     * across the pool, blocking until all chunks finish. Runs inline
+     * Split [0, n) into one contiguous share per thread and run
+     * @p body(begin, end) on each (ThreadPool::parallelFor: share 0 on
+     * the caller), blocking until all shares finish. Runs inline
      * when the context is single-threaded, when n is below
      * kSerialCutoff, or when called from inside another parallelFor body
      * (nested parallelism degrades to serial instead of deadlocking
-     * the shared pool). Exceptions from chunks propagate to the
+     * the shared pool). Exceptions from shares propagate to the
      * caller (first one wins).
      */
     void parallelFor(size_t n,
@@ -136,8 +140,6 @@ class ExecContext
     void resetStats() const;
 
   private:
-    void runChunks(size_t n,
-                   const std::function<void(size_t, size_t)> &body) const;
     void account(double wall_ms, double busy_ms) const;
 
     size_t threads_ = 1;

@@ -242,9 +242,11 @@ steppedSums(Combine combine)
  * later round folds the buffers in place. A caller that owns a table
  * and needs it no more passes the same vector as both, and it folds in
  * place from round 0; a caller that keeps its buffers across proofs
- * reuses their storage. Any other buffer must not overlap a table. On
- * return each buffer holds one entry, its table's value at the
- * sum-check point.
+ * reuses their storage. A buffer that is not its table's storage is
+ * grown to half the table's size only when it is shorter, so one kept
+ * across proofs keeps its storage; it must not overlap a table. On
+ * return each buffer's entry 0 holds its table's value at the
+ * sum-check point; the rest is scratch.
  *
  * Round i reduces sums at t = 0 .. kPoints - 1 over fixed-shape
  * chunks of rows. No table is folded until the challenge is drawn.
@@ -302,7 +304,7 @@ proveRounds(const std::array<std::span<const F>, N> &tables,
 
     // Each round reads lo from src[j][0, half) and hi from
     // src[j][half, 2 * half): the tables in round 0, the buffers after.
-    // A buffer that is not its table's storage is sized for round 0,
+    // A buffer that is not its table's storage grows to fit round 0,
     // which folds the table into it, or takes the one entry when no
     // round runs.
     std::array<const F *, N> src{};
@@ -312,7 +314,7 @@ proveRounds(const std::array<std::span<const F>, N> &tables,
             continue;
         if (size == 1)
             folded[j]->assign(src[j], src[j] + 1);
-        else
+        else if (folded[j]->size() < size / 2)
             folded[j]->resize(size / 2);
     }
 
@@ -345,10 +347,8 @@ proveRounds(const std::array<std::span<const F>, N> &tables,
             exec->parallelFor(half, fold);
         else
             fold(0, half);
-        for (size_t j = 0; j < N; ++j) {
-            folded[j]->resize(half);
+        for (size_t j = 0; j < N; ++j)
             src[j] = folded[j]->data();
-        }
         point.push_back(r);
         rounds.push_back(std::move(message));
     }
@@ -510,11 +510,11 @@ proveGateSumcheck(const std::vector<F> &tau,
     auto finish = [&](const std::array<F, kPoints> &h,
                       std::span<const F> point) {
         size_t i = point.size();
-        // Round i >= 1 starts from buffers of size >> i entries.
+        // Round i >= 1 starts from tables of size >> i entries, the
+        // first of each buffer.
         if (m != 0 && size >> i == m)
             for (size_t j = 0; j < 3; ++j)
-                std::copy(folded[j]->begin(), folded[j]->end(),
-                          rows[j].begin());
+                std::copy_n(folded[j]->begin(), m, rows[j].begin());
         if (i > 0)
             s *= eqLinear(tau[i - 1], point[i - 1]);
         // The (deg G + 1)-th finite difference of h vanishes:

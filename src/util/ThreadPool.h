@@ -3,70 +3,80 @@
 
 /**
  * @file
- * A small work-stealing-free thread pool used by the CPU reference
- * implementations to exploit host cores, mirroring the multi-core CPU
- * baselines the paper measures (Orion, Arkworks, Libsnark).
+ * A fork-join thread pool for the host prover, mirroring the multi-core
+ * CPU baselines the paper measures (Orion, Arkworks, Libsnark) and its
+ * static split of a device's lanes between modules (Sec. 4): there is
+ * no job queue. A pool for T threads starts T - 1 workers; each
+ * parallelFor cuts its range into T contiguous shares, runs share 0 on
+ * the caller and share i on worker i, and returns when all are done.
+ * Share i therefore runs on the same thread in every call, so a body
+ * may keep per-thread scratch (thread_local) across calls.
  */
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace bzk {
 
-/** Fixed-size pool of worker threads executing queued jobs. */
+/** T threads, the caller's included, that split each range T ways. */
 class ThreadPool
 {
   public:
     /**
-     * Start @p num_threads workers; 0 means hardware concurrency.
+     * A pool for @p num_threads threads: starts num_threads - 1
+     * workers; 0 means hardware concurrency.
      */
     explicit ThreadPool(size_t num_threads = 0);
 
-    /** Drains the queue and joins all workers. */
+    /** Stops and joins the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue one job for asynchronous execution. */
-    void submit(std::function<void()> job);
-
-    /** Block until every submitted job has completed. */
-    void wait();
-
     /**
-     * Split [0, n) into contiguous chunks and run @p body(begin, end) on the
-     * pool, blocking until all chunks finish. The calling thread runs
-     * queued chunks too until the queue is empty, then waits for the
-     * chunks still on workers. If any chunk throws, the first exception
-     * (in completion order) is rethrown on the calling thread after
-     * every chunk has finished; the pool stays usable.
+     * Split [0, n) into size() contiguous shares, share i starting at
+     * i * floor(n / T) + min(i, n mod T), and run @p body(begin, end)
+     * on every non-empty one: share 0 on the calling thread, share i
+     * on worker i. Blocks until all shares finish. If any share
+     * throws, the first exception (in completion order) is rethrown on
+     * the caller after every share has finished; the pool stays
+     * usable. Concurrent callers take turns. A body must not call
+     * parallelFor on its own pool.
      */
     void parallelFor(size_t n,
                      const std::function<void(size_t, size_t)> &body);
 
-    /** Number of worker threads. */
-    size_t size() const { return workers_.size(); }
+    /** Threads a parallelFor runs on, the caller's included. */
+    size_t size() const { return workers_.size() + 1; }
 
   private:
-    void workerLoop();
-    /** Pop and run one queued job on this thread; false if none. */
-    bool runQueuedJob();
-    /** Retire one job and wake wait() when none are left. */
-    void finishJob();
+    void workerLoop(size_t share);
+    /** Run @p share of the current range; record its exception. */
+    void runShare(size_t share);
 
-    std::vector<std::thread> workers_;
-    std::queue<std::function<void()>> jobs_;
+    /** Held by the caller for a whole parallelFor. */
+    std::mutex turn_;
+    /** Guards the members below, up to stopping_. */
     std::mutex mutex_;
-    std::condition_variable cv_;
-    std::condition_variable idle_cv_;
-    size_t in_flight_ = 0;
+    std::condition_variable start_cv_;
+    std::condition_variable done_cv_;
+    const std::function<void(size_t, size_t)> *body_ = nullptr;
+    size_t n_ = 0;
+    /** Bumped by each parallelFor; a worker runs once per value. */
+    uint64_t generation_ = 0;
+    /** Workers still running the current range. */
+    size_t pending_ = 0;
+    std::exception_ptr error_;
     bool stopping_ = false;
+    /** Fixed after construction; last, as they use every member above. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace bzk

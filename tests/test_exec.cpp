@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -71,7 +73,7 @@ TEST(ExecContextTest, ParallelForCoversEveryIndexExactlyOnce)
 
 TEST(ExecContextTest, FewerItemsThanWorkersStillCovered)
 {
-    // n < threads: chunks degenerate to single items, none dropped.
+    // n < threads: shares degenerate to single items, none dropped.
     ExecContext exec = makeContext(8);
     std::vector<std::atomic<int>> hits(3);
     exec.parallelFor(3, /*serial_cutoff=*/1,
@@ -81,6 +83,26 @@ TEST(ExecContextTest, FewerItemsThanWorkersStillCovered)
                      });
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ExecContextTest, RegionRunsOnExactlyItsThreadCount)
+{
+    // threads() counts the caller: a region of n >= T items runs one
+    // share on each of exactly T distinct threads, the caller's one.
+    for (size_t t : {2u, 3u, 4u}) {
+        ExecContext exec = makeContext(t);
+        for (size_t n : {t, size_t{4096}}) {
+            std::mutex mutex;
+            std::set<std::thread::id> threads;
+            exec.parallelFor(n, /*serial_cutoff=*/1,
+                             [&](size_t, size_t) {
+                                 std::lock_guard<std::mutex> lock(mutex);
+                                 threads.insert(std::this_thread::get_id());
+                             });
+            EXPECT_EQ(threads.size(), t) << "T=" << t << " n=" << n;
+            EXPECT_EQ(threads.count(std::this_thread::get_id()), 1u);
+        }
+    }
 }
 
 TEST(ExecContextTest, SerialCutoffRunsInline)

@@ -310,7 +310,7 @@ proveWithCubicPhase2(const R1cs<F> &r1cs, std::span<const F> inputs,
         proof.phase2.rounds);
 
     std::vector<F> ry_tail(ry.begin() + 1, ry.end());
-    proof.vw = pcs.evaluate(st_w, ry_tail);
+    proof.vw = evaluateTable(w, ry_tail);
     transcript.absorbField("p2.vw", proof.vw);
     proof.open_w = pcs.open(st_w, pcs.evalRow(st_w, ry_tail), transcript);
     return proof;

@@ -52,7 +52,7 @@ TYPED_TEST(PcsT, OpenVerifyRoundTrip)
         PcsProverState<F> state;
         pcs.commit(poly, state);
         auto point = randomPoint<F>(n, rng);
-        F value = pcs.evaluate(state, point);
+        F value = evaluateTable(poly, point);
 
         Transcript pt("pcs-test");
         pt.absorbDigest("root", state.commitment.root);
@@ -76,7 +76,11 @@ TYPED_TEST(PcsT, ValueMatchesMultilinearEvaluate)
     PcsProverState<F> state;
     pcs.commit(poly, state);
     auto point = randomPoint<F>(n, rng);
-    EXPECT_EQ(pcs.evaluate(state, point),
+    // The value verify reads off the evaluation row,
+    // <eval_row, eq(r_col)>, is the table's extension at the point.
+    auto row = pcs.evalRow(state, point);
+    std::vector<F> r_col(point.begin() + pcs.rowVars(), point.end());
+    EXPECT_EQ(ff::dotLanes(row.data(), eqTable(r_col).data(), row.size()),
               Multilinear<F>(poly).evaluate(point));
 }
 
@@ -90,7 +94,7 @@ TYPED_TEST(PcsT, RejectsWrongValue)
     PcsProverState<F> state;
     pcs.commit(poly, state);
     auto point = randomPoint<F>(n, rng);
-    F value = pcs.evaluate(state, point);
+    F value = evaluateTable(poly, point);
 
     Transcript pt("pcs-test");
     pt.absorbDigest("root", state.commitment.root);
@@ -112,7 +116,7 @@ TYPED_TEST(PcsT, RejectsTamperedEvalRow)
     PcsProverState<F> state;
     pcs.commit(poly, state);
     auto point = randomPoint<F>(n, rng);
-    F value = pcs.evaluate(state, point);
+    F value = evaluateTable(poly, point);
 
     Transcript pt("pcs-test");
     pt.absorbDigest("root", state.commitment.root);
@@ -134,7 +138,7 @@ TYPED_TEST(PcsT, RejectsTamperedColumn)
     PcsProverState<F> state;
     pcs.commit(poly, state);
     auto point = randomPoint<F>(n, rng);
-    F value = pcs.evaluate(state, point);
+    F value = evaluateTable(poly, point);
 
     Transcript pt("pcs-test");
     pt.absorbDigest("root", state.commitment.root);
@@ -156,7 +160,7 @@ TYPED_TEST(PcsT, RejectsWrongRoot)
     PcsProverState<F> state;
     pcs.commit(poly, state);
     auto point = randomPoint<F>(n, rng);
-    F value = pcs.evaluate(state, point);
+    F value = evaluateTable(poly, point);
 
     Transcript pt("pcs-test");
     pt.absorbDigest("root", state.commitment.root);
@@ -181,7 +185,7 @@ TYPED_TEST(PcsT, RejectsProofForDifferentPolynomial)
     pcs.commit(poly1, state1);
     pcs.commit(poly2, state2);
     auto point = randomPoint<F>(n, rng);
-    F value1 = pcs.evaluate(state1, point);
+    F value1 = evaluateTable(poly1, point);
 
     Transcript pt("pcs-test");
     pt.absorbDigest("root", state1.commitment.root);
@@ -419,7 +423,7 @@ TYPED_TEST(PcsT, RecommitReusesTheStateAndMatchesAFreshOne)
     EXPECT_EQ(reused.codewords.data(), matrix);
     EXPECT_EQ(reused.codewords, fresh.codewords);
     EXPECT_EQ(reused.commitment.root, fresh.commitment.root);
-    EXPECT_EQ(pcs.evaluate(reused, point), pcs.evaluate(fresh, point));
+    EXPECT_EQ(reused.poly.data(), second.data());
     Transcript t1("pcs-reuse"), t2("pcs-reuse");
     auto p1 = pcs.open(reused, pcs.evalRow(reused, point, &exec), t1, &exec);
     auto p2 = pcs.open(fresh, pcs.evalRow(fresh, point), t2);

@@ -718,18 +718,23 @@ TYPED_TEST(GateSumcheckT, BorrowedTablesFoldIntoReusedBuffers)
     // A prover that keeps its buffers passes its tables read-only (here
     // const) and folds into buffers that still hold another proof's
     // leftovers. Rounds, point and final values must equal the
-    // in-place proof's.
+    // in-place proof's. A borrowed buffer grows once to half a table
+    // and keeps that size and storage: no proof shrinks it, so no
+    // later proof grows it again.
     using F = typename TypeParam::F;
     using Gate = typename TypeParam::Gate;
     Rng rng(77);
     const auto x = randomGateInstance<Gate, F>(12, rng);
     const auto y = randomGateInstance<Gate, F>(12, rng);
+    const size_t half = x.a.size() / 2;
     exec::ExecConfig cfg;
     cfg.threads = 2;
     exec::ExecContext exec(cfg);
     const exec::ExecContext *contexts[] = {nullptr, &exec};
     for (const exec::ExecContext *ctx : contexts) {
         std::vector<F> fa, fb, fc, weights;
+        const std::array<const std::vector<F> *, 3> buffers{&fa, &fb, &fc};
+        std::array<const F *, 3> storage{};
         for (const GateInstance<F> *inst : {&y, &x, &y}) {
             auto in_place = *inst;
             Transcript rt("gate-borrow");
@@ -744,9 +749,15 @@ TYPED_TEST(GateSumcheckT, BorrowedTablesFoldIntoReusedBuffers)
             ASSERT_EQ(proof.rounds, want.rounds)
                 << (ctx ? "with exec" : "serial");
             EXPECT_EQ(point, want_point);
-            EXPECT_EQ(fa, in_place.a);
-            EXPECT_EQ(fb, in_place.b);
-            EXPECT_EQ(fc, in_place.c);
+            EXPECT_EQ(fa[0], in_place.a[0]);
+            EXPECT_EQ(fb[0], in_place.b[0]);
+            EXPECT_EQ(fc[0], in_place.c[0]);
+            for (size_t j = 0; j < 3; ++j) {
+                EXPECT_EQ(buffers[j]->size(), half);
+                if (!storage[j])
+                    storage[j] = buffers[j]->data();
+                EXPECT_EQ(buffers[j]->data(), storage[j]);
+            }
         }
     }
 }

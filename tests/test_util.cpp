@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "util/Hex.h"
 #include "util/Rng.h"
@@ -226,14 +230,75 @@ TEST(FormatSig, Reasonable)
     EXPECT_EQ(formatSig(0.00012345, 3), "0.000123");
 }
 
-TEST(ThreadPool, RunsAllJobs)
+/** One share as a parallelFor body saw it. */
+struct ShareRun
 {
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
+    size_t begin;
+    size_t end;
+    std::thread::id thread;
+};
+
+/** The shares one parallelFor ran, sorted by begin. */
+std::vector<ShareRun>
+runShares(ThreadPool &pool, size_t n)
+{
+    std::mutex mutex;
+    std::vector<ShareRun> runs;
+    pool.parallelFor(n, [&](size_t begin, size_t end) {
+        std::lock_guard<std::mutex> lock(mutex);
+        runs.push_back({begin, end, std::this_thread::get_id()});
+    });
+    std::sort(runs.begin(), runs.end(),
+              [](const ShareRun &a, const ShareRun &b) {
+                  return a.begin < b.begin;
+              });
+    return runs;
+}
+
+TEST(ThreadPool, OneContiguousSharePerThread)
+{
+    // A pool for T threads cuts [0, n) into T shares, share i from
+    // i * floor(n / T) + min(i, n mod T), and runs the non-empty ones
+    // on distinct threads: share 0 on the caller, and every share on
+    // the same thread as in the call before.
+    const auto caller = std::this_thread::get_id();
+    for (size_t t : {1u, 2u, 3u, 4u}) {
+        ThreadPool pool(t);
+        EXPECT_EQ(pool.size(), t);
+        for (size_t n : {size_t{0}, size_t{1}, t - 1, t, size_t{1000}}) {
+            std::vector<ShareRun> want;
+            for (size_t i = 0; i < t; ++i) {
+                size_t begin = i * (n / t) + std::min(i, n % t);
+                size_t end = begin + n / t + (i < n % t ? 1 : 0);
+                if (begin < end)
+                    want.push_back({begin, end, {}});
+            }
+            const auto first = runShares(pool, n);
+            const auto second = runShares(pool, n);
+            ASSERT_EQ(first.size(), want.size()) << "T=" << t << " n=" << n;
+            ASSERT_EQ(second.size(), want.size());
+            std::set<std::thread::id> threads;
+            for (size_t s = 0; s < want.size(); ++s) {
+                EXPECT_EQ(first[s].begin, want[s].begin);
+                EXPECT_EQ(first[s].end, want[s].end);
+                EXPECT_EQ(second[s].begin, want[s].begin);
+                EXPECT_EQ(second[s].thread, first[s].thread)
+                    << "T=" << t << " n=" << n << " share " << s;
+                threads.insert(first[s].thread);
+            }
+            EXPECT_EQ(threads.size(), want.size());
+            if (n > 0) {
+                EXPECT_EQ(first[0].thread, caller);
+            }
+            // Contiguous and covering [0, n) once.
+            size_t next = 0;
+            for (const ShareRun &run : first) {
+                EXPECT_EQ(run.begin, next);
+                next = run.end;
+            }
+            EXPECT_EQ(next, n);
+        }
+    }
 }
 
 TEST(ThreadPool, ParallelForCoversRange)
@@ -248,29 +313,60 @@ TEST(ThreadPool, ParallelForCoversRange)
         EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, CallerRunsQueuedChunks)
+TEST(ThreadPool, CallerRunsShareZero)
 {
-    // parallelFor's caller helps instead of sleeping: with the only
-    // worker held inside chunk 0 until the caller has run a chunk,
-    // the loop completes only because the caller drains the queue.
-    // (The timeout keeps a non-helping pool from hanging the test.)
-    ThreadPool pool(1);
+    // parallelFor's caller runs share 0 itself: the worker's share
+    // waits until the caller's has run, so the loop completes only
+    // because the caller does not wait for the worker first. (The
+    // timeout keeps a caller that only waits from hanging the test.)
+    ThreadPool pool(2);
     const auto caller = std::this_thread::get_id();
-    std::atomic<int> caller_chunks{0};
-    pool.parallelFor(4, [&](size_t begin, size_t) {
+    std::atomic<bool> caller_ran{false};
+    std::atomic<bool> worker_saw_it{false};
+    pool.parallelFor(2, [&](size_t, size_t) {
         if (std::this_thread::get_id() == caller) {
-            caller_chunks.fetch_add(1);
+            caller_ran = true;
             return;
         }
-        if (begin != 0)
-            return;
         auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(5);
-        while (caller_chunks.load() == 0 &&
+        while (!caller_ran.load() &&
                std::chrono::steady_clock::now() < deadline)
             std::this_thread::yield();
+        worker_saw_it = caller_ran.load();
     });
-    EXPECT_GT(caller_chunks.load(), 0);
+    EXPECT_TRUE(caller_ran.load());
+    EXPECT_TRUE(worker_saw_it.load());
+}
+
+TEST(ThreadPool, ConcurrentCallersTakeTurns)
+{
+    // Two threads share one pool; each gets every one of its ranges
+    // right. The hit counts are plain ints, so a share that ran twice,
+    // or ran on another call's range, shows as a wrong count (and to
+    // TSan as a race).
+    ThreadPool pool(4);
+    auto caller = [&pool](size_t salt, bool &ok) {
+        ok = true;
+        for (size_t call = 0; call < 100; ++call) {
+            size_t n = 50 + 13 * call + salt;
+            std::vector<int> hits(n, 0);
+            pool.parallelFor(n, [&hits](size_t b, size_t e) {
+                for (size_t i = b; i < e; ++i)
+                    ++hits[i];
+            });
+            for (int h : hits)
+                ok = ok && h == 1;
+        }
+    };
+    bool ok_a = false;
+    bool ok_b = false;
+    std::thread a(caller, 0, std::ref(ok_a));
+    std::thread b(caller, 7, std::ref(ok_b));
+    a.join();
+    b.join();
+    EXPECT_TRUE(ok_a);
+    EXPECT_TRUE(ok_b);
 }
 
 TEST(ThreadPool, ParallelForEmpty)
@@ -281,22 +377,16 @@ TEST(ThreadPool, ParallelForEmpty)
     EXPECT_FALSE(ran);
 }
 
-TEST(ThreadPool, WaitWithNoJobsReturns)
-{
-    ThreadPool pool(2);
-    pool.wait();
-    SUCCEED();
-}
-
 TEST(ThreadPool, ParallelForPropagatesWorkerException)
 {
     // Regression: a throwing body used to escape the worker loop and
     // std::terminate the process; now the first exception is rethrown
-    // on the caller after all chunks finish.
+    // on the caller after all shares finish. The last share runs on a
+    // worker.
     ThreadPool pool(4);
     EXPECT_THROW(pool.parallelFor(100,
-                                  [](size_t b, size_t) {
-                                      if (b == 0)
+                                  [](size_t, size_t e) {
+                                      if (e == 100)
                                           throw std::runtime_error("x");
                                   }),
                  std::runtime_error);
